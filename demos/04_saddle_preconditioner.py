@@ -3,16 +3,13 @@
 Each ADMM control step solves [[M/gamma, K], [-K, M]] [y; u] = rhs.  The
 script compares the one-time sparse factorization against right
 preconditioned GMRES with P = scalar-factor x diag(G, G), G = M + sqrt(gamma) K,
-showing the grid-independent Krylov iteration counts, and demonstrates the
-Chebyshev semi-iteration as the matrix-free inner solve for G in the
-mass-dominated regime.
+showing the grid-independent Krylov iteration counts.
 """
 
 import numpy as np
 
 from sparseoc import mesh as fem
-from sparseoc.linalg import (SaddleSolver, chebyshev_semi_iteration,
-                             pmhss_apply, gmres, saddle_matrix)
+from sparseoc.linalg import SaddleSolver
 
 
 def main():
@@ -34,35 +31,6 @@ def main():
         dev = np.linalg.norm(np.concatenate([y_d - y_g, u_d - u_g]))
         print(f"  level {level}: {st.iterations:3d} iterations, "
               f"|direct - gmres| = {dev:.1e}")
-
-    print("\nChebyshev semi-iteration on the mass matrix (level 4), "
-          "Jacobi bounds [1/4, 9/4]:")
-    m = fem.build_mesh(4)
-    M = fem.assemble_mass(m)
-    rng = np.random.default_rng(0)
-    rhs = rng.standard_normal(m.n_interior)
-    for steps in (5, 10, 20):
-        x = chebyshev_semi_iteration(lambda v: M @ v, rhs, steps,
-                                     (0.25, 2.25), jacobi_diag=M.diagonal())
-        rel = np.linalg.norm(rhs - M @ x) / np.linalg.norm(rhs)
-        print(f"  {steps:2d} steps: relative residual {rel:.2e}")
-
-    print("\nPMHSS with the 20-step Chebyshev G-solve as inner approximation:")
-    K = fem.assemble_stiffness(m)
-    gamma_small = 1e-4                      # mass-dominated regime
-    G = (M + np.sqrt(gamma_small) * K).tocsr()
-    dG = G.diagonal()
-
-    def G_solve(r):
-        return chebyshev_semi_iteration(lambda v: G @ v, r, 20,
-                                        (0.25, 3.5), jacobi_diag=dG)
-
-    A = saddle_matrix(M, K, gamma_small)
-    rhs2 = rng.standard_normal(2 * m.n_interior)
-    P = lambda r: pmhss_apply(M, K, gamma_small, G_solve, r)
-    x, st = gmres(lambda v: A @ v, P, rhs2, 1e-10, max_iter=300, restart=50)
-    print(f"  converged = {st.converged} in {st.iterations} GMRES iterations "
-          f"({st.preconditioner_applications} preconditioner applications)")
 
 
 if __name__ == "__main__":

@@ -7,14 +7,11 @@ quadrature on the unit square.
 from .mesh import (Mesh, DiscreteProblem, build_mesh, assemble_stiffness,
                    assemble_mass, assemble_lumped_mass, project_field,
                    discretize)
-from .linalg import (spmv, factorize, Factorization, FactorizationError,
-                     chebyshev_semi_iteration, pmhss_apply, gmres,
-                     BlockSaddleSystem, SaddleSolver, solve_saddle,
-                     InnerSolveStats)
+from .linalg import (factorize, Factorization, FactorizationError,
+                     pmhss_apply, gmres, SaddleSolver, InnerSolveStats)
 from .prox import (soft, project_box, grad_f, objective_f, objective_g,
                    z_update_ihadmm, z_update_classical, prox_g_euclidean,
-                   kkt_residual_admm, kkt_residual_pdas,
-                   complexity_residual_Rh, KktResidual)
+                   kkt_residual_admm, kkt_residual_pdas, KktResidual)
 from .solvers import (SolverConfig, IterateState, ConvergenceReport,
                       solve_ihadmm, solve_classical_admm, solve_apg,
                       solve_pdas, solve_two_phase, SOLVERS)

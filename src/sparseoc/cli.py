@@ -24,8 +24,9 @@ import numpy as np
 from dataclasses import dataclass, asdict, fields
 
 from . import mesh as fem
-from .experiments import (ExperimentSpec, build_example1, build_example2,
-                          run_table, EXAMPLE1_PARAMS, EXAMPLE2_PARAMS)
+from .experiments import (ExperimentSpec, build_example, example_params,
+                          run_table)
+from .mesh import _fmt
 from .solvers import SolverConfig, SOLVERS, solve_two_phase
 
 log = logging.getLogger("sparseoc")
@@ -61,7 +62,6 @@ class RunConfig:
     beta: float = None
     a: float = None
     b: float = None
-    seed: int = 0
 
     def to_dict(self):
         return asdict(self)
@@ -95,13 +95,13 @@ class RunConfig:
                     or list(self.levels) != sorted(self.levels)):
                 raise ConfigError("levels must be a nonempty ascending list "
                                   "of positive integers")
-        for name in ("tol", "phase1_tol", "phase2_tol"):
-            if getattr(self, name) <= 0:
-                raise ConfigError(f"{name} must be positive")
-        if self.max_iter < 1:
-            raise ConfigError("max_iter must be >= 1")
-        if self.inner_backend not in ("direct", "pmhss_gmres"):
-            raise ConfigError(f"unknown inner backend {self.inner_backend!r}")
+        try:
+            for tol in (self.tol, self.phase1_tol, self.phase2_tol):
+                self.solver_config(tol).validate()
+            if self.phase1_tol < self.phase2_tol:
+                raise ValueError("phase1_tol must be >= phase2_tol")
+        except (TypeError, ValueError) as exc:
+            raise ConfigError(str(exc)) from exc
         return self
 
     def solver_config(self, tol=None):
@@ -128,31 +128,13 @@ def load_config(path):
     return RunConfig.from_dict(data)
 
 
-def _build_problem(cfg, level):
-    from .experiments import ExampleParams
-    base = EXAMPLE1_PARAMS if cfg.example == "constructed" else EXAMPLE2_PARAMS
-    merged = {**asdict(base), **cfg.params_overrides()}
-    params = ExampleParams(**merged)
-    if cfg.example == "constructed":
-        m, problem, _ = build_example1(level, params)
-    else:
-        m, problem = build_example2(level, params)
-    return m, problem
-
-
-def _fmt(v):
-    if v is None or (isinstance(v, float) and not np.isfinite(v)):
-        return ""
-    if isinstance(v, float):
-        return np.format_float_scientific(v, precision=16, trim="-")
-    return str(v)
-
-
 def cmd_solve(config_path, out_dir):
     """Run one (example, level, solver); report JSON + CSV artifacts."""
     cfg = load_config(config_path)
     out_dir.mkdir(parents=True, exist_ok=True)
-    m, problem = _build_problem(cfg, cfg.level)
+    m, problem = build_example(cfg.example, cfg.level,
+                               example_params(cfg.example,
+                                              **cfg.params_overrides()))
 
     if cfg.solver == "two_phase":
         report = solve_two_phase(problem,
@@ -308,9 +290,11 @@ def main(argv=None):
         if args.command == "export-matrices":
             return cmd_export_matrices(args.level, Path(args.out))
     except ConfigError as exc:
-        log.error("bad configuration: %s", exc)
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except RuntimeError as exc:     # a solver gave up, e.g. a reference solve
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
     return 2
 
 

@@ -107,6 +107,21 @@ def build_example2(level, params=EXAMPLE2_PARAMS):
     return m, problem
 
 
+def example_params(example_id, **overrides):
+    """The example's default parameters with every non-None override."""
+    base = EXAMPLE1_PARAMS if example_id == "constructed" else EXAMPLE2_PARAMS
+    return replace(base, **{k: v for k, v in overrides.items()
+                            if v is not None})
+
+
+def build_example(example_id, level, params):
+    """Mesh and DiscreteProblem of either example."""
+    if example_id == "constructed":
+        m, problem, _ = build_example1(level, params)
+        return m, problem
+    return build_example2(level, params)
+
+
 # Degree-5 (7-point) triangle rule; weights sum to 1 on the reference element.
 _Q5_B1 = 0.470142064105115
 _Q5_B2 = 0.101286507323456
@@ -200,13 +215,8 @@ class ExperimentSpec:
         return self
 
     def params(self):
-        base = EXAMPLE1_PARAMS if self.example_id == "constructed" \
-            else EXAMPLE2_PARAMS
-        return ExampleParams(
-            alpha=self.alpha if self.alpha is not None else base.alpha,
-            beta=self.beta if self.beta is not None else base.beta,
-            a=self.a if self.a is not None else base.a,
-            b=self.b if self.b is not None else base.b)
+        return example_params(self.example_id, alpha=self.alpha,
+                              beta=self.beta, a=self.a, b=self.b)
 
 
 @dataclass
@@ -248,8 +258,9 @@ def _run_cell(name, config, problem, factorK):
 
 def _reference_solution(spec, params):
     m_ref, p_ref = build_example2(spec.reference_level, params)
-    cfg2 = SolverConfig(tol=spec.reference_tol)
-    report = solve_two_phase(p_ref, SolverConfig(tol=1e-3), cfg2)
+    sigma = reproduction_sigma(params.alpha)
+    report = solve_two_phase(p_ref, SolverConfig(tol=1e-3, sigma=sigma),
+                             SolverConfig(tol=spec.reference_tol, sigma=sigma))
     if not report.converged:
         raise RuntimeError("reference solve did not converge")
     return m_ref, report.final_state.u
@@ -272,10 +283,7 @@ def run_table(spec, jobs=1):
         ref_mesh, ref_u = _reference_solution(spec, params)
 
     def run_level(level):
-        if spec.example_id == "constructed":
-            m, problem, _ = build_example1(level, params)
-        else:
-            m, problem = build_example2(level, params)
+        m, problem = build_example(spec.example_id, level, params)
         factorK = factorize(problem.K)
         cells = []
         u_first = None

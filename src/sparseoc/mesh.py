@@ -253,7 +253,12 @@ def discretize(mesh, yd_field, yc_field, alpha, beta, a, b, c0=0.0):
 
 
 def _fmt(v):
-    return np.format_float_scientific(v, precision=16, trim="-")
+    """Text of one output cell: round-trip scientific notation for floats,
+    empty for None, "" and non-finite floats, str() for anything else."""
+    if isinstance(v, float):
+        return (np.format_float_scientific(v, precision=16, trim="-")
+                if np.isfinite(v) else "")
+    return "" if v is None else str(v)
 
 
 def write_matrix_market(path, A, symmetric=True):

@@ -20,7 +20,9 @@ iterate mismatches (u - z, the fixed-point gap) are functions and carry the
 M norm.  These are the discrete L2 norms, so the residuals, unlike raw
 Euclidean ones, do not shrink by mass-matrix factors h^2 under refinement
 and iteration counts stay comparable across grid levels.  The complexity
-functional R_h keeps plain Euclidean norms.  All functions are pure.
+functional R_h, which the solvers build from grad_f and
+dist_subdifferential_g, keeps plain Euclidean norms.  All functions are
+pure.
 """
 
 import numpy as np
@@ -211,12 +213,3 @@ def dist_subdifferential_g(z, q, problem):
     d = np.where(q < lo, lo - q, np.where(q > hi, q - hi, 0.0))
     return d
 
-
-def complexity_residual_Rh(state, problem, factorK):
-    """R_h = ||M lam + grad f(u)||^2 + dist^2(0, -M lam + dg(z)) + ||u - z||^2."""
-    u, z, lam = state.u, state.z, state.lam
-    Mlam = problem.M @ lam
-    r1 = Mlam + grad_f(problem, factorK, u)
-    d = dist_subdifferential_g(z, Mlam, problem)
-    r3 = u - z
-    return float(r1 @ r1 + d @ d + r3 @ r3)

@@ -32,6 +32,7 @@ from dataclasses import dataclass
 
 from .linalg import (SaddleSolver, factorize, estimate_mkinv_norm,
                      FactorizationError, InnerSolveStats)
+from .mesh import _fmt
 from .prox import (z_update_ihadmm, z_update_classical, prox_g_euclidean,
                    grad_f, kkt_residual_pdas, admm_residuals_weighted,
                    dist_subdifferential_g)
@@ -56,10 +57,6 @@ class SolverConfig:
     eps_decay: float = 1.2
     inner_backend: str = "direct"
     pdas_c: float = 1.0
-    gmres_restart: int = 50
-    gmres_max_iter: int = 500
-    apg_restart: bool = True
-    log_path: str = None
 
     def validate(self):
         if self.tol <= 0:
@@ -119,12 +116,6 @@ class ConvergenceReport:
                 fh.write(f"{k + 1},{vals},{_fmt(rh)},{it}\n")
 
 
-def _fmt(v):
-    if v == "":
-        return ""
-    return np.format_float_scientific(v, precision=16, trim="-")
-
-
 def _zero_state(n):
     z = np.zeros(n)
     return IterateState(u=z.copy(), z=z.copy(), lam=z.copy())
@@ -146,12 +137,6 @@ def _check_warm(warm, n):
                         mu=None if warm.mu is None else warm.mu.copy())
 
 
-def _finish(report, config):
-    if config.log_path:
-        report.write_log(config.log_path)
-    return report
-
-
 def solve_ihadmm(problem, config=None, warm=None, callback=None, factorK=None):
     """Heterogeneous ADMM with inexact saddle-point u-steps."""
     config = (config or SolverConfig()).validate()
@@ -165,7 +150,7 @@ def solve_ihadmm(problem, config=None, warm=None, callback=None, factorK=None):
     if factorK is None:
         factorK = factorize(K)
     factorM = factorize(M)
-    saddle = SaddleSolver(M, K, gamma, config.gmres_restart, config.gmres_max_iter)
+    saddle = SaddleSolver(M, K, gamma)
     inexact = config.inner_backend == "pmhss_gmres"
     if inexact:
         mk_norm = estimate_mkinv_norm(M, factorK)
@@ -188,12 +173,11 @@ def solve_ihadmm(problem, config=None, warm=None, callback=None, factorK=None):
         rhs_bottom = -myc
         if inexact:
             eps_k = config.eps0 / (k + 1.0) ** config.eps_decay
-            tol_inner = min(eps_k / denom, cap)
+            y, u_new, stats = saddle.solve(rhs_top, rhs_bottom,
+                                           backend="pmhss_gmres",
+                                           tol=min(eps_k / denom, cap))
         else:
-            tol_inner = 1e-13
-        y, u_new, stats = saddle.solve(rhs_top, rhs_bottom,
-                                       backend=config.inner_backend,
-                                       tol=tol_inner)
+            y, u_new, stats = saddle.solve(rhs_top, rhs_bottom)
         p = gamma * u_new - sigma * z + lam
         z = z_update_ihadmm(u_new, lam, problem, sigma)
         lam = lam + tau * sigma * (u_new - z)
@@ -213,14 +197,16 @@ def solve_ihadmm(problem, config=None, warm=None, callback=None, factorK=None):
             converged = True
             break
 
-    report = ConvergenceReport("ihadmm", len(eta_hist), eta_hist, rh_hist,
-                               inner_hist, time.perf_counter() - t0,
-                               converged, state)
-    return _finish(report, config)
+    return ConvergenceReport("ihadmm", len(eta_hist), eta_hist, rh_hist,
+                             inner_hist, time.perf_counter() - t0,
+                             converged, state)
 
 
 def _Rh_from(u, z, Mlam, problem, factorK):
-    """R_h given M*lambda directly (avoids M-solves in the classical ADMM)."""
+    """R_h = ||M lam + grad f(u)||^2 + dist^2(0, -M lam + dg(z)) + ||u - z||^2.
+
+    Takes M*lambda directly (avoids M-solves in the classical ADMM).
+    """
     r1 = Mlam + grad_f(problem, factorK, u)
     d = dist_subdifferential_g(z, Mlam, problem)
     r3 = u - z
@@ -272,10 +258,9 @@ def solve_classical_admm(problem, config=None, warm=None, callback=None,
 
     lam = factorM.solve(lam_c)
     state = IterateState(u=u, z=z, lam=lam, y=y, p=p)
-    report = ConvergenceReport("classical_admm", len(eta_hist), eta_hist,
-                               rh_hist, inner_hist, time.perf_counter() - t0,
-                               converged, state)
-    return _finish(report, config)
+    return ConvergenceReport("classical_admm", len(eta_hist), eta_hist,
+                             rh_hist, inner_hist, time.perf_counter() - t0,
+                             converged, state)
 
 
 def _f_and_grad(problem, factorK, u):
@@ -319,16 +304,15 @@ def solve_apg(problem, config=None, warm=None, callback=None, factorK=None):
             L *= 2.0
             doublings += 1
             if doublings > 60:
-                report = ConvergenceReport(
+                return ConvergenceReport(
                     "apg", len(eta_hist), eta_hist, rh_hist, inner_hist,
                     time.perf_counter() - t0, False,
                     IterateState(u=u, z=u.copy(), lam=None))
-                return _finish(report, config)
 
         t_next = 0.5 * (1.0 + np.sqrt(1.0 + 4.0 * tk * tk))
         momentum = (tk - 1.0) / t_next
         x_next = u_new + momentum * (u_new - u)
-        if config.apg_restart and gx @ (u_new - u) > 0.0:
+        if gx @ (u_new - u) > 0.0:
             t_next = 1.0            # adaptive restart when momentum misaligns
             x_next = u_new.copy()
         u, x, tk = u_new, x_next, t_next
@@ -347,10 +331,9 @@ def solve_apg(problem, config=None, warm=None, callback=None, factorK=None):
             converged = True
             break
 
-    report = ConvergenceReport("apg", len(eta_hist), eta_hist, rh_hist,
-                               inner_hist, time.perf_counter() - t0,
-                               converged, it_state)
-    return _finish(report, config)
+    return ConvergenceReport("apg", len(eta_hist), eta_hist, rh_hist,
+                             inner_hist, time.perf_counter() - t0,
+                             converged, it_state)
 
 
 # PDAS dof classification codes
@@ -401,8 +384,7 @@ def solve_pdas(problem, config=None, warm=None, callback=None, factorK=None):
     for k in range(config.max_iter):
         code = _classify(u, mu, problem, c)
         if prev_code is not None and np.array_equal(code, prev_code):
-            converged = True        # active sets repeat: finite termination
-            break
+            break                   # active sets repeat with eta > tol: stalled
         prev_code = code
 
         active = code <= _AT_0
@@ -461,10 +443,9 @@ def solve_pdas(problem, config=None, warm=None, callback=None, factorK=None):
 
     final = IterateState(u=u, z=u.copy(), y=y, p=p, mu=mu,
                          lam=None if p is None else p - 0.5 * problem.alpha * u)
-    report = ConvergenceReport("pdas", len(eta_hist), eta_hist, rh_hist,
-                               inner_hist, time.perf_counter() - t0,
-                               converged, final)
-    return _finish(report, config)
+    return ConvergenceReport("pdas", len(eta_hist), eta_hist, rh_hist,
+                             inner_hist, time.perf_counter() - t0,
+                             converged, final)
 
 
 def solve_two_phase(problem, config_phase1=None, config_phase2=None,
@@ -489,24 +470,20 @@ def solve_two_phase(problem, config_phase1=None, config_phase2=None,
 
     # hand PDAS the thresholded copy z: it is exactly zero / exactly at the
     # bounds on the active sets, so the first classification is reliable
-    # even though the unthresholded u still carries O(tol) noise there
+    # even though the unthresholded u still carries O(tol) noise there;
+    # PDAS derives mu = M p - alpha T z from it
     s1 = rep1.final_state
-    T = 0.5 * (problem.M + sp.diags(problem.W))
-    mu0 = problem.M @ s1.p - problem.alpha * (T @ s1.z)
     warm = IterateState(u=s1.z.copy(), z=s1.z.copy(), lam=s1.lam, y=s1.y,
-                        p=s1.p, mu=mu0)
+                        p=s1.p)
     rep2 = solve_pdas(problem, config_phase2, warm=warm, factorK=factorK)
 
-    report = ConvergenceReport(
+    return ConvergenceReport(
         "two_phase", rep1.iterations + rep2.iterations,
         rep1.eta_history + rep2.eta_history,
         rep1.Rh_history + rep2.Rh_history,
         rep1.inner_stats + rep2.inner_stats,
         time.perf_counter() - t0, rep2.converged, rep2.final_state,
         phase_iterations=(rep1.iterations, rep2.iterations))
-    if config_phase2.log_path:
-        report.write_log(config_phase2.log_path)
-    return report
 
 
 SOLVERS = {

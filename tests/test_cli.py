@@ -41,6 +41,22 @@ def test_config_rejects_bad_values():
         RunConfig(tol=-1.0).validate()
 
 
+@pytest.mark.parametrize("bad", [
+    {"sigma": -1},
+    {"tau": 5},
+    {"eps_decay": 0.5},
+    {"pdas_c": -1, "solver": "pdas"},
+    {"phase1_tol": 1e-12, "phase2_tol": 1e-3, "solver": "two_phase"},
+])
+def test_solve_bad_solver_setting_exit_code(tmp_path, capsys, bad):
+    cfg = _write_config(tmp_path / "cfg.json", **bad)
+    assert main(["solve", "--config", str(cfg),
+                 "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ")
+    assert not (tmp_path / "o").exists()
+
+
 def test_solve_success(tmp_path):
     cfg = _write_config(tmp_path / "cfg.json")
     out = tmp_path / "out"
@@ -160,3 +176,31 @@ def test_export_matrices_bad_level(tmp_path):
 def test_export_matrices_direct_call(tmp_path):
     with pytest.raises(ConfigError):
         cmd_export_matrices(0, tmp_path / "o")
+
+
+def test_table_stadler_reference(tmp_path):
+    cfg = _write_config(tmp_path / "cfg.json", example="stadler", levels=[3, 4],
+                        solvers=["two_phase"], sigma=2.5e-6,
+                        reference_level=6)
+    out = tmp_path / "out"
+    assert main(["table", "--config", str(cfg), "--out", str(out)]) == 0
+    data = json.loads((out / "table.json").read_text())
+    assert all(np.isfinite(row["E2"]) for row in data)
+
+
+def test_table_reference_failure_exit_code(tmp_path, capsys, monkeypatch):
+    from dataclasses import replace
+    from sparseoc import experiments
+    real = experiments.solve_two_phase
+
+    def capped(problem, config_phase1, config_phase2, **kwargs):
+        return real(problem, replace(config_phase1, max_iter=1),
+                    config_phase2, **kwargs)
+
+    monkeypatch.setattr(experiments, "solve_two_phase", capped)
+    cfg = _write_config(tmp_path / "cfg.json", example="stadler", levels=[3, 4],
+                        solvers=["ihadmm"], reference_level=5)
+    assert main(["table", "--config", str(cfg),
+                 "--out", str(tmp_path / "out")]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ")

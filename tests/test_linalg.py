@@ -3,35 +3,9 @@ import pytest
 import scipy.sparse as sp
 
 from sparseoc import mesh as fem
-from sparseoc.linalg import (spmv, factorize, FactorizationError,
-                             chebyshev_semi_iteration, pmhss_apply, gmres,
-                             BlockSaddleSystem, SaddleSolver, solve_saddle,
-                             saddle_matrix, estimate_mkinv_norm)
-
-
-def test_spmv_identity():
-    I = sp.identity(5, format="csr")
-    x = np.arange(5.0)
-    assert np.array_equal(spmv(I, x), x)
-
-
-def test_spmv_columns(meshes):
-    K = fem.assemble_stiffness(meshes(2))
-    e = np.zeros(K.shape[0])
-    e[3] = 1.0
-    assert np.allclose(spmv(K, e), K.toarray()[:, 3])
-
-
-def test_spmv_dense_oracle():
-    rng = np.random.default_rng(0)
-    A = sp.random(30, 30, density=0.2, random_state=0, format="csr")
-    x = rng.standard_normal(30)
-    assert np.allclose(spmv(A, x), A.toarray() @ x)
-
-
-def test_spmv_dimension_mismatch():
-    with pytest.raises(ValueError):
-        spmv(sp.identity(3, format="csr"), np.ones(4))
+from sparseoc.linalg import (factorize, FactorizationError, pmhss_apply,
+                             gmres, SaddleSolver, saddle_matrix,
+                             estimate_mkinv_norm)
 
 
 def test_factorize_diagonal():
@@ -58,76 +32,6 @@ def test_factorize_singular():
     A = sp.csr_matrix(np.array([[1.0, 1.0], [1.0, 1.0]]))
     with pytest.raises(FactorizationError):
         factorize(A)
-
-
-def test_chebyshev_zero_rhs(meshes):
-    M = fem.assemble_mass(meshes(3))
-    x = chebyshev_semi_iteration(lambda v: M @ v, np.zeros(M.shape[0]),
-                                 20, (0.25, 2.25), jacobi_diag=M.diagonal())
-    assert np.array_equal(x, 0.0 * x)
-
-
-def test_chebyshev_mass_matrix_20_steps(meshes):
-    # classical spectral bounds for the Jacobi-scaled P1 mass matrix
-    m = meshes(4)
-    M = fem.assemble_mass(m)
-    rng = np.random.default_rng(3)
-    rhs = rng.standard_normal(M.shape[0])
-    x = chebyshev_semi_iteration(lambda v: M @ v, rhs, 20, (0.25, 2.25),
-                                 jacobi_diag=M.diagonal())
-    rel = np.linalg.norm(rhs - M @ x) / np.linalg.norm(rhs)
-    # contraction bound for these brackets: 1/T_20(1.25) = 1.9e-6
-    assert rel < 2e-6
-    # the sharper elementwise bracket [1/2, 2] pushes far below 1e-6
-    x2 = chebyshev_semi_iteration(lambda v: M @ v, rhs, 20, (0.5, 2.0),
-                                  jacobi_diag=M.diagonal())
-    assert np.linalg.norm(rhs - M @ x2) / np.linalg.norm(rhs) < 1e-8
-
-
-def test_chebyshev_jacobi_bounds_bracket(meshes):
-    # power iteration on D^{-1}M confirms the [1/4, 9/4] bracket
-    M = fem.assemble_mass(meshes(4))
-    d = M.diagonal()
-    v = np.random.default_rng(5).standard_normal(M.shape[0])
-    for _ in range(200):
-        v = (M @ v) / d
-        v /= np.linalg.norm(v)
-    lam_max = v @ (M @ v) / (v @ (d * v))
-    assert 0.25 < lam_max <= 2.25 + 1e-9
-
-
-def test_chebyshev_single_step_is_damped_jacobi(meshes):
-    M = fem.assemble_mass(meshes(3))
-    rhs = np.random.default_rng(4).standard_normal(M.shape[0])
-    lmin, lmax = 0.25, 2.25
-    x1 = chebyshev_semi_iteration(lambda v: M @ v, rhs, 1, (lmin, lmax),
-                                  jacobi_diag=M.diagonal())
-    assert np.allclose(x1, (2.0 / (lmin + lmax)) * rhs / M.diagonal())
-
-
-def test_chebyshev_error_bound(meshes):
-    # D-norm error after s steps bounded by 1/T_s(sigma1)
-    M = fem.assemble_mass(meshes(3))
-    d = M.diagonal()
-    rng = np.random.default_rng(9)
-    x_star = rng.standard_normal(M.shape[0])
-    rhs = M @ x_star
-    lmin, lmax = 0.25, 2.25
-    sigma1 = (lmax + lmin) / (lmax - lmin)
-    e0 = np.sqrt(x_star @ (d * x_star))
-    for steps in (3, 8, 15):
-        x = chebyshev_semi_iteration(lambda v: M @ v, rhs, steps,
-                                     (lmin, lmax), jacobi_diag=d)
-        err = x - x_star
-        bound = 1.0 / np.cosh(steps * np.arccosh(sigma1))
-        assert np.sqrt(err @ (d * err)) <= bound * e0 * (1 + 1e-10)
-
-
-def test_chebyshev_rejects_bad_bounds(meshes):
-    M = fem.assemble_mass(meshes(2))
-    with pytest.raises(ValueError):
-        chebyshev_semi_iteration(lambda v: M @ v, np.ones(M.shape[0]),
-                                 20, (-1.0, 2.0))
 
 
 def test_pmhss_zero():
@@ -214,9 +118,10 @@ def test_gmres_saddle_with_pmhss_vs_direct(meshes):
     rng = np.random.default_rng(12)
     rhs_top = rng.standard_normal(m.n_interior)
     rhs_bottom = rng.standard_normal(m.n_interior)
-    system = BlockSaddleSystem(M, K, gamma, rhs_top, rhs_bottom)
-    y_d, u_d, _ = solve_saddle(system, backend="direct")
-    y_g, u_g, stats = solve_saddle(system, backend="pmhss_gmres", tol=1e-10)
+    solver = SaddleSolver(M, K, gamma)
+    y_d, u_d, _ = solver.solve(rhs_top, rhs_bottom, backend="direct")
+    y_g, u_g, stats = solver.solve(rhs_top, rhs_bottom, backend="pmhss_gmres",
+                                   tol=1e-10)
     assert stats.converged
     assert np.linalg.norm(np.concatenate([y_d - y_g, u_d - u_g])) < 1e-8
 
@@ -250,9 +155,8 @@ def test_saddle_known_solution(meshes):
     u_star = rng.standard_normal(m.n_interior)
     A = saddle_matrix(M, K, gamma)
     rhs = A @ np.concatenate([y_star, u_star])
-    system = BlockSaddleSystem(M, K, gamma, rhs[:m.n_interior],
-                               rhs[m.n_interior:])
-    y, u, stats = solve_saddle(system, backend="direct")
+    y, u, stats = SaddleSolver(M, K, gamma).solve(
+        rhs[:m.n_interior], rhs[m.n_interior:], backend="direct")
     assert np.abs(y - y_star).max() < 1e-10
     assert np.abs(u - u_star).max() < 1e-10
 
@@ -265,8 +169,8 @@ def test_saddle_large_gamma_limit(meshes):
     gamma = 1e8
     rng = np.random.default_rng(14)
     yc = rng.standard_normal(m.n_interior)
-    system = BlockSaddleSystem(M, K, gamma, np.zeros(m.n_interior), -(M @ yc))
-    y, u, _ = solve_saddle(system, backend="direct")
+    y, u, _ = SaddleSolver(M, K, gamma).solve(
+        np.zeros(m.n_interior), -(M @ yc), backend="direct")
     # dense-algebra oracle
     A = np.block([[M.toarray() / gamma, K.toarray()],
                   [-K.toarray(), M.toarray()]])
@@ -300,11 +204,3 @@ def test_estimate_mkinv_norm(meshes):
     exact = np.linalg.norm(M.toarray() @ np.linalg.inv(K.toarray()), 2)
     assert abs(est - exact) / exact < 1e-6
 
-
-def test_saddle_dimension_check(meshes):
-    M = fem.assemble_mass(meshes(2))
-    K = fem.assemble_stiffness(meshes(2))
-    with pytest.raises(ValueError):
-        BlockSaddleSystem(M, K, 0.5, np.zeros(3), np.zeros(M.shape[0]))
-    with pytest.raises(ValueError):
-        BlockSaddleSystem(M, K, -0.5, np.zeros(M.shape[0]), np.zeros(M.shape[0]))

@@ -6,9 +6,9 @@ from sparseoc.linalg import factorize
 from sparseoc.prox import (soft, project_box, grad_f, objective_f, objective_g,
                            z_update_ihadmm, z_update_classical,
                            prox_g_euclidean, kkt_residual_admm,
-                           kkt_residual_pdas, complexity_residual_Rh,
-                           dist_subdifferential_g, multiplier_fixed_point)
-from sparseoc.solvers import IterateState
+                           kkt_residual_pdas, dist_subdifferential_g,
+                           multiplier_fixed_point)
+from sparseoc.solvers import IterateState, _Rh_from
 
 from conftest import random_tiny_problem
 
@@ -336,7 +336,6 @@ def test_dist_subdifferential_cases():
 
 def test_Rh_zero_at_kkt_and_positive_elsewhere():
     from sparseoc.oracle import brute_force_solve
-    import scipy.sparse as sp
     rng = np.random.default_rng(18)
     prob = random_tiny_problem(rng, n=3)
     u, _ = brute_force_solve(prob)
@@ -344,12 +343,10 @@ def test_Rh_zero_at_kkt_and_positive_elsewhere():
     M = prob.M.toarray()
     y = np.linalg.solve(K, M @ (u + prob.yc))
     p = np.linalg.solve(K, M @ (prob.yd - y))
-    lam = p - 0.5 * prob.alpha * u
-    state = IterateState(u=u, z=u.copy(), lam=lam, y=y, p=p)
+    Mlam = prob.M @ (p - 0.5 * prob.alpha * u)
     factorK = factorize(prob.K)
-    assert complexity_residual_Rh(state, prob, factorK) < 1e-18
-    pert = IterateState(u=u + 0.1, z=u.copy(), lam=lam, y=y, p=p)
-    assert complexity_residual_Rh(pert, prob, factorK) > 1e-6
+    assert _Rh_from(u, u.copy(), Mlam, prob, factorK) < 1e-18
+    assert _Rh_from(u + 0.1, u.copy(), Mlam, prob, factorK) > 1e-6
 
 
 def test_objective_g_outside_box():

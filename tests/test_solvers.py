@@ -1,7 +1,6 @@
 import dataclasses
 import numpy as np
 import pytest
-import scipy.sparse as sp
 
 import sparseoc as so
 from sparseoc.linalg import factorize
@@ -12,10 +11,9 @@ from sparseoc.experiments import reproduction_sigma
 from conftest import random_tiny_problem
 
 
-def _warm_from_phase1(prob, state):
-    T = 0.5 * (prob.M + sp.diags(prob.W))
-    mu = prob.M @ state.p - prob.alpha * (T @ state.z)
-    return IterateState(u=state.z.copy(), mu=mu)
+def _warm_from_phase1(state):
+    # solve_pdas derives mu = M p - alpha T z from the adjoint
+    return IterateState(u=state.z.copy(), p=state.p)
 
 
 def test_config_validation():
@@ -188,9 +186,37 @@ def test_pdas_finite_termination_from_warm_start(ex1):
         sig = reproduction_sigma(prob.alpha)
         ph1 = so.solve_ihadmm(prob, SolverConfig(tol=1e-3, sigma=sig))
         rep = so.solve_pdas(prob, SolverConfig(tol=1e-10, max_iter=10),
-                            warm=_warm_from_phase1(prob, ph1.final_state))
+                            warm=_warm_from_phase1(ph1.final_state))
         assert rep.converged
         assert rep.iterations <= 10
+
+
+def test_pdas_stalled_active_sets_are_not_converged(ex1):
+    # eta bottoms out at round-off (~1e-15) far above tol, the active sets
+    # repeat, and PDAS must stop without claiming convergence
+    _, prob, _ = ex1(3)
+    rep = so.solve_pdas(prob, SolverConfig(tol=1e-18))
+    assert rep.iterations < 10
+    assert rep.final_eta > 1e-18
+    assert not rep.converged
+
+
+def test_direct_saddle_steps_flagged_converged(ex2):
+    # the direct u-step reaches round-off relative to ||rhs||, which is all
+    # an LU solve can promise, on every iteration of a Stadler run
+    _, prob = ex2(4)
+    rep = so.solve_ihadmm(prob, SolverConfig(
+        tol=1e-6, sigma=reproduction_sigma(prob.alpha)))
+    assert rep.converged
+    assert all(s.converged for s in rep.inner_stats)
+    assert max(s.final_relative_residual for s in rep.inner_stats) < 1e-12
+    # a GMRES solve stopped by its iteration cap short of its target is not
+    gamma = 0.5 * prob.alpha + reproduction_sigma(prob.alpha)
+    saddle = so.SaddleSolver(prob.M, prob.K, gamma)
+    rhs = np.ones(prob.n)
+    _, _, st = saddle.solve(rhs, rhs, backend="pmhss_gmres", tol=1e-30)
+    assert st.iterations == 500
+    assert not st.converged
 
 
 def test_pdas_classification_partitions(ex1):
@@ -326,7 +352,7 @@ def test_Rh_complexity_trend(ex1):
 def test_convergence_log_csv(tmp_path, ex1):
     _, prob, _ = ex1(2)
     path = tmp_path / "log.csv"
-    so.solve_ihadmm(prob, SolverConfig(tol=1e-6, log_path=str(path)))
+    so.solve_ihadmm(prob, SolverConfig(tol=1e-6)).write_log(path)
     lines = path.read_text().splitlines()
     assert lines[0] == "iter,eta1,eta2,eta3,eta4,eta5,eta,Rh,inner_iters"
     assert len(lines) >= 2
