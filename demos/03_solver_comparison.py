@@ -18,7 +18,8 @@ def main():
         ("ihadmm", SolverConfig(tol=1e-6, sigma=sigma)),
         ("classical_admm", SolverConfig(tol=1e-6, max_iter=8000)),
         ("apg", SolverConfig(tol=1e-6)),
-        ("two_phase", SolverConfig(tol=1e-10, sigma=sigma)),
+        ("two_phase", (SolverConfig(tol=1e-3, sigma=sigma),
+                       SolverConfig(tol=1e-10, sigma=sigma))),
     ]
     spec = ExperimentSpec("constructed", [3, 4, 5], matrix)
     rows = run_table(spec)

@@ -1,9 +1,11 @@
 """The reduced saddle system and its modified-HSS block preconditioner.
 
-Each ADMM control step solves [[M/gamma, K], [-K, M]] [y; u] = rhs.  The
-script compares the one-time sparse factorization against right
-preconditioned GMRES with P = scalar-factor x diag(G, G), G = M + sqrt(gamma) K,
-showing the grid-independent Krylov iteration counts.
+Each ADMM control step solves [[M/gamma, K], [-K, M]] [y; u] = rhs, which
+with s = sqrt(gamma) and y = s w is the complex-symmetric n x n system
+(M - i s K)(w + i u) = s rhs_top + i rhs_bottom.  The script compares the
+one-time sparse factorization of M - i s K against right preconditioned
+GMRES with P = scalar-factor x diag(G, G), G = M + s K, showing the
+grid-independent Krylov iteration counts.
 """
 
 import numpy as np

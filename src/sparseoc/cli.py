@@ -100,6 +100,8 @@ class RunConfig:
                 self.solver_config(tol).validate()
             if self.phase1_tol < self.phase2_tol:
                 raise ValueError("phase1_tol must be >= phase2_tol")
+            p = example_params(self.example, **self.params_overrides())
+            fem.check_params(p.alpha, p.beta, p.a, p.b)
         except (TypeError, ValueError) as exc:
             raise ConfigError(str(exc)) from exc
         return self
@@ -173,8 +175,11 @@ def _table_spec(cfg):
     names = cfg.solvers if cfg.solvers else [cfg.solver]
     matrix = []
     for name in names:
-        tol = cfg.phase2_tol if name == "two_phase" else cfg.tol
-        matrix.append((name, cfg.solver_config(tol=tol)))
+        if name == "two_phase":
+            matrix.append((name, (cfg.solver_config(tol=cfg.phase1_tol),
+                                  cfg.solver_config(tol=cfg.phase2_tol))))
+        else:
+            matrix.append((name, cfg.solver_config()))
     if cfg.levels is None:
         raise ConfigError("table mode needs a 'levels' list")
     return ExperimentSpec(example_id=cfg.example, levels=list(cfg.levels),

@@ -192,7 +192,8 @@ class ExperimentSpec:
 
     example_id: str
     levels: list
-    solver_matrix: list                  # [(name, SolverConfig), ...]
+    # [(name, SolverConfig), ...]; "two_phase" takes a (phase1, phase2) pair
+    solver_matrix: list
     alpha: float = None
     beta: float = None
     a: float = None
@@ -212,6 +213,10 @@ class ExperimentSpec:
             raise ValueError("reference level must exceed the finest level")
         if not self.solver_matrix:
             raise ValueError("no solvers configured")
+        for name, config in self.solver_matrix:
+            if (name == "two_phase") != isinstance(config, tuple):
+                raise ValueError(f"{name}: two_phase takes a (phase1, phase2) "
+                                 "config pair, every other solver one config")
         return self
 
     def params(self):
@@ -244,8 +249,7 @@ def _run_cell(name, config, problem, factorK):
     t0 = time.perf_counter()
     try:
         if name == "two_phase":
-            phase1 = replace(config, tol=max(config.tol, 1e-3))
-            report = solve_two_phase(problem, phase1, config, factorK=factorK)
+            report = solve_two_phase(problem, *config, factorK=factorK)
         else:
             report = SOLVERS[name](problem, config, factorK=factorK)
         return SolverCell(name, report.iterations, report.final_eta,

@@ -7,11 +7,15 @@ the adjoint variable, to the 2x2 block system
     [ (1/gamma) M   K ] [y]   [rhs_top   ]
     [      -K       M ] [u] = [rhs_bottom]      gamma = alpha/2 + sigma.
 
-Two backends solve it: a one-time sparse LU of the block matrix ("direct"),
-and right-preconditioned GMRES with the modified HSS block preconditioner
+With s = sqrt(gamma) and y = s w it is the complex-symmetric n x n system
 
-    P = (1/gamma) [[I, sqrt(gamma) I], [-sqrt(gamma) I, gamma I]] diag(G, G),
-    G = M + sqrt(gamma) K,
+    (M - i s K)(w + i u) = s rhs_top + i rhs_bottom.
+
+Two backends solve it: a one-time sparse LU of A = M - i s K ("direct"),
+and right-preconditioned GMRES on (y, u), one product with A per block
+operator application, with the modified HSS block preconditioner
+
+    P = (1/gamma) [[I, s I], [-s I, gamma I]] diag(G, G),   G = M + s K,
 
 whose inverse costs two G-solves plus a closed-form 2x2 block inversion.
 G itself is factored once per (grid, gamma).
@@ -43,7 +47,7 @@ class Factorization:
             raise FactorizationError("LU factor contains non-finite pivots")
 
     def solve(self, rhs):
-        return self._lu.solve(np.asarray(rhs, dtype=float))
+        return self._lu.solve(np.asarray(rhs))  # no cast: keeps complex rhs
 
 
 def factorize(A):
@@ -62,7 +66,7 @@ class InnerSolveStats:
     residual_history: list = None
 
 
-def pmhss_apply(M, K, gamma, G_solver, r):
+def pmhss_apply(gamma, G_solver, r):
     """Apply the inverse of the modified-HSS block preconditioner to r.
 
     P = (1/gamma) [[I, sg I], [-sg I, gamma I]] diag(G, G) with
@@ -72,7 +76,7 @@ def pmhss_apply(M, K, gamma, G_solver, r):
     """
     if gamma <= 0:
         raise ValueError("gamma must be positive")
-    n = M.shape[0]
+    n = len(r) // 2
     sg = np.sqrt(gamma)
     r1, r2 = r[:n], r[n:]
     # inverse of the scalar factor: 0.5 * [[gamma, -sg], [sg, 1]]
@@ -81,7 +85,7 @@ def pmhss_apply(M, K, gamma, G_solver, r):
     return np.concatenate([G_solver(s1), G_solver(s2)])
 
 
-def gmres(A_apply, P_apply, rhs, tol, max_iter=500, restart=50, x0=None):
+def gmres(A_apply, P_apply, rhs, tol, max_iter=500, restart=50):
     """Right-preconditioned restarted GMRES.
 
     Stops when the true residual satisfies ||rhs - A x|| <= tol * ||rhs||
@@ -95,7 +99,7 @@ def gmres(A_apply, P_apply, rhs, tol, max_iter=500, restart=50, x0=None):
     n = rhs.shape[0]
     if P_apply is None:
         P_apply = lambda v: v
-    x = np.zeros(n) if x0 is None else np.asarray(x0, dtype=float).copy()
+    x = np.zeros(n)
 
     norm_b = np.linalg.norm(rhs)
     if norm_b == 0.0:
@@ -105,7 +109,7 @@ def gmres(A_apply, P_apply, rhs, tol, max_iter=500, restart=50, x0=None):
     total_iters = 0
     precond_apps = 0
     history = []
-    res = np.linalg.norm(rhs - A_apply(x))
+    res = norm_b
     while total_iters < max_iter:
         if res <= target:
             break
@@ -161,22 +165,17 @@ def gmres(A_apply, P_apply, rhs, tol, max_iter=500, restart=50, x0=None):
                               converged, history)
 
 
-# relative residual a refined sparse LU solve of the saddle matrix reaches
+# relative residual an LU solve of the saddle operator reaches
 _DIRECT_RTOL = 1e-12
-
-
-def saddle_matrix(M, K, gamma):
-    """Assemble [[(1/gamma) M, K], [-K, M]] as one sparse matrix."""
-    return sp.bmat([[M / gamma, K], [-K, M]], format="csr")
 
 
 class SaddleSolver:
     """Reusable solver for a fixed (M, K, gamma) saddle operator.
 
-    The direct backend factors the block matrix once; the pmhss_gmres
-    backend factors G = M + sqrt(gamma) K once and runs right-preconditioned
-    GMRES.  Both report the achieved ||r1|| + ||r2|| relative to ||rhs|| in
-    the stats.
+    Holds A = M - i sqrt(gamma) K.  The direct backend factors A once; the
+    pmhss_gmres backend factors G = M + sqrt(gamma) K once and runs
+    right-preconditioned GMRES.  Both report the achieved ||r1|| + ||r2||
+    relative to ||rhs|| in the stats.
     """
 
     def __init__(self, M, K, gamma):
@@ -184,22 +183,23 @@ class SaddleSolver:
         self.K = K
         self.gamma = gamma
         self.n = M.shape[0]
-        self._A = saddle_matrix(M, K, gamma)
+        self._s = np.sqrt(gamma)
+        self._A = (M - 1j * self._s * K).tocsr()
         self._direct = None
         self._G_fact = None
 
-    def _direct_fact(self):
-        if self._direct is None:
-            self._direct = factorize(self._A)
-        return self._direct
-
     def _G_solver(self):
         if self._G_fact is None:
-            G = (self.M + np.sqrt(self.gamma) * self.K).tocsc()
+            G = (self.M + self._s * self.K).tocsc()
             self._G_fact = factorize(G)
         return self._G_fact.solve
 
-    def solve(self, rhs_top, rhs_bottom, backend="direct", tol=1e-10, x0=None):
+    def _apply(self, x):
+        """[[M/gamma, K], [-K, M]] [y; u] as one product with A."""
+        w = self._A @ (x[:self.n] / self._s + 1j * x[self.n:])
+        return np.concatenate([w.real / self._s, w.imag])
+
+    def solve(self, rhs_top, rhs_bottom, backend="direct", tol=1e-10):
         """Solve for (y, u); returns (y, u, InnerSolveStats).
 
         tol is the absolute target on ||r1|| + ||r2||.  A direct solve also
@@ -208,31 +208,30 @@ class SaddleSolver:
         """
         rhs = np.concatenate([rhs_top, rhs_bottom])
         norm_b = np.linalg.norm(rhs)
+        stats_iters, papps = 0, 0
         if backend == "direct":
-            x = self._direct_fact().solve(rhs)
-            r = rhs - self._A @ x
-            x += self._direct_fact().solve(r)      # one refinement step
-            stats_iters, papps = 0, 0
+            if self._direct is None:
+                self._direct = factorize(self._A)
+            z = self._direct.solve(self._s * rhs_top + 1j * rhs_bottom)
+            x = np.concatenate([self._s * z.real, z.imag])
+            tol = max(tol, _DIRECT_RTOL * norm_b)
         elif backend == "pmhss_gmres":
             if norm_b == 0.0:
                 x = np.zeros(2 * self.n)
-                stats_iters, papps = 0, 0
             else:
                 G_solve = self._G_solver()
-                P = lambda r: pmhss_apply(self.M, self.K, self.gamma, G_solve, r)
+                P = lambda r: pmhss_apply(self.gamma, G_solve, r)
                 # ||r1|| + ||r2|| <= sqrt(2) ||r||_2, so aim for tol/sqrt(2)
                 rel = tol / (np.sqrt(2.0) * norm_b)
-                x, st = gmres(lambda v: self._A @ v, P, rhs, rel, x0=x0)
+                x, st = gmres(self._apply, P, rhs, rel)
                 stats_iters, papps = st.iterations, st.preconditioner_applications
         else:
             raise ValueError(f"unknown saddle backend {backend!r}")
 
         y, u = x[:self.n], x[self.n:]
-        r = rhs - self._A @ x
+        r = rhs - self._apply(x)
         achieved = np.linalg.norm(r[:self.n]) + np.linalg.norm(r[self.n:])
         rel_res = achieved / norm_b if norm_b > 0 else 0.0
-        if backend == "direct":
-            tol = max(tol, _DIRECT_RTOL * norm_b)
         return y, u, InnerSolveStats(stats_iters, rel_res, papps,
                                      achieved <= max(tol, 1e-30) or norm_b == 0.0)
 

@@ -228,14 +228,19 @@ class DiscreteProblem:
     h: float
 
     def __post_init__(self):
-        if not (self.alpha > 0 and self.beta > 0):
-            raise ValueError("alpha and beta must be positive")
-        if not (self.a < 0.0 < self.b):
-            raise ValueError("control bounds must satisfy a < 0 < b")
+        check_params(self.alpha, self.beta, self.a, self.b)
 
     @property
     def n(self):
         return self.W.shape[0]
+
+
+def check_params(alpha, beta, a, b):
+    """Reject parameters the control problem is not posed for."""
+    if not (alpha > 0 and beta > 0):
+        raise ValueError("alpha and beta must be positive")
+    if not (a < 0.0 < b):
+        raise ValueError("control bounds must satisfy a < 0 < b")
 
 
 def discretize(mesh, yd_field, yc_field, alpha, beta, a, b, c0=0.0):

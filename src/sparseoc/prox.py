@@ -188,9 +188,7 @@ def kkt_residual_pdas(state, problem, factorK=None, factorM=None):
     eta1 = nrm.dual(K @ y - M @ u - M @ problem.yc) / (1.0 + nrm.fn(problem.yc))
     eta2 = nrm.dual(M @ (y - problem.yd) + K @ p) / (1.0 + nrm.fn(problem.yd))
     q = M @ (p - 0.5 * problem.alpha * u)
-    fixed = project_box((2.0 / problem.alpha) * soft(q / problem.W, problem.beta),
-                        problem.a, problem.b)
-    eta3 = nrm.fn(u - fixed) / scale_u
+    eta3 = nrm.fn(u - multiplier_fixed_point(q, problem)) / scale_u
     return KktResidual(eta1, eta2, eta3, 0.0, 0.0, max(eta1, eta2, eta3))
 
 

@@ -25,6 +25,7 @@ A solver run is single-threaded and deterministic for a given config; problem
 data is immutable, so distinct runs may execute concurrently.
 """
 
+import numbers
 import time
 import numpy as np
 import scipy.sparse as sp
@@ -61,12 +62,17 @@ class SolverConfig:
     def validate(self):
         if self.tol <= 0:
             raise ValueError("tol must be positive")
+        if not isinstance(self.max_iter, numbers.Integral) \
+                or isinstance(self.max_iter, bool):
+            raise ValueError("max_iter must be an integer")
         if self.max_iter < 1:
             raise ValueError("max_iter must be >= 1")
         if self.sigma is not None and self.sigma <= 0:
             raise ValueError("sigma must be positive")
         if self.tau is not None and not (0.0 < self.tau < _GOLDEN):
             raise ValueError(f"tau must lie in (0, {_GOLDEN:.4f})")
+        if not self.eps0 > 0:
+            raise ValueError("eps0 must be positive")
         if self.eps_decay <= 1.0:
             raise ValueError("eps_decay must exceed 1 so that sum(eps_k) < inf")
         if self.inner_backend not in ("direct", "pmhss_gmres"):

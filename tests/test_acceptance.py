@@ -21,7 +21,7 @@ import scipy.sparse as sp
 
 import sparseoc as so
 from sparseoc import mesh as fem
-from sparseoc.linalg import SaddleSolver, factorize, saddle_matrix
+from sparseoc.linalg import SaddleSolver, factorize
 from sparseoc.experiments import (build_example2, l2_control_error,
                                   reproduction_sigma)
 from sparseoc.solvers import SolverConfig, IterateState
@@ -338,7 +338,7 @@ def test_criterion_8_inner_solver_contract(meshes):
                                     backend="pmhss_gmres", tol=tol)
         ok &= st.converged
         dev = np.linalg.norm(np.concatenate([yd_ - yg_, ud_ - ug_]))
-        A = saddle_matrix(M, K, 0.3)
+        A = sp.bmat([[M / 0.3, K], [-K, M]])
         r = np.concatenate([rhs_top, rhs_bottom]) \
             - A @ np.concatenate([yg_, ug_])
         ok &= (np.linalg.norm(r[:m.n_interior])

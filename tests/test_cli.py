@@ -47,6 +47,11 @@ def test_config_rejects_bad_values():
     {"eps_decay": 0.5},
     {"pdas_c": -1, "solver": "pdas"},
     {"phase1_tol": 1e-12, "phase2_tol": 1e-3, "solver": "two_phase"},
+    {"inner_backend": "pmhss_gmres", "eps0": 0},
+    {"eps0": -1},
+    {"alpha": 0},
+    {"a": 1},
+    {"max_iter": 2.5},
 ])
 def test_solve_bad_solver_setting_exit_code(tmp_path, capsys, bad):
     cfg = _write_config(tmp_path / "cfg.json", **bad)
@@ -154,6 +159,16 @@ def test_table_failing_cell_still_written(tmp_path):
     assert (out / "table.csv").exists()
     data = json.loads((out / "table.json").read_text())
     assert data[0]["cells"][0]["converged"] is False
+
+
+@pytest.mark.parametrize("phase1_tol,iters", [(1e-1, "7+1"), (1e-3, "18+1")])
+def test_table_honours_phase1_tol(tmp_path, phase1_tol, iters):
+    cfg = _write_config(tmp_path / "cfg.json", levels=[3],
+                        solvers=["two_phase"], phase1_tol=phase1_tol)
+    out = tmp_path / "out"
+    assert main(["table", "--config", str(cfg), "--out", str(out)]) == 0
+    row = (out / "table.csv").read_text().splitlines()[1].split(",")
+    assert row[5] == iters
 
 
 def test_export_matrices(tmp_path):

@@ -177,7 +177,8 @@ def test_run_table_eoc_and_failures():
     cfg = SolverConfig(tol=1e-6, sigma=0.125)
     fail = SolverConfig(tol=1e-12, max_iter=1, sigma=0.125)
     spec = ExperimentSpec("constructed", [3, 4],
-                          [("two_phase", SolverConfig(tol=1e-8, sigma=0.125)),
+                          [("two_phase", (SolverConfig(tol=1e-3, sigma=0.125),
+                                          SolverConfig(tol=1e-8, sigma=0.125))),
                            ("ihadmm", fail)])
     rows = run_table(spec)
     assert len(rows) == 2
@@ -186,6 +187,14 @@ def test_run_table_eoc_and_failures():
         assert row.cells[0].converged
         assert not row.cells[1].converged
     assert rows[0].E2 > rows[1].E2
+
+
+def test_spec_two_phase_takes_a_config_pair():
+    cfg = SolverConfig(tol=1e-6, sigma=0.125)
+    with pytest.raises(ValueError):
+        ExperimentSpec("constructed", [3], [("two_phase", cfg)]).validate()
+    with pytest.raises(ValueError):
+        ExperimentSpec("constructed", [3], [("ihadmm", (cfg, cfg))]).validate()
 
 
 def test_sparsity_fraction_stabilizes(ex1):

@@ -1,11 +1,12 @@
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from hypothesis import example, given, settings, strategies as st
 
 from sparseoc import mesh as fem
 from sparseoc.linalg import (factorize, FactorizationError, pmhss_apply,
-                             gmres, SaddleSolver, saddle_matrix,
-                             estimate_mkinv_norm)
+                             gmres, SaddleSolver, estimate_mkinv_norm,
+                             _DIRECT_RTOL)
 
 
 def test_factorize_diagonal():
@@ -28,6 +29,21 @@ def test_factorize_dense_oracle():
     assert np.abs(x - np.linalg.solve(A, rhs)).max() < 1e-10
 
 
+def test_factorize_complex_symmetric(meshes):
+    m = meshes(3)
+    M = fem.assemble_mass(m)
+    K = fem.assemble_stiffness(m)
+    A = (M - 1j * np.sqrt(7.5e-6) * K).tocsr()
+    rng = np.random.default_rng(3)
+    rhs = rng.standard_normal(m.n_interior) + 1j * rng.standard_normal(m.n_interior)
+    x = factorize(A).solve(rhs)
+    ref = np.linalg.solve(A.toarray(), rhs)
+    assert np.abs(x - ref).max() < 1e-10 * np.abs(ref).max()
+    # a real factor refuses a complex rhs instead of dropping its imaginary part
+    with pytest.raises(TypeError):
+        factorize(M).solve(rhs)
+
+
 def test_factorize_singular():
     A = sp.csr_matrix(np.array([[1.0, 1.0], [1.0, 1.0]]))
     with pytest.raises(FactorizationError):
@@ -35,9 +51,7 @@ def test_factorize_singular():
 
 
 def test_pmhss_zero():
-    M = sp.identity(4, format="csr")
-    K = sp.identity(4, format="csr")
-    out = pmhss_apply(M, K, 1.0, lambda r: r / 2.0, np.zeros(8))
+    out = pmhss_apply(1.0, lambda r: r / 2.0, np.zeros(8))
     assert np.array_equal(out, np.zeros(8))
 
 
@@ -56,13 +70,13 @@ def test_pmhss_round_trip(meshes):
                     [np.zeros((n, n)), G.toarray()]])
     rng = np.random.default_rng(11)
     r = rng.standard_normal(2 * n)
-    assert np.abs(P @ pmhss_apply(M, K, gamma, G_solve, r) - r).max() < 1e-10
+    assert np.abs(P @ pmhss_apply(gamma, G_solve, r) - r).max() < 1e-10
 
 
 def test_pmhss_rejects_bad_gamma(meshes):
     M = fem.assemble_mass(meshes(2))
     with pytest.raises(ValueError):
-        pmhss_apply(M, M, -1.0, lambda r: r, np.zeros(2 * M.shape[0]))
+        pmhss_apply(-1.0, lambda r: r, np.zeros(2 * M.shape[0]))
 
 
 def test_gmres_identity():
@@ -139,7 +153,7 @@ def test_saddle_residual_contract(meshes):
         for backend in ("direct", "pmhss_gmres"):
             y, u, stats = solver.solve(rhs_top, rhs_bottom, backend=backend,
                                        tol=tol)
-            A = saddle_matrix(M, K, 0.3)
+            A = sp.bmat([[M / 0.3, K], [-K, M]])
             r = np.concatenate([rhs_top, rhs_bottom]) - A @ np.concatenate([y, u])
             n = m.n_interior
             assert np.linalg.norm(r[:n]) + np.linalg.norm(r[n:]) <= tol
@@ -153,7 +167,7 @@ def test_saddle_known_solution(meshes):
     rng = np.random.default_rng(13)
     y_star = rng.standard_normal(m.n_interior)
     u_star = rng.standard_normal(m.n_interior)
-    A = saddle_matrix(M, K, gamma)
+    A = sp.bmat([[M / gamma, K], [-K, M]])
     rhs = A @ np.concatenate([y_star, u_star])
     y, u, stats = SaddleSolver(M, K, gamma).solve(
         rhs[:m.n_interior], rhs[m.n_interior:], backend="direct")
@@ -178,6 +192,39 @@ def test_saddle_large_gamma_limit(meshes):
     assert np.abs(np.concatenate([y, u]) - x).max() < 1e-10
     u_pred = -np.linalg.solve(K.toarray(), M @ y) / gamma
     assert np.abs(u - u_pred).max() < 1e-10 * max(1.0, np.abs(u).max())
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(log_gamma=st.floats(-6.0, 8.0), level=st.integers(2, 4),
+       log_rel_tol=st.floats(-10.0, -4.0), seed=st.integers(0, 2 ** 32 - 1))
+@example(log_gamma=-6.0, level=4, log_rel_tol=-10.0, seed=0)
+@example(log_gamma=8.0, level=4, log_rel_tol=-10.0, seed=0)
+def test_saddle_backends_match_dense_block_solve(meshes, log_gamma, level,
+                                                 log_rel_tol, seed):
+    M = fem.assemble_mass(meshes(level))
+    K = fem.assemble_stiffness(meshes(level))
+    gamma = 10.0 ** log_gamma
+    n = M.shape[0]
+    A = np.block([[M.toarray() / gamma, K.toarray()],
+                  [-K.toarray(), M.toarray()]])
+    rng = np.random.default_rng(seed)
+    rhs_top, rhs_bottom = rng.standard_normal(n), rng.standard_normal(n)
+    rhs = np.concatenate([rhs_top, rhs_bottom])
+    x_dense = np.linalg.solve(A, rhs)
+    cond = np.linalg.cond(A)
+    norm_b = np.linalg.norm(rhs)
+    solver = SaddleSolver(M, K, gamma)
+    for backend, tol in (("direct", _DIRECT_RTOL * norm_b),
+                         ("pmhss_gmres", 10.0 ** log_rel_tol * norm_b)):
+        y, u, stats = solver.solve(rhs_top, rhs_bottom, backend=backend,
+                                   tol=tol)
+        x = np.concatenate([y, u])
+        r = rhs - A @ x
+        assert stats.converged
+        assert np.linalg.norm(r[:n]) + np.linalg.norm(r[n:]) <= tol
+        # forward error <= cond * relative residual, plus the dense solve's own
+        assert np.linalg.norm(x - x_dense) \
+            <= 2.0 * cond * tol / norm_b * np.linalg.norm(x_dense)
 
 
 def test_pmhss_gmres_iteration_count_level6(meshes):

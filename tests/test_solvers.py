@@ -28,6 +28,14 @@ def test_config_validation():
     assert SolverConfig(tau=1.618).validate() is not None
 
 
+@pytest.mark.parametrize("bad", [{"eps0": 0.0}, {"eps0": -1.0},
+                                 {"max_iter": 2.5}, {"max_iter": True}])
+def test_config_validation_eps0_and_integer_max_iter(bad):
+    with pytest.raises(ValueError):
+        SolverConfig(**bad).validate()
+    assert SolverConfig(max_iter=np.int64(3)).validate().max_iter == 3
+
+
 def test_warm_state_dimension_check(ex1):
     _, prob, _ = ex1(2)
     bad = IterateState(u=np.zeros(3))
@@ -217,6 +225,17 @@ def test_direct_saddle_steps_flagged_converged(ex2):
     _, _, st = saddle.solve(rhs, rhs, backend="pmhss_gmres", tol=1e-30)
     assert st.iterations == 500
     assert not st.converged
+
+
+def test_stadler_pmhss_inner_iterations_level4(ex2):
+    # the inexact u-step runs GMRES on (y, u) against the ||r1|| + ||r2||
+    # target; this pins its inner-iteration total on the Stadler problem
+    _, prob = ex2(4)
+    rep = so.solve_ihadmm(prob, SolverConfig(
+        tol=1e-6, sigma=reproduction_sigma(prob.alpha),
+        inner_backend="pmhss_gmres"))
+    assert rep.converged and rep.iterations == 424
+    assert sum(s.iterations for s in rep.inner_stats) == 8878
 
 
 def test_pdas_classification_partitions(ex1):
