@@ -22,7 +22,6 @@ import numpy as np
 from dataclasses import dataclass, field, replace
 
 from . import mesh as fem
-from .linalg import factorize
 from .solvers import SolverConfig, SOLVERS, solve_two_phase
 
 TWO_PI_SQ = 2.0 * np.pi ** 2
@@ -245,13 +244,13 @@ class EocRow:
     cells: list = field(default_factory=list)
 
 
-def _run_cell(name, config, problem, factorK):
+def _run_cell(name, config, problem):
     t0 = time.perf_counter()
     try:
         if name == "two_phase":
-            report = solve_two_phase(problem, *config, factorK=factorK)
+            report = solve_two_phase(problem, *config)
         else:
-            report = SOLVERS[name](problem, config, factorK=factorK)
+            report = SOLVERS[name](problem, config)
         return SolverCell(name, report.iterations, report.final_eta,
                           report.wall_time, report.converged,
                           report.phase_iterations), report
@@ -288,11 +287,10 @@ def run_table(spec, jobs=1):
 
     def run_level(level):
         m, problem = build_example(spec.example_id, level, params)
-        factorK = factorize(problem.K)
         cells = []
         u_first = None
         for name, config in spec.solver_matrix:
-            cell, report = _run_cell(name, config, problem, factorK)
+            cell, report = _run_cell(name, config, problem)
             cells.append(cell)
             if u_first is None and report is not None \
                     and report.final_state.u is not None:

@@ -19,6 +19,7 @@ element block and all public functions are pure.
 import numpy as np
 import scipy.sparse as sp
 from dataclasses import dataclass
+from functools import cached_property
 
 
 @dataclass(frozen=True)
@@ -213,7 +214,8 @@ class DiscreteProblem:
     K, M are SPD on the interior dofs, W holds the lumped-mass weights
     (W_i = row sum of M over all mesh nodes), yd/yc are the projected
     desired-state and source coefficient vectors, and a < 0 < b are the
-    control bounds.
+    control bounds.  The data terms M yc, M yd (read-only) and their
+    M-norms are computed on first use and cached.
     """
 
     K: sp.csr_matrix
@@ -233,6 +235,30 @@ class DiscreteProblem:
     @property
     def n(self):
         return self.W.shape[0]
+
+    @cached_property
+    def Myc(self):
+        return _frozen(self.M @ self.yc)
+
+    @cached_property
+    def Myd(self):
+        return _frozen(self.M @ self.yd)
+
+    @cached_property
+    def yc_norm(self):
+        """||yc||_M."""
+        return float(np.sqrt(max(self.yc @ self.Myc, 0.0)))
+
+    @cached_property
+    def yd_norm(self):
+        """||yd||_M."""
+        return float(np.sqrt(max(self.yd @ self.Myd, 0.0)))
+
+
+def _frozen(v):
+    """v made read-only: a cached array is shared by every caller."""
+    v.flags.writeable = False
+    return v
 
 
 def check_params(alpha, beta, a, b):

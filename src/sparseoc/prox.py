@@ -19,10 +19,12 @@ adjoint, stationarity) are functionals and carry the dual M^{-1} norm;
 iterate mismatches (u - z, the fixed-point gap) are functions and carry the
 M norm.  These are the discrete L2 norms, so the residuals, unlike raw
 Euclidean ones, do not shrink by mass-matrix factors h^2 under refinement
-and iteration counts stay comparable across grid levels.  The complexity
-functional R_h, which the solvers build from grad_f and
-dist_subdifferential_g, keeps plain Euclidean norms.  All functions are
-pure.
+and iteration counts stay comparable across grid levels.  The dual norms of
+one residual evaluation come from a single multi-column M-solve.  The
+complexity functional R_h keeps plain Euclidean norms; the solvers build it
+from the adjoint p their iterate carries (grad f(u) = alpha/2 M u - M p
+when K p = M(yd - y) and K y = M(u + yc)) and from dist_subdifferential_g,
+so it costs no solve.  All functions are pure.
 """
 
 import numpy as np
@@ -67,14 +69,15 @@ def grad_f(problem, factorK, u):
             + problem.M @ factorK.solve(problem.M @ (y - problem.yd)))
 
 
-def z_update_ihadmm(u, lam, problem, sigma):
+def z_update_ihadmm(u, Mlam, problem, sigma):
     """Closed-form z-step of the W-weighted (heterogeneous) ADMM.
 
-    Minimizes g(z) + <lam, M(u - z)> + sigma/2 ||u - z||_W^2.
+    Minimizes g(z) + <lam, M(u - z)> + sigma/2 ||u - z||_W^2; takes
+    Mlam = M lam, which the solver carries from its multiplier update.
     """
     if sigma <= 0:
         raise ValueError("sigma must be positive")
-    v = sigma * u + (problem.M @ lam) / problem.W
+    v = sigma * u + Mlam / problem.W
     return project_box(soft(v, problem.beta) / (sigma + 0.5 * problem.alpha),
                        problem.a, problem.b)
 
@@ -124,14 +127,18 @@ class _MassNorms:
         self.M = problem.M
         self._factorM = factorM
 
-    def fn(self, v):
-        return float(np.sqrt(max(v @ (self.M @ v), 0.0)))
+    def fn(self, v, Mv=None):
+        Mv = self.M @ v if Mv is None else Mv
+        return float(np.sqrt(max(v @ Mv, 0.0)))
 
-    def dual(self, r):
+    def dual(self, *rs):
+        """M^{-1} norms of the functionals rs, from one multi-column solve."""
         if self._factorM is None:
             from .linalg import factorize
             self._factorM = factorize(self.M)
-        return float(np.sqrt(max(r @ self._factorM.solve(r), 0.0)))
+        R = np.column_stack(rs)
+        sq = np.einsum("ij,ij->j", R, self._factorM.solve(R))
+        return [float(np.sqrt(max(v, 0.0))) for v in sq]
 
 
 def _state_adjoint(state, problem, factorK):
@@ -152,14 +159,22 @@ def multiplier_fixed_point(lam_weighted, problem):
 
 
 def admm_residuals_weighted(u, z, Mlam, y, p, problem, factorM=None):
-    """eta_1..eta_5 given M*lambda directly (shared solver core)."""
+    """eta_1..eta_5 given M*lambda directly (shared solver core).
+
+    The state, adjoint and stationarity functionals share one 3-column
+    M-solve for their dual norms, and M u is built once.
+    """
     M, K = problem.M, problem.K
     nrm = _MassNorms(problem, factorM)
-    scale_u = 1.0 + nrm.fn(u)
-    eta1 = nrm.dual(K @ y - M @ u - M @ problem.yc) / (1.0 + nrm.fn(problem.yc))
+    Mu = M @ u
+    scale_u = 1.0 + nrm.fn(u, Mu)
+    d1, d3, d4 = nrm.dual(K @ y - Mu - problem.Myc,
+                          M @ (y - problem.yd) + K @ p,
+                          0.5 * problem.alpha * Mu - M @ p + Mlam)
+    eta1 = d1 / (1.0 + problem.yc_norm)
     eta2 = nrm.fn(u - z) / scale_u
-    eta3 = nrm.dual(M @ (y - problem.yd) + K @ p) / (1.0 + nrm.fn(problem.yd))
-    eta4 = nrm.dual(0.5 * problem.alpha * (M @ u) - M @ p + Mlam) / scale_u
+    eta3 = d3 / (1.0 + problem.yd_norm)
+    eta4 = d4 / scale_u
     eta5 = nrm.fn(z - multiplier_fixed_point(Mlam, problem)) / scale_u
     return KktResidual(eta1, eta2, eta3, eta4, eta5,
                        max(eta1, eta2, eta3, eta4, eta5))
@@ -184,9 +199,11 @@ def kkt_residual_pdas(state, problem, factorK=None, factorM=None):
     y, p = _state_adjoint(state, problem, factorK)
     M, K = problem.M, problem.K
     nrm = _MassNorms(problem, factorM)
-    scale_u = 1.0 + nrm.fn(u)
-    eta1 = nrm.dual(K @ y - M @ u - M @ problem.yc) / (1.0 + nrm.fn(problem.yc))
-    eta2 = nrm.dual(M @ (y - problem.yd) + K @ p) / (1.0 + nrm.fn(problem.yd))
+    Mu = M @ u
+    scale_u = 1.0 + nrm.fn(u, Mu)
+    d1, d2 = nrm.dual(K @ y - Mu - problem.Myc, M @ (y - problem.yd) + K @ p)
+    eta1 = d1 / (1.0 + problem.yc_norm)
+    eta2 = d2 / (1.0 + problem.yd_norm)
     q = M @ (p - 0.5 * problem.alpha * u)
     eta3 = nrm.fn(u - multiplier_fixed_point(q, problem)) / scale_u
     return KktResidual(eta1, eta2, eta3, 0.0, 0.0, max(eta1, eta2, eta3))
@@ -199,15 +216,13 @@ def dist_subdifferential_g(z, q, problem):
     interval arithmetic: d|0| = [-1, 1], normal cone (-inf, 0] at a,
     [0, inf) at b, {0} inside.
     """
-    W, alpha, beta = problem.W, problem.alpha, problem.beta
-    a, b = problem.a, problem.b
-    base = 0.5 * alpha * W * z
-    lo = np.where(z > 0, base + beta * W,
-                  np.where(z < 0, base - beta * W, base - beta * W))
-    hi = np.where(z > 0, base + beta * W,
-                  np.where(z < 0, base - beta * W, base + beta * W))
-    lo = np.where(z <= a, -np.inf, lo)     # normal cone opens downward at a
-    hi = np.where(z >= b, np.inf, hi)      # and upward at b
-    d = np.where(q < lo, lo - q, np.where(q > hi, q - hi, 0.0))
-    return d
+    W = problem.W
+    base = 0.5 * problem.alpha * W * z
+    bw = problem.beta * W
+    lo = base + np.where(z > 0, bw, -bw)
+    hi = base + np.where(z < 0, -bw, bw)
+    lo[z <= problem.a] = -np.inf           # normal cone opens downward at a
+    hi[z >= problem.b] = np.inf            # and upward at b
+    # lo <= hi, so at most one of the two gaps is positive
+    return np.maximum(lo - q, 0.0) + np.maximum(q - hi, 0.0)
 

@@ -34,6 +34,8 @@ from dataclasses import dataclass
 from .linalg import (SaddleSolver, factorize, estimate_mkinv_norm,
                      FactorizationError, InnerSolveStats)
 from .mesh import _fmt
+# grad_f is not called here; it stays bound because perfbench's tracer
+# wraps these module attributes by name
 from .prox import (z_update_ihadmm, z_update_classical, prox_g_euclidean,
                    grad_f, kkt_residual_pdas, admm_residuals_weighted,
                    dist_subdifferential_g)
@@ -143,7 +145,7 @@ def _check_warm(warm, n):
                         mu=None if warm.mu is None else warm.mu.copy())
 
 
-def solve_ihadmm(problem, config=None, warm=None, callback=None, factorK=None):
+def solve_ihadmm(problem, config=None, warm=None, callback=None):
     """Heterogeneous ADMM with inexact saddle-point u-steps."""
     config = (config or SolverConfig()).validate()
     sigma = config.sigma if config.sigma is not None else 0.1 * problem.alpha
@@ -153,13 +155,11 @@ def solve_ihadmm(problem, config=None, warm=None, callback=None, factorK=None):
     n = problem.n
 
     t0 = time.perf_counter()
-    if factorK is None:
-        factorK = factorize(K)
     factorM = factorize(M)
     saddle = SaddleSolver(M, K, gamma)
     inexact = config.inner_backend == "pmhss_gmres"
     if inexact:
-        mk_norm = estimate_mkinv_norm(M, factorK)
+        mk_norm = estimate_mkinv_norm(M, factorize(K))
         # residual budget of the error-vector map delta = gamma M K^{-1} r1
         # + (M K^{-1})^2 r2, capped so the M^{-1}-weighted residual norms
         # (amplified by at most 2/h, since lambda_min(M) >= h^2/4) can never
@@ -169,14 +169,13 @@ def solve_ihadmm(problem, config=None, warm=None, callback=None, factorK=None):
 
     state = _check_warm(warm, n)
     u, z, lam = state.u, state.z, state.lam
+    Mlam = M @ lam
     eta_hist, rh_hist, inner_hist = [], [], []
     converged = False
-    myc = M @ problem.yc
-    myd = M @ problem.yd
 
     for k in range(config.max_iter):
-        rhs_top = (K @ (sigma * z - lam) + myd) / gamma
-        rhs_bottom = -myc
+        rhs_top = (K @ (sigma * z - lam) + problem.Myd) / gamma
+        rhs_bottom = -problem.Myc
         if inexact:
             eps_k = config.eps0 / (k + 1.0) ** config.eps_decay
             y, u_new, stats = saddle.solve(rhs_top, rhs_bottom,
@@ -184,16 +183,17 @@ def solve_ihadmm(problem, config=None, warm=None, callback=None, factorK=None):
                                            tol=min(eps_k / denom, cap))
         else:
             y, u_new, stats = saddle.solve(rhs_top, rhs_bottom)
+        # first block row: K p = M(yd - y) with p = gamma u - sigma z + lam
         p = gamma * u_new - sigma * z + lam
-        z = z_update_ihadmm(u_new, lam, problem, sigma)
+        z = z_update_ihadmm(u_new, Mlam, problem, sigma)
         lam = lam + tau * sigma * (u_new - z)
+        Mlam = M @ lam
         u = u_new
 
         state = IterateState(u=u, z=z, lam=lam, y=y, p=p)
-        Mlam = M @ lam
         res = admm_residuals_weighted(u, z, Mlam, y, p, problem, factorM)
         eta_hist.append(res)
-        rh_hist.append(_Rh_from(u, z, Mlam, problem, factorK))
+        rh_hist.append(_Rh_from(u, z, Mlam, p, problem))
         inner_hist.append(stats)
         if callback is not None:
             callback(k, state)
@@ -208,19 +208,21 @@ def solve_ihadmm(problem, config=None, warm=None, callback=None, factorK=None):
                              converged, state)
 
 
-def _Rh_from(u, z, Mlam, problem, factorK):
+def _Rh_from(u, z, Mlam, p, problem):
     """R_h = ||M lam + grad f(u)||^2 + dist^2(0, -M lam + dg(z)) + ||u - z||^2.
 
-    Takes M*lambda directly (avoids M-solves in the classical ADMM).
+    Takes M*lambda directly (avoids M-solves in the classical ADMM) and the
+    adjoint p of the iterate: with K y = M(u + yc) and K p = M(yd - y),
+    grad f(u) = alpha/2 M u - M p, so the first term is the eta_4
+    functional and R_h costs no solve.
     """
-    r1 = Mlam + grad_f(problem, factorK, u)
+    r1 = problem.M @ (0.5 * problem.alpha * u - p) + Mlam
     d = dist_subdifferential_g(z, Mlam, problem)
     r3 = u - z
     return float(r1 @ r1 + d @ d + r3 @ r3)
 
 
-def solve_classical_admm(problem, config=None, warm=None, callback=None,
-                         factorK=None):
+def solve_classical_admm(problem, config=None, warm=None, callback=None):
     """Classical (Euclidean-penalty) ADMM; the 3x3 system is factored once."""
     config = (config or SolverConfig()).validate()
     sigma = config.sigma if config.sigma is not None else 0.1 * problem.alpha
@@ -229,8 +231,6 @@ def solve_classical_admm(problem, config=None, warm=None, callback=None,
     n = problem.n
 
     t0 = time.perf_counter()
-    if factorK is None:
-        factorK = factorize(K)
     factorM = factorize(M)
     A3 = sp.bmat([[M, None, K],
                   [None, 0.5 * problem.alpha * M + sigma * sp.identity(n), -M],
@@ -240,13 +240,11 @@ def solve_classical_admm(problem, config=None, warm=None, callback=None,
     state = _check_warm(warm, n)
     u, z = state.u, state.z
     lam_c = M @ state.lam      # euclidean multiplier; state stores M^{-1} lam_c
-    myc = M @ problem.yc
-    myd = M @ problem.yd
     eta_hist, rh_hist, inner_hist = [], [], []
     converged = False
 
     for k in range(config.max_iter):
-        rhs = np.concatenate([myd, sigma * z - lam_c, myc])
+        rhs = np.concatenate([problem.Myd, sigma * z - lam_c, problem.Myc])
         x = fact.solve(rhs)
         y, u, p = x[:n], x[n:2 * n], x[2 * n:]
         z = z_update_classical(u, lam_c, problem, sigma)
@@ -254,7 +252,7 @@ def solve_classical_admm(problem, config=None, warm=None, callback=None,
 
         res = admm_residuals_weighted(u, z, lam_c, y, p, problem, factorM)
         eta_hist.append(res)
-        rh_hist.append(_Rh_from(u, z, lam_c, problem, factorK))
+        rh_hist.append(_Rh_from(u, z, lam_c, p, problem))
         inner_hist.append(InnerSolveStats(0, 0.0, 0, True))
         if callback is not None:
             callback(k, IterateState(u=u, z=z, lam=None, y=y, p=p))
@@ -279,13 +277,12 @@ def _f_and_grad(problem, factorK, u):
     return fval, grad, y
 
 
-def solve_apg(problem, config=None, warm=None, callback=None, factorK=None):
+def solve_apg(problem, config=None, warm=None, callback=None):
     """FISTA with doubling backtracking on the curvature constant."""
     config = (config or SolverConfig()).validate()
     n = problem.n
     t0 = time.perf_counter()
-    if factorK is None:
-        factorK = factorize(problem.K)
+    factorK = factorize(problem.K)
     factorM = factorize(problem.M)
 
     state = _check_warm(warm, n)
@@ -329,7 +326,7 @@ def solve_apg(problem, config=None, warm=None, callback=None, factorK=None):
         res = kkt_residual_pdas(it_state, problem, factorM=factorM)
         eta_hist.append(res)
         Mlam = problem.M @ (p - 0.5 * problem.alpha * u)
-        rh_hist.append(_Rh_from(u, u, Mlam, problem, factorK))
+        rh_hist.append(_Rh_from(u, u, Mlam, p, problem))
         inner_hist.append(InnerSolveStats(doublings, 0.0, 0, True))
         if callback is not None:
             callback(k, it_state)
@@ -361,7 +358,7 @@ def _classify(u, mu, problem, c):
                                       np.where(t >= 0.0, _INACT_POS, _INACT_NEG))))
 
 
-def solve_pdas(problem, config=None, warm=None, callback=None, factorK=None):
+def solve_pdas(problem, config=None, warm=None, callback=None):
     """Primal-dual active set method on the z-eliminated problem."""
     config = (config or SolverConfig()).validate()
     c = config.pdas_c
@@ -380,8 +377,7 @@ def solve_pdas(problem, config=None, warm=None, callback=None, factorK=None):
     else:
         mu = np.zeros(n)
 
-    myc = M @ problem.yc
-    myd = M @ problem.yd
+    myc, myd = problem.Myc, problem.Myd
     eta_hist, rh_hist, inner_hist = [], [], []
     converged = False
     prev_code = None
@@ -436,10 +432,7 @@ def solve_pdas(problem, config=None, warm=None, callback=None, factorK=None):
         res = kkt_residual_pdas(it_state, problem, factorM=factorM)
         eta_hist.append(res)
         Mlam = mu + 0.5 * problem.alpha * (W * u)
-        if factorK is not None:
-            rh_hist.append(_Rh_from(u, u, Mlam, problem, factorK))
-        else:
-            rh_hist.append(np.nan)
+        rh_hist.append(_Rh_from(u, u, Mlam, p, problem))
         inner_hist.append(InnerSolveStats(0, 0.0, 0, True))
         if callback is not None:
             callback(k, it_state)
@@ -454,18 +447,15 @@ def solve_pdas(problem, config=None, warm=None, callback=None, factorK=None):
                              converged, final)
 
 
-def solve_two_phase(problem, config_phase1=None, config_phase2=None,
-                    factorK=None):
+def solve_two_phase(problem, config_phase1=None, config_phase2=None):
     """ihADMM to moderate accuracy, then PDAS warm-started from its iterate."""
     config_phase1 = config_phase1 or SolverConfig(tol=1e-3)
     config_phase2 = config_phase2 or SolverConfig(tol=1e-10)
     if config_phase1.tol < config_phase2.tol:
         raise ValueError("phase tolerances must satisfy tol1 >= tol2")
     t0 = time.perf_counter()
-    if factorK is None:
-        factorK = factorize(problem.K)
 
-    rep1 = solve_ihadmm(problem, config_phase1, factorK=factorK)
+    rep1 = solve_ihadmm(problem, config_phase1)
     if not rep1.converged:
         return ConvergenceReport("two_phase", rep1.iterations,
                                  rep1.eta_history, rep1.Rh_history,
@@ -481,7 +471,7 @@ def solve_two_phase(problem, config_phase1=None, config_phase2=None,
     s1 = rep1.final_state
     warm = IterateState(u=s1.z.copy(), z=s1.z.copy(), lam=s1.lam, y=s1.y,
                         p=s1.p)
-    rep2 = solve_pdas(problem, config_phase2, warm=warm, factorK=factorK)
+    rep2 = solve_pdas(problem, config_phase2, warm=warm)
 
     return ConvergenceReport(
         "two_phase", rep1.iterations + rep2.iterations,

@@ -257,10 +257,10 @@ def test_criterion_7_invariant_suites(ex1, meshes):
         L = float(rng.uniform(0.1, 5.0))
         u = rng.uniform(-2, 2, 3)
         lam = rng.standard_normal(3)
-        z1 = z_update_ihadmm(u, lam, prob, sigma)
+        mlam = prob.M @ lam
+        z1 = z_update_ihadmm(u, mlam, prob, sigma)
         z2 = z_update_classical(u, lam, prob, sigma)
         z3 = prox_g_euclidean(u, L, prob)
-        mlam = prob.M @ lam
         grid = np.arange(prob.a, prob.b + 1e-4, 1e-4)
         for i in range(3):
             w = prob.W[i]

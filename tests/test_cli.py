@@ -76,6 +76,18 @@ def test_solve_success(tmp_path):
     assert len(lines) == report["iterations"] + 1
 
 
+def test_solve_pdas_reports_Rh_on_every_row(tmp_path):
+    cfg = _write_config(tmp_path / "cfg.json", solver="pdas", tol=1e-10)
+    out = tmp_path / "out"
+    assert main(["solve", "--config", str(cfg), "--out", str(out)]) == 0
+    lines = (out / "convergence.csv").read_text().splitlines()
+    header = lines[0].split(",")
+    assert len(lines) >= 2
+    for line in lines[1:]:
+        cell = line.split(",")[header.index("Rh")]
+        assert cell and np.isfinite(float(cell))
+
+
 def test_solve_artifacts_and_flag_positions(tmp_path):
     cfg = _write_config(tmp_path / "cfg.json")
     out = tmp_path / "out"

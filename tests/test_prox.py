@@ -1,5 +1,8 @@
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from sparseoc import mesh as fem
 from sparseoc.linalg import factorize
@@ -100,8 +103,8 @@ def test_z_update_ihadmm_thresholds_small_inputs():
     prob = random_tiny_problem(rng, n=4, alpha=0.5, beta=0.5)
     sigma = 0.05
     u = np.ones(4)
-    lam = np.zeros(4)
-    z = z_update_ihadmm(u, lam, prob, sigma)
+    mlam = np.zeros(4)
+    z = z_update_ihadmm(u, mlam, prob, sigma)
     assert np.array_equal(z, np.zeros(4))       # soft(0.05, 0.5) = 0
 
 
@@ -112,8 +115,8 @@ def test_z_update_ihadmm_grid_search():
         sigma = float(rng.uniform(0.01, 1.0))
         u = rng.uniform(-2, 2, 3)
         lam = rng.standard_normal(3)
-        z = z_update_ihadmm(u, lam, prob, sigma)
         mlam = prob.M @ lam
+        z = z_update_ihadmm(u, mlam, prob, sigma)
         for i in range(3):
             w = prob.W[i]
 
@@ -134,11 +137,11 @@ def test_z_update_ihadmm_no_l1_limit():
     sigma = 0.3
     u = rng.uniform(-2, 2, 4)
     lam = rng.standard_normal(4)
-    z = z_update_ihadmm(u, lam, prob, sigma)
+    z = z_update_ihadmm(u, prob.M @ lam, prob, sigma)
     v = sigma * u + (prob.M @ lam) / prob.W
     assert np.allclose(z, v / (sigma + 0.5 * prob.alpha), atol=1e-9)
     with pytest.raises(ValueError):
-        z_update_ihadmm(u, lam, prob, -1.0)
+        z_update_ihadmm(u, prob.M @ lam, prob, -1.0)
 
 
 def test_z_update_classical_grid_search():
@@ -224,10 +227,10 @@ def test_prox_scalar_sweep_10k():
         L = float(rng.uniform(0.1, 5.0))
         u = rng.uniform(-2, 2, 4)
         lam = rng.standard_normal(4)
-        z1 = z_update_ihadmm(u, lam, prob, sigma)
+        mlam = prob.M @ lam
+        z1 = z_update_ihadmm(u, mlam, prob, sigma)
         z2 = z_update_classical(u, lam, prob, sigma)
         z3 = prox_g_euclidean(u, L, prob)
-        mlam = prob.M @ lam
         i = int(rng.integers(0, 4))
         w = prob.W[i]
         grid = np.arange(prob.a, prob.b + 1e-4, 1e-4)
@@ -344,9 +347,11 @@ def test_Rh_zero_at_kkt_and_positive_elsewhere():
     y = np.linalg.solve(K, M @ (u + prob.yc))
     p = np.linalg.solve(K, M @ (prob.yd - y))
     Mlam = prob.M @ (p - 0.5 * prob.alpha * u)
-    factorK = factorize(prob.K)
-    assert _Rh_from(u, u.copy(), Mlam, prob, factorK) < 1e-18
-    assert _Rh_from(u + 0.1, u.copy(), Mlam, prob, factorK) > 1e-6
+    assert _Rh_from(u, u.copy(), Mlam, p, prob) < 1e-18
+    # the adjoint of the perturbed control, as every solver carries it
+    y1 = np.linalg.solve(K, M @ (u + 0.1 + prob.yc))
+    p1 = np.linalg.solve(K, M @ (prob.yd - y1))
+    assert _Rh_from(u + 0.1, u.copy(), Mlam, p1, prob) > 1e-6
 
 
 def test_objective_g_outside_box():
@@ -357,3 +362,125 @@ def test_objective_g_outside_box():
     expect = (0.25 * prob.alpha * np.sum(prob.W * z ** 2)
               + prob.beta * np.sum(prob.W * np.abs(z)))
     assert np.isclose(objective_g(prob, z), expect)
+
+
+# -- property tests: closed forms against 1-D brute force -------------------
+
+_PROPERTY = settings(max_examples=200, deadline=None, derandomize=True,
+                     database=None)
+_UNIT = st.floats(0.1, 1.0)
+_COEF = st.floats(0.1, 2.0)
+_POINT = st.floats(-3.0, 3.0)
+
+
+def _brute_argmin(obj, lo, hi, n=4001):
+    """Minimizer of a convex function on [lo, hi] by two nested grids.
+
+    The kinks of g (0 and the bounds) are grid points; the fine grid spans
+    the two coarse cells beside the coarse minimizer, which holds the exact
+    one because obj is convex.
+    """
+    def best(grid):
+        grid = np.append(grid, [v for v in (lo, 0.0, hi) if lo <= v <= hi])
+        return grid[np.argmin(obj(grid))]
+    step = (hi - lo) / (n - 1)
+    t = best(np.linspace(lo, hi, n))
+    return best(np.linspace(max(lo, t - step), min(hi, t + step), n))
+
+
+def _assert_minimizes(obj, z, lo, hi):
+    """z attains the brute-force minimum of obj on [lo, hi] and sits at it.
+
+    Every objective here is strongly convex with modulus >= 0.015, so a
+    1e-12 objective slack allows ~1e-5 of argmin drift from round-off.
+    """
+    t = _brute_argmin(obj, lo, hi)
+    f_z, f_t = float(obj(np.array([z]))[0]), float(obj(np.array([t]))[0])
+    assert lo <= z <= hi
+    assert f_z <= f_t + 1e-12 * (1.0 + abs(f_t))
+    assert abs(z - t) <= 1e-5
+
+
+def _scalar_problem(w, alpha, beta, a, b):
+    # the kernels read only W, alpha, beta and the bounds
+    return SimpleNamespace(W=np.array([w]), alpha=alpha, beta=beta, a=a, b=b)
+
+
+def _g1(t, w, alpha, beta):
+    return 0.25 * alpha * w * t ** 2 + beta * w * np.abs(t)
+
+
+@_PROPERTY
+@given(v=_POINT, t=st.floats(0.0, 2.0))
+@example(v=1.0, t=1.0)                    # exactly at the threshold
+@example(v=-0.5, t=0.0)
+def test_soft_property(v, t):
+    z = float(soft(np.array([v]), t)[0])
+    lo, hi = min(v, 0.0) - 1.0, max(v, 0.0) + 1.0
+    _assert_minimizes(lambda x: t * np.abs(x) + 0.5 * (x - v) ** 2,
+                      z, lo, hi)
+
+
+@_PROPERTY
+@given(v=st.floats(-5.0, 5.0), a=st.floats(-3.0, 0.0), width=st.floats(0.0, 4.0))
+@example(v=2.0, a=-1.0, width=0.0)        # degenerate box
+def test_project_box_property(v, a, width):
+    b = a + width
+    z = float(project_box(np.array([v]), a, b)[0])
+    _assert_minimizes(lambda x: 0.5 * (x - v) ** 2, z, a, b)
+
+
+@_PROPERTY
+@given(w=_UNIT, alpha=_COEF, beta=st.floats(0.0, 1.0), a=st.floats(-2.0, -0.1),
+       b=st.floats(0.1, 2.0), sigma=_COEF, u=_POINT, mlam=_POINT)
+@example(w=1.0, alpha=1.0, beta=1.0, a=-1.0, b=1.0, sigma=1.0, u=0.0, mlam=1.0)
+def test_z_update_ihadmm_property(w, alpha, beta, a, b, sigma, u, mlam):
+    prob = _scalar_problem(w, alpha, beta, a, b)
+    z = float(z_update_ihadmm(np.array([u]), np.array([mlam]), prob, sigma)[0])
+    _assert_minimizes(lambda t: _g1(t, w, alpha, beta) - mlam * t
+                      + 0.5 * sigma * w * (t - u) ** 2, z, a, b)
+
+
+@_PROPERTY
+@given(w=_UNIT, alpha=_COEF, beta=st.floats(0.0, 1.0), a=st.floats(-2.0, -0.1),
+       b=st.floats(0.1, 2.0), sigma=_COEF, u=_POINT, lam=_POINT)
+@example(w=0.5, alpha=1.0, beta=1.0, a=-1.0, b=1.0, sigma=1.0, u=0.0, lam=0.5)
+def test_z_update_classical_property(w, alpha, beta, a, b, sigma, u, lam):
+    prob = _scalar_problem(w, alpha, beta, a, b)
+    z = float(z_update_classical(np.array([u]), np.array([lam]), prob, sigma)[0])
+    _assert_minimizes(lambda t: _g1(t, w, alpha, beta) - lam * t
+                      + 0.5 * sigma * (t - u) ** 2, z, a, b)
+
+
+@_PROPERTY
+@given(w=_UNIT, alpha=_COEF, beta=st.floats(0.0, 1.0), a=st.floats(-2.0, -0.1),
+       b=st.floats(0.1, 2.0), L=_COEF, v=_POINT)
+@example(w=1.0, alpha=1.0, beta=0.5, a=-1.0, b=1.0, L=1.0, v=0.5)
+def test_prox_g_euclidean_property(w, alpha, beta, a, b, L, v):
+    prob = _scalar_problem(w, alpha, beta, a, b)
+    z = float(prox_g_euclidean(np.array([v]), L, prob)[0])
+    _assert_minimizes(lambda t: _g1(t, w, alpha, beta)
+                      + 0.5 * L * (t - v) ** 2, z, a, b)
+
+
+@st.composite
+def _subdifferential_case(draw):
+    a, b = draw(st.floats(-2.0, -0.1)), draw(st.floats(0.1, 2.0))
+    z = draw(st.one_of(st.sampled_from([a, 0.0, b]), st.floats(a, b)))
+    return (draw(_UNIT), draw(_COEF), draw(st.floats(0.0, 1.0)), a, b, z,
+            draw(st.floats(-5.0, 5.0)))
+
+
+@_PROPERTY
+@given(case=_subdifferential_case())
+def test_dist_subdifferential_g_interval_arithmetic(case):
+    # dg(z) as the interval sum {w alpha/2 z} + w beta d|z| + N_[a,b](z)
+    w, alpha, beta, a, b, z, q = case
+    ridge = (0.5 * alpha * w * z,) * 2
+    l1 = (-beta * w, beta * w) if z == 0.0 else (beta * w * np.sign(z),) * 2
+    cone = (-np.inf if z == a else 0.0, np.inf if z == b else 0.0)
+    lo, hi = (ridge[i] + l1[i] + cone[i] for i in (0, 1))
+    expect = max(lo - q, q - hi, 0.0)
+    d = dist_subdifferential_g(np.array([z]), np.array([q]),
+                               _scalar_problem(w, alpha, beta, a, b))
+    assert d[0] == pytest.approx(expect, rel=1e-12, abs=1e-15)

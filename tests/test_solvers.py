@@ -1,10 +1,14 @@
+import collections
 import dataclasses
+import weakref
 import numpy as np
 import pytest
 
 import sparseoc as so
+from sparseoc import linalg, solvers
 from sparseoc.linalg import factorize
 from sparseoc.oracle import brute_force_solve
+from sparseoc.prox import dist_subdifferential_g, multiplier_fixed_point
 from sparseoc.solvers import SolverConfig, IterateState, _classify
 from sparseoc.experiments import reproduction_sigma
 
@@ -385,3 +389,179 @@ def test_callback_sees_every_iteration(ex1):
     rep = so.solve_ihadmm(prob, SolverConfig(tol=1e-8, sigma=0.125),
                           callback=lambda k, s: count.append(k))
     assert count == list(range(rep.iterations))
+
+
+def _count_lu_ops(monkeypatch, prob):
+    """Count factorizations and LU solves per operator (K, M or other).
+
+    Wraps factorize (solvers holds its own binding) and Factorization.solve
+    the way perfbench's tracer does.
+    """
+    counts = collections.Counter()
+    op_of = weakref.WeakKeyDictionary()
+    factorize_orig, solve_orig = linalg.factorize, linalg.Factorization.solve
+
+    def counted_factorize(A):
+        op = "K" if A is prob.K else "M" if A is prob.M else "other"
+        fact = factorize_orig(A)
+        op_of[fact] = op
+        counts["factor." + op] += 1
+        return fact
+
+    def counted_solve(fact, rhs):
+        counts["solve." + op_of.get(fact, "other")] += 1
+        return solve_orig(fact, rhs)
+
+    for owner in (linalg, solvers):
+        monkeypatch.setattr(owner, "factorize", counted_factorize)
+    monkeypatch.setattr(linalg.Factorization, "solve", counted_solve)
+    return counts
+
+
+def test_direct_ihadmm_two_lu_solves_per_iteration(ex1, monkeypatch):
+    # one saddle solve and one 3-column M-solve for the eta dual norms; R_h
+    # comes from the carried adjoint, so K is neither factored nor solved
+    _, prob, _ = ex1(3)
+    counts = _count_lu_ops(monkeypatch, prob)
+    rep = so.solve_ihadmm(prob, SolverConfig(
+        tol=1e-6, sigma=reproduction_sigma(prob.alpha)))
+    assert rep.converged and rep.iterations > 10
+    assert counts["solve.M"] == rep.iterations
+    assert counts["solve.other"] == rep.iterations
+    assert sum(v for k, v in counts.items() if k.startswith("solve.")) \
+        == 2 * rep.iterations
+    assert counts["factor.K"] == 0 and counts["solve.K"] == 0
+
+
+@pytest.mark.parametrize("name", ["classical_admm", "pdas"])
+def test_no_K_solve_for_Rh(ex1, monkeypatch, name):
+    _, prob, _ = ex1(3)
+    counts = _count_lu_ops(monkeypatch, prob)
+    rep = so.SOLVERS[name](prob, SolverConfig(tol=1e-6, max_iter=2000))
+    assert rep.converged
+    assert np.all(np.isfinite(rep.Rh_history))
+    assert counts["factor.K"] == 0 and counts["solve.K"] == 0
+
+
+def _dense_diagnostics(prob, u, z, Mlam, y, p, reduced):
+    """eta_1..eta_5 and R_h of an iterate with dense M- and K-solves.
+
+    The functionals are the solver's sparse products; only the M^{-1} dual
+    norms and the K-solves are dense.  The dual-norm residuals sit at
+    round-off (~1e-16) on some iterations, so they get an absolute floor
+    beside the relative tolerance.  R_h takes the exact gradient of f at u
+    (two K-solves), not the carried adjoint; reduced selects the three
+    residuals of the z-eliminated system.
+    """
+    M, K = prob.M, prob.K
+    fn = lambda v: np.sqrt(v @ (M @ v))
+    dual = lambda r: np.sqrt(r @ np.linalg.solve(M.toarray(), r))
+    scale = 1.0 + fn(u)
+    e_state = dual(K @ y - M @ u - M @ prob.yc) / (1.0 + fn(prob.yc))
+    e_adj = dual(M @ (y - prob.yd) + K @ p) / (1.0 + fn(prob.yd))
+    if reduced:
+        q = M @ (p - 0.5 * prob.alpha * u)
+        eta = [e_state, e_adj,
+               fn(u - multiplier_fixed_point(q, prob)) / scale, 0.0, 0.0]
+        floors = [1e-14, 1e-14, 0.0, 0.0, 0.0]
+    else:
+        eta = [e_state, fn(u - z) / scale, e_adj,
+               dual(0.5 * prob.alpha * (M @ u) - M @ p + Mlam) / scale,
+               fn(z - multiplier_fixed_point(Mlam, prob)) / scale]
+        floors = [1e-14, 0.0, 1e-14, 1e-14, 0.0]
+    y_u = np.linalg.solve(K.toarray(), M @ (u + prob.yc))
+    terms = [Mlam, 0.5 * prob.alpha * (M @ u),
+             M @ np.linalg.solve(K.toarray(), M @ (y_u - prob.yd))]
+    r1 = sum(terms)
+    d = dist_subdifferential_g(z, Mlam, prob)
+    rh = r1 @ r1 + d @ d + (u - z) @ (u - z)
+    # r1 cancels its terms down to ~1e-7 of their size near the solution,
+    # where their round-off (~1e-15 relative) moves R_h by 2 |r1| of it
+    rh_floor = 1e-28 + 2e-14 * np.linalg.norm(r1) \
+        * sum(np.linalg.norm(t) for t in terms)
+    return np.array(eta), np.array(floors), rh, rh_floor
+
+
+def _iterate_recorder(prob, kind, sigma=None, tau=None):
+    """Callback that stores the dense diagnostics of every iterate.
+
+    The classical ADMM hands its callback no multiplier; the Euclidean one
+    is rebuilt here from its update lam_c += tau sigma (u - z).
+    """
+    seen = []
+    lam_c = np.zeros(prob.n)
+
+    def record(k, s):
+        nonlocal lam_c
+        if kind == "admm":
+            Mlam, z = prob.M @ s.lam, s.z
+        elif kind == "classical":
+            lam_c = lam_c + tau * sigma * (s.u - s.z)
+            Mlam, z = lam_c, s.z
+        elif kind == "pdas":
+            Mlam, z = s.mu + 0.5 * prob.alpha * (prob.W * s.u), s.u
+        else:                                   # apg
+            Mlam, z = prob.M @ s.lam, s.u
+        seen.append(_dense_diagnostics(prob, s.u, z, Mlam, s.y, s.p,
+                                       reduced=kind in ("pdas", "apg")))
+    return record, seen
+
+
+def _assert_diagnostics_match(rep, seen):
+    assert len(seen) == rep.iterations > 0
+    for res, rh, (eta, floors, rh_exact, rh_floor) in zip(
+            rep.eta_history, rep.Rh_history, seen):
+        got = np.array(res.as_tuple()[:5])
+        assert np.all(np.abs(got - eta) <= 1e-10 * np.abs(eta) + floors)
+        assert res.eta == got.max()
+        assert abs(rh - rh_exact) <= 1e-9 * rh_exact + rh_floor
+
+
+@pytest.mark.parametrize("level", [2, 3])
+@pytest.mark.parametrize("backend", ["direct", "pmhss_gmres"])
+def test_ihadmm_diagnostics_match_dense_oracle(ex1, level, backend):
+    _, prob, _ = ex1(level)
+    record, seen = _iterate_recorder(prob, "admm")
+    rep = so.solve_ihadmm(prob, SolverConfig(
+        tol=1e-8, sigma=reproduction_sigma(prob.alpha),
+        inner_backend=backend), callback=record)
+    assert rep.converged
+    _assert_diagnostics_match(rep, seen)
+
+
+@pytest.mark.parametrize("level", [2, 3])
+def test_classical_admm_diagnostics_match_dense_oracle(ex1, level):
+    _, prob, _ = ex1(level)
+    sigma, tau = 0.1 * prob.alpha, 1.618
+    record, seen = _iterate_recorder(prob, "classical", sigma, tau)
+    rep = so.solve_classical_admm(prob, SolverConfig(
+        tol=1e-8, sigma=sigma, tau=tau, max_iter=2000), callback=record)
+    assert rep.converged
+    _assert_diagnostics_match(rep, seen)
+
+
+@pytest.mark.parametrize("level", [2, 3])
+def test_apg_diagnostics_match_dense_oracle(ex1, level):
+    _, prob, _ = ex1(level)
+    record, seen = _iterate_recorder(prob, "apg")
+    rep = so.solve_apg(prob, SolverConfig(tol=1e-8), callback=record)
+    assert rep.converged
+    _assert_diagnostics_match(rep, seen)
+
+
+@pytest.mark.parametrize("level", [2, 3])
+def test_two_phase_diagnostics_match_dense_oracle(ex1, level, monkeypatch):
+    # solve_two_phase takes no callback: hand one to each phase
+    _, prob, _ = ex1(level)
+    record1, seen1 = _iterate_recorder(prob, "admm")
+    record2, seen2 = _iterate_recorder(prob, "pdas")
+    ihadmm, pdas = solvers.solve_ihadmm, solvers.solve_pdas
+    monkeypatch.setattr(solvers, "solve_ihadmm",
+                        lambda *a, **kw: ihadmm(*a, callback=record1, **kw))
+    monkeypatch.setattr(solvers, "solve_pdas",
+                        lambda *a, **kw: pdas(*a, callback=record2, **kw))
+    sig = reproduction_sigma(prob.alpha)
+    rep = so.solve_two_phase(prob, SolverConfig(tol=1e-3, sigma=sig),
+                             SolverConfig(tol=1e-10, sigma=sig))
+    assert rep.converged and len(seen2) > 0
+    _assert_diagnostics_match(rep, seen1 + seen2)
