@@ -206,14 +206,14 @@ class SaddleSolver:
         counts as converged at the round-off floor _DIRECT_RTOL * ||rhs||,
         the accuracy an LU solve can promise whatever tol asks for.
         """
-        rhs = np.concatenate([rhs_top, rhs_bottom])
-        norm_b = np.linalg.norm(rhs)
+        b = self._s * rhs_top + 1j * rhs_bottom
+        norm_b = np.hypot(np.linalg.norm(rhs_top), np.linalg.norm(rhs_bottom))
         stats_iters, papps = 0, 0
         if backend == "direct":
             if self._direct is None:
                 self._direct = factorize(self._A)
-            z = self._direct.solve(self._s * rhs_top + 1j * rhs_bottom)
-            x = np.concatenate([self._s * z.real, z.imag])
+            z = self._direct.solve(b)
+            y, u = self._s * z.real, np.ascontiguousarray(z.imag)
             tol = max(tol, _DIRECT_RTOL * norm_b)
         elif backend == "pmhss_gmres":
             if norm_b == 0.0:
@@ -223,14 +223,17 @@ class SaddleSolver:
                 P = lambda r: pmhss_apply(self.gamma, G_solve, r)
                 # ||r1|| + ||r2|| <= sqrt(2) ||r||_2, so aim for tol/sqrt(2)
                 rel = tol / (np.sqrt(2.0) * norm_b)
-                x, st = gmres(self._apply, P, rhs, rel)
+                x, st = gmres(self._apply, P,
+                              np.concatenate([rhs_top, rhs_bottom]), rel)
                 stats_iters, papps = st.iterations, st.preconditioner_applications
+            y, u = x[:self.n], x[self.n:]
+            z = y / self._s + 1j * u
         else:
             raise ValueError(f"unknown saddle backend {backend!r}")
 
-        y, u = x[:self.n], x[self.n:]
-        r = rhs - self._apply(x)
-        achieved = np.linalg.norm(r[:self.n]) + np.linalg.norm(r[self.n:])
+        # b - A z = s r1 + i r2 in terms of the block residuals (r1, r2)
+        r = b - self._A @ z
+        achieved = np.linalg.norm(r.real) / self._s + np.linalg.norm(r.imag)
         rel_res = achieved / norm_b if norm_b > 0 else 0.0
         return y, u, InnerSolveStats(stats_iters, rel_res, papps,
                                      achieved <= max(tol, 1e-30) or norm_b == 0.0)

@@ -214,8 +214,9 @@ class DiscreteProblem:
     K, M are SPD on the interior dofs, W holds the lumped-mass weights
     (W_i = row sum of M over all mesh nodes), yd/yc are the projected
     desired-state and source coefficient vectors, and a < 0 < b are the
-    control bounds.  The data terms M yc, M yd (read-only) and their
-    M-norms are computed on first use and cached.
+    control bounds.  The data terms M yc, M yd (read-only), their M-norms
+    and the LU factorizations of M and K are computed on first use and
+    cached, so every solver run on the problem shares one of each.
     """
 
     K: sp.csr_matrix
@@ -243,6 +244,17 @@ class DiscreteProblem:
     @cached_property
     def Myd(self):
         return _frozen(self.M @ self.yd)
+
+    @cached_property
+    def factorM(self):
+        # looked up at call time, so a wrapped linalg.factorize sees M
+        from .linalg import factorize
+        return factorize(self.M)
+
+    @cached_property
+    def factorK(self):
+        from .linalg import factorize
+        return factorize(self.K)
 
     @cached_property
     def yc_norm(self):

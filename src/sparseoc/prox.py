@@ -125,6 +125,7 @@ class _MassNorms:
 
     def __init__(self, problem, factorM=None):
         self.M = problem.M
+        self._problem = problem
         self._factorM = factorM
 
     def fn(self, v, Mv=None):
@@ -134,8 +135,7 @@ class _MassNorms:
     def dual(self, *rs):
         """M^{-1} norms of the functionals rs, from one multi-column solve."""
         if self._factorM is None:
-            from .linalg import factorize
-            self._factorM = factorize(self.M)
+            self._factorM = self._problem.factorM
         R = np.column_stack(rs)
         sq = np.einsum("ij,ij->j", R, self._factorM.solve(R))
         return [float(np.sqrt(max(v, 0.0))) for v in sq]

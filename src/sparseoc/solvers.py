@@ -14,8 +14,14 @@ Four solvers share the termination residuals of prox.py:
                         based restart.
 * solve_pdas         -- primal-dual active set (semismooth Newton): classify
                         every dof against the thresholds +-c w_i beta and the
-                        bounds, fix the active ones, solve the remaining
-                        coupled linear system, repeat until the sets freeze.
+                        bounds, fix the active ones, solve for the free ones,
+                        repeat until the sets freeze.  The Newton step is the
+                        SPD reduced-Hessian system in the free controls,
+                        solved by preconditioned CG with two K-solves per
+                        iteration; no 3n system is assembled or factored.
+
+The M and K factorizations are cached on the problem (problem.factorM,
+problem.factorK), so each is made once however many solvers or phases run.
 
 solve_two_phase runs ihADMM to moderate accuracy and hands its thresholded
 iterate z (with y, p and the stationarity-consistent multiplier
@@ -30,15 +36,16 @@ import time
 import numpy as np
 import scipy.sparse as sp
 from dataclasses import dataclass
+from scipy.sparse.linalg import LinearOperator, cg
 
 from .linalg import (SaddleSolver, factorize, estimate_mkinv_norm,
-                     FactorizationError, InnerSolveStats)
+                     InnerSolveStats)
 from .mesh import _fmt
 # grad_f is not called here; it stays bound because perfbench's tracer
 # wraps these module attributes by name
 from .prox import (z_update_ihadmm, z_update_classical, prox_g_euclidean,
                    grad_f, kkt_residual_pdas, admm_residuals_weighted,
-                   dist_subdifferential_g)
+                   dist_subdifferential_g, _state_adjoint)
 
 _GOLDEN = 0.5 * (1.0 + np.sqrt(5.0))
 
@@ -155,11 +162,11 @@ def solve_ihadmm(problem, config=None, warm=None, callback=None):
     n = problem.n
 
     t0 = time.perf_counter()
-    factorM = factorize(M)
+    factorM = problem.factorM
     saddle = SaddleSolver(M, K, gamma)
     inexact = config.inner_backend == "pmhss_gmres"
     if inexact:
-        mk_norm = estimate_mkinv_norm(M, factorize(K))
+        mk_norm = estimate_mkinv_norm(M, problem.factorK)
         # residual budget of the error-vector map delta = gamma M K^{-1} r1
         # + (M K^{-1})^2 r2, capped so the M^{-1}-weighted residual norms
         # (amplified by at most 2/h, since lambda_min(M) >= h^2/4) can never
@@ -231,7 +238,7 @@ def solve_classical_admm(problem, config=None, warm=None, callback=None):
     n = problem.n
 
     t0 = time.perf_counter()
-    factorM = factorize(M)
+    factorM = problem.factorM
     A3 = sp.bmat([[M, None, K],
                   [None, 0.5 * problem.alpha * M + sigma * sp.identity(n), -M],
                   [K, -M, None]], format="csc")
@@ -255,7 +262,8 @@ def solve_classical_admm(problem, config=None, warm=None, callback=None):
         rh_hist.append(_Rh_from(u, z, lam_c, p, problem))
         inner_hist.append(InnerSolveStats(0, 0.0, 0, True))
         if callback is not None:
-            callback(k, IterateState(u=u, z=z, lam=None, y=y, p=p))
+            callback(k, IterateState(u=u, z=z, lam=factorM.solve(lam_c),
+                                     y=y, p=p))
         if res.eta <= config.tol:
             converged = True
             break
@@ -282,8 +290,7 @@ def solve_apg(problem, config=None, warm=None, callback=None):
     config = (config or SolverConfig()).validate()
     n = problem.n
     t0 = time.perf_counter()
-    factorK = factorize(problem.K)
-    factorM = factorize(problem.M)
+    factorK, factorM = problem.factorK, problem.factorM
 
     state = _check_warm(warm, n)
     u = state.u
@@ -339,6 +346,10 @@ def solve_apg(problem, config=None, warm=None, callback=None):
                              converged, it_state)
 
 
+# relative residual of the CG that solves a PDAS Newton step, and its cap
+_CG_RTOL = 1e-14
+_CG_MAX_ITER = 200
+
 # PDAS dof classification codes
 _AT_A, _AT_B, _AT_0, _INACT_POS, _INACT_NEG = range(5)
 
@@ -358,26 +369,56 @@ def _classify(u, mu, problem, c):
                                       np.where(t >= 0.0, _INACT_POS, _INACT_NEG))))
 
 
+def _pcg(A_apply, P_apply, b, x0):
+    """scipy's preconditioned CG from x0 to ||b - A x|| <= _CG_RTOL ||b||.
+
+    Returns x, the iteration count, the preconditioner applications and
+    whether the target was met within _CG_MAX_ITER iterations.
+    """
+    n = len(b)
+    counts = [0, 0]
+
+    def precondition(r):
+        counts[1] += 1
+        return P_apply(r)
+
+    def count_iteration(_):
+        counts[0] += 1
+
+    x, info = cg(LinearOperator((n, n), matvec=A_apply, dtype=float), b,
+                 x0=x0, rtol=_CG_RTOL, atol=0.0, maxiter=_CG_MAX_ITER,
+                 M=LinearOperator((n, n), matvec=precondition, dtype=float),
+                 callback=count_iteration)
+    return x, counts[0], counts[1], info == 0
+
+
 def solve_pdas(problem, config=None, warm=None, callback=None):
-    """Primal-dual active set method on the z-eliminated problem."""
+    """Primal-dual active set method on the z-eliminated problem.
+
+    With the active controls fixed, y = K^{-1} M (u + yc) and
+    p = K^{-1} M (yd - y) eliminate the state and adjoint, and the Newton
+    step is the SPD system H_ff u_f = r in the free controls, with
+    H = alpha T + M K^{-1} M K^{-1} M.  Preconditioned CG solves it from
+    the current u_f, with an LU of alpha T_ff as the preconditioner; each
+    CG iteration costs two K-solves, and y, p follow from two more.
+    """
     config = (config or SolverConfig()).validate()
     c = config.pdas_c
-    M, K, W = problem.M, problem.K, problem.W
+    M, W, alpha = problem.M, problem.W, problem.alpha
     n = problem.n
     T = (0.5 * (M + sp.diags(W))).tocsr()
 
     t0 = time.perf_counter()
-    factorM = factorize(M)
+    factorM, factorK = problem.factorM, problem.factorK
     state = _check_warm(warm, n)
     u = state.u
     if state.mu is not None:
         mu = state.mu
     elif state.p is not None:
-        mu = M @ state.p - problem.alpha * (T @ u)
+        mu = M @ state.p - alpha * (T @ u)
     else:
         mu = np.zeros(n)
 
-    myc, myd = problem.Myc, problem.Myd
     eta_hist, rh_hist, inner_hist = [], [], []
     converged = False
     prev_code = None
@@ -389,73 +430,79 @@ def solve_pdas(problem, config=None, warm=None, callback=None):
             break                   # active sets repeat with eta > tol: stalled
         prev_code = code
 
-        active = code <= _AT_0
-        free = ~active
-        u_fix = np.where(code == _AT_A, problem.a,
+        u_new = np.where(code == _AT_A, problem.a,
                          np.where(code == _AT_B, problem.b, 0.0))
         mu_fix = np.where(code == _INACT_POS, W * problem.beta,
                           -W * problem.beta)
-        ia = np.flatnonzero(active)
-        jf = np.flatnonzero(free)
-        nf = len(jf)
+        ia = np.flatnonzero(code <= _AT_0)
+        jf = np.flatnonzero(code > _AT_0)
 
-        rhs_state = M[:, ia] @ u_fix[ia] + myc if len(ia) else myc.copy()
-        try:
-            if nf:
-                A = sp.bmat(
-                    [[K, None, -M[:, jf]],
-                     [M, K, None],
-                     [None, -M[jf, :], problem.alpha * T[np.ix_(jf, jf)]]],
-                    format="csc")
-                rhs = np.concatenate([rhs_state, myd, -mu_fix[jf]])
-                if len(ia):
-                    rhs[2 * n:] -= problem.alpha * (T[np.ix_(jf, ia)] @ u_fix[ia])
-            else:
-                A = sp.bmat([[K, None], [M, K]], format="csc")
-                rhs = np.concatenate([rhs_state, myd])
-            fact = factorize(A)
-            x = fact.solve(rhs)
-            for _ in range(2):      # refinement: the blocks span ~1/alpha
-                x += fact.solve(rhs - A @ x)    # orders of magnitude in scale
-            y, p = x[:n], x[n:2 * n]
-            u = u_fix.copy()
-            if nf:
-                u[jf] = x[2 * n:]
-        except FactorizationError:
-            break                   # singular reduced system: abort flagged
+        y, p = _state_adjoint(IterateState(u=u_new), problem, factorK)
+        if len(jf):
+            # stationarity on the free dofs, alpha T u - M p = -mu_fix,
+            # is H_ff u_f = rhs once y and p are eliminated
+            rhs = (M @ p - alpha * (T @ u_new) - mu_fix)[jf]
+            T_ff = T[jf][:, jf]
+            precond = factorize(alpha * T_ff)
 
+            def hessian(v):
+                w = np.zeros(n)
+                w[jf] = v
+                q = M @ factorK.solve(M @ factorK.solve(M @ w))
+                return alpha * (T_ff @ v) + q[jf]
+
+            u_f, iters, apps, cg_ok = _pcg(hessian, precond.solve, rhs, u[jf])
+            u_new[jf] = u_f
+            y, p = _state_adjoint(IterateState(u=u_new), problem, factorK)
+        u = u_new
+
+        stationarity = M @ p - alpha * (T @ u)
         mu = mu_fix.copy()
-        mu[ia] = (M @ p - problem.alpha * (T @ u))[ia]
+        mu[ia] = stationarity[ia]
+        if len(jf):
+            # the step's true residual, from the y and p recovered above
+            rel_res = (np.linalg.norm(stationarity[jf] - mu_fix[jf])
+                       / np.linalg.norm(rhs))
+            stats = InnerSolveStats(iters, rel_res, apps, cg_ok)
+        else:
+            stats = InnerSolveStats(0, 0.0, 0, True)
 
         it_state = IterateState(u=u, z=u.copy(), y=y, p=p, mu=mu,
-                                lam=p - 0.5 * problem.alpha * u)
+                                lam=p - 0.5 * alpha * u)
         res = kkt_residual_pdas(it_state, problem, factorM=factorM)
         eta_hist.append(res)
-        Mlam = mu + 0.5 * problem.alpha * (W * u)
+        Mlam = mu + 0.5 * alpha * (W * u)
         rh_hist.append(_Rh_from(u, u, Mlam, p, problem))
-        inner_hist.append(InnerSolveStats(0, 0.0, 0, True))
+        inner_hist.append(stats)
         if callback is not None:
             callback(k, it_state)
+        if not stats.converged:
+            break                   # CG missed its target: abort flagged
         if res.eta <= config.tol:
             converged = True
             break
 
     final = IterateState(u=u, z=u.copy(), y=y, p=p, mu=mu,
-                         lam=None if p is None else p - 0.5 * problem.alpha * u)
+                         lam=None if p is None else p - 0.5 * alpha * u)
     return ConvergenceReport("pdas", len(eta_hist), eta_hist, rh_hist,
                              inner_hist, time.perf_counter() - t0,
                              converged, final)
 
 
-def solve_two_phase(problem, config_phase1=None, config_phase2=None):
-    """ihADMM to moderate accuracy, then PDAS warm-started from its iterate."""
+def solve_two_phase(problem, config_phase1=None, config_phase2=None,
+                    callback=None):
+    """ihADMM to moderate accuracy, then PDAS warm-started from its iterate.
+
+    callback(k, state) sees the iterates of both phases, k running on
+    from phase 1 into phase 2.
+    """
     config_phase1 = config_phase1 or SolverConfig(tol=1e-3)
     config_phase2 = config_phase2 or SolverConfig(tol=1e-10)
     if config_phase1.tol < config_phase2.tol:
         raise ValueError("phase tolerances must satisfy tol1 >= tol2")
     t0 = time.perf_counter()
 
-    rep1 = solve_ihadmm(problem, config_phase1)
+    rep1 = solve_ihadmm(problem, config_phase1, callback=callback)
     if not rep1.converged:
         return ConvergenceReport("two_phase", rep1.iterations,
                                  rep1.eta_history, rep1.Rh_history,
@@ -471,7 +518,10 @@ def solve_two_phase(problem, config_phase1=None, config_phase2=None):
     s1 = rep1.final_state
     warm = IterateState(u=s1.z.copy(), z=s1.z.copy(), lam=s1.lam, y=s1.y,
                         p=s1.p)
-    rep2 = solve_pdas(problem, config_phase2, warm=warm)
+    callback2 = None
+    if callback is not None:
+        callback2 = lambda k, state: callback(rep1.iterations + k, state)
+    rep2 = solve_pdas(problem, config_phase2, warm=warm, callback=callback2)
 
     return ConvergenceReport(
         "two_phase", rep1.iterations + rep2.iterations,

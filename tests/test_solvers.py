@@ -213,6 +213,108 @@ def test_pdas_stalled_active_sets_are_not_converged(ex1):
     assert not rep.converged
 
 
+def _dense_pdas_step(prob, code):
+    """u, y, p of a PDAS step at fixed active sets, by a dense solve of the
+    full 3n KKT system.
+
+    Rows: K y - M u = M yc; M y + K p = M yd; alpha T u - M p = -mu_fix on
+    the free dofs and u = u_fix on the active ones.
+    """
+    n, alpha = prob.n, prob.alpha
+    M, K = prob.M.toarray(), prob.K.toarray()
+    T = 0.5 * (M + np.diag(prob.W))
+    active = code <= solvers._AT_0
+    u_fix = np.where(code == solvers._AT_A, prob.a,
+                     np.where(code == solvers._AT_B, prob.b, 0.0))
+    mu_fix = np.where(code == solvers._INACT_POS, prob.W * prob.beta,
+                      -prob.W * prob.beta)
+    Z, I = np.zeros((n, n)), np.eye(n)
+    control_rows = np.where(active[:, None], np.hstack([Z, Z, I]),
+                            np.hstack([Z, -M, alpha * T]))
+    A = np.vstack([np.hstack([K, Z, -M]), np.hstack([M, K, Z]), control_rows])
+    rhs = np.concatenate([M @ prob.yc, M @ prob.yd,
+                          np.where(active, u_fix, -mu_fix)])
+    x = np.linalg.solve(A, rhs)
+    return x[2 * n:], x[:n], x[n:2 * n]
+
+
+@pytest.mark.parametrize("level", [2, 3])
+def test_pdas_step_matches_dense_kkt_solve(ex1, level):
+    # one Newton step from a random (u, mu): mixed active sets, and a CG
+    # start far from the step
+    _, prob, _ = ex1(level)
+    rng = np.random.default_rng(level)
+    u = rng.uniform(2 * prob.a, 2 * prob.b, prob.n)
+    mu = 2 * prob.beta * prob.W * rng.standard_normal(prob.n)
+    code = _classify(u, mu, prob, 1.0)
+    assert np.any(code <= solvers._AT_0) and np.any(code > solvers._AT_0)
+    rep = so.solve_pdas(prob, SolverConfig(max_iter=1),
+                        warm=IterateState(u=u, mu=mu))
+    assert rep.iterations == 1 and rep.inner_stats[0].iterations > 0
+    s = rep.final_state
+    for got, want in zip((s.u, s.y, s.p), _dense_pdas_step(prob, code)):
+        assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
+
+
+def test_pdas_cg_iterations_do_not_grow_with_the_level(ex2):
+    # the reduced Hessian alpha T + M K^-1 M K^-1 M is a compact
+    # perturbation of alpha T: the CG count per step stays level-independent
+    most = []
+    for level in (4, 5, 6):
+        _, prob = ex2(level)
+        sig = reproduction_sigma(prob.alpha)
+        rep = so.solve_two_phase(prob, SolverConfig(tol=1e-3, sigma=sig),
+                                 SolverConfig(tol=1e-10, sigma=sig))
+        assert rep.converged and rep.final_eta <= 1e-10
+        steps = rep.inner_stats[rep.phase_iterations[0]:]
+        assert all(s.converged for s in steps)
+        assert all(s.final_relative_residual <= solvers._CG_RTOL
+                   for s in steps)
+        assert all(s.preconditioner_applications == s.iterations > 0
+                   for s in steps)
+        most.append(max(s.iterations for s in steps))
+    assert max(most) <= 25
+    assert most == sorted(most, reverse=True)
+
+
+def test_pdas_cg_iterations_in_convergence_log(tmp_path, ex1):
+    _, prob, _ = ex1(4)
+    sig = reproduction_sigma(prob.alpha)
+    rep = so.solve_two_phase(prob, SolverConfig(tol=1e-3, sigma=sig),
+                             SolverConfig(tol=1e-10, sigma=sig))
+    rep.write_log(tmp_path / "log.csv")
+    rows = (tmp_path / "log.csv").read_text().splitlines()[1:]
+    n1, n2 = rep.phase_iterations
+    assert n2 > 0 and len(rows) == n1 + n2
+    assert all(int(r.split(",")[-1]) > 0 for r in rows[n1:])
+
+
+def test_pdas_cg_miss_stops_unconverged(ex2, monkeypatch):
+    # cold start: the first step has every dof active at zero and no CG;
+    # the second needs ~40 CG iterations and stops at the cap
+    _, prob = ex2(4)
+    monkeypatch.setattr(solvers, "_CG_MAX_ITER", 5)
+    rep = so.solve_pdas(prob, SolverConfig(tol=1e-10, max_iter=20))
+    assert not rep.converged
+    assert rep.iterations == 2
+    last = rep.inner_stats[-1]
+    assert not last.converged and last.iterations == 5
+    assert last.final_relative_residual > solvers._CG_RTOL
+
+
+def test_pdas_cg_starts_from_the_current_controls(ex1):
+    # restarted at its own solution, PDAS keeps the active sets and its CG
+    # starts at the solution: no CG iteration is needed
+    _, prob, _ = ex1(4)
+    sig = reproduction_sigma(prob.alpha)
+    s = so.solve_two_phase(prob, SolverConfig(tol=1e-3, sigma=sig),
+                           SolverConfig(tol=1e-10, sigma=sig)).final_state
+    rep = so.solve_pdas(prob, SolverConfig(max_iter=1),
+                        warm=IterateState(u=s.u, mu=s.mu))
+    assert rep.inner_stats[0].iterations == 0
+    assert np.array_equal(rep.final_state.u, s.u)
+
+
 def test_direct_saddle_steps_flagged_converged(ex2):
     # the direct u-step reaches round-off relative to ||rhs||, which is all
     # an LU solve can promise, on every iteration of a Stadler run
@@ -395,8 +497,10 @@ def _count_lu_ops(monkeypatch, prob):
     """Count factorizations and LU solves per operator (K, M or other).
 
     Wraps factorize (solvers holds its own binding) and Factorization.solve
-    the way perfbench's tracer does.
+    the way perfbench's tracer does.  Returns the counter and a fresh copy
+    of the problem, whose cached M and K factorizations are not yet made.
     """
+    prob = dataclasses.replace(prob)
     counts = collections.Counter()
     op_of = weakref.WeakKeyDictionary()
     factorize_orig, solve_orig = linalg.factorize, linalg.Factorization.solve
@@ -415,14 +519,14 @@ def _count_lu_ops(monkeypatch, prob):
     for owner in (linalg, solvers):
         monkeypatch.setattr(owner, "factorize", counted_factorize)
     monkeypatch.setattr(linalg.Factorization, "solve", counted_solve)
-    return counts
+    return counts, prob
 
 
 def test_direct_ihadmm_two_lu_solves_per_iteration(ex1, monkeypatch):
     # one saddle solve and one 3-column M-solve for the eta dual norms; R_h
     # comes from the carried adjoint, so K is neither factored nor solved
     _, prob, _ = ex1(3)
-    counts = _count_lu_ops(monkeypatch, prob)
+    counts, prob = _count_lu_ops(monkeypatch, prob)
     rep = so.solve_ihadmm(prob, SolverConfig(
         tol=1e-6, sigma=reproduction_sigma(prob.alpha)))
     assert rep.converged and rep.iterations > 10
@@ -436,11 +540,29 @@ def test_direct_ihadmm_two_lu_solves_per_iteration(ex1, monkeypatch):
 @pytest.mark.parametrize("name", ["classical_admm", "pdas"])
 def test_no_K_solve_for_Rh(ex1, monkeypatch, name):
     _, prob, _ = ex1(3)
-    counts = _count_lu_ops(monkeypatch, prob)
+    counts, prob = _count_lu_ops(monkeypatch, prob)
     rep = so.SOLVERS[name](prob, SolverConfig(tol=1e-6, max_iter=2000))
     assert rep.converged
     assert np.all(np.isfinite(rep.Rh_history))
-    assert counts["factor.K"] == 0 and counts["solve.K"] == 0
+    if name == "classical_admm":
+        assert counts["factor.K"] == 0 and counts["solve.K"] == 0
+    else:
+        # the Newton steps' own K-solves only: y and p of the fixed
+        # controls, the CG start residual, two per CG iteration, y and p of
+        # the step; eta and R_h add none
+        assert counts["factor.K"] == 1
+        assert counts["solve.K"] <= sum(6 + 2 * s.iterations
+                                        for s in rep.inner_stats)
+
+
+def test_two_phase_factors_M_and_K_once(ex1, monkeypatch):
+    _, prob, _ = ex1(4)
+    counts, prob = _count_lu_ops(monkeypatch, prob)
+    sig = reproduction_sigma(prob.alpha)
+    rep = so.solve_two_phase(prob, SolverConfig(tol=1e-3, sigma=sig),
+                             SolverConfig(tol=1e-10, sigma=sig))
+    assert rep.converged and rep.phase_iterations[1] > 0
+    assert counts["factor.M"] == 1 and counts["factor.K"] == 1
 
 
 def _dense_diagnostics(prob, u, z, Mlam, y, p, reduced):
@@ -485,8 +607,9 @@ def _dense_diagnostics(prob, u, z, Mlam, y, p, reduced):
 def _iterate_recorder(prob, kind, sigma=None, tau=None):
     """Callback that stores the dense diagnostics of every iterate.
 
-    The classical ADMM hands its callback no multiplier; the Euclidean one
-    is rebuilt here from its update lam_c += tau sigma (u - z).
+    The classical ADMM hands its callback lam = M^{-1} lam_c; the Euclidean
+    multiplier lam_c its residuals use is rebuilt here bit for bit from its
+    update lam_c += tau sigma (u - z), and lam is checked against it.
     """
     seen = []
     lam_c = np.zeros(prob.n)
@@ -498,6 +621,8 @@ def _iterate_recorder(prob, kind, sigma=None, tau=None):
         elif kind == "classical":
             lam_c = lam_c + tau * sigma * (s.u - s.z)
             Mlam, z = lam_c, s.z
+            assert np.linalg.norm(prob.M @ s.lam - lam_c) \
+                <= 1e-13 * np.linalg.norm(lam_c)
         elif kind == "pdas":
             Mlam, z = s.mu + 0.5 * prob.alpha * (prob.W * s.u), s.u
         else:                                   # apg
@@ -550,18 +675,23 @@ def test_apg_diagnostics_match_dense_oracle(ex1, level):
 
 
 @pytest.mark.parametrize("level", [2, 3])
-def test_two_phase_diagnostics_match_dense_oracle(ex1, level, monkeypatch):
-    # solve_two_phase takes no callback: hand one to each phase
+def test_two_phase_diagnostics_match_dense_oracle(ex1, level):
+    # the callback sees both phases with one running index; PDAS iterates
+    # carry mu, ihADMM ones do not
     _, prob, _ = ex1(level)
     record1, seen1 = _iterate_recorder(prob, "admm")
     record2, seen2 = _iterate_recorder(prob, "pdas")
-    ihadmm, pdas = solvers.solve_ihadmm, solvers.solve_pdas
-    monkeypatch.setattr(solvers, "solve_ihadmm",
-                        lambda *a, **kw: ihadmm(*a, callback=record1, **kw))
-    monkeypatch.setattr(solvers, "solve_pdas",
-                        lambda *a, **kw: pdas(*a, callback=record2, **kw))
+    ks = []
+
+    def record(k, s):
+        ks.append(k)
+        (record1 if s.mu is None else record2)(k, s)
+
     sig = reproduction_sigma(prob.alpha)
     rep = so.solve_two_phase(prob, SolverConfig(tol=1e-3, sigma=sig),
-                             SolverConfig(tol=1e-10, sigma=sig))
+                             SolverConfig(tol=1e-10, sigma=sig),
+                             callback=record)
     assert rep.converged and len(seen2) > 0
+    assert ks == list(range(rep.iterations))
+    assert (len(seen1), len(seen2)) == rep.phase_iterations
     _assert_diagnostics_match(rep, seen1 + seen2)
