@@ -15,10 +15,11 @@ Four solvers share the termination residuals of prox.py:
 * solve_pdas         -- primal-dual active set (semismooth Newton): classify
                         every dof against the thresholds +-c w_i beta and the
                         bounds, fix the active ones, solve for the free ones,
-                        repeat until the sets freeze.  The Newton step is the
-                        SPD reduced-Hessian system in the free controls,
-                        solved by preconditioned CG with two K-solves per
-                        iteration; no 3n system is assembled or factored.
+                        repeat until the sets freeze or one recurs.  The
+                        Newton step is the SPD reduced-Hessian system in the
+                        free controls, solved by preconditioned CG with two
+                        K-solves per iteration; no 3n system is assembled or
+                        factored.
 
 The M and K factorizations are cached on the problem (problem.factorM,
 problem.factorK), so each is made once however many solvers or phases run.
@@ -275,14 +276,20 @@ def solve_classical_admm(problem, config=None, warm=None, callback=None):
                              converged, state)
 
 
-def _f_and_grad(problem, factorK, u):
-    """f(u), grad f(u) and the state y in two K-solves."""
+def _f_and_state(problem, factorK, u):
+    """f(u), the state y and M (y - yd) in one K-solve."""
     y = factorK.solve(problem.M @ (u + problem.yc))
     d = y - problem.yd
     Md = problem.M @ d
     fval = 0.5 * d @ Md + 0.25 * problem.alpha * u @ (problem.M @ u)
+    return fval, y, Md
+
+
+def _f_and_grad(problem, factorK, u):
+    """f(u) and grad f(u) in two K-solves."""
+    fval, _, Md = _f_and_state(problem, factorK, u)
     grad = 0.5 * problem.alpha * (problem.M @ u) + problem.M @ factorK.solve(Md)
-    return fval, grad, y
+    return fval, grad
 
 
 def solve_apg(problem, config=None, warm=None, callback=None):
@@ -302,12 +309,12 @@ def solve_apg(problem, config=None, warm=None, callback=None):
     converged = False
 
     for k in range(config.max_iter):
-        fx, gx, _ = _f_and_grad(problem, factorK, x)
+        fx, gx = _f_and_grad(problem, factorK, x)
         doublings = 0
         while True:
             u_new = prox_g_euclidean(x - gx / L, L, problem)
             diff = u_new - x
-            fu, _, y_new = _f_and_grad(problem, factorK, u_new)
+            fu, y_new, _ = _f_and_state(problem, factorK, u_new)
             upper = fx + gx @ diff + 0.5 * L * (diff @ diff)
             if fu <= upper + 1e-12 * max(1.0, abs(fx)):
                 break
@@ -421,14 +428,15 @@ def solve_pdas(problem, config=None, warm=None, callback=None):
 
     eta_hist, rh_hist, inner_hist = [], [], []
     converged = False
-    prev_code = None
+    seen_codes = set()
     y = p = None
 
     for k in range(config.max_iter):
         code = _classify(u, mu, problem, c)
-        if prev_code is not None and np.array_equal(code, prev_code):
-            break                   # active sets repeat with eta > tol: stalled
-        prev_code = code
+        key = code.tobytes()
+        if key in seen_codes:
+            break                   # a set seen before, eta > tol: stalled
+        seen_codes.add(key)
 
         u_new = np.where(code == _AT_A, problem.a,
                          np.where(code == _AT_B, problem.b, 0.0))

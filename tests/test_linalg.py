@@ -1,12 +1,16 @@
+import dataclasses
 import numpy as np
 import pytest
 import scipy.sparse as sp
 from hypothesis import example, given, settings, strategies as st
+from scipy.sparse.linalg import splu
 
-from sparseoc import mesh as fem
+from sparseoc import mesh as fem, solvers
 from sparseoc.linalg import (factorize, FactorizationError, pmhss_apply,
                              gmres, SaddleSolver, estimate_mkinv_norm,
                              _DIRECT_RTOL)
+from sparseoc.solvers import SolverConfig, solve_two_phase
+from sparseoc.experiments import reproduction_sigma
 
 
 def test_factorize_diagonal():
@@ -45,9 +49,84 @@ def test_factorize_complex_symmetric(meshes):
 
 
 def test_factorize_singular():
+    # symmetric with a zero-free diagonal: the symmetric-mode path
     A = sp.csr_matrix(np.array([[1.0, 1.0], [1.0, 1.0]]))
     with pytest.raises(FactorizationError):
         factorize(A)
+
+
+def _fill(lu):
+    return lu.L.nnz + lu.U.nnz
+
+
+def _colamd_fill(A):
+    return _fill(splu(sp.csc_matrix(A)))
+
+
+def _mmd_fill(A):
+    return _fill(splu(sp.csc_matrix(A), permc_spec="MMD_AT_PLUS_A",
+                      diag_pivot_thresh=0.0, options={"SymmetricMode": True}))
+
+
+def _pdas_preconditioners(prob, monkeypatch):
+    """The alpha T_ff matrices a level's two-phase run factors."""
+    prob = dataclasses.replace(prob)        # no cached factorizations
+    seen = []
+
+    def recording_factorize(A):
+        if A.shape[0] < prob.n:
+            seen.append(A)
+        return factorize(A)
+
+    monkeypatch.setattr(solvers, "factorize", recording_factorize)
+    sig = reproduction_sigma(prob.alpha)
+    rep = solve_two_phase(prob, SolverConfig(tol=1e-3, sigma=sig),
+                          SolverConfig(tol=1e-10, sigma=sig))
+    assert rep.converged and seen
+    return seen
+
+
+def test_symmetric_matrices_get_the_symmetric_ordering(ex1, monkeypatch):
+    _, prob, _ = ex1(4)
+    M, K = prob.M, prob.K
+    s = np.sqrt(0.5 * prob.alpha + reproduction_sigma(prob.alpha))
+    mats = {"M": M, "K": K, "G": M + s * K, "A": (M - 1j * s * K).tocsr()}
+    for i, T_ff in enumerate(_pdas_preconditioners(prob, monkeypatch)):
+        mats[f"alpha T_ff {i}"] = T_ff
+    for name, A in mats.items():
+        fill = _fill(factorize(A)._lu)
+        assert fill == _mmd_fill(A), name
+        assert fill < _colamd_fill(A), name
+
+
+def test_other_matrices_keep_colamd(ex1):
+    _, prob, _ = ex1(4)
+    M, K, n = prob.M, prob.K, prob.n
+    # the classical ADMM's 3n system: symmetric, but its (3,3) block is zero
+    sigma = 0.1 * prob.alpha
+    A3 = sp.bmat([[M, None, K],
+                  [None, 0.5 * prob.alpha * M + sigma * sp.identity(n), -M],
+                  [K, -M, None]], format="csc")
+    nonsymmetric = (K + sp.triu(M, 1)).tocsc()
+    for A in (A3, nonsymmetric):
+        assert _fill(factorize(A)._lu) == _colamd_fill(A)
+    assert _mmd_fill(A3) > _colamd_fill(A3)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(log_s=st.floats(-4.0, 4.0), level=st.integers(2, 5),
+       seed=st.integers(0, 2 ** 32 - 1))
+@example(log_s=-4.0, level=5, seed=0)
+@example(log_s=4.0, level=5, seed=0)
+def test_complex_symmetric_solves_reach_the_direct_floor(meshes, log_s,
+                                                         level, seed):
+    m = meshes(level)
+    A = (fem.assemble_mass(m)
+         - 1j * 10.0 ** log_s * fem.assemble_stiffness(m)).tocsr()
+    rng = np.random.default_rng(seed)
+    b = rng.standard_normal(A.shape[0]) + 1j * rng.standard_normal(A.shape[0])
+    x = factorize(A).solve(b)
+    assert np.linalg.norm(b - A @ x) <= _DIRECT_RTOL * np.linalg.norm(b)
 
 
 def test_pmhss_zero():
