@@ -87,14 +87,15 @@ class RunConfig:
             bad = [s for s in self.solvers if s not in _SOLVER_NAMES]
             if bad:
                 raise ConfigError(f"unknown solvers {bad}")
-        if not isinstance(self.level, int) or self.level < 1:
+        if not _is_level(self.level):
             raise ConfigError("level must be a positive integer")
-        if self.levels is not None:
-            if (not self.levels
-                    or any(not isinstance(l, int) or l < 1 for l in self.levels)
-                    or list(self.levels) != sorted(self.levels)):
-                raise ConfigError("levels must be a nonempty ascending list "
-                                  "of positive integers")
+        if self.levels is not None and not (
+                isinstance(self.levels, list)
+                and all(map(_is_level, self.levels))):
+            raise ConfigError("levels must be a list of positive integers")
+        if self.reference_level is not None \
+                and not _is_level(self.reference_level):
+            raise ConfigError("reference_level must be a positive integer")
         try:
             for tol in (self.tol, self.phase1_tol, self.phase2_tol):
                 self.solver_config(tol).validate()
@@ -102,6 +103,9 @@ class RunConfig:
                 raise ValueError("phase1_tol must be >= phase2_tol")
             p = example_params(self.example, **self.params_overrides())
             fem.check_params(p.alpha, p.beta, p.a, p.b)
+            if self.levels is not None:
+                # order of the levels and the reference level above them
+                _table_spec(self).validate()
         except (TypeError, ValueError) as exc:
             raise ConfigError(str(exc)) from exc
         return self
@@ -117,6 +121,17 @@ class RunConfig:
     def params_overrides(self):
         return {k: getattr(self, k) for k in ("alpha", "beta", "a", "b")
                 if getattr(self, k) is not None}
+
+
+def _is_level(v):
+    """A grid level: a positive int that is no bool (JSON true is one)."""
+    return isinstance(v, int) and not isinstance(v, bool) and v >= 1
+
+
+def _finite_or_none(v):
+    """A float for strict JSON: None stands for a missing or non-finite
+    value, which json.dump would write as the non-standard NaN/Infinity."""
+    return None if v is None or not np.isfinite(v) else v
 
 
 def load_config(path):
@@ -215,10 +230,10 @@ def cmd_table(config_path, out_dir, jobs=1):
     for row in rows:
         doc.append({
             "level": row.level, "h": row.h, "n_dofs": row.n_dofs,
-            "E2": None if not np.isfinite(row.E2) else row.E2,
-            "EOC": row.eoc,
+            "E2": _finite_or_none(row.E2),
+            "EOC": _finite_or_none(row.eoc),
             "cells": [{"solver": c.solver, "iterations": c.iterations,
-                       "eta": None if not np.isfinite(c.eta) else c.eta,
+                       "eta": _finite_or_none(c.eta),
                        "converged": c.converged,
                        "phase_iterations": c.phase_iterations,
                        "error": c.error,

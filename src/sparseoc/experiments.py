@@ -139,11 +139,9 @@ _QUAD_W = np.array([0.225,
 
 def integrate_elementwise(mesh, func):
     """Integral of func(x1, x2) over the mesh, degree-5 rule per element."""
-    p = mesh.nodes[mesh.elements]                       # (ne, 3, 2)
-    pts = np.einsum("qj,ejd->eqd", _QUAD_BARY, p)
+    pts, area = fem._quadrature_points(mesh, _QUAD_BARY)
     vals = func(pts[..., 0], pts[..., 1])
-    _, _, area = fem._element_geometry(mesh)
-    return float(np.einsum("e,q,eq->", area, _QUAD_W, vals))
+    return float(area @ (vals @ _QUAD_W))
 
 
 def l2_control_error(u_h, reference, mesh, ref_mesh=None):
@@ -156,13 +154,10 @@ def l2_control_error(u_h, reference, mesh, ref_mesh=None):
     """
     if callable(reference):
         full = fem.full_vector(mesh, u_h)
-        nodal = full[mesh.elements]                     # (ne, 3)
-        p = mesh.nodes[mesh.elements]
-        pts = np.einsum("qj,ejd->eqd", _QUAD_BARY, p)
-        uh_q = np.einsum("qj,ej->eq", _QUAD_BARY, nodal)
+        uh_q = full[mesh.elements] @ _QUAD_BARY.T       # (ne, q)
+        pts, area = fem._quadrature_points(mesh, _QUAD_BARY)
         diff = uh_q - reference(pts[..., 0], pts[..., 1])
-        _, _, area = fem._element_geometry(mesh)
-        return float(np.sqrt(np.einsum("e,q,eq->", area, _QUAD_W, diff ** 2)))
+        return float(np.sqrt(area @ (diff ** 2 @ _QUAD_W)))
     if ref_mesh is None:
         raise ValueError("a fine-grid reference needs its mesh")
     if ref_mesh.level < mesh.level:
@@ -205,8 +200,8 @@ class ExperimentSpec:
             raise ValueError(f"unknown example {self.example_id!r}")
         if not self.levels:
             raise ValueError("empty level list")
-        if list(self.levels) != sorted(self.levels):
-            raise ValueError("levels must be ascending")
+        if any(a >= b for a, b in zip(self.levels, self.levels[1:])):
+            raise ValueError("levels must be strictly ascending")
         if self.reference_level is not None \
                 and self.reference_level <= max(self.levels):
             raise ValueError("reference level must exceed the finest level")

@@ -21,6 +21,8 @@ import scipy.sparse as sp
 from dataclasses import dataclass
 from functools import cached_property
 
+from . import linalg
+
 
 @dataclass(frozen=True)
 class Mesh:
@@ -141,6 +143,13 @@ def assemble_lumped_mass(mesh, interior_only=True):
     return w
 
 
+def _quadrature_points(mesh, bary):
+    """Points (ne, q, 2) of a rule with barycentric coordinates bary (q, 3)
+    on every element, and the element areas (ne,)."""
+    _, _, area = _element_geometry(mesh)
+    return bary @ mesh.nodes[mesh.elements], area
+
+
 # edge-midpoint quadrature on the reference triangle: exact for quadratics
 _MIDPOINT_BARY = np.array([[0.5, 0.5, 0.0], [0.0, 0.5, 0.5], [0.5, 0.0, 0.5]])
 _MIDPOINT_WEIGHTS = np.full(3, 1.0 / 3.0)
@@ -148,12 +157,10 @@ _MIDPOINT_WEIGHTS = np.full(3, 1.0 / 3.0)
 
 def load_vector(mesh, f, interior_only=True):
     """Assemble (f, phi_i) by the 3-point edge-midpoint rule."""
-    p = mesh.nodes[mesh.elements]                       # (ne, 3, 2)
-    _, _, area = _element_geometry(mesh)
-    pts = np.einsum("qj,ejd->eqd", _MIDPOINT_BARY, p)   # (ne, 3, 2)
-    fvals = f(pts[..., 0], pts[..., 1])                 # (ne, 3)
+    pts, area = _quadrature_points(mesh, _MIDPOINT_BARY)    # (ne, 3, 2)
+    fvals = f(pts[..., 0], pts[..., 1])                     # (ne, 3)
     # phi_i at quadrature point q equals the barycentric weight
-    contrib = np.einsum("eq,q,qi->ei", fvals, _MIDPOINT_WEIGHTS, _MIDPOINT_BARY)
+    contrib = fvals @ (_MIDPOINT_WEIGHTS[:, None] * _MIDPOINT_BARY)
     contrib *= area[:, None]
     load = np.zeros(mesh.n_nodes)
     np.add.at(load, mesh.elements.ravel(), contrib.ravel())
@@ -162,13 +169,15 @@ def load_vector(mesh, f, interior_only=True):
     return load
 
 
-def project_field(mesh, f, mass=None):
-    """L2-projection of f onto the zero-boundary P1 space (coefficients)."""
-    from scipy.sparse.linalg import spsolve
-    if mass is None:
-        mass = assemble_mass(mesh)
-    rhs = load_vector(mesh, f)
-    return spsolve(mass.tocsc(), rhs)
+def project_field(mesh, f, factorM=None):
+    """L2-projection of f onto the zero-boundary P1 space (coefficients).
+
+    factorM is a factorization of the interior mass matrix; None factors
+    the assembled one.
+    """
+    if factorM is None:
+        factorM = linalg.factorize(assemble_mass(mesh))
+    return factorM.solve(load_vector(mesh, f))
 
 
 def interior_coordinates(mesh):
@@ -216,7 +225,9 @@ class DiscreteProblem:
     desired-state and source coefficient vectors, and a < 0 < b are the
     control bounds.  The data terms M yc, M yd (read-only), their M-norms
     and the LU factorizations of M and K are computed on first use and
-    cached, so every solver run on the problem shares one of each.
+    cached, so every solver run on the problem shares one of each.  A
+    problem built by discretize holds the M factorization from the start:
+    the L2 projections of yd and yc made it.
     """
 
     K: sp.csr_matrix
@@ -245,16 +256,14 @@ class DiscreteProblem:
     def Myd(self):
         return _frozen(self.M @ self.yd)
 
+    # linalg.factorize is looked up at call time, so a wrapped one sees M, K
     @cached_property
     def factorM(self):
-        # looked up at call time, so a wrapped linalg.factorize sees M
-        from .linalg import factorize
-        return factorize(self.M)
+        return linalg.factorize(self.M)
 
     @cached_property
     def factorK(self):
-        from .linalg import factorize
-        return factorize(self.K)
+        return linalg.factorize(self.K)
 
     @cached_property
     def yc_norm(self):
@@ -282,17 +291,26 @@ def check_params(alpha, beta, a, b):
 
 
 def discretize(mesh, yd_field, yc_field, alpha, beta, a, b, c0=0.0):
-    """Assemble the DiscreteProblem for given data fields and parameters."""
+    """Assemble the DiscreteProblem for given data fields and parameters.
+
+    M is factored once: the L2 projections of the data solve with that
+    factorization, and the problem's factorM is the same object.
+    """
     M = assemble_mass(mesh)
     K = assemble_stiffness(mesh, c0)
     W = assemble_lumped_mass(mesh)
-    yd = project_field(mesh, yd_field, mass=M)
+    factorM = linalg.factorize(M)
+    yd = project_field(mesh, yd_field, factorM)
     if yc_field is None:
         yc = np.zeros(mesh.n_interior)
     else:
-        yc = project_field(mesh, yc_field, mass=M)
-    return DiscreteProblem(K=K, M=M, W=W, yd=yd, yc=yc,
-                           alpha=alpha, beta=beta, a=a, b=b, h=mesh.h)
+        yc = project_field(mesh, yc_field, factorM)
+    problem = DiscreteProblem(K=K, M=M, W=W, yd=yd, yc=yc,
+                              alpha=alpha, beta=beta, a=a, b=b, h=mesh.h)
+    # the slot cached_property fills: a dataclasses.replace copy starts
+    # without it, so it never solves with the LU of another M
+    problem.__dict__["factorM"] = factorM
+    return problem
 
 
 def _fmt(v):

@@ -62,6 +62,27 @@ def test_solve_bad_solver_setting_exit_code(tmp_path, capsys, bad):
     assert not (tmp_path / "o").exists()
 
 
+@pytest.mark.parametrize("command,bad", [
+    ("solve", {"level": True}),
+    ("solve", {"level": 2.5}),
+    ("table", {"levels": [True, 2]}),
+    ("table", {"levels": [2, 3.5]}),
+    ("table", {"levels": [2, 2]}),
+    ("table", {"levels": [2, 3], "reference_level": 4.5}),
+    ("table", {"levels": [2, 3], "reference_level": True}),
+    ("table", {"levels": [2, 3], "reference_level": 3}),
+], ids=["level-bool", "level-float", "levels-bool", "levels-float",
+        "levels-repeated", "reference-float", "reference-bool",
+        "reference-not-above"])
+def test_bad_level_exit_code(tmp_path, capsys, command, bad):
+    cfg = _write_config(tmp_path / "cfg.json", **bad)
+    assert main([command, "--config", str(cfg),
+                 "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ")
+    assert not (tmp_path / "o").exists()
+
+
 def test_solve_success(tmp_path):
     cfg = _write_config(tmp_path / "cfg.json")
     out = tmp_path / "out"
@@ -155,6 +176,23 @@ def test_table_runs_and_is_deterministic(tmp_path):
     data = json.loads((out1 / "table.json").read_text())
     assert len(data) == 2
     assert data[1]["EOC"] is not None
+
+
+def test_table_json_writes_a_nonfinite_eoc_as_null(tmp_path, monkeypatch):
+    from sparseoc import experiments
+    monkeypatch.setattr(experiments, "compute_eoc",
+                        lambda errors: [float("nan")] * (len(errors) - 1))
+    cfg = _write_config(tmp_path / "cfg.json", levels=[2, 3])
+    out = tmp_path / "out"
+    assert main(["table", "--config", str(cfg), "--out", str(out)]) == 0
+
+    def reject(constant):
+        raise ValueError(f"non-standard JSON constant {constant}")
+
+    data = json.loads((out / "table.json").read_text(),
+                      parse_constant=reject)
+    assert data[1]["EOC"] is None
+    assert (out / "table.csv").read_text().splitlines()[2].split(",")[4] == ""
 
 
 def test_table_empty_levels(tmp_path):

@@ -155,6 +155,8 @@ def test_experiment_spec_validation():
     with pytest.raises(ValueError):
         ExperimentSpec("constructed", [4, 3], [("ihadmm", cfg)]).validate()
     with pytest.raises(ValueError):
+        ExperimentSpec("constructed", [3, 3], [("ihadmm", cfg)]).validate()
+    with pytest.raises(ValueError):
         ExperimentSpec("bogus", [3], [("ihadmm", cfg)]).validate()
     with pytest.raises(ValueError):
         ExperimentSpec("stadler", [3, 4], [("ihadmm", cfg)],

@@ -1,8 +1,10 @@
+import dataclasses
 import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from sparseoc import mesh as fem
+from sparseoc import linalg, mesh as fem
+from sparseoc.experiments import build_example1, build_example2, example2_yd
 
 
 def test_mesh_counts_level1():
@@ -175,6 +177,38 @@ def test_projection_second_order(meshes):
     assert errs[0] / errs[1] > 3.0
     assert errs[1] / errs[2] > 3.0
     assert errs[2] < 2.5e-3
+
+
+def test_project_field_with_and_without_factorization(meshes):
+    m = meshes(4)
+    f = lambda x, y: np.exp(x) * np.sin(3.0 * y)
+    factorM = linalg.factorize(fem.assemble_mass(m))
+    assert np.array_equal(fem.project_field(m, f),
+                          fem.project_field(m, f, factorM))
+
+
+@pytest.mark.parametrize("level", [2, 3, 4])
+@pytest.mark.parametrize("example", ["constructed", "stadler"])
+def test_data_projections_match_dense_solve(level, example):
+    if example == "constructed":
+        m, prob, fields = build_example1(level)
+        pairs = [(prob.yd, fields["yd"]), (prob.yc, fields["yc"])]
+    else:
+        m, prob = build_example2(level)
+        pairs = [(prob.yd, example2_yd)]
+    M = prob.M.toarray()
+    for got, field in pairs:
+        want = np.linalg.solve(M, fem.load_vector(m, field))
+        assert np.linalg.norm(got - want) <= 1e-13 * np.linalg.norm(want)
+
+
+def test_replaced_M_gets_its_own_factorization(ex1):
+    _, prob, _ = ex1(3)
+    doubled = dataclasses.replace(prob, M=2 * prob.M)
+    assert doubled.factorM is not prob.factorM
+    x = np.random.default_rng(0).standard_normal(prob.n)
+    assert np.allclose(doubled.factorM.solve(doubled.M @ x), x,
+                       rtol=0, atol=1e-12)
 
 
 def test_eval_p1_roundtrip(meshes):

@@ -10,7 +10,7 @@ from sparseoc.linalg import factorize
 from sparseoc.oracle import brute_force_solve
 from sparseoc.prox import dist_subdifferential_g, multiplier_fixed_point
 from sparseoc.solvers import SolverConfig, IterateState, _classify
-from sparseoc.experiments import reproduction_sigma
+from sparseoc.experiments import build_example1, reproduction_sigma
 
 from conftest import random_tiny_problem
 
@@ -621,6 +621,31 @@ def test_two_phase_factors_M_and_K_once(ex1, monkeypatch):
                              SolverConfig(tol=1e-10, sigma=sig))
     assert rep.converged and rep.phase_iterations[1] > 0
     assert counts["factor.M"] == 1 and counts["factor.K"] == 1
+
+
+@pytest.mark.parametrize("name", ["ihadmm", "two_phase"])
+def test_build_and_solve_factor_M_once(monkeypatch, name):
+    # the build's M factorization serves the L2 projections and the solve
+    factored = []
+    factorize_orig = linalg.factorize
+
+    def counted_factorize(A):
+        factored.append(A)
+        return factorize_orig(A)
+
+    for owner in (linalg, solvers):
+        monkeypatch.setattr(owner, "factorize", counted_factorize)
+    _, prob, _ = build_example1(4)
+    built = len(factored)
+    sig = reproduction_sigma(prob.alpha)
+    if name == "ihadmm":
+        rep = so.solve_ihadmm(prob, SolverConfig(tol=1e-6, sigma=sig))
+    else:
+        rep = so.solve_two_phase(prob, SolverConfig(tol=1e-3, sigma=sig),
+                                 SolverConfig(tol=1e-10, sigma=sig))
+    assert rep.converged
+    assert [A is prob.M for A in factored[:built]] == [True]
+    assert not any(A is prob.M for A in factored[built:])
 
 
 def _dense_diagnostics(prob, u, z, Mlam, y, p, reduced):
