@@ -282,8 +282,16 @@ def _frozen(v):
     return v
 
 
+def check_real(name, value):
+    """Reject a bool (JSON true is one) or a non-finite value for name."""
+    if isinstance(value, bool) or not np.isfinite(value):
+        raise ValueError(f"{name} must be a finite number")
+
+
 def check_params(alpha, beta, a, b):
     """Reject parameters the control problem is not posed for."""
+    for name, value in (("alpha", alpha), ("beta", beta), ("a", a), ("b", b)):
+        check_real(name, value)
     if not (alpha > 0 and beta > 0):
         raise ValueError("alpha and beta must be positive")
     if not (a < 0.0 < b):

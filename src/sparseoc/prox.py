@@ -20,11 +20,13 @@ iterate mismatches (u - z, the fixed-point gap) are functions and carry the
 M norm.  These are the discrete L2 norms, so the residuals, unlike raw
 Euclidean ones, do not shrink by mass-matrix factors h^2 under refinement
 and iteration counts stay comparable across grid levels.  The dual norms of
-one residual evaluation come from a single multi-column M-solve.  The
-complexity functional R_h keeps plain Euclidean norms; the solvers build it
-from the adjoint p their iterate carries (grad f(u) = alpha/2 M u - M p
-when K p = M(yd - y) and K y = M(u + yc)) and from dist_subdifferential_g,
-so it costs no solve.  All functions are pure.
+one residual evaluation come from a single multi-column M-solve; that of
+the ADMM stationarity functional M(alpha/2 u - p + lam) is the M norm of
+alpha/2 u - p + lam and needs none.  The complexity functional R_h keeps
+plain Euclidean norms; the solvers build it from the adjoint p their
+iterate carries (grad f(u) = alpha/2 M u - M p when K p = M(yd - y) and
+K y = M(u + yc)) and from dist_subdifferential_g, so it costs no solve.
+All functions are pure.
 """
 
 import numpy as np
@@ -158,23 +160,23 @@ def multiplier_fixed_point(lam_weighted, problem):
                        problem.a, problem.b)
 
 
-def admm_residuals_weighted(u, z, Mlam, y, p, problem, factorM=None):
-    """eta_1..eta_5 given M*lambda directly (shared solver core).
+def admm_residuals_weighted(u, z, lam, Mlam, y, p, problem, factorM=None):
+    """eta_1..eta_5 given lambda and Mlam = M lambda (shared solver core).
 
-    The state, adjoint and stationarity functionals share one 3-column
-    M-solve for their dual norms, and M u is built once.
+    The state and adjoint functionals share one 2-column M-solve for their
+    dual norms, and M u is built once.  The stationarity functional
+    alpha/2 M u - M p + M lam is M times alpha/2 u - p + lam, so its dual
+    norm is the M norm of that vector and needs no solve.
     """
     M, K = problem.M, problem.K
     nrm = _MassNorms(problem, factorM)
     Mu = M @ u
     scale_u = 1.0 + nrm.fn(u, Mu)
-    d1, d3, d4 = nrm.dual(K @ y - Mu - problem.Myc,
-                          M @ (y - problem.yd) + K @ p,
-                          0.5 * problem.alpha * Mu - M @ p + Mlam)
+    d1, d3 = nrm.dual(K @ y - Mu - problem.Myc, M @ (y - problem.yd) + K @ p)
     eta1 = d1 / (1.0 + problem.yc_norm)
     eta2 = nrm.fn(u - z) / scale_u
     eta3 = d3 / (1.0 + problem.yd_norm)
-    eta4 = d4 / scale_u
+    eta4 = nrm.fn(0.5 * problem.alpha * u - p + lam) / scale_u
     eta5 = nrm.fn(z - multiplier_fixed_point(Mlam, problem)) / scale_u
     return KktResidual(eta1, eta2, eta3, eta4, eta5,
                        max(eta1, eta2, eta3, eta4, eta5))
@@ -183,8 +185,9 @@ def admm_residuals_weighted(u, z, Mlam, y, p, problem, factorM=None):
 def kkt_residual_admm(state, problem, factorK=None, factorM=None):
     """Residuals eta_1..eta_5 of the split (u, z) optimality system."""
     y, p = _state_adjoint(state, problem, factorK)
-    return admm_residuals_weighted(state.u, state.z, problem.M @ state.lam,
-                                   y, p, problem, factorM)
+    return admm_residuals_weighted(state.u, state.z, state.lam,
+                                   problem.M @ state.lam, y, p, problem,
+                                   factorM)
 
 
 def kkt_residual_pdas(state, problem, factorK=None, factorM=None):

@@ -6,7 +6,8 @@ Four solvers share the termination residuals of prox.py:
 * solve_ihadmm       -- heterogeneous ADMM: M-weighted penalty in the u-step
                         (reduced 2x2 saddle solve), W-weighted penalty in the
                         z-step (closed form), inexact inner solves driven by
-                        a summable tolerance sequence eps_k.
+                        a summable tolerance sequence eps_k, each GMRES
+                        started from the previous (y, u).
 * solve_classical_admm -- Euclidean-penalty ADMM; its 3x3 block system has no
                         cheap elimination and is factored once per run.
 * solve_apg          -- accelerated proximal gradient (FISTA) with doubling
@@ -41,7 +42,7 @@ from scipy.sparse.linalg import LinearOperator, cg
 
 from .linalg import (SaddleSolver, factorize, estimate_mkinv_norm,
                      InnerSolveStats)
-from .mesh import _fmt
+from .mesh import _fmt, check_real
 # grad_f is not called here; it stays bound because perfbench's tracer
 # wraps these module attributes by name
 from .prox import (z_update_ihadmm, z_update_classical, prox_g_euclidean,
@@ -70,6 +71,10 @@ class SolverConfig:
     pdas_c: float = 1.0
 
     def validate(self):
+        for name in ("tol", "sigma", "tau", "eps0", "eps_decay", "pdas_c"):
+            value = getattr(self, name)
+            if value is not None:
+                check_real(name, value)
         if self.tol <= 0:
             raise ValueError("tol must be positive")
         if not isinstance(self.max_iter, numbers.Integral) \
@@ -186,9 +191,11 @@ def solve_ihadmm(problem, config=None, warm=None, callback=None):
         rhs_bottom = -problem.Myc
         if inexact:
             eps_k = config.eps0 / (k + 1.0) ** config.eps_decay
+            # GMRES starts from the previous (y, u), the first step from 0
+            x0 = None if k == 0 else np.concatenate([y, u])
             y, u_new, stats = saddle.solve(rhs_top, rhs_bottom,
                                            backend="pmhss_gmres",
-                                           tol=min(eps_k / denom, cap))
+                                           tol=min(eps_k / denom, cap), x0=x0)
         else:
             y, u_new, stats = saddle.solve(rhs_top, rhs_bottom)
         # first block row: K p = M(yd - y) with p = gamma u - sigma z + lam
@@ -199,7 +206,7 @@ def solve_ihadmm(problem, config=None, warm=None, callback=None):
         u = u_new
 
         state = IterateState(u=u, z=z, lam=lam, y=y, p=p)
-        res = admm_residuals_weighted(u, z, Mlam, y, p, problem, factorM)
+        res = admm_residuals_weighted(u, z, lam, Mlam, y, p, problem, factorM)
         eta_hist.append(res)
         rh_hist.append(_Rh_from(u, z, Mlam, p, problem))
         inner_hist.append(stats)
@@ -257,19 +264,20 @@ def solve_classical_admm(problem, config=None, warm=None, callback=None):
         y, u, p = x[:n], x[n:2 * n], x[2 * n:]
         z = z_update_classical(u, lam_c, problem, sigma)
         lam_c = lam_c + tau * sigma * (u - z)
+        # one M-solve serves eta4, the callback and the final state
+        lam = factorM.solve(lam_c)
 
-        res = admm_residuals_weighted(u, z, lam_c, y, p, problem, factorM)
+        res = admm_residuals_weighted(u, z, lam, lam_c, y, p, problem,
+                                      factorM)
         eta_hist.append(res)
         rh_hist.append(_Rh_from(u, z, lam_c, p, problem))
         inner_hist.append(InnerSolveStats(0, 0.0, 0, True))
         if callback is not None:
-            callback(k, IterateState(u=u, z=z, lam=factorM.solve(lam_c),
-                                     y=y, p=p))
+            callback(k, IterateState(u=u, z=z, lam=lam, y=y, p=p))
         if res.eta <= config.tol:
             converged = True
             break
 
-    lam = factorM.solve(lam_c)
     state = IterateState(u=u, z=z, lam=lam, y=y, p=p)
     return ConvergenceReport("classical_admm", len(eta_hist), eta_hist,
                              rh_hist, inner_hist, time.perf_counter() - t0,

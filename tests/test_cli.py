@@ -62,6 +62,22 @@ def test_solve_bad_solver_setting_exit_code(tmp_path, capsys, bad):
     assert not (tmp_path / "o").exists()
 
 
+@pytest.mark.parametrize("value", [True, float("nan")], ids=["true", "nan"])
+@pytest.mark.parametrize("field", ["tol", "sigma", "tau", "eps0", "eps_decay",
+                                   "pdas_c", "phase1_tol", "phase2_tol",
+                                   "alpha", "beta", "a", "b"])
+def test_solve_bool_or_nan_setting_exit_code(tmp_path, capsys, field, value):
+    # JSON true is a Python bool, which float comparisons take for 1.0
+    cfg = _write_config(tmp_path / "cfg.json", **{field: value})
+    assert main(["solve", "--config", str(cfg),
+                 "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err.splitlines()
+    # a phase tolerance is validated as the tol of its phase
+    name = "tol" if field.startswith("phase") else field
+    assert err == [f"error: {name} must be a finite number"]
+    assert not (tmp_path / "o").exists()
+
+
 @pytest.mark.parametrize("command,bad", [
     ("solve", {"level": True}),
     ("solve", {"level": 2.5}),

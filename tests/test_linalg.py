@@ -194,6 +194,43 @@ def test_gmres_residual_monotone(meshes):
     assert all(r1 >= r2 * (1 - 1e-12) for r1, r2 in zip(hist, hist[1:]))
 
 
+def test_gmres_from_x0():
+    # an exact start takes no iteration; a random one meets the same
+    # true-residual target as a zero start, against the dense oracle
+    rng = np.random.default_rng(3)
+    A = rng.standard_normal((10, 10)) + 10 * np.eye(10)
+    rhs = rng.standard_normal(10)
+    x_star = np.linalg.solve(A, rhs)
+    x, stats = gmres(lambda v: A @ v, None, rhs, 1e-12, x0=x_star)
+    assert stats.iterations == 0 and stats.converged
+    assert np.array_equal(x, x_star)
+    x0 = rng.standard_normal(10)
+    x, stats = gmres(lambda v: A @ v, None, rhs, 1e-12, x0=x0.copy())
+    assert stats.iterations > 0 and stats.converged
+    assert np.linalg.norm(rhs - A @ x) <= 1e-12 * np.linalg.norm(rhs)
+    assert np.abs(x - x_star).max() < 1e-9
+
+
+def test_saddle_pmhss_from_x0_meets_the_dense_block_target(meshes):
+    M = fem.assemble_mass(meshes(3))
+    K = fem.assemble_stiffness(meshes(3))
+    gamma, n = 0.3, M.shape[0]
+    A = np.block([[M.toarray() / gamma, K.toarray()],
+                  [-K.toarray(), M.toarray()]])
+    rng = np.random.default_rng(16)
+    rhs = rng.standard_normal(2 * n)
+    x_dense = np.linalg.solve(A, rhs)
+    solver = SaddleSolver(M, K, gamma)
+    tol = 1e-8 * np.linalg.norm(rhs)
+    for x0, zero_iterations in ((x_dense, True),
+                                (rng.standard_normal(2 * n), False)):
+        y, u, stats = solver.solve(rhs[:n], rhs[n:], backend="pmhss_gmres",
+                                   tol=tol, x0=x0)
+        r = rhs - A @ np.concatenate([y, u])
+        assert stats.converged and (stats.iterations == 0) == zero_iterations
+        assert np.linalg.norm(r[:n]) + np.linalg.norm(r[n:]) <= tol
+
+
 def test_gmres_nonconvergence_flag():
     rng = np.random.default_rng(6)
     A = rng.standard_normal((40, 40)) + 0.5 * np.eye(40)   # indefinite-ish
@@ -320,6 +357,30 @@ def test_pmhss_gmres_iteration_count_level6(meshes):
                                tol=1e-10 * norm_b)
     assert stats.converged
     assert stats.iterations <= 40
+
+
+def test_estimate_mkinv_norm_stops_once_settled(meshes):
+    # two K-solves a step; at level 6 the estimate settles in 12 steps to
+    # the value the full 50 steps give
+    m = meshes(6)
+    M = fem.assemble_mass(m)
+    fact = factorize(fem.assemble_stiffness(m))
+    solves = []
+
+    class CountedK:
+        def solve(self, rhs):
+            solves.append(rhs)
+            return fact.solve(rhs)
+
+    est = estimate_mkinv_norm(M, CountedK())
+    assert len(solves) <= 30
+    v = np.random.default_rng(0).standard_normal(M.shape[0])
+    v /= np.linalg.norm(v)
+    for _ in range(50):
+        w = M @ fact.solve(fact.solve(M @ v))
+        lam = np.linalg.norm(w)
+        v = w / lam
+    assert abs(est - np.sqrt(lam)) <= 1e-15 * np.sqrt(lam)
 
 
 def test_estimate_mkinv_norm(meshes):

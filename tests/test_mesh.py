@@ -57,7 +57,7 @@ def test_stiffness_five_point_stencil(meshes):
     assert np.allclose(K.diagonal(), 4.0)
     # dense comparison against the finite-difference Laplacian: K = h^2 * A_fd
     nside = 2 ** 3 - 1
-    T = sp.diags([-1, 2, -1], [-1, 0, 1], shape=(nside, nside))
+    T = sp.diags([-1.0, 2.0, -1.0], [-1, 0, 1], shape=(nside, nside))
     A_fd = (sp.kron(sp.identity(nside), T) + sp.kron(T, sp.identity(nside)))
     assert abs(K - A_fd).max() < 1e-13
 

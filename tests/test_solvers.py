@@ -32,6 +32,14 @@ def test_config_validation():
     assert SolverConfig(tau=1.618).validate() is not None
 
 
+@pytest.mark.parametrize("value", [True, np.nan, np.inf])
+@pytest.mark.parametrize("field", ["tol", "sigma", "tau", "eps0",
+                                   "eps_decay", "pdas_c"])
+def test_config_validation_rejects_bool_and_nonfinite(field, value):
+    with pytest.raises(ValueError, match=f"{field} must be a finite number"):
+        SolverConfig(**{field: value}).validate()
+
+
 @pytest.mark.parametrize("bad", [{"eps0": 0.0}, {"eps0": -1.0},
                                  {"max_iter": 2.5}, {"max_iter": True}])
 def test_config_validation_eps0_and_integer_max_iter(bad):
@@ -387,7 +395,19 @@ def test_stadler_pmhss_inner_iterations_level4(ex2):
         tol=1e-6, sigma=reproduction_sigma(prob.alpha),
         inner_backend="pmhss_gmres"))
     assert rep.converged and rep.iterations == 424
-    assert sum(s.iterations for s in rep.inner_stats) == 8878
+    # each u-step's GMRES after the first starts from the previous (y, u)
+    assert sum(s.iterations for s in rep.inner_stats) == 4738
+
+
+def test_constructed_pmhss_inner_iterations_level6(ex1):
+    # the benchmark instance, where zero starts take 360 GMRES iterations
+    _, prob, _ = ex1(6)
+    rep = so.solve_ihadmm(prob, SolverConfig(
+        tol=1e-6, sigma=reproduction_sigma(prob.alpha),
+        inner_backend="pmhss_gmres"))
+    assert rep.converged and rep.iterations == 36
+    assert rep.inner_stats[0].iterations > 0
+    assert sum(s.iterations for s in rep.inner_stats) <= 240
 
 
 def test_pdas_classification_partitions(ex1):
@@ -540,11 +560,12 @@ def test_callback_sees_every_iteration(ex1):
 
 
 def _count_lu_ops(monkeypatch, prob):
-    """Count factorizations and LU solves per operator (K, M or other).
+    """Count factorizations, LU solves and solved columns per operator.
 
-    Wraps factorize (solvers holds its own binding) and Factorization.solve
-    the way perfbench's tracer does.  Returns the counter and a fresh copy
-    of the problem, whose cached M and K factorizations are not yet made.
+    The operator is K, M or other.  Wraps factorize (solvers holds its own
+    binding) and Factorization.solve the way perfbench's tracer does.
+    Returns the counter and a fresh copy of the problem, whose cached M and
+    K factorizations are not yet made.
     """
     prob = dataclasses.replace(prob)
     counts = collections.Counter()
@@ -559,7 +580,9 @@ def _count_lu_ops(monkeypatch, prob):
         return fact
 
     def counted_solve(fact, rhs):
-        counts["solve." + op_of.get(fact, "other")] += 1
+        op = op_of.get(fact, "other")
+        counts["solve." + op] += 1
+        counts["cols." + op] += 1 if np.ndim(rhs) == 1 else np.shape(rhs)[1]
         return solve_orig(fact, rhs)
 
     for owner in (linalg, solvers):
@@ -569,18 +592,37 @@ def _count_lu_ops(monkeypatch, prob):
 
 
 def test_direct_ihadmm_two_lu_solves_per_iteration(ex1, monkeypatch):
-    # one saddle solve and one 3-column M-solve for the eta dual norms; R_h
-    # comes from the carried adjoint, so K is neither factored nor solved
+    # one saddle solve and one 2-column M-solve for the eta dual norms
+    # (eta4 takes the M norm of alpha/2 u - p + lam); R_h comes from the
+    # carried adjoint, so K is neither factored nor solved
     _, prob, _ = ex1(3)
     counts, prob = _count_lu_ops(monkeypatch, prob)
     rep = so.solve_ihadmm(prob, SolverConfig(
         tol=1e-6, sigma=reproduction_sigma(prob.alpha)))
     assert rep.converged and rep.iterations > 10
     assert counts["solve.M"] == rep.iterations
+    assert counts["cols.M"] == 2 * rep.iterations
     assert counts["solve.other"] == rep.iterations
     assert sum(v for k, v in counts.items() if k.startswith("solve.")) \
         == 2 * rep.iterations
     assert counts["factor.K"] == 0 and counts["solve.K"] == 0
+
+
+@pytest.mark.parametrize("with_callback", [False, True])
+def test_classical_admm_callback_adds_no_M_solve(ex1, monkeypatch,
+                                                 with_callback):
+    # one M-solve for lam = M^{-1} lam_c serves eta4, the callback and the
+    # final state, beside the 2-column M-solve of the eta dual norms
+    _, prob, _ = ex1(3)
+    counts, prob = _count_lu_ops(monkeypatch, prob)
+    seen = []
+    rep = so.solve_classical_admm(
+        prob, SolverConfig(tol=1e-6, max_iter=2000),
+        callback=(lambda k, s: seen.append(s.lam)) if with_callback else None)
+    assert rep.converged
+    assert len(seen) == (rep.iterations if with_callback else 0)
+    assert counts["solve.M"] == 2 * rep.iterations
+    assert counts["cols.M"] == 3 * rep.iterations
 
 
 def test_apg_one_K_solve_per_backtracking_trial(ex1, monkeypatch):
