@@ -97,8 +97,12 @@ class RunConfig:
                 and not _is_level(self.reference_level):
             raise ConfigError("reference_level must be a positive integer")
         try:
-            for tol in (self.tol, self.phase1_tol, self.phase2_tol):
-                self.solver_config(tol).validate()
+            for name in ("tol", "phase1_tol", "phase2_tol"):
+                try:
+                    self.solver_config(getattr(self, name)).validate()
+                except ValueError as exc:
+                    # the configs differ only in tol: name the field it held
+                    raise ValueError(str(exc).replace("tol", name, 1)) from exc
             if self.phase1_tol < self.phase2_tol:
                 raise ValueError("phase1_tol must be >= phase2_tol")
             p = example_params(self.example, **self.params_overrides())
@@ -153,12 +157,11 @@ def cmd_solve(config_path, out_dir):
                                example_params(cfg.example,
                                               **cfg.params_overrides()))
 
+    config = _configs(cfg, cfg.solver)
     if cfg.solver == "two_phase":
-        report = solve_two_phase(problem,
-                                 cfg.solver_config(tol=cfg.phase1_tol),
-                                 cfg.solver_config(tol=cfg.phase2_tol))
+        report = solve_two_phase(problem, *config)
     else:
-        report = SOLVERS[cfg.solver](problem, cfg.solver_config())
+        report = SOLVERS[cfg.solver](problem, config)
 
     report.write_log(out_dir / "convergence.csv")
     if report.final_state.u is not None:
@@ -186,15 +189,17 @@ def cmd_solve(config_path, out_dir):
     return 0 if report.converged else 1
 
 
+def _configs(cfg, name):
+    """SolverConfig of solver name, a (phase1, phase2) pair for two_phase."""
+    if name == "two_phase":
+        return (cfg.solver_config(tol=cfg.phase1_tol),
+                cfg.solver_config(tol=cfg.phase2_tol))
+    return cfg.solver_config()
+
+
 def _table_spec(cfg):
     names = cfg.solvers if cfg.solvers else [cfg.solver]
-    matrix = []
-    for name in names:
-        if name == "two_phase":
-            matrix.append((name, (cfg.solver_config(tol=cfg.phase1_tol),
-                                  cfg.solver_config(tol=cfg.phase2_tol))))
-        else:
-            matrix.append((name, cfg.solver_config()))
+    matrix = [(name, _configs(cfg, name)) for name in names]
     if cfg.levels is None:
         raise ConfigError("table mode needs a 'levels' list")
     return ExperimentSpec(example_id=cfg.example, levels=list(cfg.levels),

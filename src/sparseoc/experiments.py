@@ -163,8 +163,8 @@ def l2_control_error(u_h, reference, mesh, ref_mesh=None):
     if ref_mesh.level < mesh.level:
         raise ValueError("reference grid must be at least as fine")
     xy = fem.interior_coordinates(ref_mesh)
-    uh_on_ref = fem.eval_p1(mesh, u_h, xy[:, 0], xy[:, 1])
-    diff = np.asarray(reference) - uh_on_ref
+    P = fem.interpolation_matrix(mesh, xy[:, 0], xy[:, 1])
+    diff = np.asarray(reference) - P @ u_h
     Mref = fem.assemble_mass(ref_mesh)
     return float(np.sqrt(diff @ (Mref @ diff)))
 

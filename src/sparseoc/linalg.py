@@ -189,7 +189,7 @@ def gmres(A_apply, P_apply, rhs, tol, max_iter=500, restart=50, x0=None):
         r = rhs - A_apply(x)
         res = np.linalg.norm(r)
 
-    converged = res <= target * (1.0 + 1e-12) or res <= target
+    converged = res <= target * (1.0 + 1e-12)
     return x, InnerSolveStats(total_iters, res / norm_b, precond_apps,
                               converged, history)
 
@@ -272,20 +272,23 @@ class SaddleSolver:
                                      achieved <= max(tol, 1e-30) or norm_b == 0.0)
 
 
-def estimate_mkinv_norm(M, factorK, steps=50, seed=0):
+# estimate_mkinv_norm: step cap and seed of the random start vector
+_POWER_STEPS, _POWER_SEED = 50, 0
+
+
+def estimate_mkinv_norm(M, factorK):
     """Power-iteration estimate of ||M K^{-1}||_2 (cached by the callers).
 
     Iterates on (M K^{-1})(M K^{-1})^T = M K^{-1} K^{-1} M, two K-solves a
     step, and stops once two successive estimates of the dominant
-    eigenvalue agree to 4e-16 relative, or after steps steps.  At levels
-    3-6 it settles in 12-13 steps, within 1.4e-16 of the 50-step value and
-    well beyond the accuracy the inexactness schedule needs.
+    eigenvalue agree to 4e-16 relative, or after _POWER_STEPS steps.  At
+    levels 3-6 it settles in 12-13 steps, within 1.4e-16 of the 50-step
+    value and well beyond the accuracy the inexactness schedule needs.
     """
-    rng = np.random.default_rng(seed)
-    v = rng.standard_normal(M.shape[0])
+    v = np.random.default_rng(_POWER_SEED).standard_normal(M.shape[0])
     v /= np.linalg.norm(v)
     lam = 0.0
-    for _ in range(steps):
+    for _ in range(_POWER_STEPS):
         w = M @ factorK.solve(factorK.solve(M @ v))
         lam, prev = np.linalg.norm(w), lam
         if lam == 0.0:

@@ -95,7 +95,6 @@ def _restrict(A, mesh):
 
 def _assemble_full(mesh, local):
     """Scatter per-element 3x3 blocks `local` (ne,3,3) into a CSR matrix."""
-    ne = mesh.n_elements
     rows = np.repeat(mesh.elements, 3, axis=1).ravel()
     cols = np.tile(mesh.elements, (1, 3)).ravel()
     A = sp.coo_matrix((local.ravel(), (rows, cols)),
@@ -192,28 +191,33 @@ def full_vector(mesh, u_interior):
     return u
 
 
+def interpolation_matrix(mesh, x, y):
+    """Sparse P: P @ u is the P1 function with interior coefficients u at
+    the points (x, y), 1-D arrays in the closed unit square.  Each point
+    takes the barycentric weights of its cell's lower (xi >= eta) or upper
+    triangle; on a nested finer mesh P embeds u exactly."""
+    n = 2 ** mesh.level
+    cx = np.clip(np.floor(x / mesh.h).astype(np.int64), 0, n - 1)
+    cy = np.clip(np.floor(y / mesh.h).astype(np.int64), 0, n - 1)
+    xi, eta = x / mesh.h - cx, y / mesh.h - cy
+    bl = cy * (n + 1) + cx
+    nodes = np.stack([bl, bl + 1, bl + n + 2, bl + n + 1], axis=1)
+    weights = np.stack([1.0 - np.maximum(xi, eta),
+                        np.maximum(xi - eta, 0.0),
+                        np.minimum(xi, eta),
+                        np.maximum(eta - xi, 0.0)], axis=1).ravel()
+    rows = np.repeat(np.arange(len(x)), 4)
+    cols = mesh.interior_index[nodes].ravel()
+    keep = (cols >= 0) & (weights != 0.0)
+    return sp.csr_matrix((weights[keep], (rows[keep], cols[keep])),
+                         shape=(len(x), mesh.n_interior))
+
+
 def eval_p1(mesh, u_interior, x, y):
     """Evaluate the P1 function with interior coefficients u at points (x, y)."""
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    n = 2 ** mesh.level
-    h = mesh.h
-    u = full_vector(mesh, u_interior)
-
-    cx = np.clip(np.floor(x / h).astype(np.int64), 0, n - 1)
-    cy = np.clip(np.floor(y / h).astype(np.int64), 0, n - 1)
-    xi = x / h - cx
-    eta = y / h - cy
-    bl = cy * (n + 1) + cx
-    a = u[bl]
-    bv = u[bl + 1]
-    cval = u[bl + n + 2]      # top-right
-    d = u[bl + n + 1]         # top-left
-    lower = xi >= eta         # below the bl->tr diagonal
-    vals = np.where(lower,
-                    a + (bv - a) * xi + (cval - bv) * eta,
-                    a + (cval - d) * xi + (d - a) * eta)
-    return vals
+    x, y = np.broadcast_arrays(x, y)
+    P = interpolation_matrix(mesh, x.ravel(), y.ravel())
+    return (P @ u_interior).reshape(x.shape)
 
 
 @dataclass(frozen=True)

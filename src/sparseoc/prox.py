@@ -7,7 +7,10 @@ problem reads min f(u) + g(z) subject to u = z, where
     f(u) = 1/2 ||K^{-1} M (u + yc) - yd||_M^2 + alpha/4 ||u||_M^2,
     g(z) = alpha/4 z' W z + beta ||W z||_1 + indicator([a, b]^n),
 
-W the lumped-mass weights.  g is separable, so every update used by the
+W the lumped-mass weights.  The reduced map has one kernel: solve_state
+(y = K^{-1} M (u + yc)) and solve_adjoint (p = K^{-1} M (yd - y)) make one
+K-solve each, f_from_state gives f from u and y with none, and
+grad f(u) = M (alpha/2 u - p).  g is separable, so every update used by the
 solvers (heterogeneous/classical ADMM z-steps, the Euclidean prox of the
 accelerated gradient method) has a closed form built from the soft
 thresholding operator and the box projection.
@@ -19,14 +22,13 @@ adjoint, stationarity) are functionals and carry the dual M^{-1} norm;
 iterate mismatches (u - z, the fixed-point gap) are functions and carry the
 M norm.  These are the discrete L2 norms, so the residuals, unlike raw
 Euclidean ones, do not shrink by mass-matrix factors h^2 under refinement
-and iteration counts stay comparable across grid levels.  The dual norms of
-one residual evaluation come from a single multi-column M-solve; that of
-the ADMM stationarity functional M(alpha/2 u - p + lam) is the M norm of
-alpha/2 u - p + lam and needs none.  The complexity functional R_h keeps
-plain Euclidean norms; the solvers build it from the adjoint p their
-iterate carries (grad f(u) = alpha/2 M u - M p when K p = M(yd - y) and
-K y = M(u + yc)) and from dist_subdifferential_g, so it costs no solve.
-All functions are pure.
+and iteration counts stay comparable across grid levels.  The state and
+adjoint dual norms of one residual evaluation come from a single 2-column
+M-solve; that of the ADMM stationarity functional M(alpha/2 u - p + lam) is
+the M norm of alpha/2 u - p + lam and needs none.  The complexity functional
+R_h keeps plain Euclidean norms; the solvers build it from the adjoint p
+their iterate carries and from dist_subdifferential_g, so it costs no
+solve.  All functions are pure.
 """
 
 import numpy as np
@@ -49,11 +51,25 @@ def project_box(v, a, b):
     return np.clip(v, a, b)
 
 
-def objective_f(problem, factorK, u):
-    """Tracking-plus-ridge part f(u) of the reduced objective."""
-    y = factorK.solve(problem.M @ (u + problem.yc))
+def solve_state(problem, factorK, u):
+    """The state y = K^{-1} M (u + yc) of the control u."""
+    return factorK.solve(problem.M @ (u + problem.yc))
+
+
+def solve_adjoint(problem, factorK, y):
+    """The adjoint p = K^{-1} M (yd - y) of the state y."""
+    return factorK.solve(problem.M @ (problem.yd - y))
+
+
+def f_from_state(problem, u, y):
+    """f(u) from u and its state y; no solve."""
     d = y - problem.yd
     return 0.5 * d @ (problem.M @ d) + 0.25 * problem.alpha * u @ (problem.M @ u)
+
+
+def objective_f(problem, factorK, u):
+    """Tracking-plus-ridge part f(u) of the reduced objective."""
+    return f_from_state(problem, u, solve_state(problem, factorK, u))
 
 
 def objective_g(problem, z):
@@ -65,10 +81,9 @@ def objective_g(problem, z):
 
 
 def grad_f(problem, factorK, u):
-    """Gradient alpha/2 M u + M K^{-1} M (K^{-1} M (u+yc) - yd)."""
-    y = factorK.solve(problem.M @ (u + problem.yc))
-    return (0.5 * problem.alpha * (problem.M @ u)
-            + problem.M @ factorK.solve(problem.M @ (y - problem.yd)))
+    """Gradient M (alpha/2 u - p), p the adjoint of the state of u."""
+    p = solve_adjoint(problem, factorK, solve_state(problem, factorK, u))
+    return problem.M @ (0.5 * problem.alpha * u - p)
 
 
 def z_update_ihadmm(u, Mlam, problem, sigma):
@@ -122,35 +137,31 @@ class KktResidual:
         return (self.eta1, self.eta2, self.eta3, self.eta4, self.eta5, self.eta)
 
 
-class _MassNorms:
-    """Discrete L2 norms: M for functions, M^{-1} for residual functionals."""
-
-    def __init__(self, problem, factorM=None):
-        self.M = problem.M
-        self._problem = problem
-        self._factorM = factorM
-
-    def fn(self, v, Mv=None):
-        Mv = self.M @ v if Mv is None else Mv
-        return float(np.sqrt(max(v @ Mv, 0.0)))
-
-    def dual(self, *rs):
-        """M^{-1} norms of the functionals rs, from one multi-column solve."""
-        if self._factorM is None:
-            self._factorM = self._problem.factorM
-        R = np.column_stack(rs)
-        sq = np.einsum("ij,ij->j", R, self._factorM.solve(R))
-        return [float(np.sqrt(max(v, 0.0))) for v in sq]
-
-
 def _state_adjoint(state, problem, factorK):
     """y, p of a state, recomputed from u when the solver did not carry them."""
-    y, p = state.y, state.p
-    if y is None:
-        y = factorK.solve(problem.M @ (state.u + problem.yc))
-    if p is None:
-        p = factorK.solve(problem.M @ (problem.yd - y))
+    y = solve_state(problem, factorK, state.u) if state.y is None else state.y
+    p = solve_adjoint(problem, factorK, y) if state.p is None else state.p
     return y, p
+
+
+def _m_norm(problem, v):
+    """||v||_M, the discrete L2 norm of the function v."""
+    return float(np.sqrt(max(v @ (problem.M @ v), 0.0)))
+
+
+def _residual_core(u, y, p, problem, factorM):
+    """1 + ||u||_M and the normalized dual norms of the state functional
+    K y - M(u + yc) and the adjoint functional M(y - yd) + K p, from one
+    2-column M-solve (factorM None: the problem's); M u is built once."""
+    Mu = problem.M @ u
+    R = np.column_stack([problem.K @ y - Mu - problem.Myc,
+                         problem.M @ (y - problem.yd) + problem.K @ p])
+    factorM = problem.factorM if factorM is None else factorM
+    sq = np.einsum("ij,ij->j", R, factorM.solve(R))
+    d_state, d_adjoint = (float(np.sqrt(max(v, 0.0))) for v in sq)
+    return (1.0 + float(np.sqrt(max(u @ Mu, 0.0))),
+            d_state / (1.0 + problem.yc_norm),
+            d_adjoint / (1.0 + problem.yd_norm))
 
 
 def multiplier_fixed_point(lam_weighted, problem):
@@ -163,21 +174,14 @@ def multiplier_fixed_point(lam_weighted, problem):
 def admm_residuals_weighted(u, z, lam, Mlam, y, p, problem, factorM=None):
     """eta_1..eta_5 given lambda and Mlam = M lambda (shared solver core).
 
-    The state and adjoint functionals share one 2-column M-solve for their
-    dual norms, and M u is built once.  The stationarity functional
-    alpha/2 M u - M p + M lam is M times alpha/2 u - p + lam, so its dual
-    norm is the M norm of that vector and needs no solve.
+    The stationarity functional alpha/2 M u - M p + M lam is M times
+    alpha/2 u - p + lam, so its dual norm is the M norm of that vector and
+    needs no solve.
     """
-    M, K = problem.M, problem.K
-    nrm = _MassNorms(problem, factorM)
-    Mu = M @ u
-    scale_u = 1.0 + nrm.fn(u, Mu)
-    d1, d3 = nrm.dual(K @ y - Mu - problem.Myc, M @ (y - problem.yd) + K @ p)
-    eta1 = d1 / (1.0 + problem.yc_norm)
-    eta2 = nrm.fn(u - z) / scale_u
-    eta3 = d3 / (1.0 + problem.yd_norm)
-    eta4 = nrm.fn(0.5 * problem.alpha * u - p + lam) / scale_u
-    eta5 = nrm.fn(z - multiplier_fixed_point(Mlam, problem)) / scale_u
+    scale_u, eta1, eta3 = _residual_core(u, y, p, problem, factorM)
+    eta2 = _m_norm(problem, u - z) / scale_u
+    eta4 = _m_norm(problem, 0.5 * problem.alpha * u - p + lam) / scale_u
+    eta5 = _m_norm(problem, z - multiplier_fixed_point(Mlam, problem)) / scale_u
     return KktResidual(eta1, eta2, eta3, eta4, eta5,
                        max(eta1, eta2, eta3, eta4, eta5))
 
@@ -200,15 +204,9 @@ def kkt_residual_pdas(state, problem, factorK=None, factorM=None):
     """
     u = state.u
     y, p = _state_adjoint(state, problem, factorK)
-    M, K = problem.M, problem.K
-    nrm = _MassNorms(problem, factorM)
-    Mu = M @ u
-    scale_u = 1.0 + nrm.fn(u, Mu)
-    d1, d2 = nrm.dual(K @ y - Mu - problem.Myc, M @ (y - problem.yd) + K @ p)
-    eta1 = d1 / (1.0 + problem.yc_norm)
-    eta2 = d2 / (1.0 + problem.yd_norm)
-    q = M @ (p - 0.5 * problem.alpha * u)
-    eta3 = nrm.fn(u - multiplier_fixed_point(q, problem)) / scale_u
+    scale_u, eta1, eta2 = _residual_core(u, y, p, problem, factorM)
+    q = problem.M @ (p - 0.5 * problem.alpha * u)
+    eta3 = _m_norm(problem, u - multiplier_fixed_point(q, problem)) / scale_u
     return KktResidual(eta1, eta2, eta3, 0.0, 0.0, max(eta1, eta2, eta3))
 
 

@@ -47,7 +47,8 @@ from .mesh import _fmt, check_real
 # wraps these module attributes by name
 from .prox import (z_update_ihadmm, z_update_classical, prox_g_euclidean,
                    grad_f, kkt_residual_pdas, admm_residuals_weighted,
-                   dist_subdifferential_g, _state_adjoint)
+                   dist_subdifferential_g, solve_state, solve_adjoint,
+                   f_from_state)
 
 _GOLDEN = 0.5 * (1.0 + np.sqrt(5.0))
 
@@ -137,14 +138,9 @@ class ConvergenceReport:
                 fh.write(f"{k + 1},{vals},{_fmt(rh)},{it}\n")
 
 
-def _zero_state(n):
-    z = np.zeros(n)
-    return IterateState(u=z.copy(), z=z.copy(), lam=z.copy())
-
-
 def _check_warm(warm, n):
-    if warm is None:
-        return _zero_state(n)
+    """Copy of the warm state; a missing u, z, lam is zero, u, zero."""
+    warm = IterateState(u=None) if warm is None else warm
     for name in ("u", "z", "lam"):
         v = getattr(warm, name)
         if v is not None and len(v) != n:
@@ -284,45 +280,38 @@ def solve_classical_admm(problem, config=None, warm=None, callback=None):
                              converged, state)
 
 
-def _f_and_state(problem, factorK, u):
-    """f(u), the state y and M (y - yd) in one K-solve."""
-    y = factorK.solve(problem.M @ (u + problem.yc))
-    d = y - problem.yd
-    Md = problem.M @ d
-    fval = 0.5 * d @ Md + 0.25 * problem.alpha * u @ (problem.M @ u)
-    return fval, y, Md
-
-
-def _f_and_grad(problem, factorK, u):
-    """f(u) and grad f(u) in two K-solves."""
-    fval, _, Md = _f_and_state(problem, factorK, u)
-    grad = 0.5 * problem.alpha * (problem.M @ u) + problem.M @ factorK.solve(Md)
-    return fval, grad
-
-
 def solve_apg(problem, config=None, warm=None, callback=None):
-    """FISTA with doubling backtracking on the curvature constant."""
+    """FISTA with doubling backtracking on the curvature constant.
+
+    The iterate carries its state y and adjoint p.  Both are affine in u, so
+    the extrapolated x = u_new + m (u_new - u) gets its own as the same
+    combination, and f(x), grad f(x) = M (alpha/2 x - p_x) cost no solve.
+    A run makes 2 K-solves at the start, then 2 + d per iteration with d
+    doublings: the state of each trial point and the accepted one's adjoint.
+    """
     config = (config or SolverConfig()).validate()
-    n = problem.n
+    alpha, M = problem.alpha, problem.M
     t0 = time.perf_counter()
     factorK, factorM = problem.factorK, problem.factorM
 
-    state = _check_warm(warm, n)
-    u = state.u
-    x = u.copy()
-    tk = 1.0
+    u = _check_warm(warm, problem.n).u
+    y = solve_state(problem, factorK, u)
+    p = solve_adjoint(problem, factorK, y)
+    x, y_x, p_x, tk = u, y, p, 1.0
     # cheap curvature seed; backtracking only ever increases it
-    L = 0.5 * problem.alpha * float(problem.M.diagonal().max())
+    L = 0.5 * alpha * float(M.diagonal().max())
     eta_hist, rh_hist, inner_hist = [], [], []
     converged = False
 
     for k in range(config.max_iter):
-        fx, gx = _f_and_grad(problem, factorK, x)
+        fx = f_from_state(problem, x, y_x)
+        gx = M @ (0.5 * alpha * x - p_x)
         doublings = 0
         while True:
             u_new = prox_g_euclidean(x - gx / L, L, problem)
             diff = u_new - x
-            fu, y_new, _ = _f_and_state(problem, factorK, u_new)
+            y_new = solve_state(problem, factorK, u_new)
+            fu = f_from_state(problem, u_new, y_new)
             upper = fx + gx @ diff + 0.5 * L * (diff @ diff)
             if fu <= upper + 1e-12 * max(1.0, abs(fx)):
                 break
@@ -333,22 +322,21 @@ def solve_apg(problem, config=None, warm=None, callback=None):
                     "apg", len(eta_hist), eta_hist, rh_hist, inner_hist,
                     time.perf_counter() - t0, False,
                     IterateState(u=u, z=u.copy(), lam=None))
+        p_new = solve_adjoint(problem, factorK, y_new)
 
         t_next = 0.5 * (1.0 + np.sqrt(1.0 + 4.0 * tk * tk))
-        momentum = (tk - 1.0) / t_next
-        x_next = u_new + momentum * (u_new - u)
+        m = (tk - 1.0) / t_next
         if gx @ (u_new - u) > 0.0:
-            t_next = 1.0            # adaptive restart when momentum misaligns
-            x_next = u_new.copy()
-        u, x, tk = u_new, x_next, t_next
+            t_next, m = 1.0, 0.0    # adaptive restart when momentum misaligns
+        x, y_x, p_x = (new + m * (new - old) for new, old in
+                       ((u_new, u), (y_new, y), (p_new, p)))
+        u, y, p, tk = u_new, y_new, p_new, t_next
 
-        p = factorK.solve(problem.M @ (problem.yd - y_new))
-        it_state = IterateState(u=u, z=u.copy(), y=y_new, p=p,
-                                lam=p - 0.5 * problem.alpha * u)
+        lam = p - 0.5 * alpha * u
+        it_state = IterateState(u=u, z=u.copy(), y=y, p=p, lam=lam)
         res = kkt_residual_pdas(it_state, problem, factorM=factorM)
         eta_hist.append(res)
-        Mlam = problem.M @ (p - 0.5 * problem.alpha * u)
-        rh_hist.append(_Rh_from(u, u, Mlam, p, problem))
+        rh_hist.append(_Rh_from(u, u, M @ lam, p, problem))
         inner_hist.append(InnerSolveStats(doublings, 0.0, 0, True))
         if callback is not None:
             callback(k, it_state)
@@ -453,7 +441,8 @@ def solve_pdas(problem, config=None, warm=None, callback=None):
         ia = np.flatnonzero(code <= _AT_0)
         jf = np.flatnonzero(code > _AT_0)
 
-        y, p = _state_adjoint(IterateState(u=u_new), problem, factorK)
+        y = solve_state(problem, factorK, u_new)
+        p = solve_adjoint(problem, factorK, y)
         if len(jf):
             # stationarity on the free dofs, alpha T u - M p = -mu_fix,
             # is H_ff u_f = rhs once y and p are eliminated
@@ -469,7 +458,8 @@ def solve_pdas(problem, config=None, warm=None, callback=None):
 
             u_f, iters, apps, cg_ok = _pcg(hessian, precond.solve, rhs, u[jf])
             u_new[jf] = u_f
-            y, p = _state_adjoint(IterateState(u=u_new), problem, factorK)
+            y = solve_state(problem, factorK, u_new)
+            p = solve_adjoint(problem, factorK, y)
         u = u_new
 
         stationarity = M @ p - alpha * (T @ u)

@@ -20,30 +20,6 @@ from sparseoc.experiments import (_QUAD_BARY, _QUAD_W, compute_eoc,
                                   l2_control_error)
 
 
-def nested_interpolation(mesh, fine_mesh):
-    """Sparse P with P @ u = the coarse P1 function u at the fine interior
-    nodes.  The meshes are nested and their diagonals point the same way, so
-    P @ u is the same function on the fine mesh (the embedding is exact)."""
-    n = 2 ** mesh.level
-    xy = fem.interior_coordinates(fine_mesh)
-    cx = np.clip(np.floor(xy[:, 0] / mesh.h).astype(np.int64), 0, n - 1)
-    cy = np.clip(np.floor(xy[:, 1] / mesh.h).astype(np.int64), 0, n - 1)
-    xi = xy[:, 0] / mesh.h - cx
-    eta = xy[:, 1] / mesh.h - cy
-    bl = cy * (n + 1) + cx
-    # barycentric weights in the cell's lower (xi >= eta) or upper triangle
-    nodes = np.stack([bl, bl + 1, bl + n + 2, bl + n + 1], axis=1)
-    weights = np.stack([1.0 - np.maximum(xi, eta),
-                        np.maximum(xi - eta, 0.0),
-                        np.minimum(xi, eta),
-                        np.maximum(eta - xi, 0.0)], axis=1)
-    rows = np.repeat(np.arange(fine_mesh.n_interior), 4)
-    cols = mesh.interior_index[nodes].ravel()
-    keep = (cols >= 0) & (weights.ravel() != 0.0)
-    return sp.csr_matrix((weights.ravel()[keep], (rows[keep], cols[keep])),
-                         shape=(fine_mesh.n_interior, mesh.n_interior))
-
-
 def best_p1_error(mesh, reference, ref_mesh=None):
     """E_best: L2 error of the L2 projection of the reference onto the
     interior P1 space of mesh, measured like `l2_control_error`.
@@ -55,17 +31,16 @@ def best_p1_error(mesh, reference, ref_mesh=None):
     E2 is measured, so E_best <= E2 for every discrete control.
     """
     if callable(reference):
-        p = mesh.nodes[mesh.elements]
-        pts = np.einsum("qj,ejd->eqd", _QUAD_BARY, p)
+        pts, area = fem._quadrature_points(mesh, _QUAD_BARY)
         vals = reference(pts[..., 0], pts[..., 1])
-        _, _, area = fem._element_geometry(mesh)
-        contrib = np.einsum("e,q,eq,qi->ei", area, _QUAD_W, vals, _QUAD_BARY)
+        contrib = area[:, None] * ((vals * _QUAD_W) @ _QUAD_BARY)
         load = np.zeros(mesh.n_nodes)
         np.add.at(load, mesh.elements.ravel(), contrib.ravel())
         gram = fem.assemble_mass(mesh)
         rhs = load[mesh.interior_mask]
     else:
-        P = nested_interpolation(mesh, ref_mesh)
+        xy = fem.interior_coordinates(ref_mesh)
+        P = fem.interpolation_matrix(mesh, xy[:, 0], xy[:, 1])
         MfP = fem.assemble_mass(ref_mesh) @ P
         gram = P.T @ MfP
         rhs = MfP.T @ np.asarray(reference)

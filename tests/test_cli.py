@@ -72,10 +72,19 @@ def test_solve_bool_or_nan_setting_exit_code(tmp_path, capsys, field, value):
     assert main(["solve", "--config", str(cfg),
                  "--out", str(tmp_path / "o")]) == 2
     err = capsys.readouterr().err.splitlines()
-    # a phase tolerance is validated as the tol of its phase
-    name = "tol" if field.startswith("phase") else field
-    assert err == [f"error: {name} must be a finite number"]
+    assert err == [f"error: {field} must be a finite number"]
     assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("field", ["phase1_tol", "phase2_tol"])
+@pytest.mark.parametrize("value", [0.0, -1.0], ids=["zero", "negative"])
+def test_phase_tol_message_names_its_field(tmp_path, capsys, field, value):
+    cfg = _write_config(tmp_path / "cfg.json", solver="two_phase",
+                        **{field: value})
+    assert main(["solve", "--config", str(cfg),
+                 "--out", str(tmp_path / "o")]) == 2
+    assert capsys.readouterr().err.splitlines() == [
+        f"error: {field} must be positive"]
 
 
 @pytest.mark.parametrize("command,bad", [

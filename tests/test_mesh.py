@@ -221,6 +221,41 @@ def test_eval_p1_roundtrip(meshes):
     assert fem.eval_p1(m, u, np.array([0.0, 1.0]), np.array([0.3, 0.7])).max() == 0.0
 
 
+def _barycentric_brute_force(mesh, u_interior, x, y):
+    """The P1 function at each point, from the barycentric coordinates of
+    the first element (in mesh order) that contains it."""
+    u = fem.full_vector(mesh, u_interior)
+    vals = np.full(len(x), np.nan)
+    for i, pt in enumerate(np.column_stack([x, y])):
+        for elem in mesh.elements:
+            v0, v1, v2 = mesh.nodes[elem]
+            l1, l2 = np.linalg.solve(np.column_stack([v1 - v0, v2 - v0]),
+                                     pt - v0)
+            lam = np.array([1.0 - l1 - l2, l1, l2])
+            if lam.min() >= -1e-12:
+                vals[i] = lam @ u[elem]
+                break
+    return vals
+
+
+@pytest.mark.parametrize("points", ["random", "nested_nodes"])
+def test_interpolation_matrix_matches_brute_force(meshes, points):
+    m = meshes(2)
+    rng = np.random.default_rng(11)
+    u = rng.standard_normal(m.n_interior)
+    if points == "random":
+        # include the square's corners and edges
+        xy = np.vstack([rng.random((60, 2)), [[0.0, 0.0], [1.0, 1.0],
+                                              [1.0, 0.3], [0.6, 0.0]]])
+    else:
+        xy = meshes(4).nodes      # every node of a nested finer mesh
+    P = fem.interpolation_matrix(m, xy[:, 0], xy[:, 1])
+    want = _barycentric_brute_force(m, u, xy[:, 0], xy[:, 1])
+    assert P.shape == (len(xy), m.n_interior)
+    assert np.all(np.isfinite(want))
+    np.testing.assert_allclose(P @ u, want, rtol=0, atol=1e-14)
+
+
 def test_assembly_deterministic(meshes):
     m1, m2 = fem.build_mesh(3), fem.build_mesh(3)
     K1, K2 = fem.assemble_stiffness(m1), fem.assemble_stiffness(m2)

@@ -10,7 +10,8 @@ from sparseoc.prox import (soft, project_box, grad_f, objective_f, objective_g,
                            z_update_ihadmm, z_update_classical,
                            prox_g_euclidean, kkt_residual_admm,
                            kkt_residual_pdas, dist_subdifferential_g,
-                           multiplier_fixed_point)
+                           multiplier_fixed_point, solve_state, solve_adjoint,
+                           f_from_state)
 from sparseoc.solvers import IterateState, _Rh_from
 
 from conftest import random_tiny_problem
@@ -52,6 +53,27 @@ def test_project_box():
         <= np.linalg.norm(v - w) * (1 + 1e-12)
     with pytest.raises(ValueError):
         project_box(v, 1.0, -1.0)
+
+
+@pytest.mark.parametrize("example", ["constructed", "stadler"])
+def test_reduced_map_kernel_matches_dense_solves(ex1, ex2, example):
+    prob = ex1(3)[1] if example == "constructed" else ex2(3)[1]
+    factorK = factorize(prob.K)
+    M, K = prob.M.toarray(), prob.K.toarray()
+    u = np.random.default_rng(4).standard_normal(prob.n)
+    y_dense = np.linalg.solve(K, M @ (u + prob.yc))
+    p_dense = np.linalg.solve(K, M @ (prob.yd - y_dense))
+    d = y_dense - prob.yd
+    f_dense = 0.5 * d @ M @ d + 0.25 * prob.alpha * u @ M @ u
+    y = solve_state(prob, factorK, u)
+    p = solve_adjoint(prob, factorK, y)
+    assert np.linalg.norm(y - y_dense) <= 1e-12 * np.linalg.norm(y_dense)
+    assert np.linalg.norm(p - p_dense) <= 1e-12 * np.linalg.norm(p_dense)
+    assert abs(f_from_state(prob, u, y) - f_dense) <= 1e-12 * abs(f_dense)
+    assert abs(objective_f(prob, factorK, u) - f_dense) <= 1e-12 * abs(f_dense)
+    g_dense = M @ (0.5 * prob.alpha * u - p_dense)
+    assert np.linalg.norm(grad_f(prob, factorK, u) - g_dense) \
+        <= 1e-12 * np.linalg.norm(g_dense)
 
 
 def test_grad_f_zero_at_constructed_point(ex1):

@@ -626,15 +626,54 @@ def test_classical_admm_callback_adds_no_M_solve(ex1, monkeypatch,
 
 
 def test_apg_one_K_solve_per_backtracking_trial(ex1, monkeypatch):
-    # f and grad f at x (2), f and y at each trial point (1 per trial,
-    # doublings + 1 trials) and the adjoint p of the accepted step (1)
+    # y and p of the start (2), then per iteration the state of each trial
+    # point (doublings + 1) and the adjoint of the accepted one (1); f and
+    # grad f at the extrapolated point come from the carried y and p
     _, prob, _ = ex1(3)
     counts, prob = _count_lu_ops(monkeypatch, prob)
     rep = so.solve_apg(prob, SolverConfig(tol=1e-6))
     assert rep.converged
     assert any(s.iterations > 0 for s in rep.inner_stats)
     assert counts["factor.K"] == 1
-    assert counts["solve.K"] == sum(4 + s.iterations for s in rep.inner_stats)
+    assert counts["solve.K"] == 2 + sum(2 + s.iterations
+                                        for s in rep.inner_stats)
+
+
+@pytest.mark.parametrize("example", ["constructed", "stadler"])
+def test_apg_carried_state_and_gradient_match_solves(ex1, ex2, monkeypatch,
+                                                     example):
+    # APG extrapolates y and p with u; at every extrapolated point x they
+    # must be the state and adjoint that solves give.  An iteration calls
+    # f_from_state at x, then the prox at x - grad f(x) / L; a trial's
+    # f_from_state comes after a prox.
+    prob = ex1(3)[1] if example == "constructed" else ex2(3)[1]
+    calls = []
+    f_orig, prox_orig = solvers.f_from_state, solvers.prox_g_euclidean
+
+    def f_spy(problem, u, y):
+        calls.append(("f", u.copy(), y.copy()))
+        return f_orig(problem, u, y)
+
+    def prox_spy(v, L, problem):
+        calls.append(("prox", v.copy(), L))
+        return prox_orig(v, L, problem)
+
+    monkeypatch.setattr(solvers, "f_from_state", f_spy)
+    monkeypatch.setattr(solvers, "prox_g_euclidean", prox_spy)
+    rep = so.solve_apg(prob, SolverConfig(tol=1e-6, max_iter=3000))
+    assert rep.converged
+    factorK = factorize(prob.K)
+    starts = [k for k, c in enumerate(calls)
+              if c[0] == "f" and (k == 0 or calls[k - 1][0] == "f")]
+    assert len(starts) == rep.iterations
+    for k in starts:
+        _, x, y_x = calls[k]
+        _, v, L = calls[k + 1]
+        y = so.prox.solve_state(prob, factorK, x)
+        assert np.linalg.norm(y_x - y) <= 1e-12 * np.linalg.norm(y)
+        g = so.prox.grad_f(prob, factorK, x)
+        assert np.linalg.norm(L * (x - v) - g) \
+            <= 1e-9 * max(np.linalg.norm(g), L * np.linalg.norm(x))
 
 
 @pytest.mark.parametrize("name", ["classical_admm", "pdas"])
