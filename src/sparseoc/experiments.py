@@ -137,13 +137,6 @@ _QUAD_W = np.array([0.225,
                     0.125939180544827, 0.125939180544827, 0.125939180544827])
 
 
-def integrate_elementwise(mesh, func):
-    """Integral of func(x1, x2) over the mesh, degree-5 rule per element."""
-    pts, area = fem._quadrature_points(mesh, _QUAD_BARY)
-    vals = func(pts[..., 0], pts[..., 1])
-    return float(area @ (vals @ _QUAD_W))
-
-
 def l2_control_error(u_h, reference, mesh, ref_mesh=None):
     """L2 distance between the P1 function u_h and a reference control.
 

@@ -7,9 +7,9 @@ two right triangles.  Nodes are ordered row by row (x2-major), all diagonals
 point the same way, so every build is reproducible bit for bit.
 
 Homogeneous Dirichlet conditions are imposed by eliminating boundary nodes:
-the assembled operators K (stiffness, for -Laplace + c0*I), M (consistent
-mass) and W (lumped mass, W_i = integral of the hat function phi_i) act on
-the (2^k - 1)^2 interior degrees of freedom only.
+the assembled operators K (stiffness of -Laplace), M (consistent mass) and
+W (lumped mass, W_i = integral of the hat function phi_i) act on the
+(2^k - 1)^2 interior degrees of freedom only.
 
 Element loops are vectorized over all triangles; the scatter into COO triplets
 is private per element, so the assembly is safe to run concurrently per
@@ -103,18 +103,13 @@ def _assemble_full(mesh, local):
     return A
 
 
-def assemble_stiffness(mesh, c0=0.0):
-    """Stiffness matrix of -Laplace + c0*I on interior dofs (SPD)."""
-    if c0 < 0:
-        raise ValueError("reaction coefficient c0 must be >= 0")
+def assemble_stiffness(mesh):
+    """Stiffness matrix of -Laplace on interior dofs (SPD)."""
     b, c, area = _element_geometry(mesh)
     inv4A = 1.0 / (4.0 * area)
     local = (b[:, :, None] * b[:, None, :] + c[:, :, None] * c[:, None, :])
     local *= inv4A[:, None, None]
-    K = _assemble_full(mesh, local)
-    if c0 != 0.0:
-        K = K + c0 * assemble_mass(mesh, interior_only=False)
-    K = _restrict(K, mesh).tocsr()
+    K = _restrict(_assemble_full(mesh, local), mesh).tocsr()
     K.eliminate_zeros()
     K.sort_indices()
     return K
@@ -154,8 +149,9 @@ _MIDPOINT_BARY = np.array([[0.5, 0.5, 0.0], [0.0, 0.5, 0.5], [0.5, 0.0, 0.5]])
 _MIDPOINT_WEIGHTS = np.full(3, 1.0 / 3.0)
 
 
-def load_vector(mesh, f, interior_only=True):
-    """Assemble (f, phi_i) by the 3-point edge-midpoint rule."""
+def load_vector(mesh, f):
+    """Assemble (f, phi_i) on interior dofs by the 3-point edge-midpoint
+    rule."""
     pts, area = _quadrature_points(mesh, _MIDPOINT_BARY)    # (ne, 3, 2)
     fvals = f(pts[..., 0], pts[..., 1])                     # (ne, 3)
     # phi_i at quadrature point q equals the barycentric weight
@@ -163,9 +159,7 @@ def load_vector(mesh, f, interior_only=True):
     contrib *= area[:, None]
     load = np.zeros(mesh.n_nodes)
     np.add.at(load, mesh.elements.ravel(), contrib.ravel())
-    if interior_only:
-        load = load[mesh.interior_mask]
-    return load
+    return load[mesh.interior_mask]
 
 
 def project_field(mesh, f, factorM=None):
@@ -211,13 +205,6 @@ def interpolation_matrix(mesh, x, y):
     keep = (cols >= 0) & (weights != 0.0)
     return sp.csr_matrix((weights[keep], (rows[keep], cols[keep])),
                          shape=(len(x), mesh.n_interior))
-
-
-def eval_p1(mesh, u_interior, x, y):
-    """Evaluate the P1 function with interior coefficients u at points (x, y)."""
-    x, y = np.broadcast_arrays(x, y)
-    P = interpolation_matrix(mesh, x.ravel(), y.ravel())
-    return (P @ u_interior).reshape(x.shape)
 
 
 @dataclass(frozen=True)
@@ -302,14 +289,14 @@ def check_params(alpha, beta, a, b):
         raise ValueError("control bounds must satisfy a < 0 < b")
 
 
-def discretize(mesh, yd_field, yc_field, alpha, beta, a, b, c0=0.0):
+def discretize(mesh, yd_field, yc_field, alpha, beta, a, b):
     """Assemble the DiscreteProblem for given data fields and parameters.
 
     M is factored once: the L2 projections of the data solve with that
     factorization, and the problem's factorM is the same object.
     """
     M = assemble_mass(mesh)
-    K = assemble_stiffness(mesh, c0)
+    K = assemble_stiffness(mesh)
     W = assemble_lumped_mass(mesh)
     factorM = linalg.factorize(M)
     yd = project_field(mesh, yd_field, factorM)

@@ -7,7 +7,8 @@ Four solvers share the termination residuals of prox.py:
                         (reduced 2x2 saddle solve), W-weighted penalty in the
                         z-step (closed form), inexact inner solves driven by
                         a summable tolerance sequence eps_k, each GMRES
-                        started from the previous (y, u).
+                        started from the best combination of the last
+                        solution updates (linalg._SolutionWindow).
 * solve_classical_admm -- Euclidean-penalty ADMM; its 3x3 block system has no
                         cheap elimination and is factored once per run.
 * solve_apg          -- accelerated proximal gradient (FISTA) with doubling
@@ -187,11 +188,12 @@ def solve_ihadmm(problem, config=None, warm=None, callback=None):
         rhs_bottom = -problem.Myc
         if inexact:
             eps_k = config.eps0 / (k + 1.0) ** config.eps_decay
-            # GMRES starts from the previous (y, u), the first step from 0
-            x0 = None if k == 0 else np.concatenate([y, u])
+            # GMRES starts from the minimal-residual combination of the
+            # previous solutions (linalg._SolutionWindow), the first from 0
             y, u_new, stats = saddle.solve(rhs_top, rhs_bottom,
                                            backend="pmhss_gmres",
-                                           tol=min(eps_k / denom, cap), x0=x0)
+                                           tol=min(eps_k / denom, cap),
+                                           recycle=True)
         else:
             y, u_new, stats = saddle.solve(rhs_top, rhs_bottom)
         # first block row: K p = M(yd - y) with p = gamma u - sigma z + lam

@@ -5,11 +5,12 @@ import sparseoc as so
 from sparseoc import mesh as fem
 from sparseoc.experiments import (example1_fields, build_example1,
                                   build_example2, l2_control_error,
-                                  compute_eoc, integrate_elementwise,
-                                  ExperimentSpec, run_table,
+                                  compute_eoc, ExperimentSpec, run_table,
                                   reproduction_sigma, _QUAD_BARY, _QUAD_W,
                                   EXAMPLE1_PARAMS)
 from sparseoc.solvers import SolverConfig
+
+from p1_helpers import eval_p1, integrate_elementwise
 
 
 def test_quadrature_rule_degree5():
@@ -98,7 +99,7 @@ def test_l2_error_constant_difference(meshes):
     rng = np.random.default_rng(4)
     u = rng.standard_normal(m.n_interior)
     d = 0.37
-    err = l2_control_error(u, lambda x, y: fem.eval_p1(m, u, x, y) + d, m)
+    err = l2_control_error(u, lambda x, y: eval_p1(m, u, x, y) + d, m)
     assert abs(err - abs(d)) < 1e-12
 
 
@@ -108,7 +109,7 @@ def test_l2_error_nested_injection_exact(meshes):
     rng = np.random.default_rng(5)
     u = rng.standard_normal(m.n_interior)
     xy = fem.interior_coordinates(mref)
-    u_on_ref = fem.eval_p1(m, u, xy[:, 0], xy[:, 1])
+    u_on_ref = eval_p1(m, u, xy[:, 0], xy[:, 1])
     assert l2_control_error(u, u_on_ref, m, ref_mesh=mref) < 1e-13
 
 

@@ -8,7 +8,7 @@ from scipy.sparse.linalg import splu
 from sparseoc import mesh as fem, solvers
 from sparseoc.linalg import (factorize, FactorizationError, pmhss_apply,
                              gmres, SaddleSolver, estimate_mkinv_norm,
-                             _DIRECT_RTOL)
+                             _DIRECT_RTOL, _SolutionWindow)
 from sparseoc.solvers import SolverConfig, solve_two_phase
 from sparseoc.experiments import reproduction_sigma
 
@@ -160,7 +160,7 @@ def test_pmhss_rejects_bad_gamma(meshes):
 
 def test_gmres_identity():
     rhs = np.arange(1.0, 6.0)
-    x, stats = gmres(lambda v: v, None, rhs, 1e-12)
+    x, stats, _ = gmres(lambda v: v, None, rhs, 1e-12)
     assert stats.iterations == 1
     assert stats.converged
     assert np.allclose(x, rhs)
@@ -170,13 +170,13 @@ def test_gmres_dense_oracle():
     rng = np.random.default_rng(2)
     A = rng.standard_normal((10, 10)) + 10 * np.eye(10)
     rhs = rng.standard_normal(10)
-    x, stats = gmres(lambda v: A @ v, None, rhs, 1e-12)
+    x, stats, _ = gmres(lambda v: A @ v, None, rhs, 1e-12)
     assert stats.converged
     assert np.abs(x - np.linalg.solve(A, rhs)).max() < 1e-9
 
 
 def test_gmres_zero_rhs():
-    x, stats = gmres(lambda v: 2 * v, None, np.zeros(4), 1e-10)
+    x, stats, _ = gmres(lambda v: 2 * v, None, np.zeros(4), 1e-10)
     assert stats.iterations == 0 and stats.converged
     assert np.array_equal(x, np.zeros(4))
 
@@ -186,7 +186,7 @@ def test_gmres_residual_monotone(meshes):
     K = fem.assemble_stiffness(meshes(3))
     rng = np.random.default_rng(8)
     rhs = rng.standard_normal(K.shape[0])
-    x, stats = gmres(lambda v: K @ v, None, rhs, 1e-10,
+    x, stats, _ = gmres(lambda v: K @ v, None, rhs, 1e-10,
                      max_iter=200, restart=200)
     assert stats.converged
     hist = stats.residual_history
@@ -201,32 +201,32 @@ def test_gmres_from_x0():
     A = rng.standard_normal((10, 10)) + 10 * np.eye(10)
     rhs = rng.standard_normal(10)
     x_star = np.linalg.solve(A, rhs)
-    x, stats = gmres(lambda v: A @ v, None, rhs, 1e-12, x0=x_star)
+    x, stats, _ = gmres(lambda v: A @ v, None, rhs, 1e-12, x0=x_star)
     assert stats.iterations == 0 and stats.converged
     assert np.array_equal(x, x_star)
     x0 = rng.standard_normal(10)
-    x, stats = gmres(lambda v: A @ v, None, rhs, 1e-12, x0=x0.copy())
+    x, stats, _ = gmres(lambda v: A @ v, None, rhs, 1e-12, x0=x0.copy())
     assert stats.iterations > 0 and stats.converged
     assert np.linalg.norm(rhs - A @ x) <= 1e-12 * np.linalg.norm(rhs)
     assert np.abs(x - x_star).max() < 1e-9
 
 
-def test_saddle_pmhss_from_x0_meets_the_dense_block_target(meshes):
+def test_saddle_pmhss_recycled_start_meets_the_dense_block_target(meshes):
+    # a zero start; the same rhs again, whose start (the last solution)
+    # meets the target at once; a new rhs from a nonzero window start
     M = fem.assemble_mass(meshes(3))
     K = fem.assemble_stiffness(meshes(3))
     gamma, n = 0.3, M.shape[0]
     A = np.block([[M.toarray() / gamma, K.toarray()],
                   [-K.toarray(), M.toarray()]])
     rng = np.random.default_rng(16)
-    rhs = rng.standard_normal(2 * n)
-    x_dense = np.linalg.solve(A, rhs)
+    rhs, other = rng.standard_normal(2 * n), rng.standard_normal(2 * n)
     solver = SaddleSolver(M, K, gamma)
     tol = 1e-8 * np.linalg.norm(rhs)
-    for x0, zero_iterations in ((x_dense, True),
-                                (rng.standard_normal(2 * n), False)):
-        y, u, stats = solver.solve(rhs[:n], rhs[n:], backend="pmhss_gmres",
-                                   tol=tol, x0=x0)
-        r = rhs - A @ np.concatenate([y, u])
+    for b, zero_iterations in ((rhs, False), (rhs, True), (other, False)):
+        y, u, stats = solver.solve(b[:n], b[n:], backend="pmhss_gmres",
+                                   tol=tol, recycle=True)
+        r = b - A @ np.concatenate([y, u])
         assert stats.converged and (stats.iterations == 0) == zero_iterations
         assert np.linalg.norm(r[:n]) + np.linalg.norm(r[n:]) <= tol
 
@@ -235,9 +235,108 @@ def test_gmres_nonconvergence_flag():
     rng = np.random.default_rng(6)
     A = rng.standard_normal((40, 40)) + 0.5 * np.eye(40)   # indefinite-ish
     rhs = rng.standard_normal(40)
-    x, stats = gmres(lambda v: A @ v, None, rhs, 1e-14, max_iter=3, restart=3)
+    x, stats, _ = gmres(lambda v: A @ v, None, rhs, 1e-14, max_iter=3, restart=3)
     assert not stats.converged
     assert stats.iterations == 3
+
+
+def test_gmres_returns_the_true_residual():
+    # zero and nonzero starts, one cycle and several, converged or capped
+    rng = np.random.default_rng(17)
+    A = rng.standard_normal((30, 30)) + 6 * np.eye(30)
+    rhs = rng.standard_normal(30)
+    for x0, max_iter, restart in ((None, 500, 50), (rng.standard_normal(30),
+                                                    500, 4), (None, 7, 3)):
+        x, stats, r = gmres(lambda v: A @ v, None, rhs, 1e-12,
+                            max_iter=max_iter, restart=restart, x0=x0)
+        assert np.linalg.norm(r - (rhs - A @ x)) <= 1e-14 * np.linalg.norm(rhs)
+        assert stats.final_relative_residual \
+            == np.linalg.norm(r) / np.linalg.norm(rhs)
+
+
+def test_gmres_cycle_applies_pmhss_once_per_iteration(meshes):
+    # x = x0 + Z y from the kept directions z_j = P^-1 v_j: no application
+    # at the end of a cycle, however many cycles run
+    M = fem.assemble_mass(meshes(4))
+    K = fem.assemble_stiffness(meshes(4))
+    solver = SaddleSolver(M, K, 0.3)
+    G_solve = solver._G_solver()
+    calls = []
+
+    def P(v):
+        calls.append(1)
+        return pmhss_apply(0.3, G_solve, v)
+
+    rhs = np.random.default_rng(18).standard_normal(2 * M.shape[0])
+    for restart, cycles in ((50, 1), (3, 4)):
+        calls.clear()
+        x, stats, r = gmres(solver._apply, P, rhs, 1e-10, restart=restart)
+        assert stats.converged and stats.iterations > (cycles - 1) * restart
+        assert len(calls) == stats.iterations \
+            == stats.preconditioner_applications
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(n=st.integers(3, 12), size=st.integers(1, 5), solves=st.integers(0, 9),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_solution_window_start_is_the_stacked_lstsq(n, size, solves, seed):
+    # inexact solves of drifting right-hand sides; the start must be the
+    # minimal-residual combination over the last `size` updates, as a
+    # brute-force lstsq on the explicitly stacked window gives it
+    rng = np.random.default_rng(seed)
+    A = rng.standard_normal((n, n)) + 2 * n * np.eye(n)
+    window = _SolutionWindow(size)
+    b = rng.standard_normal(n)
+    xs = []
+    for _ in range(solves):
+        x = np.linalg.solve(A, b) + 1e-3 * rng.standard_normal(n)
+        window.record(x, b, b - A @ x)
+        xs.append(x)
+        b = b + 0.1 * rng.standard_normal(n)
+    x0 = window.start(b)
+    if not xs:
+        assert x0 is None
+        return
+    D = np.diff(np.array(xs), axis=0).T[:, -size:]
+    if D.shape[1] == 0:
+        assert np.array_equal(x0, xs[-1])
+        return
+    h = np.linalg.lstsq(A @ D, b - A @ xs[-1], rcond=None)[0]
+    brute = xs[-1] + D @ h
+    res, res_brute = (np.linalg.norm(b - A @ v) for v in (x0, brute))
+    scale = np.linalg.norm(b) + np.linalg.norm(A) * np.linalg.norm(xs[-1])
+    assert abs(res - res_brute) <= 1e-12 * scale
+    assert res <= np.linalg.norm(b - A @ xs[-1]) + 1e-12 * scale
+
+
+def test_recycled_saddle_start_beats_the_previous_solution(meshes):
+    # a sequence of slowly changing right-hand sides, as in ihADMM: each
+    # recycled start has a residual no larger than that of the previous
+    # solution, and every solve still meets its block target
+    M = fem.assemble_mass(meshes(4))
+    K = fem.assemble_stiffness(meshes(4))
+    gamma, n = 0.3, M.shape[0]
+    A = sp.bmat([[M / gamma, K], [-K, M]]).tocsr()
+    rng = np.random.default_rng(19)
+    base, drift = rng.standard_normal(2 * n), rng.standard_normal(2 * n)
+    solver = SaddleSolver(M, K, gamma)
+    x_prev, shrank = None, 0
+    for k in range(12):
+        rhs = base + drift / (k + 1) + 1e-3 * rng.standard_normal(2 * n)
+        x0 = solver._window.start(rhs)
+        if x_prev is not None:
+            res0 = np.linalg.norm(rhs - A @ x0)
+            res_prev = np.linalg.norm(rhs - A @ x_prev)
+            assert res0 <= res_prev * (1.0 + 1e-10)
+            shrank += res0 < 0.5 * res_prev
+        tol = 1e-8 * np.linalg.norm(rhs)
+        y, u, stats = solver.solve(rhs[:n], rhs[n:], backend="pmhss_gmres",
+                                   tol=tol, recycle=True)
+        x_prev = np.concatenate([y, u])
+        r = rhs - A @ x_prev
+        assert stats.converged
+        assert np.linalg.norm(r[:n]) + np.linalg.norm(r[n:]) <= tol
+    assert shrank > 0
 
 
 def test_gmres_saddle_with_pmhss_vs_direct(meshes):

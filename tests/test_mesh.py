@@ -6,6 +6,8 @@ import scipy.sparse as sp
 from sparseoc import linalg, mesh as fem
 from sparseoc.experiments import build_example1, build_example2, example2_yd
 
+from p1_helpers import eval_p1, integrate_elementwise
+
 
 def test_mesh_counts_level1():
     m = fem.build_mesh(1)
@@ -67,16 +69,6 @@ def test_stiffness_symmetric(meshes):
     assert abs(K - K.T).max() == 0.0
 
 
-def test_stiffness_reaction_term(meshes):
-    m = meshes(3)
-    K0 = fem.assemble_stiffness(m, c0=0.0)
-    K1 = fem.assemble_stiffness(m, c0=2.5)
-    M = fem.assemble_mass(m)
-    assert abs((K1 - K0) - 2.5 * M).max() < 1e-14
-    with pytest.raises(ValueError):
-        fem.assemble_stiffness(m, c0=-1.0)
-
-
 def test_mass_entries(meshes):
     m = meshes(4)
     M = fem.assemble_mass(m)
@@ -127,14 +119,13 @@ def test_norm_equivalence(meshes):
 
 def test_l1_lumped_bound(meshes):
     # sum W_i |z_i| dominates the integral of |z_h|
-    from sparseoc.experiments import integrate_elementwise
     rng = np.random.default_rng(7)
     m = meshes(4)
     W = fem.assemble_lumped_mass(m)
     for _ in range(20):
         z = rng.standard_normal(m.n_interior)
         integral = integrate_elementwise(
-            m, lambda x, y: np.abs(fem.eval_p1(m, z, x, y)))
+            m, lambda x, y: np.abs(eval_p1(m, z, x, y)))
         assert integral <= np.sum(W * np.abs(z)) * (1 + 1e-9)
 
 
@@ -162,7 +153,7 @@ def test_project_zero_and_basis(meshes):
     j = m.n_interior // 2
     coeff = np.zeros(m.n_interior)
     coeff[j] = 1.0
-    v = fem.project_field(m, lambda x, y: fem.eval_p1(m, coeff, x, y))
+    v = fem.project_field(m, lambda x, y: eval_p1(m, coeff, x, y))
     assert np.abs(v - coeff).max() < 1e-12
 
 
@@ -216,9 +207,9 @@ def test_eval_p1_roundtrip(meshes):
     rng = np.random.default_rng(0)
     u = rng.standard_normal(m.n_interior)
     xy = fem.interior_coordinates(m)
-    assert np.allclose(fem.eval_p1(m, u, xy[:, 0], xy[:, 1]), u)
+    assert np.allclose(eval_p1(m, u, xy[:, 0], xy[:, 1]), u)
     # boundary evaluates to zero
-    assert fem.eval_p1(m, u, np.array([0.0, 1.0]), np.array([0.3, 0.7])).max() == 0.0
+    assert eval_p1(m, u, np.array([0.0, 1.0]), np.array([0.3, 0.7])).max() == 0.0
 
 
 def _barycentric_brute_force(mesh, u_interior, x, y):
