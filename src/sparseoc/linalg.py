@@ -231,8 +231,7 @@ class _SolutionWindow:
     window takes 2 * _WINDOW vectors of b's length.
     """
 
-    def __init__(self, size=_WINDOW):
-        self.size = size
+    def __init__(self):
         self.count = 0          # updates recorded so far
         self.D = self.C = None
         self.x = self.Ax = None
@@ -242,7 +241,7 @@ class _SolutionWindow:
         solution before the second, the minimal-residual one after."""
         if self.count == 0:
             return self.x
-        k = min(self.count, self.size)
+        k = min(self.count, _WINDOW)
         C = self.C[:k]
         s = 1.0 / np.linalg.norm(C, axis=1)
         G = (C @ C.T) * np.outer(s, s)
@@ -255,9 +254,9 @@ class _SolutionWindow:
         Ax = b - r
         if self.x is not None and np.any(x != self.x):
             if self.D is None:
-                self.D = np.empty((self.size, len(x)))
-                self.C = np.empty((self.size, len(x)))
-            row = self.count % self.size
+                self.D = np.empty((_WINDOW, len(x)))
+                self.C = np.empty((_WINDOW, len(x)))
+            row = self.count % _WINDOW
             self.D[row] = x - self.x
             self.C[row] = Ax - self.Ax
             self.count += 1
@@ -273,9 +272,8 @@ class SaddleSolver:
 
     Holds A = M - i sqrt(gamma) K.  The direct backend factors A once; the
     pmhss_gmres backend factors G = M + sqrt(gamma) K once and runs
-    right-preconditioned GMRES, optionally from the window of its earlier
-    recycled solves.  Both report the achieved ||r1|| + ||r2|| relative to
-    ||rhs|| in the stats.
+    right-preconditioned GMRES from the window of its earlier solves.  Both
+    report the achieved ||r1|| + ||r2|| relative to ||rhs|| in the stats.
     """
 
     def __init__(self, M, K, gamma):
@@ -300,17 +298,15 @@ class SaddleSolver:
         w = self._A @ (x[:self.n] / self._s + 1j * x[self.n:])
         return np.concatenate([w.real / self._s, w.imag])
 
-    def solve(self, rhs_top, rhs_bottom, backend="direct", tol=1e-10,
-              recycle=False):
+    def solve(self, rhs_top, rhs_bottom, backend="direct", tol=1e-10):
         """Solve for (y, u); returns (y, u, InnerSolveStats).
 
         tol is the absolute target on ||r1|| + ||r2||.  A direct solve also
         counts as converged at the round-off floor _DIRECT_RTOL * ||rhs||,
         the accuracy an LU solve can promise whatever tol asks for.
-        pmhss_gmres starts from zero, or with recycle=True from the
-        solver's _SolutionWindow, which the solve then joins: meant for
-        one sequence of solves whose right-hand sides change slowly.  The
-        direct backend ignores recycle.
+        pmhss_gmres starts from the solver's _SolutionWindow, which the
+        solve then joins, so one solver serves one sequence of solves whose
+        right-hand sides change slowly; its first solve starts from zero.
         """
         norm_b = np.hypot(np.linalg.norm(rhs_top), np.linalg.norm(rhs_bottom))
         stats_iters, papps = 0, 0
@@ -331,12 +327,11 @@ class SaddleSolver:
             else:
                 G_solve = self._G_solver()
                 P = lambda v: pmhss_apply(self.gamma, G_solve, v)
-                x0 = self._window.start(rhs) if recycle else None
+                x0 = self._window.start(rhs)
                 # ||r1|| + ||r2|| <= sqrt(2) ||r||_2, so aim for tol/sqrt(2)
                 rel = tol / (np.sqrt(2.0) * norm_b)
                 x, st, r = gmres(self._apply, P, rhs, rel, x0=x0)
-                if recycle:
-                    self._window.record(x, rhs, r)
+                self._window.record(x, rhs, r)
                 stats_iters, papps = st.iterations, st.preconditioner_applications
             y, u = x[:self.n], x[self.n:]
             achieved = np.linalg.norm(r[:self.n]) + np.linalg.norm(r[self.n:])

@@ -192,8 +192,7 @@ def solve_ihadmm(problem, config=None, warm=None, callback=None):
             # previous solutions (linalg._SolutionWindow), the first from 0
             y, u_new, stats = saddle.solve(rhs_top, rhs_bottom,
                                            backend="pmhss_gmres",
-                                           tol=min(eps_k / denom, cap),
-                                           recycle=True)
+                                           tol=min(eps_k / denom, cap))
         else:
             y, u_new, stats = saddle.solve(rhs_top, rhs_bottom)
         # first block row: K p = M(yd - y) with p = gamma u - sigma z + lam

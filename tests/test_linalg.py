@@ -8,7 +8,7 @@ from scipy.sparse.linalg import splu
 from sparseoc import mesh as fem, solvers
 from sparseoc.linalg import (factorize, FactorizationError, pmhss_apply,
                              gmres, SaddleSolver, estimate_mkinv_norm,
-                             _DIRECT_RTOL, _SolutionWindow)
+                             _DIRECT_RTOL, _SolutionWindow, _WINDOW)
 from sparseoc.solvers import SolverConfig, solve_two_phase
 from sparseoc.experiments import reproduction_sigma
 
@@ -225,7 +225,7 @@ def test_saddle_pmhss_recycled_start_meets_the_dense_block_target(meshes):
     tol = 1e-8 * np.linalg.norm(rhs)
     for b, zero_iterations in ((rhs, False), (rhs, True), (other, False)):
         y, u, stats = solver.solve(b[:n], b[n:], backend="pmhss_gmres",
-                                   tol=tol, recycle=True)
+                                   tol=tol)
         r = b - A @ np.concatenate([y, u])
         assert stats.converged and (stats.iterations == 0) == zero_iterations
         assert np.linalg.norm(r[:n]) + np.linalg.norm(r[n:]) <= tol
@@ -277,15 +277,16 @@ def test_gmres_cycle_applies_pmhss_once_per_iteration(meshes):
 
 
 @settings(max_examples=60, deadline=None, derandomize=True, database=None)
-@given(n=st.integers(3, 12), size=st.integers(1, 5), solves=st.integers(0, 9),
+@given(n=st.integers(3, 12), solves=st.integers(0, _WINDOW + 4),
        seed=st.integers(0, 2 ** 32 - 1))
-def test_solution_window_start_is_the_stacked_lstsq(n, size, solves, seed):
+def test_solution_window_start_is_the_stacked_lstsq(n, solves, seed):
     # inexact solves of drifting right-hand sides; the start must be the
-    # minimal-residual combination over the last `size` updates, as a
-    # brute-force lstsq on the explicitly stacked window gives it
+    # minimal-residual combination over the last _WINDOW updates, as a
+    # brute-force lstsq on the explicitly stacked window gives it; past
+    # _WINDOW + 1 solves each new update overwrites the oldest row
     rng = np.random.default_rng(seed)
     A = rng.standard_normal((n, n)) + 2 * n * np.eye(n)
-    window = _SolutionWindow(size)
+    window = _SolutionWindow()
     b = rng.standard_normal(n)
     xs = []
     for _ in range(solves):
@@ -297,7 +298,7 @@ def test_solution_window_start_is_the_stacked_lstsq(n, size, solves, seed):
     if not xs:
         assert x0 is None
         return
-    D = np.diff(np.array(xs), axis=0).T[:, -size:]
+    D = np.diff(np.array(xs), axis=0).T[:, -_WINDOW:]
     if D.shape[1] == 0:
         assert np.array_equal(x0, xs[-1])
         return
@@ -331,7 +332,7 @@ def test_recycled_saddle_start_beats_the_previous_solution(meshes):
             shrank += res0 < 0.5 * res_prev
         tol = 1e-8 * np.linalg.norm(rhs)
         y, u, stats = solver.solve(rhs[:n], rhs[n:], backend="pmhss_gmres",
-                                   tol=tol, recycle=True)
+                                   tol=tol)
         x_prev = np.concatenate([y, u])
         r = rhs - A @ x_prev
         assert stats.converged
