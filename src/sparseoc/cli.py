@@ -314,7 +314,7 @@ def main(argv=None):
             return cmd_table(args.config, Path(args.out), jobs=args.jobs)
         if args.command == "export-matrices":
             return cmd_export_matrices(args.level, Path(args.out))
-    except ConfigError as exc:
+    except (ConfigError, OSError) as exc:   # bad config or unusable --out
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except RuntimeError as exc:     # a solver gave up, e.g. a reference solve

@@ -273,7 +273,8 @@ class SaddleSolver:
     Holds A = M - i sqrt(gamma) K.  The direct backend factors A once; the
     pmhss_gmres backend factors G = M + sqrt(gamma) K once and runs
     right-preconditioned GMRES from the window of its earlier solves.  Both
-    report the achieved ||r1|| + ||r2|| relative to ||rhs|| in the stats.
+    report the achieved ||r1|| + ||r2|| relative to ||rhs|| in the stats
+    and leave the block residual (r1, r2) of the last solve in self.residual.
     """
 
     def __init__(self, M, K, gamma):
@@ -286,6 +287,7 @@ class SaddleSolver:
         self._direct = None
         self._G_fact = None
         self._window = _SolutionWindow()
+        self.residual = None
 
     def _G_solver(self):
         if self._G_fact is None:
@@ -319,7 +321,7 @@ class SaddleSolver:
             tol = max(tol, _DIRECT_RTOL * norm_b)
             # b - A z = s r1 + i r2 in terms of the block residuals (r1, r2)
             r = b - self._A @ z
-            achieved = np.linalg.norm(r.real) / self._s + np.linalg.norm(r.imag)
+            self.residual = (r.real / self._s, r.imag)
         elif backend == "pmhss_gmres":
             rhs = np.concatenate([rhs_top, rhs_bottom])
             if norm_b == 0.0:
@@ -334,10 +336,11 @@ class SaddleSolver:
                 self._window.record(x, rhs, r)
                 stats_iters, papps = st.iterations, st.preconditioner_applications
             y, u = x[:self.n], x[self.n:]
-            achieved = np.linalg.norm(r[:self.n]) + np.linalg.norm(r[self.n:])
+            self.residual = (r[:self.n], r[self.n:])
         else:
             raise ValueError(f"unknown saddle backend {backend!r}")
 
+        achieved = sum(np.linalg.norm(v) for v in self.residual)
         rel_res = achieved / norm_b if norm_b > 0 else 0.0
         return y, u, InnerSolveStats(stats_iters, rel_res, papps,
                                      achieved <= max(tol, 1e-30) or norm_b == 0.0)

@@ -25,10 +25,13 @@ Euclidean ones, do not shrink by mass-matrix factors h^2 under refinement
 and iteration counts stay comparable across grid levels.  The state and
 adjoint dual norms of one residual evaluation come from a single 2-column
 M-solve; that of the ADMM stationarity functional M(alpha/2 u - p + lam) is
-the M norm of alpha/2 u - p + lam and needs none.  The complexity functional
-R_h keeps plain Euclidean norms; the solvers build it from the adjoint p
-their iterate carries and from dist_subdifferential_g, so it costs no
-solve.  All functions are pure.
+the M norm of alpha/2 u - p + lam and needs none.  The ihADMM takes the
+state and adjoint functionals from its u-step's block residual (r1, r2),
+K y - M(u + yc) = r2 and M(y - yd) + K p = -gamma r1, so a direct iteration
+makes 6 real sparse products and 1 complex one.  R_h keeps plain Euclidean
+norms; the solvers build it from the adjoint p their iterate carries, the
+eta_4 product and dist_subdifferential_g, so it costs no solve.  All
+functions are pure.
 """
 
 import numpy as np
@@ -137,11 +140,17 @@ class KktResidual:
         return (self.eta1, self.eta2, self.eta3, self.eta4, self.eta5, self.eta)
 
 
-def _state_adjoint(state, problem, factorK):
-    """y, p of a state, recomputed from u when the solver did not carry them."""
+def state_adjoint_functionals(u, y, p, problem):
+    """K y - M(u + yc) and M(y - yd) + K p as the columns of one array."""
+    return np.column_stack([problem.K @ y - problem.M @ u - problem.Myc,
+                            problem.M @ (y - problem.yd) + problem.K @ p])
+
+
+def _adjoint_functionals(state, problem, factorK):
+    """p and the functionals of a state; y, p from u if it lacks them."""
     y = solve_state(problem, factorK, state.u) if state.y is None else state.y
     p = solve_adjoint(problem, factorK, y) if state.p is None else state.p
-    return y, p
+    return p, state_adjoint_functionals(state.u, y, p, problem)
 
 
 def _m_norm(problem, v):
@@ -149,17 +158,14 @@ def _m_norm(problem, v):
     return float(np.sqrt(max(v @ (problem.M @ v), 0.0)))
 
 
-def _residual_core(u, y, p, problem, factorM):
-    """1 + ||u||_M and the normalized dual norms of the state functional
-    K y - M(u + yc) and the adjoint functional M(y - yd) + K p, from one
-    2-column M-solve (factorM None: the problem's); M u is built once."""
-    Mu = problem.M @ u
-    R = np.column_stack([problem.K @ y - Mu - problem.Myc,
-                         problem.M @ (y - problem.yd) + problem.K @ p])
+def _residual_core(u, F, problem, factorM):
+    """1 + ||u||_M and the normalized dual norms of the state and adjoint
+    functionals, the columns of F, from one 2-column M-solve (factorM None:
+    the problem's)."""
     factorM = problem.factorM if factorM is None else factorM
-    sq = np.einsum("ij,ij->j", R, factorM.solve(R))
+    sq = np.einsum("ij,ij->j", F, factorM.solve(F))
     d_state, d_adjoint = (float(np.sqrt(max(v, 0.0))) for v in sq)
-    return (1.0 + float(np.sqrt(max(u @ Mu, 0.0))),
+    return (1.0 + _m_norm(problem, u),
             d_state / (1.0 + problem.yc_norm),
             d_adjoint / (1.0 + problem.yd_norm))
 
@@ -171,27 +177,29 @@ def multiplier_fixed_point(lam_weighted, problem):
                        problem.a, problem.b)
 
 
-def admm_residuals_weighted(u, z, lam, Mlam, y, p, problem, factorM=None):
-    """eta_1..eta_5 given lambda and Mlam = M lambda (shared solver core).
+def admm_residuals_weighted(u, z, lam, Mlam, p, F, problem, factorM=None):
+    """eta_1..eta_5 and M w from Mlam = M lambda and the state and adjoint
+    functionals F (shared solver core).
 
-    The stationarity functional alpha/2 M u - M p + M lam is M times
-    alpha/2 u - p + lam, so its dual norm is the M norm of that vector and
-    needs no solve.
+    The stationarity functional M w, w = alpha/2 u - p + lam, has the M
+    norm of w as its dual norm, which needs no solve.
     """
-    scale_u, eta1, eta3 = _residual_core(u, y, p, problem, factorM)
+    scale_u, eta1, eta3 = _residual_core(u, F, problem, factorM)
     eta2 = _m_norm(problem, u - z) / scale_u
-    eta4 = _m_norm(problem, 0.5 * problem.alpha * u - p + lam) / scale_u
+    w = 0.5 * problem.alpha * u - p + lam
+    Mw = problem.M @ w
+    eta4 = float(np.sqrt(max(w @ Mw, 0.0))) / scale_u
     eta5 = _m_norm(problem, z - multiplier_fixed_point(Mlam, problem)) / scale_u
     return KktResidual(eta1, eta2, eta3, eta4, eta5,
-                       max(eta1, eta2, eta3, eta4, eta5))
+                       max(eta1, eta2, eta3, eta4, eta5)), Mw
 
 
 def kkt_residual_admm(state, problem, factorK=None, factorM=None):
     """Residuals eta_1..eta_5 of the split (u, z) optimality system."""
-    y, p = _state_adjoint(state, problem, factorK)
+    p, F = _adjoint_functionals(state, problem, factorK)
     return admm_residuals_weighted(state.u, state.z, state.lam,
-                                   problem.M @ state.lam, y, p, problem,
-                                   factorM)
+                                   problem.M @ state.lam, p, F, problem,
+                                   factorM)[0]
 
 
 def kkt_residual_pdas(state, problem, factorK=None, factorM=None):
@@ -203,8 +211,8 @@ def kkt_residual_pdas(state, problem, factorK=None, factorM=None):
     exactly at KKT points of the lumped problem.
     """
     u = state.u
-    y, p = _state_adjoint(state, problem, factorK)
-    scale_u, eta1, eta2 = _residual_core(u, y, p, problem, factorM)
+    p, F = _adjoint_functionals(state, problem, factorK)
+    scale_u, eta1, eta2 = _residual_core(u, F, problem, factorM)
     q = problem.M @ (p - 0.5 * problem.alpha * u)
     eta3 = _m_norm(problem, u - multiplier_fixed_point(q, problem)) / scale_u
     return KktResidual(eta1, eta2, eta3, 0.0, 0.0, max(eta1, eta2, eta3))

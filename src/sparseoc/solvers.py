@@ -8,7 +8,8 @@ Four solvers share the termination residuals of prox.py:
                         z-step (closed form), inexact inner solves driven by
                         a summable tolerance sequence eps_k, each GMRES
                         started from the best combination of the last
-                        solution updates (linalg._SolutionWindow).
+                        solution updates (linalg._SolutionWindow); eta_1
+                        and eta_3 reuse the u-step's block residual.
 * solve_classical_admm -- Euclidean-penalty ADMM; its 3x3 block system has no
                         cheap elimination and is factored once per run.
 * solve_apg          -- accelerated proximal gradient (FISTA) with doubling
@@ -49,7 +50,7 @@ from .mesh import _fmt, check_real
 from .prox import (z_update_ihadmm, z_update_classical, prox_g_euclidean,
                    grad_f, kkt_residual_pdas, admm_residuals_weighted,
                    dist_subdifferential_g, solve_state, solve_adjoint,
-                   f_from_state)
+                   f_from_state, state_adjoint_functionals)
 
 _GOLDEN = 0.5 * (1.0 + np.sqrt(5.0))
 
@@ -165,7 +166,6 @@ def solve_ihadmm(problem, config=None, warm=None, callback=None):
     n = problem.n
 
     t0 = time.perf_counter()
-    factorM = problem.factorM
     saddle = SaddleSolver(M, K, gamma)
     inexact = config.inner_backend == "pmhss_gmres"
     if inexact:
@@ -195,17 +195,19 @@ def solve_ihadmm(problem, config=None, warm=None, callback=None):
                                            tol=min(eps_k / denom, cap))
         else:
             y, u_new, stats = saddle.solve(rhs_top, rhs_bottom)
-        # first block row: K p = M(yd - y) with p = gamma u - sigma z + lam
+        # K p = M(yd - y) with p = gamma u - sigma z + lam; the block residual
+        # gives K y - M(u + yc) = r2 and M(y - yd) + K p = -gamma r1
         p = gamma * u_new - sigma * z + lam
+        F = np.column_stack([saddle.residual[1], -gamma * saddle.residual[0]])
         z = z_update_ihadmm(u_new, Mlam, problem, sigma)
         lam = lam + tau * sigma * (u_new - z)
         Mlam = M @ lam
         u = u_new
 
         state = IterateState(u=u, z=z, lam=lam, y=y, p=p)
-        res = admm_residuals_weighted(u, z, lam, Mlam, y, p, problem, factorM)
+        res, Mw = admm_residuals_weighted(u, z, lam, Mlam, p, F, problem)
         eta_hist.append(res)
-        rh_hist.append(_Rh_from(u, z, Mlam, p, problem))
+        rh_hist.append(_Rh_from(u, z, Mlam, p, problem, r1=Mw))
         inner_hist.append(stats)
         if callback is not None:
             callback(k, state)
@@ -220,15 +222,16 @@ def solve_ihadmm(problem, config=None, warm=None, callback=None):
                              converged, state)
 
 
-def _Rh_from(u, z, Mlam, p, problem):
+def _Rh_from(u, z, Mlam, p, problem, r1=None):
     """R_h = ||M lam + grad f(u)||^2 + dist^2(0, -M lam + dg(z)) + ||u - z||^2.
 
     Takes M*lambda directly (avoids M-solves in the classical ADMM) and the
     adjoint p of the iterate: with K y = M(u + yc) and K p = M(yd - y),
     grad f(u) = alpha/2 M u - M p, so the first term is the eta_4
-    functional and R_h costs no solve.
+    functional and R_h costs no solve; a caller that has it passes it as r1.
     """
-    r1 = problem.M @ (0.5 * problem.alpha * u - p) + Mlam
+    if r1 is None:
+        r1 = problem.M @ (0.5 * problem.alpha * u - p) + Mlam
     d = dist_subdifferential_g(z, Mlam, problem)
     r3 = u - z
     return float(r1 @ r1 + d @ d + r3 @ r3)
@@ -264,8 +267,9 @@ def solve_classical_admm(problem, config=None, warm=None, callback=None):
         # one M-solve serves eta4, the callback and the final state
         lam = factorM.solve(lam_c)
 
-        res = admm_residuals_weighted(u, z, lam, lam_c, y, p, problem,
-                                      factorM)
+        res = admm_residuals_weighted(
+            u, z, lam, lam_c, p, state_adjoint_functionals(u, y, p, problem),
+            problem, factorM)[0]
         eta_hist.append(res)
         rh_hist.append(_Rh_from(u, z, lam_c, p, problem))
         inner_hist.append(InnerSolveStats(0, 0.0, 0, True))

@@ -4,6 +4,7 @@ import pytest
 from sparseoc import mesh as fem
 from sparseoc.experiments import build_example1, build_example2
 from sparseoc.mesh import DiscreteProblem
+from sparseoc.solvers import SolverConfig, solve_classical_admm
 
 
 @pytest.fixture(scope="session")
@@ -26,6 +27,25 @@ def ex2():
     def get(level):
         if level not in cache:
             cache[level] = build_example2(level)
+        return cache[level]
+
+    return get
+
+
+@pytest.fixture(scope="session")
+def classical_admm(ex1):
+    """Cached classical-ADMM report per level of the constructed problem.
+
+    Solved with the default sigma and tau to tol 1e-6 within
+    max_iter=8000; max_iter does not change the iterates, so a test that
+    asks for a smaller cap checks rep.iterations against it.
+    """
+    cache = {}
+
+    def get(level):
+        if level not in cache:
+            cache[level] = solve_classical_admm(
+                ex1(level)[1], SolverConfig(tol=1e-6, max_iter=8000))
         return cache[level]
 
     return get

@@ -109,14 +109,12 @@ def test_criterion_2_ihadmm_mesh_independence(ex1):
     assert _report(2, ok, f"iterations={counts} (published 27-32)", t0)
 
 
-def test_criterion_3_classical_admm_mesh_dependence(ex1):
+def test_criterion_3_classical_admm_mesh_dependence(classical_admm):
     """Classical ADMM counts strictly increase across levels 4 -> 5 -> 6."""
     t0 = time.perf_counter()
     counts = []
     for level in (4, 5, 6):
-        _, prob, _ = ex1(level)
-        rep = so.solve_classical_admm(prob, SolverConfig(tol=1e-6,
-                                                         max_iter=8000))
+        rep = classical_admm(level)
         assert rep.converged, f"classical ADMM stalled at level {level}"
         counts.append(rep.iterations)
     ok = counts[0] < counts[1] < counts[2]

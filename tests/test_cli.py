@@ -108,6 +108,22 @@ def test_bad_level_exit_code(tmp_path, capsys, command, bad):
     assert not (tmp_path / "o").exists()
 
 
+@pytest.mark.parametrize("command", ["solve", "table", "export-matrices"])
+def test_out_naming_a_file_exit_code(tmp_path, capsys, command):
+    # the output directory cannot be made where a plain file stands
+    out = tmp_path / "afile"
+    out.write_text("keep")
+    if command == "export-matrices":
+        args = ["--level", "2"]
+    else:
+        cfg = _write_config(tmp_path / "cfg.json", levels=[2, 3])
+        args = ["--config", str(cfg)]
+    assert main([command, *args, "--out", str(out)]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ")
+    assert out.read_text() == "keep"
+
+
 def test_solve_success(tmp_path):
     cfg = _write_config(tmp_path / "cfg.json")
     out = tmp_path / "out"

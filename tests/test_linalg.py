@@ -12,6 +12,8 @@ from sparseoc.linalg import (factorize, FactorizationError, pmhss_apply,
 from sparseoc.solvers import SolverConfig, solve_two_phase
 from sparseoc.experiments import reproduction_sigma
 
+from conftest import random_tiny_problem
+
 
 def test_factorize_diagonal():
     A = sp.diags([2.0]).tocsr()
@@ -229,6 +231,41 @@ def test_saddle_pmhss_recycled_start_meets_the_dense_block_target(meshes):
         r = b - A @ np.concatenate([y, u])
         assert stats.converged and (stats.iterations == 0) == zero_iterations
         assert np.linalg.norm(r[:n]) + np.linalg.norm(r[n:]) <= tol
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(seed=st.integers(0, 2**32 - 1),
+       backend=st.sampled_from(["direct", "pmhss_gmres"]))
+def test_saddle_residual_gives_state_and_adjoint_functionals(seed, backend):
+    # an ihADMM u-step: the residual the solver keeps is the block residual
+    # of (y, u), and so the state and adjoint functionals of the iterate;
+    # a loose Krylov target leaves it far above round-off
+    rng = np.random.default_rng(seed)
+    prob = random_tiny_problem(rng)
+    M, K, n = prob.M, prob.K, prob.n
+    sigma = float(rng.uniform(1e-3, 1.0))
+    gamma = 0.5 * prob.alpha + sigma
+    z, lam = rng.standard_normal((2, n))
+    rhs_top = (K @ (sigma * z - lam) + M @ prob.yd) / gamma
+    rhs_bottom = -(M @ prob.yc)
+    norm_b = np.hypot(np.linalg.norm(rhs_top), np.linalg.norm(rhs_bottom))
+    solver = SaddleSolver(M, K, gamma)
+    y, u, _ = solver.solve(rhs_top, rhs_bottom, backend=backend,
+                           tol=1e-3 * norm_b)
+    r1, r2 = solver.residual
+    p = gamma * u - sigma * z + lam
+    aM, aK = abs(M), abs(K)
+    # round-off scale: every term of the residuals in absolute value
+    terms = (aK @ (sigma * abs(z) + abs(lam)), aM @ abs(prob.yd),
+             aM @ abs(y), gamma * (aK @ abs(u)), aK @ abs(y), aM @ abs(u),
+             aM @ abs(prob.yc))
+    scale = sum(np.linalg.norm(t) for t in terms)
+    for got, want in (
+            (gamma * r1, gamma * (rhs_top - M @ y / gamma - K @ u)),
+            (r2, rhs_bottom + K @ y - M @ u),
+            (r2, K @ y - M @ (u + prob.yc)),
+            (-gamma * r1, M @ (y - prob.yd) + K @ p)):
+        assert np.linalg.norm(got - want) <= 1e-13 * scale
 
 
 def test_gmres_nonconvergence_flag():

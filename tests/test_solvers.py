@@ -8,7 +8,8 @@ import sparseoc as so
 from sparseoc import linalg, solvers
 from sparseoc.linalg import factorize
 from sparseoc.oracle import brute_force_solve
-from sparseoc.prox import dist_subdifferential_g, multiplier_fixed_point
+from sparseoc.prox import (dist_subdifferential_g, kkt_residual_admm,
+                           multiplier_fixed_point)
 from sparseoc.solvers import SolverConfig, IterateState, _classify
 from sparseoc.experiments import build_example1, reproduction_sigma
 
@@ -143,15 +144,14 @@ def test_ihadmm_partial_report_on_max_iter(ex1):
     assert len(rep.eta_history) == 3 == len(rep.Rh_history)
 
 
-def test_classical_iteration_growth(ex1):
+def test_classical_iteration_growth(classical_admm):
     # the fixed Euclidean penalty is h^-2 times stronger, relative to f,
     # than the M-weighted one: each refinement multiplies the count by ~4
     # (101/374/1418 at levels 3/4/5)
     counts = []
     for level in (3, 4, 5):
-        _, prob, _ = ex1(level)
-        rep = so.solve_classical_admm(prob, SolverConfig(tol=1e-6,
-                                                         max_iter=2000))
+        rep = classical_admm(level)
+        assert rep.iterations <= 2000       # converged within max_iter=2000
         assert rep.converged
         counts.append(rep.iterations)
     for coarse, fine in zip(counts, counts[1:]):
@@ -162,9 +162,9 @@ def test_classical_iteration_growth(ex1):
                           "reproduce the published per-level counts; the "
                           "mesh-dependent growth trend is asserted instead "
                           "(see decisions ledger)", strict=False)
-def test_classical_level5_paper_count(ex1):
-    _, prob, _ = ex1(5)
-    rep = so.solve_classical_admm(prob, SolverConfig(tol=1e-6, max_iter=2000))
+def test_classical_level5_paper_count(classical_admm):
+    rep = classical_admm(5)
+    assert rep.iterations <= 2000           # converged within max_iter=2000
     assert rep.converged
     assert 41 <= rep.iterations <= 75          # published 58 +- 30%
 
@@ -563,17 +563,26 @@ def test_callback_sees_every_iteration(ex1):
 
 
 def _count_lu_ops(monkeypatch, prob):
-    """Count factorizations, LU solves and solved columns per operator.
+    """Count factorizations, LU solves and solved columns per operator,
+    and sparse matrix products by the matrix's dtype (real or complex).
 
     The operator is K, M or other.  Wraps factorize (solvers holds its own
-    binding) and Factorization.solve the way perfbench's tracer does.
-    Returns the counter and a fresh copy of the problem, whose cached M and
-    K factorizations are not yet made.
+    binding) and Factorization.solve the way perfbench's tracer does, and
+    the @ operator of the problem's sparse matrix class.  Returns the
+    counter and a fresh copy of the problem, whose cached M and K
+    factorizations are not yet made.
     """
     prob = dataclasses.replace(prob)
     counts = collections.Counter()
     op_of = weakref.WeakKeyDictionary()
     factorize_orig, solve_orig = linalg.factorize, linalg.Factorization.solve
+    sparse_class = type(prob.M)
+    matmul_orig = sparse_class.__matmul__
+
+    def counted_matmul(A, x):
+        kind = "complex" if A.dtype.kind == "c" else "real"
+        counts["product." + kind] += 1
+        return matmul_orig(A, x)
 
     def counted_factorize(A):
         op = "K" if A is prob.K else "M" if A is prob.M else "other"
@@ -591,6 +600,7 @@ def _count_lu_ops(monkeypatch, prob):
     for owner in (linalg, solvers):
         monkeypatch.setattr(owner, "factorize", counted_factorize)
     monkeypatch.setattr(linalg.Factorization, "solve", counted_solve)
+    monkeypatch.setattr(sparse_class, "__matmul__", counted_matmul)
     return counts, prob
 
 
@@ -609,6 +619,44 @@ def test_direct_ihadmm_two_lu_solves_per_iteration(ex1, monkeypatch):
     assert sum(v for k, v in counts.items() if k.startswith("solve.")) \
         == 2 * rep.iterations
     assert counts["factor.K"] == 0 and counts["solve.K"] == 0
+
+
+def test_direct_ihadmm_sparse_products_per_iteration(ex1, monkeypatch):
+    # the u-step's right-hand side (K), its residual (the complex A), M lam,
+    # and in the residuals M u, M (u - z), M w for eta4 and R_h, and the
+    # eta5 gap; eta1 and eta3 come from the u-step's block residual
+    _, prob, _ = ex1(3)
+    counts, prob = _count_lu_ops(monkeypatch, prob)
+    seen = []
+    rep = so.solve_ihadmm(prob, SolverConfig(
+        tol=1e-6, sigma=reproduction_sigma(prob.alpha)),
+        callback=lambda k, s: seen.append(
+            (counts["product.real"], counts["product.complex"])))
+    assert rep.converged and rep.iterations > 10
+    # between two callbacks lies one whole iteration
+    steps = {(r1 - r0, c1 - c0) for (r0, c0), (r1, c1) in zip(seen, seen[1:])}
+    assert steps == {(6, 1)}
+
+
+@pytest.mark.parametrize("backend", ["direct", "pmhss_gmres"])
+def test_ihadmm_etas_match_kkt_residual_admm(ex1, backend):
+    # the solver takes eta1 and eta3 from the u-step's block residual;
+    # kkt_residual_admm rebuilds them from (u, y, p) with K, and shares
+    # the code of the other three
+    _, prob, _ = ex1(4)
+    seen = []
+    rep = so.solve_ihadmm(prob, SolverConfig(
+        tol=1e-6, sigma=reproduction_sigma(prob.alpha),
+        inner_backend=backend), callback=lambda k, s: seen.append(s))
+    assert rep.converged and len(seen) == rep.iterations
+    for res, state in zip(rep.eta_history, seen):
+        ref = kkt_residual_admm(state, prob)
+        assert (res.eta2, res.eta4, res.eta5) == (ref.eta2, ref.eta4, ref.eta5)
+        for got, want in ((res.eta1, ref.eta1), (res.eta3, ref.eta3)):
+            if backend == "direct":
+                assert abs(got - want) <= 1e-12
+            else:
+                assert abs(got - want) <= 1e-4 * want
 
 
 @pytest.mark.parametrize("with_callback", [False, True])
