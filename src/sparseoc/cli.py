@@ -25,7 +25,7 @@ from dataclasses import dataclass, asdict, fields
 
 from . import mesh as fem
 from .experiments import (ExperimentSpec, build_example, example_params,
-                          run_table)
+                          export_solution_csv, run_table)
 from .mesh import _fmt
 from .solvers import SolverConfig, SOLVERS, solve_two_phase
 
@@ -164,9 +164,7 @@ def cmd_solve(config_path, out_dir):
         report = SOLVERS[cfg.solver](problem, config)
 
     report.write_log(out_dir / "convergence.csv")
-    if report.final_state.u is not None:
-        from .experiments import export_solution_csv
-        export_solution_csv(out_dir / "solution.csv", m, report.final_state.u)
+    export_solution_csv(out_dir / "solution.csv", m, report.final_state.u)
     last = report.eta_history[-1] if report.eta_history else None
     doc = {
         "example": cfg.example,

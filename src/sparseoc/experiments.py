@@ -280,8 +280,7 @@ def run_table(spec, jobs=1):
         for name, config in spec.solver_matrix:
             cell, report = _run_cell(name, config, problem)
             cells.append(cell)
-            if u_first is None and report is not None \
-                    and report.final_state.u is not None:
+            if u_first is None and report is not None:
                 u_first = report.final_state.u
         e2 = np.nan
         if u_first is not None:

@@ -28,10 +28,11 @@ M-solve; that of the ADMM stationarity functional M(alpha/2 u - p + lam) is
 the M norm of alpha/2 u - p + lam and needs none.  The ihADMM takes the
 state and adjoint functionals from its u-step's block residual (r1, r2),
 K y - M(u + yc) = r2 and M(y - yd) + K p = -gamma r1, so a direct iteration
-makes 6 real sparse products and 1 complex one.  R_h keeps plain Euclidean
-norms; the solvers build it from the adjoint p their iterate carries, the
-eta_4 product and dist_subdifferential_g, so it costs no solve.  All
-functions are pure.
+makes 6 real sparse products and 1 complex one; the other solvers reuse the
+M u of their state functional for ||u||_M.  R_h keeps plain Euclidean norms;
+the solvers build it from the adjoint p their iterate carries, the eta_4
+product and dist_subdifferential_g, so it costs no solve.  All functions
+are pure.
 """
 
 import numpy as np
@@ -141,16 +142,18 @@ class KktResidual:
 
 
 def state_adjoint_functionals(u, y, p, problem):
-    """K y - M(u + yc) and M(y - yd) + K p as the columns of one array."""
-    return np.column_stack([problem.K @ y - problem.M @ u - problem.Myc,
-                            problem.M @ (y - problem.yd) + problem.K @ p])
+    """K y - M(u + yc) and M(y - yd) + K p as the columns of one array,
+    and M u."""
+    Mu = problem.M @ u
+    return np.column_stack([problem.K @ y - Mu - problem.Myc,
+                            problem.M @ (y - problem.yd) + problem.K @ p]), Mu
 
 
 def _adjoint_functionals(state, problem, factorK):
-    """p and the functionals of a state; y, p from u if it lacks them."""
+    """p, the functionals of a state and M u; y, p from u if it lacks them."""
     y = solve_state(problem, factorK, state.u) if state.y is None else state.y
     p = solve_adjoint(problem, factorK, y) if state.p is None else state.p
-    return p, state_adjoint_functionals(state.u, y, p, problem)
+    return p, *state_adjoint_functionals(state.u, y, p, problem)
 
 
 def _m_norm(problem, v):
@@ -158,14 +161,14 @@ def _m_norm(problem, v):
     return float(np.sqrt(max(v @ (problem.M @ v), 0.0)))
 
 
-def _residual_core(u, F, problem, factorM):
-    """1 + ||u||_M and the normalized dual norms of the state and adjoint
-    functionals, the columns of F, from one 2-column M-solve (factorM None:
-    the problem's)."""
+def _residual_core(u, Mu, F, problem, factorM):
+    """1 + ||u||_M from Mu = M u and the normalized dual norms of the state
+    and adjoint functionals, the columns of F, from one 2-column M-solve
+    (factorM None: the problem's)."""
     factorM = problem.factorM if factorM is None else factorM
     sq = np.einsum("ij,ij->j", F, factorM.solve(F))
     d_state, d_adjoint = (float(np.sqrt(max(v, 0.0))) for v in sq)
-    return (1.0 + _m_norm(problem, u),
+    return (1.0 + float(np.sqrt(max(u @ Mu, 0.0))),
             d_state / (1.0 + problem.yc_norm),
             d_adjoint / (1.0 + problem.yd_norm))
 
@@ -177,14 +180,14 @@ def multiplier_fixed_point(lam_weighted, problem):
                        problem.a, problem.b)
 
 
-def admm_residuals_weighted(u, z, lam, Mlam, p, F, problem, factorM=None):
-    """eta_1..eta_5 and M w from Mlam = M lambda and the state and adjoint
-    functionals F (shared solver core).
+def admm_residuals_weighted(u, z, lam, Mlam, p, F, Mu, problem, factorM=None):
+    """eta_1..eta_5 and M w from Mlam = M lambda, the state and adjoint
+    functionals F and Mu = M u (shared solver core).
 
     The stationarity functional M w, w = alpha/2 u - p + lam, has the M
     norm of w as its dual norm, which needs no solve.
     """
-    scale_u, eta1, eta3 = _residual_core(u, F, problem, factorM)
+    scale_u, eta1, eta3 = _residual_core(u, Mu, F, problem, factorM)
     eta2 = _m_norm(problem, u - z) / scale_u
     w = 0.5 * problem.alpha * u - p + lam
     Mw = problem.M @ w
@@ -196,9 +199,9 @@ def admm_residuals_weighted(u, z, lam, Mlam, p, F, problem, factorM=None):
 
 def kkt_residual_admm(state, problem, factorK=None, factorM=None):
     """Residuals eta_1..eta_5 of the split (u, z) optimality system."""
-    p, F = _adjoint_functionals(state, problem, factorK)
+    p, F, Mu = _adjoint_functionals(state, problem, factorK)
     return admm_residuals_weighted(state.u, state.z, state.lam,
-                                   problem.M @ state.lam, p, F, problem,
+                                   problem.M @ state.lam, p, F, Mu, problem,
                                    factorM)[0]
 
 
@@ -211,8 +214,8 @@ def kkt_residual_pdas(state, problem, factorK=None, factorM=None):
     exactly at KKT points of the lumped problem.
     """
     u = state.u
-    p, F = _adjoint_functionals(state, problem, factorK)
-    scale_u, eta1, eta2 = _residual_core(u, F, problem, factorM)
+    p, F, Mu = _adjoint_functionals(state, problem, factorK)
+    scale_u, eta1, eta2 = _residual_core(u, Mu, F, problem, factorM)
     q = problem.M @ (p - 0.5 * problem.alpha * u)
     eta3 = _m_norm(problem, u - multiplier_fixed_point(q, problem)) / scale_u
     return KktResidual(eta1, eta2, eta3, 0.0, 0.0, max(eta1, eta2, eta3))

@@ -1,7 +1,10 @@
 """
 Outer optimization methods for the discretized sparse control problem.
 
-Four solvers share the termination residuals of prox.py:
+Four solver loops share the termination residuals of prox.py and one run
+recorder, _Run: it starts the clock, appends the eta, R_h and inner-solve
+histories together, calls the callback, tests eta <= tol and builds the
+ConvergenceReport that every exit returns:
 
 * solve_ihadmm       -- heterogeneous ADMM: M-weighted penalty in the u-step
                         (reduced 2x2 saddle solve), W-weighted penalty in the
@@ -39,7 +42,7 @@ import numbers
 import time
 import numpy as np
 import scipy.sparse as sp
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from scipy.sparse.linalg import LinearOperator, cg
 
 from .linalg import (SaddleSolver, factorize, estimate_mkinv_norm,
@@ -132,12 +135,39 @@ class ConvergenceReport:
         """Per-iteration convergence log as machine-readable CSV."""
         with open(path, "w") as fh:
             fh.write("iter,eta1,eta2,eta3,eta4,eta5,eta,Rh,inner_iters\n")
-            for k, res in enumerate(self.eta_history):
-                rh = self.Rh_history[k] if k < len(self.Rh_history) else ""
-                it = (self.inner_stats[k].iterations
-                      if k < len(self.inner_stats) else 0)
+            rows = zip(self.eta_history, self.Rh_history, self.inner_stats)
+            for k, (res, rh, stats) in enumerate(rows, 1):
                 vals = ",".join(_fmt(v) for v in res.as_tuple())
-                fh.write(f"{k + 1},{vals},{_fmt(rh)},{it}\n")
+                fh.write(f"{k},{vals},{_fmt(rh)},{stats.iterations}\n")
+
+
+class _Run:
+    """A solver run's clock, histories, callback, stop test and report."""
+
+    def __init__(self, solver, config, callback):
+        self.solver, self.tol, self.callback = solver, config.tol, callback
+        self.eta, self.Rh, self.inner = [], [], []
+        self.converged = False
+        self.t0 = time.perf_counter()
+
+    def record(self, state, res, rh, stats, check_inner=True):
+        """Record an iteration and call back; True to stop: converged once
+        eta <= tol, unconverged if check_inner and the inner solve missed."""
+        self.eta.append(res)
+        self.Rh.append(rh)
+        self.inner.append(stats)
+        if self.callback is not None:
+            self.callback(len(self.eta) - 1, state)
+        if check_inner and not stats.converged:
+            return True
+        self.converged = res.eta <= self.tol
+        return self.converged
+
+    def report(self, state):
+        return ConvergenceReport(self.solver, len(self.eta), self.eta,
+                                 self.Rh, self.inner,
+                                 time.perf_counter() - self.t0,
+                                 self.converged, state)
 
 
 def _check_warm(warm, n):
@@ -162,10 +192,9 @@ def solve_ihadmm(problem, config=None, warm=None, callback=None):
     sigma = config.sigma if config.sigma is not None else 0.1 * problem.alpha
     tau = config.tau if config.tau is not None else 1.0
     gamma = 0.5 * problem.alpha + sigma
-    M, K, W = problem.M, problem.K, problem.W
-    n = problem.n
+    M, K = problem.M, problem.K
 
-    t0 = time.perf_counter()
+    run = _Run("ihadmm", config, callback)
     saddle = SaddleSolver(M, K, gamma)
     inexact = config.inner_backend == "pmhss_gmres"
     if inexact:
@@ -177,11 +206,9 @@ def solve_ihadmm(problem, config=None, warm=None, callback=None):
         denom = np.sqrt(2.0) * mk_norm * max(mk_norm, gamma)
         cap = 0.25 * config.tol * problem.h / max(1.0, gamma)
 
-    state = _check_warm(warm, n)
-    u, z, lam = state.u, state.z, state.lam
+    state = _check_warm(warm, problem.n)
+    z, lam = state.z, state.lam
     Mlam = M @ lam
-    eta_hist, rh_hist, inner_hist = [], [], []
-    converged = False
 
     for k in range(config.max_iter):
         rhs_top = (K @ (sigma * z - lam) + problem.Myd) / gamma
@@ -190,36 +217,28 @@ def solve_ihadmm(problem, config=None, warm=None, callback=None):
             eps_k = config.eps0 / (k + 1.0) ** config.eps_decay
             # GMRES starts from the minimal-residual combination of the
             # previous solutions (linalg._SolutionWindow), the first from 0
-            y, u_new, stats = saddle.solve(rhs_top, rhs_bottom,
-                                           backend="pmhss_gmres",
-                                           tol=min(eps_k / denom, cap))
+            y, u, stats = saddle.solve(rhs_top, rhs_bottom,
+                                       backend="pmhss_gmres",
+                                       tol=min(eps_k / denom, cap))
         else:
-            y, u_new, stats = saddle.solve(rhs_top, rhs_bottom)
+            y, u, stats = saddle.solve(rhs_top, rhs_bottom)
         # K p = M(yd - y) with p = gamma u - sigma z + lam; the block residual
         # gives K y - M(u + yc) = r2 and M(y - yd) + K p = -gamma r1
-        p = gamma * u_new - sigma * z + lam
+        p = gamma * u - sigma * z + lam
         F = np.column_stack([saddle.residual[1], -gamma * saddle.residual[0]])
-        z = z_update_ihadmm(u_new, Mlam, problem, sigma)
-        lam = lam + tau * sigma * (u_new - z)
+        z = z_update_ihadmm(u, Mlam, problem, sigma)
+        lam = lam + tau * sigma * (u - z)
         Mlam = M @ lam
-        u = u_new
 
         state = IterateState(u=u, z=z, lam=lam, y=y, p=p)
-        res, Mw = admm_residuals_weighted(u, z, lam, Mlam, p, F, problem)
-        eta_hist.append(res)
-        rh_hist.append(_Rh_from(u, z, Mlam, p, problem, r1=Mw))
-        inner_hist.append(stats)
-        if callback is not None:
-            callback(k, state)
-        if inexact and not stats.converged:
-            break
-        if res.eta <= config.tol:
-            converged = True
+        res, Mw = admm_residuals_weighted(u, z, lam, Mlam, p, F, M @ u,
+                                          problem)
+        # the direct backend's flag only marks its round-off floor
+        if run.record(state, res, _Rh_from(u, z, Mlam, p, problem, r1=Mw),
+                      stats, check_inner=inexact):
             break
 
-    return ConvergenceReport("ihadmm", len(eta_hist), eta_hist, rh_hist,
-                             inner_hist, time.perf_counter() - t0,
-                             converged, state)
+    return run.report(state)
 
 
 def _Rh_from(u, z, Mlam, p, problem, r1=None):
@@ -245,7 +264,7 @@ def solve_classical_admm(problem, config=None, warm=None, callback=None):
     M, K = problem.M, problem.K
     n = problem.n
 
-    t0 = time.perf_counter()
+    run = _Run("classical_admm", config, callback)
     factorM = problem.factorM
     A3 = sp.bmat([[M, None, K],
                   [None, 0.5 * problem.alpha * M + sigma * sp.identity(n), -M],
@@ -255,10 +274,8 @@ def solve_classical_admm(problem, config=None, warm=None, callback=None):
     state = _check_warm(warm, n)
     u, z = state.u, state.z
     lam_c = M @ state.lam      # euclidean multiplier; state stores M^{-1} lam_c
-    eta_hist, rh_hist, inner_hist = [], [], []
-    converged = False
 
-    for k in range(config.max_iter):
+    for _ in range(config.max_iter):
         rhs = np.concatenate([problem.Myd, sigma * z - lam_c, problem.Myc])
         x = fact.solve(rhs)
         y, u, p = x[:n], x[n:2 * n], x[2 * n:]
@@ -268,21 +285,14 @@ def solve_classical_admm(problem, config=None, warm=None, callback=None):
         lam = factorM.solve(lam_c)
 
         res = admm_residuals_weighted(
-            u, z, lam, lam_c, p, state_adjoint_functionals(u, y, p, problem),
+            u, z, lam, lam_c, p, *state_adjoint_functionals(u, y, p, problem),
             problem, factorM)[0]
-        eta_hist.append(res)
-        rh_hist.append(_Rh_from(u, z, lam_c, p, problem))
-        inner_hist.append(InnerSolveStats(0, 0.0, 0, True))
-        if callback is not None:
-            callback(k, IterateState(u=u, z=z, lam=lam, y=y, p=p))
-        if res.eta <= config.tol:
-            converged = True
+        state = IterateState(u=u, z=z, lam=lam, y=y, p=p)
+        if run.record(state, res, _Rh_from(u, z, lam_c, p, problem),
+                      InnerSolveStats(0, 0.0, 0, True)):
             break
 
-    state = IterateState(u=u, z=z, lam=lam, y=y, p=p)
-    return ConvergenceReport("classical_admm", len(eta_hist), eta_hist,
-                             rh_hist, inner_hist, time.perf_counter() - t0,
-                             converged, state)
+    return run.report(state)
 
 
 def solve_apg(problem, config=None, warm=None, callback=None):
@@ -296,7 +306,7 @@ def solve_apg(problem, config=None, warm=None, callback=None):
     """
     config = (config or SolverConfig()).validate()
     alpha, M = problem.alpha, problem.M
-    t0 = time.perf_counter()
+    run = _Run("apg", config, callback)
     factorK, factorM = problem.factorK, problem.factorM
 
     u = _check_warm(warm, problem.n).u
@@ -305,10 +315,8 @@ def solve_apg(problem, config=None, warm=None, callback=None):
     x, y_x, p_x, tk = u, y, p, 1.0
     # cheap curvature seed; backtracking only ever increases it
     L = 0.5 * alpha * float(M.diagonal().max())
-    eta_hist, rh_hist, inner_hist = [], [], []
-    converged = False
 
-    for k in range(config.max_iter):
+    for _ in range(config.max_iter):
         fx = f_from_state(problem, x, y_x)
         gx = M @ (0.5 * alpha * x - p_x)
         doublings = 0
@@ -323,10 +331,7 @@ def solve_apg(problem, config=None, warm=None, callback=None):
             L *= 2.0
             doublings += 1
             if doublings > 60:
-                return ConvergenceReport(
-                    "apg", len(eta_hist), eta_hist, rh_hist, inner_hist,
-                    time.perf_counter() - t0, False,
-                    IterateState(u=u, z=u.copy(), lam=None))
+                return run.report(IterateState(u=u, z=u.copy(), lam=None))
         p_new = solve_adjoint(problem, factorK, y_new)
 
         t_next = 0.5 * (1.0 + np.sqrt(1.0 + 4.0 * tk * tk))
@@ -340,18 +345,11 @@ def solve_apg(problem, config=None, warm=None, callback=None):
         lam = p - 0.5 * alpha * u
         it_state = IterateState(u=u, z=u.copy(), y=y, p=p, lam=lam)
         res = kkt_residual_pdas(it_state, problem, factorM=factorM)
-        eta_hist.append(res)
-        rh_hist.append(_Rh_from(u, u, M @ lam, p, problem))
-        inner_hist.append(InnerSolveStats(doublings, 0.0, 0, True))
-        if callback is not None:
-            callback(k, it_state)
-        if res.eta <= config.tol:
-            converged = True
+        if run.record(it_state, res, _Rh_from(u, u, M @ lam, p, problem),
+                      InnerSolveStats(doublings, 0.0, 0, True)):
             break
 
-    return ConvergenceReport("apg", len(eta_hist), eta_hist, rh_hist,
-                             inner_hist, time.perf_counter() - t0,
-                             converged, it_state)
+    return run.report(it_state)
 
 
 # relative residual of the CG that solves a PDAS Newton step, and its cap
@@ -416,7 +414,7 @@ def solve_pdas(problem, config=None, warm=None, callback=None):
     n = problem.n
     T = (0.5 * (M + sp.diags(W))).tocsr()
 
-    t0 = time.perf_counter()
+    run = _Run("pdas", config, callback)
     factorM, factorK = problem.factorM, problem.factorK
     state = _check_warm(warm, n)
     u = state.u
@@ -427,12 +425,9 @@ def solve_pdas(problem, config=None, warm=None, callback=None):
     else:
         mu = np.zeros(n)
 
-    eta_hist, rh_hist, inner_hist = [], [], []
-    converged = False
     seen_codes = set()
-    y = p = None
 
-    for k in range(config.max_iter):
+    for _ in range(config.max_iter):
         code = _classify(u, mu, problem, c)
         key = code.tobytes()
         if key in seen_codes:
@@ -481,23 +476,12 @@ def solve_pdas(problem, config=None, warm=None, callback=None):
         it_state = IterateState(u=u, z=u.copy(), y=y, p=p, mu=mu,
                                 lam=p - 0.5 * alpha * u)
         res = kkt_residual_pdas(it_state, problem, factorM=factorM)
-        eta_hist.append(res)
         Mlam = mu + 0.5 * alpha * (W * u)
-        rh_hist.append(_Rh_from(u, u, Mlam, p, problem))
-        inner_hist.append(stats)
-        if callback is not None:
-            callback(k, it_state)
-        if not stats.converged:
-            break                   # CG missed its target: abort flagged
-        if res.eta <= config.tol:
-            converged = True
+        # a CG that missed its target stops the run unconverged
+        if run.record(it_state, res, _Rh_from(u, u, Mlam, p, problem), stats):
             break
 
-    final = IterateState(u=u, z=u.copy(), y=y, p=p, mu=mu,
-                         lam=None if p is None else p - 0.5 * alpha * u)
-    return ConvergenceReport("pdas", len(eta_hist), eta_hist, rh_hist,
-                             inner_hist, time.perf_counter() - t0,
-                             converged, final)
+    return run.report(it_state)     # the first set is never a repeat
 
 
 def solve_two_phase(problem, config_phase1=None, config_phase2=None,
@@ -515,12 +499,9 @@ def solve_two_phase(problem, config_phase1=None, config_phase2=None,
 
     rep1 = solve_ihadmm(problem, config_phase1, callback=callback)
     if not rep1.converged:
-        return ConvergenceReport("two_phase", rep1.iterations,
-                                 rep1.eta_history, rep1.Rh_history,
-                                 rep1.inner_stats,
-                                 time.perf_counter() - t0, False,
-                                 rep1.final_state,
-                                 phase_iterations=(rep1.iterations, 0))
+        return replace(rep1, solver="two_phase",
+                       wall_time=time.perf_counter() - t0,
+                       phase_iterations=(rep1.iterations, 0))
 
     # hand PDAS the thresholded copy z: it is exactly zero / exactly at the
     # bounds on the active sets, so the first classification is reliable
@@ -529,9 +510,8 @@ def solve_two_phase(problem, config_phase1=None, config_phase2=None,
     s1 = rep1.final_state
     warm = IterateState(u=s1.z.copy(), z=s1.z.copy(), lam=s1.lam, y=s1.y,
                         p=s1.p)
-    callback2 = None
-    if callback is not None:
-        callback2 = lambda k, state: callback(rep1.iterations + k, state)
+    callback2 = None if callback is None else (
+        lambda k, state: callback(rep1.iterations + k, state))
     rep2 = solve_pdas(problem, config_phase2, warm=warm, callback=callback2)
 
     return ConvergenceReport(

@@ -343,7 +343,7 @@ def test_pdas_cg_iterations_in_convergence_log(tmp_path, ex1):
     assert all(int(r.split(",")[-1]) > 0 for r in rows[n1:])
 
 
-def test_pdas_cg_miss_stops_unconverged(ex2, monkeypatch):
+def test_pdas_cg_miss_stops_unconverged(ex2, monkeypatch, tmp_path):
     # cold start: the first step has every dof active at zero and no CG;
     # the second needs ~40 CG iterations and stops at the cap
     _, prob = ex2(4)
@@ -354,6 +354,7 @@ def test_pdas_cg_miss_stops_unconverged(ex2, monkeypatch):
     last = rep.inner_stats[-1]
     assert not last.converged and last.iterations == 5
     assert last.final_relative_residual > solvers._CG_RTOL
+    _assert_every_iteration_recorded(rep, tmp_path)
 
 
 def test_pdas_cg_starts_from_the_current_controls(ex1):
@@ -554,12 +555,101 @@ def test_convergence_log_csv(tmp_path, ex1):
     assert first[0] == "1" and len(first) == 9
 
 
-def test_callback_sees_every_iteration(ex1):
+def _assert_every_iteration_recorded(rep, tmp_path):
+    # the three histories have one entry per iteration, and so has the log
+    assert len(rep.eta_history) == len(rep.Rh_history) \
+        == len(rep.inner_stats) == rep.iterations
+    rep.write_log(tmp_path / "log.csv")
+    rows = (tmp_path / "log.csv").read_text().splitlines()[1:]
+    assert [int(r.split(",")[0]) for r in rows] \
+        == list(range(1, rep.iterations + 1))
+
+
+@pytest.mark.parametrize("name", ["ihadmm", "classical_admm", "apg", "pdas",
+                                  "two_phase"])
+def test_callback_sees_every_iteration(ex1, tmp_path, name):
     _, prob, _ = ex1(2)
     count = []
-    rep = so.solve_ihadmm(prob, SolverConfig(tol=1e-8, sigma=0.125),
-                          callback=lambda k, s: count.append(k))
+    config = SolverConfig(tol=1e-8, sigma=0.125, max_iter=2000)
+    callback = lambda k, s: count.append(k)
+    if name == "two_phase":
+        rep = so.solve_two_phase(prob, SolverConfig(tol=1e-3, sigma=0.125),
+                                 config, callback=callback)
+        assert rep.phase_iterations[1] > 0
+    else:
+        rep = so.SOLVERS[name](prob, config, callback=callback)
+    assert rep.converged
     assert count == list(range(rep.iterations))
+    _assert_every_iteration_recorded(rep, tmp_path)
+
+
+def test_apg_backtracking_give_up_stops_unconverged(ex1, monkeypatch,
+                                                    tmp_path):
+    # f turns NaN in the fourth iteration, so no trial point passes the
+    # sufficient-decrease test: APG gives up after 60 doublings and returns
+    # the last accepted control without a multiplier
+    _, prob, _ = ex1(3)
+    seen = []
+    f_orig = solvers.f_from_state
+    monkeypatch.setattr(
+        solvers, "f_from_state",
+        lambda problem, u, y: np.nan if len(seen) == 3
+        else f_orig(problem, u, y))
+    rep = so.solve_apg(prob, SolverConfig(tol=1e-6),
+                       callback=lambda k, s: seen.append(s.u))
+    assert not rep.converged and rep.iterations == 3
+    assert rep.final_state.lam is None
+    assert np.array_equal(rep.final_state.u, seen[-1])
+    _assert_every_iteration_recorded(rep, tmp_path)
+
+
+def _miss_on_saddle_solve(monkeypatch, index):
+    """Make the index-th u-step (1-based) report a missed inner target."""
+    solve_orig, calls = linalg.SaddleSolver.solve, []
+
+    def solve(self, *args, **kwargs):
+        y, u, stats = solve_orig(self, *args, **kwargs)
+        calls.append(stats)
+        if len(calls) == index:
+            stats = dataclasses.replace(stats, converged=False)
+        return y, u, stats
+
+    monkeypatch.setattr(linalg.SaddleSolver, "solve", solve)
+
+
+@pytest.mark.parametrize("backend", ["direct", "pmhss_gmres"])
+def test_ihadmm_inner_miss_stops_only_the_inexact_run(ex1, monkeypatch,
+                                                      tmp_path, backend):
+    # the direct backend's flag only marks its round-off floor and is
+    # ignored; an inexact u-step that misses its target ends the run after
+    # that iteration is recorded and shown to the callback
+    _, prob, _ = ex1(3)
+    config = SolverConfig(tol=1e-6, inner_backend=backend)
+    plain = so.solve_ihadmm(prob, config)
+    _miss_on_saddle_solve(monkeypatch, 4)
+    count = []
+    rep = so.solve_ihadmm(prob, config, callback=lambda k, s: count.append(k))
+    assert not rep.inner_stats[3].converged
+    if backend == "direct":
+        assert rep.converged and rep.iterations == plain.iterations > 4
+    else:
+        assert not rep.converged and rep.iterations == 4
+    assert count == list(range(rep.iterations))
+    _assert_every_iteration_recorded(rep, tmp_path)
+
+
+def test_ihadmm_inner_miss_on_the_last_step_is_not_converged(ex1,
+                                                             monkeypatch):
+    # the miss outranks eta <= tol on the same iteration
+    _, prob, _ = ex1(3)
+    config = SolverConfig(tol=1e-6, inner_backend="pmhss_gmres")
+    plain = so.solve_ihadmm(prob, config)
+    assert plain.converged
+    _miss_on_saddle_solve(monkeypatch, plain.iterations)
+    rep = so.solve_ihadmm(prob, config)
+    assert rep.iterations == plain.iterations
+    assert rep.final_eta == plain.final_eta <= config.tol
+    assert not rep.converged
 
 
 def _count_lu_ops(monkeypatch, prob):
@@ -636,6 +726,22 @@ def test_direct_ihadmm_sparse_products_per_iteration(ex1, monkeypatch):
     # between two callbacks lies one whole iteration
     steps = {(r1 - r0, c1 - c0) for (r0, c0), (r1, c1) in zip(seen, seen[1:])}
     assert steps == {(6, 1)}
+
+
+def test_classical_admm_sparse_products_per_iteration(ex1, monkeypatch):
+    # the functionals' K y, M u, M (y - yd) and K p, with M u reused for
+    # ||u||_M, then M (u - z), M w for eta4, the eta5 gap and R_h's first
+    # term; the 3n system is solved by LU, not multiplied
+    _, prob, _ = ex1(3)
+    counts, prob = _count_lu_ops(monkeypatch, prob)
+    seen = []
+    rep = so.solve_classical_admm(
+        prob, SolverConfig(tol=1e-6, max_iter=2000),
+        callback=lambda k, s: seen.append(
+            (counts["product.real"], counts["product.complex"])))
+    assert rep.converged and rep.iterations > 10
+    steps = {(r1 - r0, c1 - c0) for (r0, c0), (r1, c1) in zip(seen, seen[1:])}
+    assert steps == {(8, 0)}
 
 
 @pytest.mark.parametrize("backend", ["direct", "pmhss_gmres"])
