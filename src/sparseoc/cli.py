@@ -27,11 +27,9 @@ from . import mesh as fem
 from .experiments import (ExperimentSpec, build_example, example_params,
                           export_solution_csv, run_table)
 from .mesh import _fmt
-from .solvers import SolverConfig, SOLVERS, solve_two_phase
+from .solvers import SolverConfig, SOLVER_NAMES, run_solver
 
 log = logging.getLogger("sparseoc")
-
-_SOLVER_NAMES = tuple(SOLVERS) + ("two_phase",)
 
 
 class ConfigError(ValueError):
@@ -81,10 +79,10 @@ class RunConfig:
     def validate(self):
         if self.example not in ("constructed", "stadler"):
             raise ConfigError(f"unknown example {self.example!r}")
-        if self.solver not in _SOLVER_NAMES:
+        if self.solver not in SOLVER_NAMES:
             raise ConfigError(f"unknown solver {self.solver!r}")
         if self.solvers is not None:
-            bad = [s for s in self.solvers if s not in _SOLVER_NAMES]
+            bad = [s for s in self.solvers if s not in SOLVER_NAMES]
             if bad:
                 raise ConfigError(f"unknown solvers {bad}")
         if not _is_level(self.level):
@@ -157,11 +155,7 @@ def cmd_solve(config_path, out_dir):
                                example_params(cfg.example,
                                               **cfg.params_overrides()))
 
-    config = _configs(cfg, cfg.solver)
-    if cfg.solver == "two_phase":
-        report = solve_two_phase(problem, *config)
-    else:
-        report = SOLVERS[cfg.solver](problem, config)
+    report = run_solver(cfg.solver, problem, _configs(cfg, cfg.solver))
 
     report.write_log(out_dir / "convergence.csv")
     export_solution_csv(out_dir / "solution.csv", m, report.final_state.u)

@@ -22,7 +22,7 @@ import numpy as np
 from dataclasses import dataclass, field, replace
 
 from . import mesh as fem
-from .solvers import SolverConfig, SOLVERS, solve_two_phase
+from .solvers import SolverConfig, run_solver, solve_two_phase
 
 TWO_PI_SQ = 2.0 * np.pi ** 2
 
@@ -235,10 +235,7 @@ class EocRow:
 def _run_cell(name, config, problem):
     t0 = time.perf_counter()
     try:
-        if name == "two_phase":
-            report = solve_two_phase(problem, *config)
-        else:
-            report = SOLVERS[name](problem, config)
+        report = run_solver(name, problem, config)
         return SolverCell(name, report.iterations, report.final_eta,
                           report.wall_time, report.converged,
                           report.phase_iterations), report

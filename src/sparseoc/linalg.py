@@ -27,8 +27,10 @@ slowly.  From the third on, GMRES starts from the minimal-residual
 combination of the last _WINDOW solution updates (_SolutionWindow, after
 Fischer 1998): the true residuals that GMRES returns give their images
 under the block operator without a product with A.  On the constructed
-problem at level 6 a run to 1e-6 takes 147 GMRES iterations, where starts
-from the previous (y, u) take 234 and zero starts 360.
+problem at level 6 a run to 1e-6 takes 95 GMRES iterations with the
+ihADMM's forced u-step targets (solvers.solve_ihadmm).  With every target
+held at the final one it took 147, where starts from the previous (y, u)
+take 234 and zero starts 360.
 
 Every LU is ordered by the class of its matrix.  A matrix that equals its
 plain transpose and has no zero on its diagonal -- the SPD M, K, G and
@@ -122,7 +124,9 @@ def gmres(A_apply, P_apply, rhs, tol, max_iter=500, restart=50, x0=None):
     Stops when ||r|| <= tol * ||rhs|| (right preconditioning keeps the
     recurrence residual equal to the true one).  A cycle keeps the
     preconditioned directions z_j = P^{-1} v_j beside the Krylov basis
-    v_j, so x = x0 + Z y needs no further preconditioner application:
+    v_j, as the rows of two arrays allocated once per cycle (not one
+    heap block per vector, which left the heap fragmented across solves),
+    so x = x0 + Z y needs no further preconditioner application:
     a cycle of j iterations applies P^{-1} j times and A j + 1 times (the
     last for the true residual it ends on, from which the next cycle
     starts).  A nonzero start costs one more product with A; an x0 that
@@ -160,13 +164,14 @@ def gmres(A_apply, P_apply, rhs, tol, max_iter=500, restart=50, x0=None):
         g = np.zeros(m + 1)
 
         beta = res
-        V = [r / beta]
-        Z = []
+        V = np.empty((m + 1, n))
+        Z = np.empty((m, n))
+        V[0] = r / beta
         g[0] = beta
 
         j = 0
         for j in range(m):
-            Z.append(P_apply(V[j]))
+            Z[j] = P_apply(V[j])
             # copy: operators may return their argument (e.g. identity)
             w = np.array(A_apply(Z[j]), dtype=float)
             for i in range(j + 1):          # modified Gram-Schmidt
@@ -175,7 +180,7 @@ def gmres(A_apply, P_apply, rhs, tol, max_iter=500, restart=50, x0=None):
             H[j + 1, j] = np.linalg.norm(w)
             happy = H[j + 1, j] < 1e-14 * beta
             if not happy:
-                V.append(w / H[j + 1, j])
+                V[j + 1] = w / H[j + 1, j]
             for i in range(j):              # apply stored Givens rotations
                 t = cs[i] * H[i, j] + sn[i] * H[i + 1, j]
                 H[i + 1, j] = -sn[i] * H[i, j] + cs[i] * H[i + 1, j]
@@ -194,7 +199,7 @@ def gmres(A_apply, P_apply, rhs, tol, max_iter=500, restart=50, x0=None):
                 break
         k = j + 1
         ym = np.linalg.solve(H[:k, :k], g[:k])
-        x = x + np.dot(ym, Z)
+        x = x + ym @ Z[:k]
         r = rhs - A_apply(x)
         res = np.linalg.norm(r)
 
@@ -243,8 +248,9 @@ class _SolutionWindow:
             return self.x
         k = min(self.count, _WINDOW)
         C = self.C[:k]
-        s = 1.0 / np.linalg.norm(C, axis=1)
-        G = (C @ C.T) * np.outer(s, s)
+        G = C @ C.T
+        s = 1.0 / np.sqrt(G.diagonal())
+        G *= np.outer(s, s)
         h = np.linalg.lstsq(G, s * (C @ (b - self.Ax)), rcond=_GRAM_RCOND)[0]
         return self.x + (s * h) @ self.D[:k]
 

@@ -27,6 +27,21 @@ ConvergenceReport that every exit returns:
                         K-solves per iteration; no 3n system is assembled or
                         factored.
 
+The inexact u-step k aims its ||r1|| + ||r2|| at min(eps_k / denom, cap_k)
+with cap_k = 0.25 max(tol, _FORCING eta_{k-1}) h / max(1, gamma), a
+forcing term relative to the last outer residual (Eisenstat & Walker 1996;
+Eckstein & Silva 2013); a step with no previous eta (the first, also after
+a warm start) takes max(tol, .) = tol.  Three facts follow:
+
+* the target never exceeds eps_k / denom, so the errors stay summable as
+  the convergence theory needs;
+* the M^{-1}-weighted residual norms exceed the Euclidean ones by at most
+  2/h (lambda_min(M) >= h^2/4), so eta_1 and eta_3 of step k are at most
+  0.5 max(tol, _FORCING eta_{k-1});
+* once _FORCING eta_{k-1} <= tol the target is the fixed one,
+  min(eps_k / denom, 0.25 tol h / max(1, gamma)), so the accuracy the run
+  ends on does not move; only the early steps solve more loosely.
+
 The M and K factorizations are cached on the problem (problem.factorM,
 problem.factorK), so each is made once however many solvers or phases run.
 
@@ -56,6 +71,8 @@ from .prox import (z_update_ihadmm, z_update_classical, prox_g_euclidean,
                    f_from_state, state_adjoint_functionals)
 
 _GOLDEN = 0.5 * (1.0 + np.sqrt(5.0))
+# an inexact ihADMM u-step's residual target follows the last eta times this
+_FORCING = 0.1
 
 
 @dataclass
@@ -200,11 +217,8 @@ def solve_ihadmm(problem, config=None, warm=None, callback=None):
     if inexact:
         mk_norm = estimate_mkinv_norm(M, problem.factorK)
         # residual budget of the error-vector map delta = gamma M K^{-1} r1
-        # + (M K^{-1})^2 r2, capped so the M^{-1}-weighted residual norms
-        # (amplified by at most 2/h, since lambda_min(M) >= h^2/4) can never
-        # block eta <= tol
+        # + (M K^{-1})^2 r2
         denom = np.sqrt(2.0) * mk_norm * max(mk_norm, gamma)
-        cap = 0.25 * config.tol * problem.h / max(1.0, gamma)
 
     state = _check_warm(warm, problem.n)
     z, lam = state.z, state.lam
@@ -215,11 +229,16 @@ def solve_ihadmm(problem, config=None, warm=None, callback=None):
         rhs_bottom = -problem.Myc
         if inexact:
             eps_k = config.eps0 / (k + 1.0) ** config.eps_decay
+            # capped so the M^{-1}-weighted residual norms (amplified by at
+            # most 2/h, since lambda_min(M) >= h^2/4) keep eta1, eta3 below
+            # half of max(tol, _FORCING * the last eta)
+            forced = _FORCING * run.eta[-1].eta if run.eta else 0.0
+            cap_k = 0.25 * max(config.tol, forced) * problem.h / max(1.0, gamma)
             # GMRES starts from the minimal-residual combination of the
             # previous solutions (linalg._SolutionWindow), the first from 0
             y, u, stats = saddle.solve(rhs_top, rhs_bottom,
                                        backend="pmhss_gmres",
-                                       tol=min(eps_k / denom, cap))
+                                       tol=min(eps_k / denom, cap_k))
         else:
             y, u, stats = saddle.solve(rhs_top, rhs_bottom)
         # K p = M(yd - y) with p = gamma u - sigma z + lam; the block residual
@@ -529,3 +548,13 @@ SOLVERS = {
     "apg": solve_apg,
     "pdas": solve_pdas,
 }
+# every name run_solver takes
+SOLVER_NAMES = (*SOLVERS, "two_phase")
+
+
+def run_solver(name, problem, config):
+    """Run solver name on problem: two_phase takes a (phase1, phase2)
+    config pair, every other solver one SolverConfig."""
+    if name == "two_phase":
+        return solve_two_phase(problem, *config)
+    return SOLVERS[name](problem, config)

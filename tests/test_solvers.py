@@ -397,21 +397,65 @@ def test_stadler_pmhss_inner_iterations_level4(ex2):
         inner_backend="pmhss_gmres"))
     assert rep.converged and rep.iterations == 424
     # each u-step's GMRES after the second starts from the minimal-residual
-    # combination of the last 8 solution updates (4738 from the previous
-    # (y, u) alone)
-    assert sum(s.iterations for s in rep.inner_stats) == 1823
+    # combination of the last 8 solution updates, and its target follows
+    # the last eta (1823 against the fixed tol-based cap, 4738 from the
+    # previous (y, u) alone)
+    assert sum(s.iterations for s in rep.inner_stats) == 970
 
 
 def test_constructed_pmhss_inner_iterations_level6(ex1):
-    # the benchmark instance, where zero starts take 360 GMRES iterations
-    # and starts from the previous (y, u) alone 234
+    # the benchmark instance, where zero starts take 360 GMRES iterations,
+    # starts from the previous (y, u) alone 234 and the fixed tol-based
+    # cap on the target 147
     _, prob, _ = ex1(6)
     rep = so.solve_ihadmm(prob, SolverConfig(
         tol=1e-6, sigma=reproduction_sigma(prob.alpha),
         inner_backend="pmhss_gmres"))
     assert rep.converged and rep.iterations == 36
     assert rep.inner_stats[0].iterations > 0
-    assert sum(s.iterations for s in rep.inner_stats) <= 150
+    assert sum(s.iterations for s in rep.inner_stats) <= 100
+
+
+@pytest.mark.parametrize("example", ["constructed", "stadler"])
+def test_pmhss_target_follows_the_last_eta(ex1, ex2, monkeypatch, example):
+    # the inexact u-step aims at min(eps_k / denom, cap_k), where cap_k
+    # scales the fixed cap 0.25 tol h / max(1, gamma) by
+    # max(tol, _FORCING eta_{k-1}) / tol; the cap holds eta1 and eta3 to
+    # half of that, so neither ever decides eta
+    prob = ex1(4)[1] if example == "constructed" else ex2(4)[1]
+    config = SolverConfig(tol=1e-6, sigma=reproduction_sigma(prob.alpha),
+                          inner_backend="pmhss_gmres")
+    targets = []
+    solve = linalg.SaddleSolver.solve
+
+    def recording_solve(self, rhs_top, rhs_bottom, backend="direct",
+                        tol=1e-10):
+        targets.append(tol)
+        return solve(self, rhs_top, rhs_bottom, backend=backend, tol=tol)
+
+    monkeypatch.setattr(linalg.SaddleSolver, "solve", recording_solve)
+    rep = so.solve_ihadmm(prob, config)
+    assert rep.converged and len(targets) == rep.iterations
+
+    gamma = 0.5 * prob.alpha + config.sigma
+    mk = linalg.estimate_mkinv_norm(prob.M, prob.factorK)
+    denom = np.sqrt(2.0) * mk * max(mk, gamma)
+    cap = 0.25 * config.tol * prob.h / max(1.0, gamma)
+    forced = [config.tol] + [max(config.tol, solvers._FORCING * r.eta)
+                             for r in rep.eta_history[:-1]]
+    relaxed = 0
+    for k, (target, f, res) in enumerate(zip(targets, forced,
+                                             rep.eta_history)):
+        eps_k = config.eps0 / (k + 1.0) ** config.eps_decay
+        cap_k = 0.25 * f * prob.h / max(1.0, gamma)
+        assert target == min(eps_k / denom, cap_k)
+        if f == config.tol:
+            assert target == min(eps_k / denom, cap)
+        else:
+            relaxed += 1
+        assert max(res.eta1, res.eta3) <= 0.5 * f
+        assert max(res.eta1, res.eta3) < res.eta
+    assert relaxed > 0 and forced[0] == config.tol
 
 
 def test_pdas_classification_partitions(ex1):
