@@ -77,8 +77,6 @@ class RunConfig:
         return cfg.validate()
 
     def validate(self):
-        if self.example not in ("constructed", "stadler"):
-            raise ConfigError(f"unknown example {self.example!r}")
         if self.solver not in SOLVER_NAMES:
             raise ConfigError(f"unknown solver {self.solver!r}")
         if self.solvers is not None:
@@ -95,6 +93,7 @@ class RunConfig:
                 and not _is_level(self.reference_level):
             raise ConfigError("reference_level must be a positive integer")
         try:
+            p = example_params(self.example, **self.params_overrides())
             for name in ("tol", "phase1_tol", "phase2_tol"):
                 try:
                     self.solver_config(getattr(self, name)).validate()
@@ -103,7 +102,6 @@ class RunConfig:
                     raise ValueError(str(exc).replace("tol", name, 1)) from exc
             if self.phase1_tol < self.phase2_tol:
                 raise ValueError("phase1_tol must be >= phase2_tol")
-            p = example_params(self.example, **self.params_overrides())
             fem.check_params(p.alpha, p.beta, p.a, p.b)
             if self.levels is not None:
                 # order of the levels and the reference level above them
@@ -252,10 +250,8 @@ def cmd_export_matrices(level, out_dir):
         raise ConfigError(f"level must be a positive integer, got {level}")
     out_dir.mkdir(parents=True, exist_ok=True)
     m = fem.build_mesh(level)
-    fem.write_matrix_market(out_dir / "K.mtx", fem.assemble_stiffness(m),
-                            symmetric=True)
-    fem.write_matrix_market(out_dir / "M.mtx", fem.assemble_mass(m),
-                            symmetric=True)
+    fem.write_matrix_market(out_dir / "K.mtx", fem.assemble_stiffness(m))
+    fem.write_matrix_market(out_dir / "M.mtx", fem.assemble_mass(m))
     fem.write_matrix_market_diagonal(out_dir / "W.mtx",
                                      fem.assemble_lumped_mass(m))
     log.info("exported K, M, W for level %d to %s", level, out_dir)

@@ -25,6 +25,8 @@ from . import mesh as fem
 from .solvers import SolverConfig, run_solver, solve_two_phase
 
 TWO_PI_SQ = 2.0 * np.pi ** 2
+# phase-2 tolerance of the fine-grid reference solve
+_REFERENCE_TOL = 1e-10
 
 
 @dataclass(frozen=True)
@@ -108,6 +110,8 @@ def build_example2(level, params=EXAMPLE2_PARAMS):
 
 def example_params(example_id, **overrides):
     """The example's default parameters with every non-None override."""
+    if example_id not in ("constructed", "stadler"):
+        raise ValueError(f"unknown example {example_id!r}")
     base = EXAMPLE1_PARAMS if example_id == "constructed" else EXAMPLE2_PARAMS
     return replace(base, **{k: v for k, v in overrides.items()
                             if v is not None})
@@ -186,11 +190,9 @@ class ExperimentSpec:
     a: float = None
     b: float = None
     reference_level: int = None          # fine-grid reference (stadler)
-    reference_tol: float = 1e-10
 
     def validate(self):
-        if self.example_id not in ("constructed", "stadler"):
-            raise ValueError(f"unknown example {self.example_id!r}")
+        self.params()                       # rejects an unknown example
         if not self.levels:
             raise ValueError("empty level list")
         if any(a >= b for a, b in zip(self.levels, self.levels[1:])):
@@ -248,7 +250,7 @@ def _reference_solution(spec, params):
     m_ref, p_ref = build_example2(spec.reference_level, params)
     sigma = reproduction_sigma(params.alpha)
     report = solve_two_phase(p_ref, SolverConfig(tol=1e-3, sigma=sigma),
-                             SolverConfig(tol=spec.reference_tol, sigma=sigma))
+                             SolverConfig(tol=_REFERENCE_TOL, sigma=sigma))
     if not report.converged:
         raise RuntimeError("reference solve did not converge")
     return m_ref, report.final_state.u

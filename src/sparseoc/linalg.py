@@ -11,9 +11,10 @@ With s = sqrt(gamma) and y = s w it is the complex-symmetric n x n system
 
     (M - i s K)(w + i u) = s rhs_top + i rhs_bottom.
 
-Two backends solve it: a one-time sparse LU of A = M - i s K ("direct"),
-and right-preconditioned GMRES on (y, u), one product with A per block
-operator application, with the modified HSS block preconditioner
+Two backends solve it: a one-time sparse LU of A = M - i s K ("direct",
+exact up to round-off), and right-preconditioned GMRES on (y, u), one
+product with A per block operator application, with the modified HSS
+block preconditioner
 
     P = (1/gamma) [[I, s I], [-s I, gamma I]] diag(G, G),   G = M + s K,
 
@@ -28,9 +29,7 @@ combination of the last _WINDOW solution updates (_SolutionWindow, after
 Fischer 1998): the true residuals that GMRES returns give their images
 under the block operator without a product with A.  On the constructed
 problem at level 6 a run to 1e-6 takes 95 GMRES iterations with the
-ihADMM's forced u-step targets (solvers.solve_ihadmm).  With every target
-held at the final one it took 147, where starts from the previous (y, u)
-take 234 and zero starts 360.
+ihADMM's forced u-step targets (solvers.solve_ihadmm).
 
 Every LU is ordered by the class of its matrix.  A matrix that equals its
 plain transpose and has no zero on its diagonal -- the SPD M, K, G and
@@ -91,11 +90,13 @@ def factorize(A):
 
 @dataclass
 class InnerSolveStats:
+    """An inner solve's iterations, achieved relative residual, preconditioner
+    applications and whether it met its target (an LU solve always does)."""
+
     iterations: int
     final_relative_residual: float
     preconditioner_applications: int
     converged: bool
-    residual_history: list = None
 
 
 def pmhss_apply(gamma, G_solver, r):
@@ -120,12 +121,11 @@ def pmhss_apply(gamma, G_solver, r):
 def gmres(A_apply, P_apply, rhs, tol, max_iter=500, restart=50, x0=None):
     """Right-preconditioned restarted GMRES from x0 (zero by default).
 
-    Returns (x, stats, r) with r = rhs - A x, the true residual of x.
-    Stops when ||r|| <= tol * ||rhs|| (right preconditioning keeps the
-    recurrence residual equal to the true one).  A cycle keeps the
-    preconditioned directions z_j = P^{-1} v_j beside the Krylov basis
-    v_j, as the rows of two arrays allocated once per cycle (not one
-    heap block per vector, which left the heap fragmented across solves),
+    P_apply applies P^{-1}.  Returns (x, stats, r) with r = rhs - A x, the
+    true residual of x.  Stops when ||r|| <= tol * ||rhs|| (right
+    preconditioning keeps the recurrence residual equal to the true one).
+    A cycle keeps the preconditioned directions z_j = P^{-1} v_j beside the
+    Krylov basis v_j, as the rows of two arrays allocated once per cycle,
     so x = x0 + Z y needs no further preconditioner application:
     a cycle of j iterations applies P^{-1} j times and A j + 1 times (the
     last for the true residual it ends on, from which the next cycle
@@ -138,12 +138,10 @@ def gmres(A_apply, P_apply, rhs, tol, max_iter=500, restart=50, x0=None):
         raise ValueError("tolerance must be positive")
     rhs = np.asarray(rhs, dtype=float)
     n = rhs.shape[0]
-    if P_apply is None:
-        P_apply = lambda v: v
 
     norm_b = np.linalg.norm(rhs)
     if norm_b == 0.0:
-        return np.zeros(n), InnerSolveStats(0, 0.0, 0, True, []), np.zeros(n)
+        return np.zeros(n), InnerSolveStats(0, 0.0, 0, True), np.zeros(n)
     target = tol * norm_b
     if x0 is None:
         x, r = np.zeros(n), rhs
@@ -152,7 +150,6 @@ def gmres(A_apply, P_apply, rhs, tol, max_iter=500, restart=50, x0=None):
         r = rhs - A_apply(x)
 
     total_iters = 0
-    history = []
     res = np.linalg.norm(r)
     while total_iters < max_iter:
         if res <= target:
@@ -194,7 +191,6 @@ def gmres(A_apply, P_apply, rhs, tol, max_iter=500, restart=50, x0=None):
             g[j] = cs[j] * g[j]
             total_iters += 1
             res = abs(g[j + 1])
-            history.append(res)
             if res <= target or happy or total_iters >= max_iter:
                 break
         k = j + 1
@@ -205,7 +201,7 @@ def gmres(A_apply, P_apply, rhs, tol, max_iter=500, restart=50, x0=None):
 
     converged = res <= target * (1.0 + 1e-12)
     return x, InnerSolveStats(total_iters, res / norm_b, total_iters,
-                              converged, history), r
+                              converged), r
 
 
 # solution updates a recycled PMHSS-GMRES start combines
@@ -269,10 +265,6 @@ class _SolutionWindow:
         self.x, self.Ax = x, Ax
 
 
-# relative residual an LU solve of the saddle operator reaches
-_DIRECT_RTOL = 1e-12
-
-
 class SaddleSolver:
     """Reusable solver for a fixed (M, K, gamma) saddle operator.
 
@@ -309,12 +301,13 @@ class SaddleSolver:
     def solve(self, rhs_top, rhs_bottom, backend="direct", tol=1e-10):
         """Solve for (y, u); returns (y, u, InnerSolveStats).
 
-        tol is the absolute target on ||r1|| + ||r2||.  A direct solve also
-        counts as converged at the round-off floor _DIRECT_RTOL * ||rhs||,
-        the accuracy an LU solve can promise whatever tol asks for.
-        pmhss_gmres starts from the solver's _SolutionWindow, which the
-        solve then joins, so one solver serves one sequence of solves whose
-        right-hand sides change slowly; its first solve starts from zero.
+        tol is the absolute target on ||r1|| + ||r2|| of a pmhss_gmres
+        solve, whose stats say whether it was met.  A direct solve is exact
+        up to round-off: it ignores tol and always reports converged, with
+        the relative residual it measured.  pmhss_gmres starts from the
+        solver's _SolutionWindow, which the solve then joins, so one solver
+        serves one sequence of solves whose right-hand sides change slowly;
+        its first solve starts from zero.
         """
         norm_b = np.hypot(np.linalg.norm(rhs_top), np.linalg.norm(rhs_bottom))
         stats_iters, papps = 0, 0
@@ -324,7 +317,6 @@ class SaddleSolver:
             b = self._s * rhs_top + 1j * rhs_bottom
             z = self._direct.solve(b)
             y, u = self._s * z.real, np.ascontiguousarray(z.imag)
-            tol = max(tol, _DIRECT_RTOL * norm_b)
             # b - A z = s r1 + i r2 in terms of the block residuals (r1, r2)
             r = b - self._A @ z
             self.residual = (r.real / self._s, r.imag)
@@ -348,8 +340,8 @@ class SaddleSolver:
 
         achieved = sum(np.linalg.norm(v) for v in self.residual)
         rel_res = achieved / norm_b if norm_b > 0 else 0.0
-        return y, u, InnerSolveStats(stats_iters, rel_res, papps,
-                                     achieved <= max(tol, 1e-30) or norm_b == 0.0)
+        converged = backend == "direct" or norm_b == 0.0 or achieved <= tol
+        return y, u, InnerSolveStats(stats_iters, rel_res, papps, converged)
 
 
 # estimate_mkinv_norm: step cap and seed of the random start vector

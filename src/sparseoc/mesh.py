@@ -162,14 +162,9 @@ def load_vector(mesh, f):
     return load[mesh.interior_mask]
 
 
-def project_field(mesh, f, factorM=None):
-    """L2-projection of f onto the zero-boundary P1 space (coefficients).
-
-    factorM is a factorization of the interior mass matrix; None factors
-    the assembled one.
-    """
-    if factorM is None:
-        factorM = linalg.factorize(assemble_mass(mesh))
+def project_field(mesh, f, factorM):
+    """L2-projection of f onto the zero-boundary P1 space (coefficients);
+    factorM is a factorization of the interior mass matrix."""
     return factorM.solve(load_vector(mesh, f))
 
 
@@ -321,19 +316,15 @@ def _fmt(v):
     return "" if v is None else str(v)
 
 
-def write_matrix_market(path, A, symmetric=True):
-    """Write a sparse matrix in MatrixMarket coordinate format (1-based)."""
+def write_matrix_market(path, A):
+    """Write a symmetric sparse matrix in MatrixMarket coordinate format
+    (1-based), as its lower triangle."""
     A = sp.coo_matrix(A)
-    if symmetric:
-        keep = A.row >= A.col          # lower triangle
-        rows, cols, vals = A.row[keep], A.col[keep], A.data[keep]
-        kind = "symmetric"
-    else:
-        rows, cols, vals = A.row, A.col, A.data
-        kind = "general"
+    keep = A.row >= A.col
+    rows, cols, vals = A.row[keep], A.col[keep], A.data[keep]
     order = np.lexsort((cols, rows))
     with open(path, "w") as fh:
-        fh.write(f"%%MatrixMarket matrix coordinate real {kind}\n")
+        fh.write("%%MatrixMarket matrix coordinate real symmetric\n")
         fh.write(f"{A.shape[0]} {A.shape[1]} {len(vals)}\n")
         for i in order:
             fh.write(f"{rows[i] + 1} {cols[i] + 1} {_fmt(vals[i])}\n")

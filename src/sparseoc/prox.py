@@ -149,19 +149,12 @@ def state_adjoint_functionals(u, y, p, problem):
                             problem.M @ (y - problem.yd) + problem.K @ p]), Mu
 
 
-def _adjoint_functionals(state, problem, factorK):
-    """p, the functionals of a state and M u; y, p from u if it lacks them."""
-    y = solve_state(problem, factorK, state.u) if state.y is None else state.y
-    p = solve_adjoint(problem, factorK, y) if state.p is None else state.p
-    return p, *state_adjoint_functionals(state.u, y, p, problem)
-
-
 def _m_norm(problem, v):
     """||v||_M, the discrete L2 norm of the function v."""
     return float(np.sqrt(max(v @ (problem.M @ v), 0.0)))
 
 
-def _residual_core(u, Mu, F, problem, factorM):
+def _residual_core(u, Mu, F, problem, factorM=None):
     """1 + ||u||_M from Mu = M u and the normalized dual norms of the state
     and adjoint functionals, the columns of F, from one 2-column M-solve
     (factorM None: the problem's)."""
@@ -197,25 +190,27 @@ def admm_residuals_weighted(u, z, lam, Mlam, p, F, Mu, problem, factorM=None):
                        max(eta1, eta2, eta3, eta4, eta5)), Mw
 
 
-def kkt_residual_admm(state, problem, factorK=None, factorM=None):
-    """Residuals eta_1..eta_5 of the split (u, z) optimality system."""
-    p, F, Mu = _adjoint_functionals(state, problem, factorK)
+def kkt_residual_admm(state, problem, factorM=None):
+    """Residuals eta_1..eta_5 of the split (u, z) optimality system at a
+    state that carries its y and p."""
+    F, Mu = state_adjoint_functionals(state.u, state.y, state.p, problem)
     return admm_residuals_weighted(state.u, state.z, state.lam,
-                                   problem.M @ state.lam, p, F, Mu, problem,
-                                   factorM)[0]
+                                   problem.M @ state.lam, state.p, F, Mu,
+                                   problem, factorM)[0]
 
 
-def kkt_residual_pdas(state, problem, factorK=None, factorM=None):
-    """Residuals eta_1..eta_3 of the reduced (z eliminated) system.
+def kkt_residual_pdas(state, problem):
+    """Residuals eta_1..eta_3 of the reduced (z eliminated) system at a
+    state that carries its y and p.
 
     eta_3 is the prox fixed point of the stationarity relation
     mu = M p - alpha T u in beta W d|u| + N_box(u), evaluated as
     u = Pi_box((2/alpha) soft(W^{-1} M (p - alpha/2 u), beta)); it vanishes
     exactly at KKT points of the lumped problem.
     """
-    u = state.u
-    p, F, Mu = _adjoint_functionals(state, problem, factorK)
-    scale_u, eta1, eta2 = _residual_core(u, Mu, F, problem, factorM)
+    u, p = state.u, state.p
+    F, Mu = state_adjoint_functionals(u, state.y, p, problem)
+    scale_u, eta1, eta2 = _residual_core(u, Mu, F, problem)
     q = problem.M @ (p - 0.5 * problem.alpha * u)
     eta3 = _m_norm(problem, u - multiplier_fixed_point(q, problem)) / scale_u
     return KktResidual(eta1, eta2, eta3, 0.0, 0.0, max(eta1, eta2, eta3))

@@ -167,15 +167,15 @@ class _Run:
         self.converged = False
         self.t0 = time.perf_counter()
 
-    def record(self, state, res, rh, stats, check_inner=True):
+    def record(self, state, res, rh, stats):
         """Record an iteration and call back; True to stop: converged once
-        eta <= tol, unconverged if check_inner and the inner solve missed."""
+        eta <= tol, unconverged once an inner solve missed its target."""
         self.eta.append(res)
         self.Rh.append(rh)
         self.inner.append(stats)
         if self.callback is not None:
             self.callback(len(self.eta) - 1, state)
-        if check_inner and not stats.converged:
+        if not stats.converged:
             return True
         self.converged = res.eta <= self.tol
         return self.converged
@@ -252,9 +252,8 @@ def solve_ihadmm(problem, config=None, warm=None, callback=None):
         state = IterateState(u=u, z=z, lam=lam, y=y, p=p)
         res, Mw = admm_residuals_weighted(u, z, lam, Mlam, p, F, M @ u,
                                           problem)
-        # the direct backend's flag only marks its round-off floor
         if run.record(state, res, _Rh_from(u, z, Mlam, p, problem, r1=Mw),
-                      stats, check_inner=inexact):
+                      stats):
             break
 
     return run.report(state)
@@ -326,7 +325,7 @@ def solve_apg(problem, config=None, warm=None, callback=None):
     config = (config or SolverConfig()).validate()
     alpha, M = problem.alpha, problem.M
     run = _Run("apg", config, callback)
-    factorK, factorM = problem.factorK, problem.factorM
+    factorK = problem.factorK
 
     u = _check_warm(warm, problem.n).u
     y = solve_state(problem, factorK, u)
@@ -363,7 +362,7 @@ def solve_apg(problem, config=None, warm=None, callback=None):
 
         lam = p - 0.5 * alpha * u
         it_state = IterateState(u=u, z=u.copy(), y=y, p=p, lam=lam)
-        res = kkt_residual_pdas(it_state, problem, factorM=factorM)
+        res = kkt_residual_pdas(it_state, problem)
         if run.record(it_state, res, _Rh_from(u, u, M @ lam, p, problem),
                       InnerSolveStats(doublings, 0.0, 0, True)):
             break
@@ -434,7 +433,7 @@ def solve_pdas(problem, config=None, warm=None, callback=None):
     T = (0.5 * (M + sp.diags(W))).tocsr()
 
     run = _Run("pdas", config, callback)
-    factorM, factorK = problem.factorM, problem.factorK
+    factorK = problem.factorK
     state = _check_warm(warm, n)
     u = state.u
     if state.mu is not None:
@@ -494,7 +493,7 @@ def solve_pdas(problem, config=None, warm=None, callback=None):
 
         it_state = IterateState(u=u, z=u.copy(), y=y, p=p, mu=mu,
                                 lam=p - 0.5 * alpha * u)
-        res = kkt_residual_pdas(it_state, problem, factorM=factorM)
+        res = kkt_residual_pdas(it_state, problem)
         Mlam = mu + 0.5 * alpha * (W * u)
         # a CG that missed its target stops the run unconverged
         if run.record(it_state, res, _Rh_from(u, u, Mlam, p, problem), stats):

@@ -41,6 +41,14 @@ def test_config_rejects_bad_values():
         RunConfig(tol=-1.0).validate()
 
 
+def test_solve_bad_example_exit_code(tmp_path, capsys):
+    cfg = _write_config(tmp_path / "cfg.json", example="bogus")
+    assert main(["solve", "--config", str(cfg),
+                 "--out", str(tmp_path / "o")]) == 2
+    assert capsys.readouterr().err.splitlines() == [
+        "error: unknown example 'bogus'"]
+
+
 @pytest.mark.parametrize("bad", [
     {"sigma": -1},
     {"tau": 5},

@@ -6,8 +6,9 @@ from sparseoc import mesh as fem
 from sparseoc.experiments import (example1_fields, build_example1,
                                   build_example2, l2_control_error,
                                   compute_eoc, ExperimentSpec, run_table,
-                                  reproduction_sigma, _QUAD_BARY, _QUAD_W,
-                                  EXAMPLE1_PARAMS)
+                                  reproduction_sigma, example_params,
+                                  _QUAD_BARY, _QUAD_W, EXAMPLE1_PARAMS,
+                                  EXAMPLE2_PARAMS)
 from sparseoc.solvers import SolverConfig
 
 from p1_helpers import eval_p1, integrate_elementwise
@@ -147,6 +148,15 @@ def test_integrate_elementwise(meshes):
     assert abs(integrate_elementwise(m, lambda x, y: 1.0 + 0 * x) - 1.0) < 1e-14
     got = integrate_elementwise(m, lambda x, y: x * y)
     assert abs(got - 0.25) < 1e-14
+
+
+def test_example_params_rejects_an_unknown_example():
+    assert example_params("constructed") == EXAMPLE1_PARAMS
+    assert example_params("stadler", beta=None) == EXAMPLE2_PARAMS
+    with pytest.raises(ValueError, match="^unknown example 'bogus'$"):
+        example_params("bogus")
+    with pytest.raises(ValueError, match="^unknown example 'bogus'$"):
+        example_params("bogus", alpha=1.0)
 
 
 def test_experiment_spec_validation():

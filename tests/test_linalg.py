@@ -8,7 +8,7 @@ from scipy.sparse.linalg import splu
 from sparseoc import mesh as fem, solvers
 from sparseoc.linalg import (factorize, FactorizationError, pmhss_apply,
                              gmres, SaddleSolver, estimate_mkinv_norm,
-                             _DIRECT_RTOL, _SolutionWindow, _WINDOW)
+                             _SolutionWindow, _WINDOW)
 from sparseoc.solvers import SolverConfig, solve_two_phase
 from sparseoc.experiments import reproduction_sigma
 
@@ -128,7 +128,8 @@ def test_complex_symmetric_solves_reach_the_direct_floor(meshes, log_s,
     rng = np.random.default_rng(seed)
     b = rng.standard_normal(A.shape[0]) + 1j * rng.standard_normal(A.shape[0])
     x = factorize(A).solve(b)
-    assert np.linalg.norm(b - A @ x) <= _DIRECT_RTOL * np.linalg.norm(b)
+    # the accuracy the Factorization docstring promises
+    assert np.linalg.norm(b - A @ x) <= 1e-12 * np.linalg.norm(b)
 
 
 def test_pmhss_zero():
@@ -162,7 +163,7 @@ def test_pmhss_rejects_bad_gamma(meshes):
 
 def test_gmres_identity():
     rhs = np.arange(1.0, 6.0)
-    x, stats, _ = gmres(lambda v: v, None, rhs, 1e-12)
+    x, stats, _ = gmres(lambda v: v, lambda v: v, rhs, 1e-12)
     assert stats.iterations == 1
     assert stats.converged
     assert np.allclose(x, rhs)
@@ -172,27 +173,33 @@ def test_gmres_dense_oracle():
     rng = np.random.default_rng(2)
     A = rng.standard_normal((10, 10)) + 10 * np.eye(10)
     rhs = rng.standard_normal(10)
-    x, stats, _ = gmres(lambda v: A @ v, None, rhs, 1e-12)
+    x, stats, _ = gmres(lambda v: A @ v, lambda v: v, rhs, 1e-12)
     assert stats.converged
     assert np.abs(x - np.linalg.solve(A, rhs)).max() < 1e-9
 
 
 def test_gmres_zero_rhs():
-    x, stats, _ = gmres(lambda v: 2 * v, None, np.zeros(4), 1e-10)
+    x, stats, _ = gmres(lambda v: 2 * v, lambda v: v, np.zeros(4), 1e-10)
     assert stats.iterations == 0 and stats.converged
     assert np.array_equal(x, np.zeros(4))
 
 
 def test_gmres_residual_monotone(meshes):
-    # preconditioned residual norms are non-increasing across iterations
+    # within one cycle the residual norms are non-increasing: the true
+    # residual of a run capped at k iterations never exceeds that of k - 1
     K = fem.assemble_stiffness(meshes(3))
     rng = np.random.default_rng(8)
     rhs = rng.standard_normal(K.shape[0])
-    x, stats, _ = gmres(lambda v: K @ v, None, rhs, 1e-10,
-                     max_iter=200, restart=200)
+    x, stats, _ = gmres(lambda v: K @ v, lambda v: v, rhs, 1e-10,
+                        max_iter=200, restart=200)
     assert stats.converged
-    hist = stats.residual_history
-    assert len(hist) == stats.iterations
+    N = stats.iterations
+    hist = []
+    for k in range(1, N + 1):
+        _, st_k, r = gmres(lambda v: K @ v, lambda v: v, rhs, 1e-10,
+                           max_iter=k, restart=N)
+        assert st_k.iterations == k
+        hist.append(np.linalg.norm(r))
     assert all(r1 >= r2 * (1 - 1e-12) for r1, r2 in zip(hist, hist[1:]))
 
 
@@ -203,11 +210,12 @@ def test_gmres_from_x0():
     A = rng.standard_normal((10, 10)) + 10 * np.eye(10)
     rhs = rng.standard_normal(10)
     x_star = np.linalg.solve(A, rhs)
-    x, stats, _ = gmres(lambda v: A @ v, None, rhs, 1e-12, x0=x_star)
+    x, stats, _ = gmres(lambda v: A @ v, lambda v: v, rhs, 1e-12, x0=x_star)
     assert stats.iterations == 0 and stats.converged
     assert np.array_equal(x, x_star)
     x0 = rng.standard_normal(10)
-    x, stats, _ = gmres(lambda v: A @ v, None, rhs, 1e-12, x0=x0.copy())
+    x, stats, _ = gmres(lambda v: A @ v, lambda v: v, rhs, 1e-12,
+                        x0=x0.copy())
     assert stats.iterations > 0 and stats.converged
     assert np.linalg.norm(rhs - A @ x) <= 1e-12 * np.linalg.norm(rhs)
     assert np.abs(x - x_star).max() < 1e-9
@@ -272,7 +280,8 @@ def test_gmres_nonconvergence_flag():
     rng = np.random.default_rng(6)
     A = rng.standard_normal((40, 40)) + 0.5 * np.eye(40)   # indefinite-ish
     rhs = rng.standard_normal(40)
-    x, stats, _ = gmres(lambda v: A @ v, None, rhs, 1e-14, max_iter=3, restart=3)
+    x, stats, _ = gmres(lambda v: A @ v, lambda v: v, rhs, 1e-14, max_iter=3,
+                        restart=3)
     assert not stats.converged
     assert stats.iterations == 3
 
@@ -284,7 +293,7 @@ def test_gmres_returns_the_true_residual():
     rhs = rng.standard_normal(30)
     for x0, max_iter, restart in ((None, 500, 50), (rng.standard_normal(30),
                                                     500, 4), (None, 7, 3)):
-        x, stats, r = gmres(lambda v: A @ v, None, rhs, 1e-12,
+        x, stats, r = gmres(lambda v: A @ v, lambda v: v, rhs, 1e-12,
                             max_iter=max_iter, restart=restart, x0=x0)
         assert np.linalg.norm(r - (rhs - A @ x)) <= 1e-14 * np.linalg.norm(rhs)
         assert stats.final_relative_residual \
@@ -428,6 +437,27 @@ def test_saddle_known_solution(meshes):
     assert np.abs(u - u_star).max() < 1e-10
 
 
+def test_direct_saddle_solve_is_always_converged(meshes):
+    # an LU solve is exact up to round-off: it reports converged whatever
+    # tol asks for, with the residual it measured.  At gamma = 1e-10 on
+    # level 5 that residual is ~2.5e-12 relative, above any round-off floor
+    # of 1e-12
+    m = meshes(5)
+    M, K = fem.assemble_mass(m), fem.assemble_stiffness(m)
+    rng = np.random.default_rng(0)
+    rhs_top = rng.standard_normal(m.n_interior)
+    rhs_bottom = rng.standard_normal(m.n_interior)
+    solver = SaddleSolver(M, K, 1e-10)
+    y, u, stats = solver.solve(rhs_top, rhs_bottom, tol=1e-300)
+    assert stats.converged
+    assert stats.iterations == stats.preconditioner_applications == 0
+    achieved = sum(np.linalg.norm(v) for v in solver.residual)
+    norm_b = np.linalg.norm(np.concatenate([rhs_top, rhs_bottom]))
+    assert stats.final_relative_residual == pytest.approx(achieved / norm_b,
+                                                          rel=1e-12)
+    assert 1e-300 < stats.final_relative_residual < 1e-10
+
+
 def test_saddle_large_gamma_limit(meshes):
     # with rhs_top = 0 and rhs_bottom = -M yc: u = -(1/gamma) K^{-1} M y
     m = meshes(2)
@@ -467,7 +497,9 @@ def test_saddle_backends_match_dense_block_solve(meshes, log_gamma, level,
     cond = np.linalg.cond(A)
     norm_b = np.linalg.norm(rhs)
     solver = SaddleSolver(M, K, gamma)
-    for backend, tol in (("direct", _DIRECT_RTOL * norm_b),
+    # the direct solve is held to the accuracy the Factorization docstring
+    # promises
+    for backend, tol in (("direct", 1e-12 * norm_b),
                          ("pmhss_gmres", 10.0 ** log_rel_tol * norm_b)):
         y, u, stats = solver.solve(rhs_top, rhs_bottom, backend=backend,
                                    tol=tol)

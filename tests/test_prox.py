@@ -319,7 +319,10 @@ def test_kkt_residual_pdas_vanishes_at_oracle_point():
     for _ in range(5):
         prob = random_tiny_problem(rng, n=3)
         u, cert = brute_force_solve(prob)
-        res = kkt_residual_pdas(IterateState(u=u), prob, factorize(prob.K))
+        factorK = factorize(prob.K)
+        y = solve_state(prob, factorK, u)
+        p = solve_adjoint(prob, factorK, y)
+        res = kkt_residual_pdas(IterateState(u=u, y=y, p=p), prob)
         assert res.eta <= 1e-10
 
 

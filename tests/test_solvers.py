@@ -662,22 +662,18 @@ def _miss_on_saddle_solve(monkeypatch, index):
 
 
 @pytest.mark.parametrize("backend", ["direct", "pmhss_gmres"])
-def test_ihadmm_inner_miss_stops_only_the_inexact_run(ex1, monkeypatch,
-                                                      tmp_path, backend):
-    # the direct backend's flag only marks its round-off floor and is
-    # ignored; an inexact u-step that misses its target ends the run after
-    # that iteration is recorded and shown to the callback
+def test_ihadmm_inner_miss_stops_the_run(ex1, monkeypatch, tmp_path,
+                                         backend):
+    # a u-step flagged as a miss ends the run unconverged after that
+    # iteration is recorded and shown to the callback, whatever the backend
     _, prob, _ = ex1(3)
     config = SolverConfig(tol=1e-6, inner_backend=backend)
-    plain = so.solve_ihadmm(prob, config)
+    assert so.solve_ihadmm(prob, config).iterations > 4
     _miss_on_saddle_solve(monkeypatch, 4)
     count = []
     rep = so.solve_ihadmm(prob, config, callback=lambda k, s: count.append(k))
     assert not rep.inner_stats[3].converged
-    if backend == "direct":
-        assert rep.converged and rep.iterations == plain.iterations > 4
-    else:
-        assert not rep.converged and rep.iterations == 4
+    assert not rep.converged and rep.iterations == 4
     assert count == list(range(rep.iterations))
     _assert_every_iteration_recorded(rep, tmp_path)
 
