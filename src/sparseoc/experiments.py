@@ -120,9 +120,10 @@ def example_params(example_id, **overrides):
 def build_example(example_id, level, params):
     """Mesh and DiscreteProblem of either example."""
     if example_id == "constructed":
-        m, problem, _ = build_example1(level, params)
-        return m, problem
-    return build_example2(level, params)
+        return build_example1(level, params)[:2]
+    if example_id == "stadler":
+        return build_example2(level, params)
+    raise ValueError(f"unknown example {example_id!r}")
 
 
 # Degree-5 (7-point) triangle rule; weights sum to 1 on the reference element.

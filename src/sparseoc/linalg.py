@@ -29,7 +29,8 @@ combination of the last _WINDOW solution updates (_SolutionWindow, after
 Fischer 1998): the true residuals that GMRES returns give their images
 under the block operator without a product with A.  On the constructed
 problem at level 6 a run to 1e-6 takes 95 GMRES iterations with the
-ihADMM's forced u-step targets (solvers.solve_ihadmm).
+ihADMM's forced u-step targets (solvers.solve_ihadmm), whose denominator
+takes ||M K^{-1}||_2 from a closed-form mesh bound, estimate_mkinv_norm.
 
 Every LU is ordered by the class of its matrix.  A matrix that equals its
 plain transpose and has no zero on its diagonal -- the SPD M, K, G and
@@ -344,28 +345,9 @@ class SaddleSolver:
         return y, u, InnerSolveStats(stats_iters, rel_res, papps, converged)
 
 
-# estimate_mkinv_norm: step cap and seed of the random start vector
-_POWER_STEPS, _POWER_SEED = 50, 0
-
-
-def estimate_mkinv_norm(M, factorK):
-    """Power-iteration estimate of ||M K^{-1}||_2 (cached by the callers).
-
-    Iterates on (M K^{-1})(M K^{-1})^T = M K^{-1} K^{-1} M, two K-solves a
-    step, and stops once two successive estimates of the dominant
-    eigenvalue agree to 4e-16 relative, or after _POWER_STEPS steps.  At
-    levels 3-6 it settles in 12-13 steps, within 1.4e-16 of the 50-step
-    value and well beyond the accuracy the inexactness schedule needs.
-    """
-    v = np.random.default_rng(_POWER_SEED).standard_normal(M.shape[0])
-    v /= np.linalg.norm(v)
-    lam = 0.0
-    for _ in range(_POWER_STEPS):
-        w = M @ factorK.solve(factorK.solve(M @ v))
-        lam, prev = np.linalg.norm(w), lam
-        if lam == 0.0:
-            return 0.0
-        v = w / lam
-        if abs(lam - prev) <= 4e-16 * lam:
-            break
-    return float(np.sqrt(lam))
+def estimate_mkinv_norm(W, h):
+    """max(W) / (8 sin^2(pi h/2)) >= ||M K^{-1}||_2 on the uniform
+    Friedrichs-Keller mesh with P1 K and M (mesh.build_mesh, discretize):
+    K is the 5-point stencil, lambda_min(K) = 8 sin^2(pi h/2), and M >= 0
+    has interior row sums <= W_i, so lambda_max(M) <= max W (Gershgorin)."""
+    return float(np.max(W) / (8.0 * np.sin(0.5 * np.pi * h) ** 2))

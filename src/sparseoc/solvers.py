@@ -34,7 +34,8 @@ Eckstein & Silva 2013); a step with no previous eta (the first, also after
 a warm start) takes max(tol, .) = tol.  Three facts follow:
 
 * the target never exceeds eps_k / denom, so the errors stay summable as
-  the convergence theory needs;
+  the convergence theory needs; denom takes ||M K^{-1}||_2 from the mesh
+  (linalg.estimate_mkinv_norm: max(W) / (8 sin^2(pi h/2))), not from K;
 * the M^{-1}-weighted residual norms exceed the Euclidean ones by at most
   2/h (lambda_min(M) >= h^2/4), so eta_1 and eta_3 of step k are at most
   0.5 max(tol, _FORCING eta_{k-1});
@@ -215,7 +216,7 @@ def solve_ihadmm(problem, config=None, warm=None, callback=None):
     saddle = SaddleSolver(M, K, gamma)
     inexact = config.inner_backend == "pmhss_gmres"
     if inexact:
-        mk_norm = estimate_mkinv_norm(M, problem.factorK)
+        mk_norm = estimate_mkinv_norm(problem.W, problem.h)
         # residual budget of the error-vector map delta = gamma M K^{-1} r1
         # + (M K^{-1})^2 r2
         denom = np.sqrt(2.0) * mk_norm * max(mk_norm, gamma)
@@ -304,7 +305,7 @@ def solve_classical_admm(problem, config=None, warm=None, callback=None):
 
         res = admm_residuals_weighted(
             u, z, lam, lam_c, p, *state_adjoint_functionals(u, y, p, problem),
-            problem, factorM)[0]
+            problem)[0]
         state = IterateState(u=u, z=z, lam=lam, y=y, p=p)
         if run.record(state, res, _Rh_from(u, z, lam_c, p, problem),
                       InnerSolveStats(0, 0.0, 0, True)):

@@ -7,6 +7,7 @@ from sparseoc.experiments import (example1_fields, build_example1,
                                   build_example2, l2_control_error,
                                   compute_eoc, ExperimentSpec, run_table,
                                   reproduction_sigma, example_params,
+                                  build_example,
                                   _QUAD_BARY, _QUAD_W, EXAMPLE1_PARAMS,
                                   EXAMPLE2_PARAMS)
 from sparseoc.solvers import SolverConfig
@@ -157,6 +158,11 @@ def test_example_params_rejects_an_unknown_example():
         example_params("bogus")
     with pytest.raises(ValueError, match="^unknown example 'bogus'$"):
         example_params("bogus", alpha=1.0)
+
+
+def test_build_example_rejects_an_unknown_example():
+    with pytest.raises(ValueError, match="^unknown example 'bogus'$"):
+        build_example("bogus", 2, EXAMPLE2_PARAMS)
 
 
 def test_experiment_spec_validation():

@@ -528,35 +528,17 @@ def test_pmhss_gmres_iteration_count_level6(meshes):
     assert stats.iterations <= 40
 
 
-def test_estimate_mkinv_norm_stops_once_settled(meshes):
-    # two K-solves a step; at level 6 the estimate settles in 12 steps to
-    # the value the full 50 steps give
-    m = meshes(6)
-    M = fem.assemble_mass(m)
-    fact = factorize(fem.assemble_stiffness(m))
-    solves = []
-
-    class CountedK:
-        def solve(self, rhs):
-            solves.append(rhs)
-            return fact.solve(rhs)
-
-    est = estimate_mkinv_norm(M, CountedK())
-    assert len(solves) <= 30
-    v = np.random.default_rng(0).standard_normal(M.shape[0])
-    v /= np.linalg.norm(v)
-    for _ in range(50):
-        w = M @ fact.solve(fact.solve(M @ v))
-        lam = np.linalg.norm(w)
-        v = w / lam
-    assert abs(est - np.sqrt(lam)) <= 1e-15 * np.sqrt(lam)
-
-
 def test_estimate_mkinv_norm(meshes):
-    m = meshes(3)
-    M = fem.assemble_mass(m)
-    K = fem.assemble_stiffness(m)
-    est = estimate_mkinv_norm(M, factorize(K))
-    exact = np.linalg.norm(M.toarray() @ np.linalg.inv(K.toarray()), 2)
-    assert abs(est - exact) / exact < 1e-6
-
+    # the closed-form bound against the dense ||M inv(K)||_2: never below
+    # it, within 6% at level 3, and tighter on every finer level
+    ratios = []
+    for level in (2, 3, 4, 5):
+        m = meshes(level)
+        M = fem.assemble_mass(m).toarray()
+        K = fem.assemble_stiffness(m).toarray()
+        bound = estimate_mkinv_norm(fem.assemble_lumped_mass(m), m.h)
+        exact = np.linalg.norm(M @ np.linalg.inv(K), 2)
+        assert bound >= exact
+        ratios.append(bound / exact)
+    assert ratios[1] <= 1.06
+    assert all(r1 < r0 for r0, r1 in zip(ratios, ratios[1:]))

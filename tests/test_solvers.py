@@ -438,7 +438,7 @@ def test_pmhss_target_follows_the_last_eta(ex1, ex2, monkeypatch, example):
     assert rep.converged and len(targets) == rep.iterations
 
     gamma = 0.5 * prob.alpha + config.sigma
-    mk = linalg.estimate_mkinv_norm(prob.M, prob.factorK)
+    mk = linalg.estimate_mkinv_norm(prob.W, prob.h)
     denom = np.sqrt(2.0) * mk * max(mk, gamma)
     cap = 0.25 * config.tol * prob.h / max(1.0, gamma)
     forced = [config.tol] + [max(config.tol, solvers._FORCING * r.eta)
@@ -749,6 +749,19 @@ def test_direct_ihadmm_two_lu_solves_per_iteration(ex1, monkeypatch):
     assert sum(v for k, v in counts.items() if k.startswith("solve.")) \
         == 2 * rep.iterations
     assert counts["factor.K"] == 0 and counts["solve.K"] == 0
+
+
+def test_pmhss_ihadmm_factors_and_solves_no_k(ex1, monkeypatch):
+    # ||M K^-1|| for the inexact target comes from the mesh in closed form;
+    # the one LU is G = M + sqrt(gamma) K, for the PMHSS preconditioner
+    _, prob, _ = ex1(3)
+    counts, prob = _count_lu_ops(monkeypatch, prob)
+    rep = so.solve_ihadmm(prob, SolverConfig(
+        tol=1e-6, sigma=reproduction_sigma(prob.alpha),
+        inner_backend="pmhss_gmres"))
+    assert rep.converged and rep.iterations > 10
+    assert counts["factor.K"] == 0 and counts["solve.K"] == 0
+    assert counts["factor.other"] == 1
 
 
 def test_direct_ihadmm_sparse_products_per_iteration(ex1, monkeypatch):
