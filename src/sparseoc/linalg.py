@@ -32,12 +32,10 @@ problem at level 6 a run to 1e-6 takes 95 GMRES iterations with the
 ihADMM's forced u-step targets (solvers.solve_ihadmm), whose denominator
 takes ||M K^{-1}||_2 from a closed-form mesh bound, estimate_mkinv_norm.
 
-Every LU is ordered by the class of its matrix.  A matrix that equals its
-plain transpose and has no zero on its diagonal -- the SPD M, K, G and
-alpha T_ff, and the complex-symmetric A -- gets SuperLU's symmetric mode:
-minimum degree on A^T + A with diagonal pivots.  Any other matrix, such as
-the classical ADMM's 3n system with its zero (3,3) block, keeps the
-default COLAMD ordering with partial pivoting.
+Every matrix the package factors -- the SPD M, K, G, alpha T_ff and
+alpha/2 M + sigma I, and the complex-symmetric A -- equals its plain
+transpose and has a zero-free diagonal, so its LU takes SuperLU's symmetric
+mode; factorize rejects any other matrix.
 
 Matrices are CSR and immutable once assembled; every solver call owns its
 workspace, so concurrent solves on shared operators are safe.
@@ -54,25 +52,21 @@ class FactorizationError(RuntimeError):
 
 
 class Factorization:
-    """Sparse LU wrapper; solve() is accurate to ~1e-12 relative residual.
-
-    Symmetric (or complex-symmetric) matrices with a zero-free diagonal are
-    factored in SuperLU's symmetric mode: MMD ordering of A^T + A and
-    diagonal pivots, which keeps the ordering symmetric and the fill low.
-    Every other matrix gets the default COLAMD ordering.
-    """
+    """Sparse LU in SuperLU's symmetric mode (MMD ordering of A^T + A and
+    diagonal pivots, for low fill); solve() is accurate to ~1e-12 relative
+    residual.  A must equal its plain transpose (A.T, not A.H: a
+    complex-symmetric A qualifies) and have a zero-free diagonal."""
 
     def __init__(self, A):
         A = sp.csc_matrix(A)
-        # A.T, not A.H: a complex-symmetric A qualifies
-        symmetric = (A != A.T).nnz == 0 and np.all(A.diagonal() != 0)
+        if (A.shape[0] != A.shape[1] or (A != A.T).nnz
+                or not np.all(A.diagonal() != 0)):
+            raise ValueError("can only factorize a square symmetric matrix "
+                             "with a zero-free diagonal")
         try:
-            if symmetric:
-                self._lu = splu(A, permc_spec="MMD_AT_PLUS_A",
-                                diag_pivot_thresh=0.0,
-                                options={"SymmetricMode": True})
-            else:
-                self._lu = splu(A)
+            self._lu = splu(A, permc_spec="MMD_AT_PLUS_A",
+                            diag_pivot_thresh=0.0,
+                            options={"SymmetricMode": True})
         except RuntimeError as exc:
             raise FactorizationError(str(exc)) from exc
         if not np.all(np.isfinite(self._lu.U.diagonal())):
@@ -83,9 +77,7 @@ class Factorization:
 
 
 def factorize(A):
-    """Factor a square sparse matrix for repeated solves."""
-    if A.shape[0] != A.shape[1]:
-        raise ValueError("can only factorize square matrices")
+    """Factor A (see Factorization) for repeated solves."""
     return Factorization(A)
 
 

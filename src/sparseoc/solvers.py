@@ -13,8 +13,8 @@ ConvergenceReport that every exit returns:
                         started from the best combination of the last
                         solution updates (linalg._SolutionWindow); eta_1
                         and eta_3 reuse the u-step's block residual.
-* solve_classical_admm -- Euclidean-penalty ADMM; its 3x3 block system has no
-                        cheap elimination and is factored once per run.
+* solve_classical_admm -- Euclidean-penalty ADMM; its u-step is a reduced SPD
+                        system in u, solved by preconditioned CG as in PDAS.
 * solve_apg          -- accelerated proximal gradient (FISTA) with doubling
                         backtracking for the curvature constant and gradient
                         based restart.
@@ -24,8 +24,7 @@ ConvergenceReport that every exit returns:
                         repeat until the sets freeze or one recurs.  The
                         Newton step is the SPD reduced-Hessian system in the
                         free controls, solved by preconditioned CG with two
-                        K-solves per iteration; no 3n system is assembled or
-                        factored.
+                        K-solves per iteration.
 
 The inexact u-step k aims its ||r1|| + ||r2|| at min(eps_k / denom, cap_k)
 with cap_k = 0.25 max(tol, _FORCING eta_{k-1}) h / max(1, gamma), a
@@ -275,29 +274,64 @@ def _Rh_from(u, z, Mlam, p, problem, r1=None):
     return float(r1 @ r1 + d @ d + r3 @ r3)
 
 
+# relative residual and iteration cap of the classical ADMM's and PDAS's CG
+_CG_RTOL = 1e-14
+_CG_MAX_ITER = 200
+
+
+def _pcg(A_apply, P_apply, b, x0):
+    """scipy's preconditioned CG from x0 to ||b - A x|| <= _CG_RTOL ||b||.
+
+    Returns x, the iteration count (= preconditioner applications) and
+    whether the target was met within _CG_MAX_ITER iterations.
+    """
+    n = len(b)
+    steps = []                  # the callback adds one entry per iteration
+    x, info = cg(LinearOperator((n, n), matvec=A_apply, dtype=float), b,
+                 x0=x0, rtol=_CG_RTOL, atol=0.0, maxiter=_CG_MAX_ITER,
+                 M=LinearOperator((n, n), matvec=P_apply, dtype=float),
+                 callback=steps.append)
+    return x, len(steps), info == 0
+
+
+def _tracking_hessian(problem, factorK, w):
+    """M K^{-1} M K^{-1} M w, the reduced Hessian's tracking term."""
+    M = problem.M
+    return M @ factorK.solve(M @ factorK.solve(M @ w))
+
+
 def solve_classical_admm(problem, config=None, warm=None, callback=None):
-    """Classical (Euclidean-penalty) ADMM; the 3x3 system is factored once."""
+    """Classical (Euclidean-penalty) ADMM.  The u-step eliminates y and p
+    from its 3n system as PDAS does: CG from the previous u, preconditioned
+    by an LU of alpha/2 M + sigma I, solves
+    (alpha/2 M + sigma I + M K^{-1} M K^{-1} M) u = sigma z - lam_c + g0."""
     config = (config or SolverConfig()).validate()
     sigma = config.sigma if config.sigma is not None else 0.1 * problem.alpha
     tau = config.tau if config.tau is not None else 1.618
-    M, K = problem.M, problem.K
-    n = problem.n
+    M, n = problem.M, problem.n
 
     run = _Run("classical_admm", config, callback)
-    factorM = problem.factorM
-    A3 = sp.bmat([[M, None, K],
-                  [None, 0.5 * problem.alpha * M + sigma * sp.identity(n), -M],
-                  [K, -M, None]], format="csc")
-    fact = factorize(A3)
+    factorM, factorK = problem.factorM, problem.factorK
+    A0 = (0.5 * problem.alpha * M + sigma * sp.identity(n)).tocsr()
+    precond = factorize(A0)
+    # g0 = M K^{-1} (M yd - M K^{-1} M yc): M times the adjoint of u = 0
+    g0 = M @ solve_adjoint(problem, factorK,
+                           solve_state(problem, factorK, np.zeros(n)))
+    hessian = lambda v: A0 @ v + _tracking_hessian(problem, factorK, v)
 
     state = _check_warm(warm, n)
     u, z = state.u, state.z
     lam_c = M @ state.lam      # euclidean multiplier; state stores M^{-1} lam_c
 
     for _ in range(config.max_iter):
-        rhs = np.concatenate([problem.Myd, sigma * z - lam_c, problem.Myc])
-        x = fact.solve(rhs)
-        y, u, p = x[:n], x[n:2 * n], x[2 * n:]
+        b = sigma * z - lam_c
+        u, iters, cg_ok = _pcg(hessian, precond.solve, b + g0, u)
+        y = solve_state(problem, factorK, u)
+        p = solve_adjoint(problem, factorK, y)
+        # grad f(u); the step's true residual is the 3n system's middle row
+        Mg = M @ (0.5 * problem.alpha * u - p)
+        stats = InnerSolveStats(iters, np.linalg.norm(b - sigma * u - Mg)
+                                / np.linalg.norm(b + g0), iters, cg_ok)
         z = z_update_classical(u, lam_c, problem, sigma)
         lam_c = lam_c + tau * sigma * (u - z)
         # one M-solve serves eta4, the callback and the final state
@@ -307,8 +341,8 @@ def solve_classical_admm(problem, config=None, warm=None, callback=None):
             u, z, lam, lam_c, p, *state_adjoint_functionals(u, y, p, problem),
             problem)[0]
         state = IterateState(u=u, z=z, lam=lam, y=y, p=p)
-        if run.record(state, res, _Rh_from(u, z, lam_c, p, problem),
-                      InnerSolveStats(0, 0.0, 0, True)):
+        if run.record(state, res,
+                      _Rh_from(u, z, lam_c, p, problem, r1=Mg + lam_c), stats):
             break
 
     return run.report(state)
@@ -371,10 +405,6 @@ def solve_apg(problem, config=None, warm=None, callback=None):
     return run.report(it_state)
 
 
-# relative residual of the CG that solves a PDAS Newton step, and its cap
-_CG_RTOL = 1e-14
-_CG_MAX_ITER = 200
-
 # PDAS dof classification codes
 _AT_A, _AT_B, _AT_0, _INACT_POS, _INACT_NEG = range(5)
 
@@ -392,29 +422,6 @@ def _classify(u, mu, problem, c):
                     np.where(t - problem.b > thr, _AT_B,
                              np.where(np.abs(t) < thr, _AT_0,
                                       np.where(t >= 0.0, _INACT_POS, _INACT_NEG))))
-
-
-def _pcg(A_apply, P_apply, b, x0):
-    """scipy's preconditioned CG from x0 to ||b - A x|| <= _CG_RTOL ||b||.
-
-    Returns x, the iteration count, the preconditioner applications and
-    whether the target was met within _CG_MAX_ITER iterations.
-    """
-    n = len(b)
-    counts = [0, 0]
-
-    def precondition(r):
-        counts[1] += 1
-        return P_apply(r)
-
-    def count_iteration(_):
-        counts[0] += 1
-
-    x, info = cg(LinearOperator((n, n), matvec=A_apply, dtype=float), b,
-                 x0=x0, rtol=_CG_RTOL, atol=0.0, maxiter=_CG_MAX_ITER,
-                 M=LinearOperator((n, n), matvec=precondition, dtype=float),
-                 callback=count_iteration)
-    return x, counts[0], counts[1], info == 0
 
 
 def solve_pdas(problem, config=None, warm=None, callback=None):
@@ -472,10 +479,10 @@ def solve_pdas(problem, config=None, warm=None, callback=None):
             def hessian(v):
                 w = np.zeros(n)
                 w[jf] = v
-                q = M @ factorK.solve(M @ factorK.solve(M @ w))
+                q = _tracking_hessian(problem, factorK, w)
                 return alpha * (T_ff @ v) + q[jf]
 
-            u_f, iters, apps, cg_ok = _pcg(hessian, precond.solve, rhs, u[jf])
+            u_f, iters, cg_ok = _pcg(hessian, precond.solve, rhs, u[jf])
             u_new[jf] = u_f
             y = solve_state(problem, factorK, u_new)
             p = solve_adjoint(problem, factorK, y)
@@ -488,7 +495,7 @@ def solve_pdas(problem, config=None, warm=None, callback=None):
             # the step's true residual, from the y and p recovered above
             rel_res = (np.linalg.norm(stationarity[jf] - mu_fix[jf])
                        / np.linalg.norm(rhs))
-            stats = InnerSolveStats(iters, rel_res, apps, cg_ok)
+            stats = InnerSolveStats(iters, rel_res, iters, cg_ok)
         else:
             stats = InnerSolveStats(0, 0.0, 0, True)
 

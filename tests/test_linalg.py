@@ -92,7 +92,10 @@ def test_symmetric_matrices_get_the_symmetric_ordering(ex1, monkeypatch):
     _, prob, _ = ex1(4)
     M, K = prob.M, prob.K
     s = np.sqrt(0.5 * prob.alpha + reproduction_sigma(prob.alpha))
-    mats = {"M": M, "K": K, "G": M + s * K, "A": (M - 1j * s * K).tocsr()}
+    mats = {"M": M, "K": K, "G": M + s * K, "A": (M - 1j * s * K).tocsr(),
+            # the classical ADMM's CG preconditioner, at its default sigma
+            "alpha/2 M + sigma I": (0.5 * prob.alpha * M
+                                    + 0.1 * prob.alpha * sp.identity(prob.n))}
     for i, T_ff in enumerate(_pdas_preconditioners(prob, monkeypatch)):
         mats[f"alpha T_ff {i}"] = T_ff
     for name, A in mats.items():
@@ -101,18 +104,20 @@ def test_symmetric_matrices_get_the_symmetric_ordering(ex1, monkeypatch):
         assert fill < _colamd_fill(A), name
 
 
-def test_other_matrices_keep_colamd(ex1):
-    _, prob, _ = ex1(4)
+def test_factorize_rejects_other_matrices(ex1):
+    _, prob, _ = ex1(3)
     M, K, n = prob.M, prob.K, prob.n
-    # the classical ADMM's 3n system: symmetric, but its (3,3) block is zero
+    # the 3n u-step system of the classical ADMM: symmetric, but its (3,3)
+    # block is zero
     sigma = 0.1 * prob.alpha
     A3 = sp.bmat([[M, None, K],
                   [None, 0.5 * prob.alpha * M + sigma * sp.identity(n), -M],
                   [K, -M, None]], format="csc")
     nonsymmetric = (K + sp.triu(M, 1)).tocsc()
     for A in (A3, nonsymmetric):
-        assert _fill(factorize(A)._lu) == _colamd_fill(A)
-    assert _mmd_fill(A3) > _colamd_fill(A3)
+        with pytest.raises(ValueError, match="symmetric matrix with a "
+                                             "zero-free diagonal"):
+            factorize(A)
 
 
 @settings(max_examples=40, deadline=None, derandomize=True, database=None)

@@ -370,6 +370,67 @@ def test_pdas_cg_starts_from_the_current_controls(ex1):
     assert np.array_equal(rep.final_state.u, s.u)
 
 
+@pytest.mark.parametrize("level", [2, 3])
+def test_classical_u_step_solves_the_3n_system(ex1, level):
+    # each iterate's (y, u, p) solves the 3n system
+    # [[M, 0, K], [0, alpha/2 M + sigma I, -M], [K, -M, 0]] [y; u; p]
+    # = [M yd; sigma z - lam_c; M yc] at the step's (z, lam_c), rebuilt
+    # from the callback as in _iterate_recorder.  The error is taken
+    # relative to the whole solution: at level 2 u decays to ~1e-8 of it,
+    # below what the dense solve resolves of u alone
+    _, prob, _ = ex1(level)
+    sigma, tau, n = 0.1 * prob.alpha, 1.618, prob.n
+    M, K, O = prob.M.toarray(), prob.K.toarray(), np.zeros((n, n))
+    A3 = np.block([[M, O, K],
+                   [O, 0.5 * prob.alpha * M + sigma * np.eye(n), -M],
+                   [K, -M, O]])
+    z, lam_c, errors = np.zeros(n), np.zeros(n), []
+
+    def record(k, s):
+        nonlocal z, lam_c
+        rhs = np.concatenate([prob.Myd, sigma * z - lam_c, prob.Myc])
+        x = np.linalg.solve(A3, rhs)
+        errors.append(np.linalg.norm(np.concatenate([s.y, s.u, s.p]) - x)
+                      / np.linalg.norm(x))
+        z, lam_c = s.z, lam_c + tau * sigma * (s.u - s.z)
+
+    rep = so.solve_classical_admm(prob, SolverConfig(
+        tol=1e-8, sigma=sigma, tau=tau, max_iter=2000), callback=record)
+    assert rep.converged and len(errors) == rep.iterations
+    assert max(errors) <= 1e-12
+
+
+def test_classical_admm_inner_stats_carry_the_cg(classical_admm, tmp_path):
+    # each row holds the u-step's CG iterations, one preconditioner solve
+    # each, and the relative residual of the 3n system's middle row
+    rep = classical_admm(3)
+    assert rep.converged
+    for s in rep.inner_stats:
+        assert s.converged
+        assert s.preconditioner_applications == s.iterations > 0
+        assert 0.0 < s.final_relative_residual <= 1e-13
+    _assert_every_iteration_recorded(rep, tmp_path)
+    rows = (tmp_path / "log.csv").read_text().splitlines()[1:]
+    assert [int(r.split(",")[-1]) for r in rows] \
+        == [s.iterations for s in rep.inner_stats]
+
+
+def test_classical_admm_cg_miss_stops_unconverged(ex1, monkeypatch,
+                                                  tmp_path):
+    # one CG iteration from u = 0 does not reach _CG_RTOL: the first row
+    # records the miss and stops the run
+    _, prob, _ = ex1(3)
+    monkeypatch.setattr(solvers, "_CG_MAX_ITER", 1)
+    rep = so.solve_classical_admm(prob, SolverConfig(tol=1e-6,
+                                                     max_iter=2000))
+    assert not rep.converged
+    assert rep.iterations == 1
+    last = rep.inner_stats[-1]
+    assert not last.converged and last.iterations == 1
+    assert last.final_relative_residual > solvers._CG_RTOL
+    _assert_every_iteration_recorded(rep, tmp_path)
+
+
 def test_direct_saddle_steps_flagged_converged(ex2):
     # the direct u-step reaches round-off relative to ||rhs||, which is all
     # an LU solve can promise, on every iteration of a Stadler run
@@ -782,9 +843,12 @@ def test_direct_ihadmm_sparse_products_per_iteration(ex1, monkeypatch):
 
 
 def test_classical_admm_sparse_products_per_iteration(ex1, monkeypatch):
-    # the functionals' K y, M u, M (y - yd) and K p, with M u reused for
-    # ||u||_M, then M (u - z), M w for eta4, the eta5 gap and R_h's first
-    # term; the 3n system is solved by LU, not multiplied
+    # the CG's start residual and each CG iteration apply the reduced
+    # Hessian: (alpha/2 M + sigma I) v and the three M of M K^-1 M K^-1 M v.
+    # Then M (u + yc) and M (yd - y) for y and p, M (alpha/2 u - p) for the
+    # step's residual and R_h's first term, the functionals' K y, M u,
+    # M (y - yd) and K p, with M u reused for ||u||_M, then M (u - z),
+    # M w for eta4 and the eta5 gap
     _, prob, _ = ex1(3)
     counts, prob = _count_lu_ops(monkeypatch, prob)
     seen = []
@@ -793,8 +857,9 @@ def test_classical_admm_sparse_products_per_iteration(ex1, monkeypatch):
         callback=lambda k, s: seen.append(
             (counts["product.real"], counts["product.complex"])))
     assert rep.converged and rep.iterations > 10
-    steps = {(r1 - r0, c1 - c0) for (r0, c0), (r1, c1) in zip(seen, seen[1:])}
-    assert steps == {(8, 0)}
+    # between two callbacks lies one whole iteration
+    steps = [(r1 - r0, c1 - c0) for (r0, c0), (r1, c1) in zip(seen, seen[1:])]
+    assert steps == [(14 + 4 * s.iterations, 0) for s in rep.inner_stats[1:]]
 
 
 @pytest.mark.parametrize("backend", ["direct", "pmhss_gmres"])
@@ -893,13 +958,17 @@ def test_no_K_solve_for_Rh(ex1, monkeypatch, name):
     rep = so.SOLVERS[name](prob, SolverConfig(tol=1e-6, max_iter=2000))
     assert rep.converged
     assert np.all(np.isfinite(rep.Rh_history))
+    assert counts["factor.K"] == 1
     if name == "classical_admm":
-        assert counts["factor.K"] == 0 and counts["solve.K"] == 0
+        # g0 (2), then per u-step the CG start residual (2; the first CG
+        # starts from u = 0 and needs none), two per CG iteration, and y
+        # and p (2); eta and R_h add none
+        assert counts["solve.K"] == sum(4 + 2 * s.iterations
+                                        for s in rep.inner_stats)
     else:
         # the Newton steps' own K-solves only: y and p of the fixed
         # controls, the CG start residual, two per CG iteration, y and p of
         # the step; eta and R_h add none
-        assert counts["factor.K"] == 1
         assert counts["solve.K"] <= sum(6 + 2 * s.iterations
                                         for s in rep.inner_stats)
 
