@@ -32,15 +32,20 @@ problem at level 6 a run to 1e-6 takes 95 GMRES iterations with the
 ihADMM's forced u-step targets (solvers.solve_ihadmm), whose denominator
 takes ||M K^{-1}||_2 from a closed-form mesh bound, estimate_mkinv_norm.
 
-Every matrix the package factors -- the SPD M, K, G, alpha T_ff and
+K itself is never factored.  On the uniform mesh it is the 5-point
+stencil, which the 2-D sine transform (DST-I) diagonalizes; SineSolver
+solves with it by two transforms and a division (the fast Poisson solver
+of Buzbee, Golub & Nielson 1970), each transform made of real FFTs.
+Every matrix the package factors -- the SPD M, G, alpha T_ff and
 alpha/2 M + sigma I, and the complex-symmetric A -- equals its plain
-transpose and has a zero-free diagonal, so its LU takes SuperLU's symmetric
-mode; factorize rejects any other matrix.
+transpose and has a zero-free diagonal, so its LU takes SuperLU's
+symmetric mode; factorize rejects any other matrix.
 
 Matrices are CSR and immutable once assembled; every solver call owns its
 workspace, so concurrent solves on shared operators are safe.
 """
 
+import math
 import numpy as np
 import scipy.sparse as sp
 from dataclasses import dataclass
@@ -79,6 +84,70 @@ class Factorization:
 def factorize(A):
     """Factor A (see Factorization) for repeated solves."""
     return Factorization(A)
+
+
+def _sine_eigenvalues(h, j):
+    """4 sin^2(j pi h/2), the eigenvalues of the 1-D stencil [-1, 2, -1] on
+    the 1/h - 1 interior nodes of a uniform grid (j = 1, ..., 1/h - 1); the
+    5-point stencil's are their pairwise sums."""
+    return 4.0 * np.sin(0.5 * np.pi * h * j) ** 2
+
+
+def _sine_transform(B):
+    """S B S for the N x N DST-I matrix S_jk = sin(pi j k/(N+1)).
+
+    Row by row, x S is minus the imaginary part of the real FFT of
+    (0, x_1, ..., x_N) zero-padded to length 2(N+1); two such passes with
+    a transpose between them give S B S, and their signs cancel.  numpy's
+    FFT is loaded with numpy; scipy.fft would add ~5 MB to every process.
+    """
+    N = B.shape[0]
+    pad = np.zeros((N, 2 * N + 2))
+    pad[:, 1:N + 1] = B
+    pad[:, 1:N + 1] = np.fft.rfft(pad)[:, 1:N + 1].imag.T
+    return np.fft.rfft(pad)[:, 1:N + 1].imag.T
+
+
+class SineSolver:
+    """Solver with K, the 5-point stencil [-1; -1, 4, -1; -1] on an N x N
+    interior grid numbered row by row (the P1 stiffness matrix of the
+    uniform Friedrichs-Keller mesh, mesh.assemble_stiffness).
+
+    The DST-I matrix S has S^2 = (N+1)/2 I and diagonalizes the 1-D
+    stencil [-1, 2, -1] with the eigenvalues 4 sin^2(j pi h/2),
+    h = 1/(N + 1).  So with b on the grid as B, K^{-1} b = S (S B S / D) S,
+    where D_jk = (4 sin^2(j pi h/2) + 4 sin^2(k pi h/2)) ((N+1)/2)^2: two
+    2-D sine transforms and a division, with no factor stored.  The
+    constructor raises ValueError for any other K; it checks one product
+    of K against the stencil applied by slicing, on integer entries, where
+    both are exact.
+    """
+
+    def __init__(self, K):
+        n = K.shape[0]
+        N = math.isqrt(n)
+        if K.shape != (n, n) or N * N != n:
+            raise ValueError("K must be square of order N^2")
+        x = np.random.default_rng(0).integers(1, 2 ** 20, n).astype(float)
+        X = x.reshape(N, N)
+        Kx = 4.0 * X
+        Kx[1:] -= X[:-1]
+        Kx[:-1] -= X[1:]
+        Kx[:, 1:] -= X[:, :-1]
+        Kx[:, :-1] -= X[:, 1:]
+        if not np.array_equal(K @ x, Kx.ravel()):
+            raise ValueError("K is not the 5-point stencil of an N x N grid")
+        lam = _sine_eigenvalues(1.0 / (N + 1), np.arange(1, N + 1))
+        self._N = N
+        self._denom = (lam[:, None] + lam[None, :]) * (0.5 * (N + 1)) ** 2
+
+    def solve(self, rhs):
+        """K^{-1} rhs for a length-n or n x m rhs."""
+        rhs = np.asarray(rhs)
+        if rhs.ndim == 2:
+            return np.column_stack([self.solve(col) for col in rhs.T])
+        B = rhs.reshape(self._N, self._N)
+        return _sine_transform(_sine_transform(B) / self._denom).ravel()
 
 
 @dataclass
@@ -340,6 +409,7 @@ class SaddleSolver:
 def estimate_mkinv_norm(W, h):
     """max(W) / (8 sin^2(pi h/2)) >= ||M K^{-1}||_2 on the uniform
     Friedrichs-Keller mesh with P1 K and M (mesh.build_mesh, discretize):
-    K is the 5-point stencil, lambda_min(K) = 8 sin^2(pi h/2), and M >= 0
-    has interior row sums <= W_i, so lambda_max(M) <= max W (Gershgorin)."""
-    return float(np.max(W) / (8.0 * np.sin(0.5 * np.pi * h) ** 2))
+    K is the 5-point stencil, lambda_min(K) = 8 sin^2(pi h/2) (SineSolver's
+    smallest eigenvalue), and M >= 0 has interior row sums <= W_i, so
+    lambda_max(M) <= max W (Gershgorin)."""
+    return float(np.max(W) / (2.0 * _sine_eigenvalues(h, 1)))

@@ -209,11 +209,14 @@ class DiscreteProblem:
     K, M are SPD on the interior dofs, W holds the lumped-mass weights
     (W_i = row sum of M over all mesh nodes), yd/yc are the projected
     desired-state and source coefficient vectors, and a < 0 < b are the
-    control bounds.  The data terms M yc, M yd (read-only), their M-norms
-    and the LU factorizations of M and K are computed on first use and
-    cached, so every solver run on the problem shares one of each.  A
+    control bounds.  The data terms M yc, M yd (read-only), their M-norms,
+    the LU factorization of M and the K-solver are computed on first use
+    and cached, so every solver run on the problem shares one of each.  A
     problem built by discretize holds the M factorization from the start:
-    the L2 projections of yd and yc made it.
+    the L2 projections of yd and yc made it.  K is never factored: factorK
+    is a linalg.SineSolver, which needs K to be the mesh's 5-point stencil.
+    A problem built with another K must put its own K-solver (for example
+    linalg.factorize(K)) into the factorK slot before a solver asks for it.
     """
 
     K: sp.csr_matrix
@@ -242,14 +245,14 @@ class DiscreteProblem:
     def Myd(self):
         return _frozen(self.M @ self.yd)
 
-    # linalg.factorize is looked up at call time, so a wrapped one sees M, K
+    # linalg.factorize is looked up at call time, so a wrapped one sees M
     @cached_property
     def factorM(self):
         return linalg.factorize(self.M)
 
     @cached_property
     def factorK(self):
-        return linalg.factorize(self.K)
+        return linalg.SineSolver(self.K)
 
     @cached_property
     def yc_norm(self):

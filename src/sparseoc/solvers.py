@@ -42,8 +42,10 @@ a warm start) takes max(tol, .) = tol.  Three facts follow:
   min(eps_k / denom, 0.25 tol h / max(1, gamma)), so the accuracy the run
   ends on does not move; only the early steps solve more loosely.
 
-The M and K factorizations are cached on the problem (problem.factorM,
-problem.factorK), so each is made once however many solvers or phases run.
+The M factorization and the K-solver are cached on the problem
+(problem.factorM, problem.factorK), so each is made once however many
+solvers or phases run.  K is never factored: problem.factorK solves with
+it by the 2-D sine transform (linalg.SineSolver).
 
 solve_two_phase runs ihADMM to moderate accuracy and hands its thresholded
 iterate z (with y, p and the stationarity-consistent multiplier
@@ -188,9 +190,10 @@ class _Run:
 
 
 def _check_warm(warm, n):
-    """Copy of the warm state; a missing u, z, lam is zero, u, zero."""
+    """Copy of the warm state; a missing u, z, lam is zero, u, zero.
+    Every field given must have length n."""
     warm = IterateState(u=None) if warm is None else warm
-    for name in ("u", "z", "lam"):
+    for name in ("u", "z", "lam", "y", "p", "mu"):
         v = getattr(warm, name)
         if v is not None and len(v) != n:
             raise ValueError(f"warm state field {name} has wrong length")

@@ -7,8 +7,8 @@ from scipy.sparse.linalg import splu
 
 from sparseoc import mesh as fem, solvers
 from sparseoc.linalg import (factorize, FactorizationError, pmhss_apply,
-                             gmres, SaddleSolver, estimate_mkinv_norm,
-                             _SolutionWindow, _WINDOW)
+                             gmres, SaddleSolver, SineSolver,
+                             estimate_mkinv_norm, _SolutionWindow, _WINDOW)
 from sparseoc.solvers import SolverConfig, solve_two_phase
 from sparseoc.experiments import reproduction_sigma
 
@@ -547,3 +547,36 @@ def test_estimate_mkinv_norm(meshes):
         ratios.append(bound / exact)
     assert ratios[1] <= 1.06
     assert all(r1 < r0 for r0, r1 in zip(ratios, ratios[1:]))
+    # the eigenvalue formula it shares with SineSolver gives the values of
+    # the former max(W) / (8 sin^2(pi h/2))
+    for level in range(2, 8):
+        m = meshes(level)
+        W = fem.assemble_lumped_mass(m)
+        before = np.max(W) / (8.0 * np.sin(0.5 * np.pi * m.h) ** 2)
+        assert abs(estimate_mkinv_norm(W, m.h) - before) <= 1e-15 * before
+
+
+@pytest.mark.parametrize("level", range(1, 7))
+def test_sine_solver_matches_dense_solve(meshes, level):
+    # level 1 is the one-dof grid (N = 1)
+    K = fem.assemble_stiffness(meshes(level))
+    rng = np.random.default_rng(level)
+    b = rng.standard_normal(K.shape[0])
+    B = rng.standard_normal((K.shape[0], 2))
+    want = np.linalg.solve(K.toarray(), np.column_stack([b, B]))
+    solver = SineSolver(K)
+    for got, ref in ((solver.solve(b), want[:, 0]),
+                     (solver.solve(B), want[:, 1:])):
+        assert got.shape == ref.shape
+        assert np.linalg.norm(got - ref) <= 1e-13 * np.linalg.norm(ref)
+
+
+def test_sine_solver_rejects_other_matrices(meshes):
+    K = fem.assemble_stiffness(meshes(3))
+    perturbed = K.copy()
+    perturbed.data[17] += 1e-9
+    for A in (2 * K, perturbed):
+        with pytest.raises(ValueError, match="not the 5-point stencil"):
+            SineSolver(A)
+    with pytest.raises(ValueError, match="order N"):
+        SineSolver(K[:48, :48])     # 48 is no perfect square

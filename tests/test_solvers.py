@@ -56,6 +56,17 @@ def test_warm_state_dimension_check(ex1):
         so.solve_ihadmm(prob, SolverConfig(max_iter=2), warm=bad)
 
 
+@pytest.mark.parametrize("field", ["y", "p", "mu"])
+def test_warm_state_checks_y_p_and_mu(ex1, field):
+    # a length-1 mu would broadcast in the PDAS classification, a short p
+    # would fail inside a sparse product
+    _, prob, _ = ex1(3)
+    warm = IterateState(u=np.zeros(prob.n), **{field: np.zeros(1)})
+    with pytest.raises(ValueError, match=f"warm state field {field} has "
+                                         "wrong length"):
+        so.solve_pdas(prob, SolverConfig(max_iter=2), warm=warm)
+
+
 def test_tiny_grid_oracle_agreement(ex1):
     # the one-dof mesh problem: every solver hits the brute-force answer
     _, prob, _ = ex1(1)
@@ -754,21 +765,26 @@ def test_ihadmm_inner_miss_on_the_last_step_is_not_converged(ex1,
 
 
 def _count_lu_ops(monkeypatch, prob):
-    """Count factorizations, LU solves and solved columns per operator,
-    and sparse matrix products by the matrix's dtype (real or complex).
+    """Count factorizations, solves and solved columns per operator, and
+    sparse matrix products by the matrix's dtype (real or complex).
 
     The operator is K, M or other.  Wraps factorize (solvers holds its own
-    binding) and Factorization.solve the way perfbench's tracer does, and
-    the @ operator of the problem's sparse matrix class.  Returns the
-    counter and a fresh copy of the problem, whose cached M and K
-    factorizations are not yet made.
+    binding) and Factorization.solve the way perfbench's tracer does,
+    SineSolver.solve (a K-solve), and the @ operator of the problem's
+    sparse matrix class.  Returns the counter and a fresh copy of the
+    problem, whose cached M factorization and K-solver are not yet made.
     """
     prob = dataclasses.replace(prob)
     counts = collections.Counter()
     op_of = weakref.WeakKeyDictionary()
     factorize_orig, solve_orig = linalg.factorize, linalg.Factorization.solve
+    sine_solve_orig = linalg.SineSolver.solve
     sparse_class = type(prob.M)
     matmul_orig = sparse_class.__matmul__
+
+    def count_solve(op, rhs):
+        counts["solve." + op] += 1
+        counts["cols." + op] += 1 if np.ndim(rhs) == 1 else np.shape(rhs)[1]
 
     def counted_matmul(A, x):
         kind = "complex" if A.dtype.kind == "c" else "real"
@@ -783,14 +799,17 @@ def _count_lu_ops(monkeypatch, prob):
         return fact
 
     def counted_solve(fact, rhs):
-        op = op_of.get(fact, "other")
-        counts["solve." + op] += 1
-        counts["cols." + op] += 1 if np.ndim(rhs) == 1 else np.shape(rhs)[1]
+        count_solve(op_of.get(fact, "other"), rhs)
         return solve_orig(fact, rhs)
+
+    def counted_sine_solve(solver, rhs):
+        count_solve("K", rhs)
+        return sine_solve_orig(solver, rhs)
 
     for owner in (linalg, solvers):
         monkeypatch.setattr(owner, "factorize", counted_factorize)
     monkeypatch.setattr(linalg.Factorization, "solve", counted_solve)
+    monkeypatch.setattr(linalg.SineSolver, "solve", counted_sine_solve)
     monkeypatch.setattr(sparse_class, "__matmul__", counted_matmul)
     return counts, prob
 
@@ -909,7 +928,7 @@ def test_apg_one_K_solve_per_backtracking_trial(ex1, monkeypatch):
     rep = so.solve_apg(prob, SolverConfig(tol=1e-6))
     assert rep.converged
     assert any(s.iterations > 0 for s in rep.inner_stats)
-    assert counts["factor.K"] == 1
+    assert counts["factor.K"] == 0
     assert counts["solve.K"] == 2 + sum(2 + s.iterations
                                         for s in rep.inner_stats)
 
@@ -958,7 +977,7 @@ def test_no_K_solve_for_Rh(ex1, monkeypatch, name):
     rep = so.SOLVERS[name](prob, SolverConfig(tol=1e-6, max_iter=2000))
     assert rep.converged
     assert np.all(np.isfinite(rep.Rh_history))
-    assert counts["factor.K"] == 1
+    assert counts["factor.K"] == 0
     if name == "classical_admm":
         # g0 (2), then per u-step the CG start residual (2; the first CG
         # starts from u = 0 and needs none), two per CG iteration, and y
@@ -973,14 +992,16 @@ def test_no_K_solve_for_Rh(ex1, monkeypatch, name):
                                         for s in rep.inner_stats)
 
 
-def test_two_phase_factors_M_and_K_once(ex1, monkeypatch):
+def test_two_phase_factors_M_once_and_K_never(ex1, monkeypatch):
+    # PDAS solves with K by the sine transform
     _, prob, _ = ex1(4)
     counts, prob = _count_lu_ops(monkeypatch, prob)
     sig = reproduction_sigma(prob.alpha)
     rep = so.solve_two_phase(prob, SolverConfig(tol=1e-3, sigma=sig),
                              SolverConfig(tol=1e-10, sigma=sig))
     assert rep.converged and rep.phase_iterations[1] > 0
-    assert counts["factor.M"] == 1 and counts["factor.K"] == 1
+    assert counts["factor.M"] == 1 and counts["factor.K"] == 0
+    assert counts["solve.K"] > 0
 
 
 @pytest.mark.parametrize("name", ["ihadmm", "two_phase"])
