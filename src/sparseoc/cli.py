@@ -37,22 +37,15 @@ class ConfigError(ValueError):
 
 
 @dataclass
-class RunConfig:
-    """Everything one invocation needs, round-trippable through JSON."""
+class RunConfig(SolverConfig):
+    """Everything one invocation needs, round-trippable through JSON: the
+    solver settings and defaults of SolverConfig, then the run's own."""
 
     example: str = "constructed"
     level: int = 4
     levels: list = None
     solver: str = "ihadmm"
     solvers: list = None
-    tol: float = 1e-6
-    max_iter: int = 500
-    sigma: float = None
-    tau: float = None
-    eps0: float = 1e-2
-    eps_decay: float = 1.2
-    inner_backend: str = "direct"
-    pdas_c: float = 1.0
     phase1_tol: float = 1e-3
     phase2_tol: float = 1e-10
     reference_level: int = None
@@ -111,12 +104,11 @@ class RunConfig:
         return self
 
     def solver_config(self, tol=None):
-        return SolverConfig(tol=tol if tol is not None else self.tol,
-                            max_iter=self.max_iter, sigma=self.sigma,
-                            tau=self.tau, eps0=self.eps0,
-                            eps_decay=self.eps_decay,
-                            inner_backend=self.inner_backend,
-                            pdas_c=self.pdas_c)
+        """The SolverConfig fields of this config, tol replaced if given."""
+        values = {f.name: getattr(self, f.name) for f in fields(SolverConfig)}
+        if tol is not None:
+            values["tol"] = tol
+        return SolverConfig(**values)
 
     def params_overrides(self):
         return {k: getattr(self, k) for k in ("alpha", "beta", "a", "b")

@@ -142,11 +142,8 @@ class SineSolver:
         self._denom = (lam[:, None] + lam[None, :]) * (0.5 * (N + 1)) ** 2
 
     def solve(self, rhs):
-        """K^{-1} rhs for a length-n or n x m rhs."""
-        rhs = np.asarray(rhs)
-        if rhs.ndim == 2:
-            return np.column_stack([self.solve(col) for col in rhs.T])
-        B = rhs.reshape(self._N, self._N)
+        """K^{-1} rhs for a length-n rhs."""
+        B = np.asarray(rhs).reshape(self._N, self._N)
         return _sine_transform(_sine_transform(B) / self._denom).ravel()
 
 

@@ -11,6 +11,7 @@ condition.  Everything here is dense numpy on purpose: no code is shared
 with the sparse solver stack, so agreement between the two is meaningful.
 """
 
+import dataclasses
 import itertools
 import numpy as np
 
@@ -112,7 +113,10 @@ def certify_kkt(u, problem):
     p = np.linalg.solve(K, M @ (problem.yd - y))
     lam = p - 0.5 * problem.alpha * u
     state = IterateState(u=u, z=u.copy(), lam=lam, y=y, p=p)
-    res = kkt_residual_admm(state, problem, factorM=_DenseSolve(M))
+    # the residuals solve with the factorM slot, here of a dense copy
+    dense = dataclasses.replace(problem)
+    dense.__dict__["factorM"] = _DenseSolve(M)
+    res = kkt_residual_admm(state, dense)
     if res.eta > 1e-9:
         raise RuntimeError(f"oracle inconsistency: KKT residual {res.eta:.3e}")
     return res

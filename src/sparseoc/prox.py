@@ -24,8 +24,10 @@ M norm.  These are the discrete L2 norms, so the residuals, unlike raw
 Euclidean ones, do not shrink by mass-matrix factors h^2 under refinement
 and iteration counts stay comparable across grid levels.  The state and
 adjoint dual norms of one residual evaluation come from a single 2-column
-M-solve; that of the ADMM stationarity functional M(alpha/2 u - p + lam) is
-the M norm of alpha/2 u - p + lam and needs none.  The ihADMM takes the
+solve with problem.factorM (another M-solver goes into that slot of a
+dataclasses.replace copy, as oracle.certify_kkt does); that of the ADMM
+stationarity functional M(alpha/2 u - p + lam) is the M norm of
+alpha/2 u - p + lam and needs none.  The ihADMM takes the
 state and adjoint functionals from its u-step's block residual (r1, r2),
 K y - M(u + yc) = r2 and M(y - yd) + K p = -gamma r1, so a direct iteration
 makes 6 real sparse products and 1 complex one; the other solvers reuse the
@@ -154,12 +156,11 @@ def _m_norm(problem, v):
     return float(np.sqrt(max(v @ (problem.M @ v), 0.0)))
 
 
-def _residual_core(u, Mu, F, problem, factorM=None):
+def _residual_core(u, Mu, F, problem):
     """1 + ||u||_M from Mu = M u and the normalized dual norms of the state
-    and adjoint functionals, the columns of F, from one 2-column M-solve
-    (factorM None: the problem's)."""
-    factorM = problem.factorM if factorM is None else factorM
-    sq = np.einsum("ij,ij->j", F, factorM.solve(F))
+    and adjoint functionals, the columns of F, from one 2-column solve with
+    problem.factorM."""
+    sq = np.einsum("ij,ij->j", F, problem.factorM.solve(F))
     d_state, d_adjoint = (float(np.sqrt(max(v, 0.0))) for v in sq)
     return (1.0 + float(np.sqrt(max(u @ Mu, 0.0))),
             d_state / (1.0 + problem.yc_norm),
@@ -173,14 +174,14 @@ def multiplier_fixed_point(lam_weighted, problem):
                        problem.a, problem.b)
 
 
-def admm_residuals_weighted(u, z, lam, Mlam, p, F, Mu, problem, factorM=None):
+def admm_residuals_weighted(u, z, lam, Mlam, p, F, Mu, problem):
     """eta_1..eta_5 and M w from Mlam = M lambda, the state and adjoint
     functionals F and Mu = M u (shared solver core).
 
     The stationarity functional M w, w = alpha/2 u - p + lam, has the M
     norm of w as its dual norm, which needs no solve.
     """
-    scale_u, eta1, eta3 = _residual_core(u, Mu, F, problem, factorM)
+    scale_u, eta1, eta3 = _residual_core(u, Mu, F, problem)
     eta2 = _m_norm(problem, u - z) / scale_u
     w = 0.5 * problem.alpha * u - p + lam
     Mw = problem.M @ w
@@ -190,13 +191,13 @@ def admm_residuals_weighted(u, z, lam, Mlam, p, F, Mu, problem, factorM=None):
                        max(eta1, eta2, eta3, eta4, eta5)), Mw
 
 
-def kkt_residual_admm(state, problem, factorM=None):
+def kkt_residual_admm(state, problem):
     """Residuals eta_1..eta_5 of the split (u, z) optimality system at a
     state that carries its y and p."""
     F, Mu = state_adjoint_functionals(state.u, state.y, state.p, problem)
     return admm_residuals_weighted(state.u, state.z, state.lam,
                                    problem.M @ state.lam, state.p, F, Mu,
-                                   problem, factorM)[0]
+                                   problem)[0]
 
 
 def kkt_residual_pdas(state, problem):

@@ -9,8 +9,9 @@ ConvergenceReport that every exit returns:
 * solve_ihadmm       -- heterogeneous ADMM: M-weighted penalty in the u-step
                         (reduced 2x2 saddle solve), W-weighted penalty in the
                         z-step (closed form), inexact inner solves driven by
-                        a summable tolerance sequence eps_k, each GMRES
-                        started from the best combination of the last
+                        the fixed summable tolerance sequence
+                        eps_k = 1e-2 / (k+1)^1.2 (_EPS0, _EPS_DECAY), each
+                        GMRES started from the best combination of the last
                         solution updates (linalg._SolutionWindow); eta_1
                         and eta_3 reuse the u-step's block residual.
 * solve_classical_admm -- Euclidean-penalty ADMM; its u-step is a reduced SPD
@@ -19,9 +20,10 @@ ConvergenceReport that every exit returns:
                         backtracking for the curvature constant and gradient
                         based restart.
 * solve_pdas         -- primal-dual active set (semismooth Newton): classify
-                        every dof against the thresholds +-c w_i beta and the
-                        bounds, fix the active ones, solve for the free ones,
-                        repeat until the sets freeze or one recurs.  The
+                        every dof against the thresholds +-c w_i beta
+                        (fixed c = _PDAS_C = 1) and the bounds, fix the
+                        active ones, solve for the free ones, repeat until
+                        the sets freeze or one recurs.  The
                         Newton step is the SPD reduced-Hessian system in the
                         free controls, solved by preconditioned CG with two
                         K-solves per iteration.
@@ -75,6 +77,12 @@ from .prox import (z_update_ihadmm, z_update_classical, prox_g_euclidean,
 _GOLDEN = 0.5 * (1.0 + np.sqrt(5.0))
 # an inexact ihADMM u-step's residual target follows the last eta times this
 _FORCING = 0.1
+# the inexact u-step's error sequence eps_k = _EPS0 / (k+1)^_EPS_DECAY; a
+# decay above 1 keeps sum(eps_k) finite, as the convergence theory needs
+_EPS0 = 1e-2
+_EPS_DECAY = 1.2
+# PDAS's active-set parameter c > 0
+_PDAS_C = 1.0
 
 
 @dataclass
@@ -82,21 +90,17 @@ class SolverConfig:
     """Shared solver parameters; None picks the documented per-solver default.
 
     sigma defaults to 0.1*alpha, tau to 1 (heterogeneous ADMM) or 1.618
-    (classical ADMM).  eps0/eps_decay define the summable inner tolerance
-    sequence eps_k = eps0 / (k+1)^eps_decay used by the inexact u-step.
+    (classical ADMM).
     """
 
     tol: float = 1e-6
     max_iter: int = 500
     sigma: float = None
     tau: float = None
-    eps0: float = 1e-2
-    eps_decay: float = 1.2
     inner_backend: str = "direct"
-    pdas_c: float = 1.0
 
     def validate(self):
-        for name in ("tol", "sigma", "tau", "eps0", "eps_decay", "pdas_c"):
+        for name in ("tol", "sigma", "tau"):
             value = getattr(self, name)
             if value is not None:
                 check_real(name, value)
@@ -111,14 +115,8 @@ class SolverConfig:
             raise ValueError("sigma must be positive")
         if self.tau is not None and not (0.0 < self.tau < _GOLDEN):
             raise ValueError(f"tau must lie in (0, {_GOLDEN:.4f})")
-        if not self.eps0 > 0:
-            raise ValueError("eps0 must be positive")
-        if self.eps_decay <= 1.0:
-            raise ValueError("eps_decay must exceed 1 so that sum(eps_k) < inf")
         if self.inner_backend not in ("direct", "pmhss_gmres"):
             raise ValueError(f"unknown inner backend {self.inner_backend!r}")
-        if self.pdas_c <= 0:
-            raise ValueError("active-set parameter c must be positive")
         return self
 
 
@@ -231,7 +229,7 @@ def solve_ihadmm(problem, config=None, warm=None, callback=None):
         rhs_top = (K @ (sigma * z - lam) + problem.Myd) / gamma
         rhs_bottom = -problem.Myc
         if inexact:
-            eps_k = config.eps0 / (k + 1.0) ** config.eps_decay
+            eps_k = _EPS0 / (k + 1.0) ** _EPS_DECAY
             # capped so the M^{-1}-weighted residual norms (amplified by at
             # most 2/h, since lambda_min(M) >= h^2/4) keep eta1, eta3 below
             # half of max(tol, _FORCING * the last eta)
@@ -320,6 +318,7 @@ def solve_classical_admm(problem, config=None, warm=None, callback=None):
     # g0 = M K^{-1} (M yd - M K^{-1} M yc): M times the adjoint of u = 0
     g0 = M @ solve_adjoint(problem, factorK,
                            solve_state(problem, factorK, np.zeros(n)))
+    g0_norm = np.linalg.norm(g0)
     hessian = lambda v: A0 @ v + _tracking_hessian(problem, factorK, v)
 
     state = _check_warm(warm, n)
@@ -331,10 +330,11 @@ def solve_classical_admm(problem, config=None, warm=None, callback=None):
         u, iters, cg_ok = _pcg(hessian, precond.solve, b + g0, u)
         y = solve_state(problem, factorK, u)
         p = solve_adjoint(problem, factorK, y)
-        # grad f(u); the step's true residual is the 3n system's middle row
+        # grad f(u); the step's true residual is the 3n system's middle row,
+        # taken relative to ||b|| + ||g0||: ||b + g0|| cancels as u decays
         Mg = M @ (0.5 * problem.alpha * u - p)
         stats = InnerSolveStats(iters, np.linalg.norm(b - sigma * u - Mg)
-                                / np.linalg.norm(b + g0), iters, cg_ok)
+                                / (np.linalg.norm(b) + g0_norm), iters, cg_ok)
         z = z_update_classical(u, lam_c, problem, sigma)
         lam_c = lam_c + tau * sigma * (u - z)
         # one M-solve serves eta4, the callback and the final state
@@ -412,15 +412,15 @@ def solve_apg(problem, config=None, warm=None, callback=None):
 _AT_A, _AT_B, _AT_0, _INACT_POS, _INACT_NEG = range(5)
 
 
-def _classify(u, mu, problem, c):
-    """Active/inactive partition of Algorithm-step-1 with deterministic ties.
+def _classify(u, mu, problem):
+    """Active/inactive partition of Algorithm-step-1 with deterministic ties,
+    c = _PDAS_C.
 
     Strict inequalities as printed; boundary-equality dofs fall through to
     the inactive set matching the sign of u + c mu.
     """
-    w = problem.W
-    t = u + c * mu
-    thr = c * w * problem.beta
+    t = u + _PDAS_C * mu
+    thr = _PDAS_C * problem.W * problem.beta
     return np.where(t - problem.a < -thr, _AT_A,
                     np.where(t - problem.b > thr, _AT_B,
                              np.where(np.abs(t) < thr, _AT_0,
@@ -438,7 +438,6 @@ def solve_pdas(problem, config=None, warm=None, callback=None):
     CG iteration costs two K-solves, and y, p follow from two more.
     """
     config = (config or SolverConfig()).validate()
-    c = config.pdas_c
     M, W, alpha = problem.M, problem.W, problem.alpha
     n = problem.n
     T = (0.5 * (M + sp.diags(W))).tocsr()
@@ -457,7 +456,7 @@ def solve_pdas(problem, config=None, warm=None, callback=None):
     seen_codes = set()
 
     for _ in range(config.max_iter):
-        code = _classify(u, mu, problem, c)
+        code = _classify(u, mu, problem)
         key = code.tobytes()
         if key in seen_codes:
             break                   # a set seen before, eta > tol: stalled

@@ -24,7 +24,7 @@ from sparseoc import mesh as fem
 from sparseoc.linalg import SaddleSolver, factorize
 from sparseoc.experiments import (build_example2, l2_control_error,
                                   reproduction_sigma)
-from sparseoc.solvers import SolverConfig, IterateState
+from sparseoc.solvers import SolverConfig, IterateState, _EPS0, _EPS_DECAY
 from sparseoc.oracle import brute_force_solve
 from sparseoc.prox import (grad_f, objective_f, z_update_ihadmm,
                            z_update_classical, prox_g_euclidean)
@@ -298,7 +298,7 @@ def test_criterion_7_invariant_suites(ex1, meshes):
     ok_theta = rep.converged
     for k in range(len(thetas) - 1):
         slack = np.sqrt(2.5 * sig * norm_M) * rho \
-            * cfg.eps0 / (k + 1.0) ** cfg.eps_decay
+            * _EPS0 / (k + 1.0) ** _EPS_DECAY
         ok_theta &= thetas[k + 1] <= thetas[k] + slack + 1e-12
     checks["theta_slack_monotone"] = bool(ok_theta)
 

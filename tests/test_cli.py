@@ -52,11 +52,11 @@ def test_solve_bad_example_exit_code(tmp_path, capsys):
 @pytest.mark.parametrize("bad", [
     {"sigma": -1},
     {"tau": 5},
-    {"eps_decay": 0.5},
-    {"pdas_c": -1, "solver": "pdas"},
+    {"inner_backend": "cg"},
+    {"tau": 0},
     {"phase1_tol": 1e-12, "phase2_tol": 1e-3, "solver": "two_phase"},
-    {"inner_backend": "pmhss_gmres", "eps0": 0},
-    {"eps0": -1},
+    {"max_iter": 0},
+    {"solvers": ["ihadmm", "newton"]},
     {"alpha": 0},
     {"a": 1},
     {"max_iter": 2.5},
@@ -71,9 +71,8 @@ def test_solve_bad_solver_setting_exit_code(tmp_path, capsys, bad):
 
 
 @pytest.mark.parametrize("value", [True, float("nan")], ids=["true", "nan"])
-@pytest.mark.parametrize("field", ["tol", "sigma", "tau", "eps0", "eps_decay",
-                                   "pdas_c", "phase1_tol", "phase2_tol",
-                                   "alpha", "beta", "a", "b"])
+@pytest.mark.parametrize("field", ["tol", "sigma", "tau", "phase1_tol",
+                                   "phase2_tol", "alpha", "beta", "a", "b"])
 def test_solve_bool_or_nan_setting_exit_code(tmp_path, capsys, field, value):
     # JSON true is a Python bool, which float comparisons take for 1.0
     cfg = _write_config(tmp_path / "cfg.json", **{field: value})
@@ -81,6 +80,16 @@ def test_solve_bool_or_nan_setting_exit_code(tmp_path, capsys, field, value):
                  "--out", str(tmp_path / "o")]) == 2
     err = capsys.readouterr().err.splitlines()
     assert err == [f"error: {field} must be a finite number"]
+    assert not (tmp_path / "o").exists()
+
+
+def test_fixed_inner_tolerance_key_exit_code(tmp_path, capsys):
+    # the inexact u-step's tolerance sequence is fixed, no longer a setting
+    cfg = _write_config(tmp_path / "cfg.json", eps0=1e-3)
+    assert main(["solve", "--config", str(cfg),
+                 "--out", str(tmp_path / "o")]) == 2
+    assert capsys.readouterr().err.splitlines() == [
+        "error: unknown config keys: ['eps0']"]
     assert not (tmp_path / "o").exists()
 
 

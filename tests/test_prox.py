@@ -271,11 +271,11 @@ def test_prox_scalar_sweep_10k():
 
 def test_kkt_residual_zero_state(ex1):
     _, prob, _ = ex1(3)
-    factorM = factorize(prob.M)
+    factorM = prob.factorM
     n = prob.n
     state = IterateState(u=np.zeros(n), z=np.zeros(n), lam=np.zeros(n),
                          y=np.zeros(n), p=np.zeros(n))
-    res = kkt_residual_admm(state, prob, factorM=factorM)
+    res = kkt_residual_admm(state, prob)
     r = prob.M @ prob.yc
     expect = np.sqrt(r @ factorM.solve(r)) \
         / (1.0 + np.sqrt(prob.yc @ (prob.M @ prob.yc)))
