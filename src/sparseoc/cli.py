@@ -4,7 +4,7 @@ Batch command-line front end.
 Three subcommands, all driven by a JSON configuration document:
 
     sparseoc solve            --config cfg.json --out DIR
-    sparseoc table            --config cfg.json --out DIR [--jobs N]
+    sparseoc table            --config cfg.json --out DIR
     sparseoc export-matrices  --level K --out DIR
 
 `solve` runs one (example, level, solver) and writes report.json plus a
@@ -49,10 +49,6 @@ class RunConfig(SolverConfig):
     phase1_tol: float = 1e-3
     phase2_tol: float = 1e-10
     reference_level: int = None
-    alpha: float = None
-    beta: float = None
-    a: float = None
-    b: float = None
 
     def to_dict(self):
         return asdict(self)
@@ -86,7 +82,7 @@ class RunConfig(SolverConfig):
                 and not _is_level(self.reference_level):
             raise ConfigError("reference_level must be a positive integer")
         try:
-            p = example_params(self.example, **self.params_overrides())
+            example_params(self.example)    # rejects an unknown example
             for name in ("tol", "phase1_tol", "phase2_tol"):
                 try:
                     self.solver_config(getattr(self, name)).validate()
@@ -95,7 +91,6 @@ class RunConfig(SolverConfig):
                     raise ValueError(str(exc).replace("tol", name, 1)) from exc
             if self.phase1_tol < self.phase2_tol:
                 raise ValueError("phase1_tol must be >= phase2_tol")
-            fem.check_params(p.alpha, p.beta, p.a, p.b)
             if self.levels is not None:
                 # order of the levels and the reference level above them
                 _table_spec(self).validate()
@@ -109,10 +104,6 @@ class RunConfig(SolverConfig):
         if tol is not None:
             values["tol"] = tol
         return SolverConfig(**values)
-
-    def params_overrides(self):
-        return {k: getattr(self, k) for k in ("alpha", "beta", "a", "b")
-                if getattr(self, k) is not None}
 
 
 def _is_level(v):
@@ -141,9 +132,7 @@ def cmd_solve(config_path, out_dir):
     """Run one (example, level, solver); report JSON + CSV artifacts."""
     cfg = load_config(config_path)
     out_dir.mkdir(parents=True, exist_ok=True)
-    m, problem = build_example(cfg.example, cfg.level,
-                               example_params(cfg.example,
-                                              **cfg.params_overrides()))
+    m, problem = build_example(cfg.example, cfg.level)
 
     report = run_solver(cfg.solver, problem, _configs(cfg, cfg.solver))
 
@@ -186,16 +175,15 @@ def _table_spec(cfg):
         raise ConfigError("table mode needs a 'levels' list")
     return ExperimentSpec(example_id=cfg.example, levels=list(cfg.levels),
                           solver_matrix=matrix,
-                          reference_level=cfg.reference_level,
-                          **cfg.params_overrides())
+                          reference_level=cfg.reference_level)
 
 
-def cmd_table(config_path, out_dir, jobs=1):
+def cmd_table(config_path, out_dir):
     """Run the level sweep and emit table.csv / table.json."""
     cfg = load_config(config_path)
     spec = _table_spec(cfg)
     out_dir.mkdir(parents=True, exist_ok=True)
-    rows = run_table(spec, jobs=jobs)
+    rows = run_table(spec)
 
     names = [name for name, _ in spec.solver_matrix]
     header = ["level", "h", "n_dofs", "E2", "EOC"]
@@ -272,7 +260,6 @@ def build_parser():
                              help="run a level/solver sweep")
     p_table.add_argument("--config", required=True)
     p_table.add_argument("--out", required=True)
-    p_table.add_argument("--jobs", type=int, default=1)
 
     p_exp = sub.add_parser("export-matrices", parents=[common],
                            help="write K, M, W in MatrixMarket format")
@@ -291,7 +278,7 @@ def main(argv=None):
         if args.command == "solve":
             return cmd_solve(args.config, Path(args.out))
         if args.command == "table":
-            return cmd_table(args.config, Path(args.out), jobs=args.jobs)
+            return cmd_table(args.config, Path(args.out))
         if args.command == "export-matrices":
             return cmd_export_matrices(args.level, Path(args.out))
     except (ConfigError, OSError) as exc:   # bad config or unusable --out

@@ -19,7 +19,7 @@ is the log-ratio slope between consecutive levels.
 
 import time
 import numpy as np
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 from . import mesh as fem
 from .solvers import SolverConfig, run_solver, solve_two_phase
@@ -39,6 +39,7 @@ class ExampleParams:
 
 EXAMPLE1_PARAMS = ExampleParams(alpha=0.5, beta=0.5, a=-0.5, b=0.5)
 EXAMPLE2_PARAMS = ExampleParams(alpha=1e-5, beta=1e-3, a=-30.0, b=30.0)
+_EXAMPLE_PARAMS = {"constructed": EXAMPLE1_PARAMS, "stadler": EXAMPLE2_PARAMS}
 
 
 def reproduction_sigma(alpha):
@@ -48,7 +49,7 @@ def reproduction_sigma(alpha):
     return 0.25 * alpha
 
 
-def example1_fields(params=EXAMPLE1_PARAMS):
+def example1_fields():
     """Exact solution and data fields of the constructed problem.
 
     y* = sin(pi x1) sin(pi x2), p* = 2 beta sin(2 pi x1) e^{x1/2} sin(4 pi x2);
@@ -57,7 +58,8 @@ def example1_fields(params=EXAMPLE1_PARAMS):
     adjoint equation (yd = -Lap p* + y*).  The Laplacian of p* is hand
     derived; a finite-difference test guards the formula.
     """
-    alpha, beta, a, b = params.alpha, params.beta, params.a, params.b
+    alpha, beta = EXAMPLE1_PARAMS.alpha, EXAMPLE1_PARAMS.beta
+    a, b = EXAMPLE1_PARAMS.a, EXAMPLE1_PARAMS.b
 
     def y_star(x1, x2):
         return np.sin(np.pi * x1) * np.sin(np.pi * x2)
@@ -86,12 +88,13 @@ def example1_fields(params=EXAMPLE1_PARAMS):
             "neg_lap_p_star": neg_lap_p_star, "yc": yc, "yd": yd}
 
 
-def build_example1(level, params=EXAMPLE1_PARAMS):
+def build_example1(level):
     """Mesh, DiscreteProblem and exact fields of the constructed problem."""
-    fields = example1_fields(params)
+    fields = example1_fields()
     m = fem.build_mesh(level)
+    p = EXAMPLE1_PARAMS
     problem = fem.discretize(m, fields["yd"], fields["yc"],
-                             params.alpha, params.beta, params.a, params.b)
+                             p.alpha, p.beta, p.a, p.b)
     return m, problem, fields
 
 
@@ -100,29 +103,28 @@ def example2_yd(x1, x2):
         * np.sin(2.0 * np.pi * x2) / 6.0
 
 
-def build_example2(level, params=EXAMPLE2_PARAMS):
+def build_example2(level):
     """Mesh and DiscreteProblem of the Stadler benchmark (yc = 0)."""
     m = fem.build_mesh(level)
-    problem = fem.discretize(m, example2_yd, None,
-                             params.alpha, params.beta, params.a, params.b)
+    p = EXAMPLE2_PARAMS
+    problem = fem.discretize(m, example2_yd, None, p.alpha, p.beta, p.a, p.b)
     return m, problem
 
 
-def example_params(example_id, **overrides):
-    """The example's default parameters with every non-None override."""
-    if example_id not in ("constructed", "stadler"):
-        raise ValueError(f"unknown example {example_id!r}")
-    base = EXAMPLE1_PARAMS if example_id == "constructed" else EXAMPLE2_PARAMS
-    return replace(base, **{k: v for k, v in overrides.items()
-                            if v is not None})
+def example_params(example_id):
+    """The paper's alpha, beta, a, b of an example."""
+    try:
+        return _EXAMPLE_PARAMS[example_id]
+    except KeyError:
+        raise ValueError(f"unknown example {example_id!r}") from None
 
 
-def build_example(example_id, level, params):
+def build_example(example_id, level):
     """Mesh and DiscreteProblem of either example."""
     if example_id == "constructed":
-        return build_example1(level, params)[:2]
+        return build_example1(level)[:2]
     if example_id == "stadler":
-        return build_example2(level, params)
+        return build_example2(level)
     raise ValueError(f"unknown example {example_id!r}")
 
 
@@ -180,20 +182,17 @@ def compute_eoc(errors):
 
 @dataclass
 class ExperimentSpec:
-    """One sweep: an example, grid levels and the solvers to run on each."""
+    """One sweep: an example, with the paper's alpha, beta, a and b, grid
+    levels and the solvers to run on each."""
 
     example_id: str
     levels: list
     # [(name, SolverConfig), ...]; "two_phase" takes a (phase1, phase2) pair
     solver_matrix: list
-    alpha: float = None
-    beta: float = None
-    a: float = None
-    b: float = None
     reference_level: int = None          # fine-grid reference (stadler)
 
     def validate(self):
-        self.params()                       # rejects an unknown example
+        example_params(self.example_id)     # rejects an unknown example
         if not self.levels:
             raise ValueError("empty level list")
         if any(a >= b for a, b in zip(self.levels, self.levels[1:])):
@@ -208,10 +207,6 @@ class ExperimentSpec:
                 raise ValueError(f"{name}: two_phase takes a (phase1, phase2) "
                                  "config pair, every other solver one config")
         return self
-
-    def params(self):
-        return example_params(self.example_id, alpha=self.alpha,
-                              beta=self.beta, a=self.a, b=self.b)
 
 
 @dataclass
@@ -247,9 +242,9 @@ def _run_cell(name, config, problem):
                           False, None, f"{type(exc).__name__}: {exc}"), None
 
 
-def _reference_solution(spec, params):
-    m_ref, p_ref = build_example2(spec.reference_level, params)
-    sigma = reproduction_sigma(params.alpha)
+def _reference_solution(level):
+    m_ref, p_ref = build_example2(level)
+    sigma = reproduction_sigma(p_ref.alpha)
     report = solve_two_phase(p_ref, SolverConfig(tol=1e-3, sigma=sigma),
                              SolverConfig(tol=_REFERENCE_TOL, sigma=sigma))
     if not report.converged:
@@ -257,24 +252,24 @@ def _reference_solution(spec, params):
     return m_ref, report.final_state.u
 
 
-def run_table(spec, jobs=1):
+def run_table(spec):
     """Run every (level, solver) cell of the sweep and assemble table rows.
 
     E2 is measured on the first configured solver's control; failed cells
     are kept in the table with their error recorded.
     """
     spec = spec.validate()
-    params = spec.params()
 
     ref_mesh = ref_u = None
     exact = None
     if spec.example_id == "constructed":
-        exact = example1_fields(params)
+        exact = example1_fields()
     elif spec.reference_level is not None:
-        ref_mesh, ref_u = _reference_solution(spec, params)
+        ref_mesh, ref_u = _reference_solution(spec.reference_level)
 
-    def run_level(level):
-        m, problem = build_example(spec.example_id, level, params)
+    rows = []
+    for level in spec.levels:
+        m, problem = build_example(spec.example_id, level)
         cells = []
         u_first = None
         for name, config in spec.solver_matrix:
@@ -288,14 +283,7 @@ def run_table(spec, jobs=1):
                 e2 = l2_control_error(u_first, exact["u_star"], m)
             elif ref_u is not None:
                 e2 = l2_control_error(u_first, ref_u, m, ref_mesh=ref_mesh)
-        return EocRow(level, m.h, m.n_interior, e2, None, cells)
-
-    if jobs > 1:
-        from concurrent.futures import ThreadPoolExecutor
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            rows = list(pool.map(run_level, spec.levels))
-    else:
-        rows = [run_level(level) for level in spec.levels]
+        rows.append(EocRow(level, m.h, m.n_interior, e2, None, cells))
 
     eocs = compute_eoc([(r.h, r.E2) for r in rows])
     for row, eoc in zip(rows[1:], eocs):

@@ -32,9 +32,9 @@ state and adjoint functionals from its u-step's block residual (r1, r2),
 K y - M(u + yc) = r2 and M(y - yd) + K p = -gamma r1, so a direct iteration
 makes 6 real sparse products and 1 complex one; the other solvers reuse the
 M u of their state functional for ||u||_M.  R_h keeps plain Euclidean norms;
-the solvers build it from the adjoint p their iterate carries, the eta_4
-product and dist_subdifferential_g, so it costs no solve.  All functions
-are pure.
+the solvers build it from a product the residuals already make (the ADMMs'
+eta_4 functional, the q = M(p - alpha/2 u) of kkt_residual_pdas) and
+dist_subdifferential_g, so it costs no solve.  All functions are pure.
 """
 
 import numpy as np
@@ -202,7 +202,7 @@ def kkt_residual_admm(state, problem):
 
 def kkt_residual_pdas(state, problem):
     """Residuals eta_1..eta_3 of the reduced (z eliminated) system at a
-    state that carries its y and p.
+    state that carries its y and p, and q = M(p - alpha/2 u).
 
     eta_3 is the prox fixed point of the stationarity relation
     mu = M p - alpha T u in beta W d|u| + N_box(u), evaluated as
@@ -214,7 +214,7 @@ def kkt_residual_pdas(state, problem):
     scale_u, eta1, eta2 = _residual_core(u, Mu, F, problem)
     q = problem.M @ (p - 0.5 * problem.alpha * u)
     eta3 = _m_norm(problem, u - multiplier_fixed_point(q, problem)) / scale_u
-    return KktResidual(eta1, eta2, eta3, 0.0, 0.0, max(eta1, eta2, eta3))
+    return KktResidual(eta1, eta2, eta3, 0.0, 0.0, max(eta1, eta2, eta3)), q
 
 
 def dist_subdifferential_g(z, q, problem):

@@ -74,7 +74,10 @@ from .prox import (z_update_ihadmm, z_update_classical, prox_g_euclidean,
                    dist_subdifferential_g, solve_state, solve_adjoint,
                    f_from_state, state_adjoint_functionals)
 
-_GOLDEN = 0.5 * (1.0 + np.sqrt(5.0))
+# multiplier step lengths: 1 for the ihADMM, as in the paper, and the
+# classical ADMM's customary 1.618, just below the golden ratio
+_TAU_IHADMM = 1.0
+_TAU_CLASSICAL = 1.618
 # an inexact ihADMM u-step's residual target follows the last eta times this
 _FORCING = 0.1
 # the inexact u-step's error sequence eps_k = _EPS0 / (k+1)^_EPS_DECAY; a
@@ -87,20 +90,15 @@ _PDAS_C = 1.0
 
 @dataclass
 class SolverConfig:
-    """Shared solver parameters; None picks the documented per-solver default.
-
-    sigma defaults to 0.1*alpha, tau to 1 (heterogeneous ADMM) or 1.618
-    (classical ADMM).
-    """
+    """Shared solver parameters; sigma None picks 0.1*alpha (penalty)."""
 
     tol: float = 1e-6
     max_iter: int = 500
     sigma: float = None
-    tau: float = None
     inner_backend: str = "direct"
 
     def validate(self):
-        for name in ("tol", "sigma", "tau"):
+        for name in ("tol", "sigma"):
             value = getattr(self, name)
             if value is not None:
                 check_real(name, value)
@@ -113,11 +111,13 @@ class SolverConfig:
             raise ValueError("max_iter must be >= 1")
         if self.sigma is not None and self.sigma <= 0:
             raise ValueError("sigma must be positive")
-        if self.tau is not None and not (0.0 < self.tau < _GOLDEN):
-            raise ValueError(f"tau must lie in (0, {_GOLDEN:.4f})")
         if self.inner_backend not in ("direct", "pmhss_gmres"):
             raise ValueError(f"unknown inner backend {self.inner_backend!r}")
         return self
+
+    def penalty(self, problem):
+        """The ADMM penalty sigma of a run on problem."""
+        return self.sigma if self.sigma is not None else 0.1 * problem.alpha
 
 
 @dataclass
@@ -207,8 +207,7 @@ def _check_warm(warm, n):
 def solve_ihadmm(problem, config=None, warm=None, callback=None):
     """Heterogeneous ADMM with inexact saddle-point u-steps."""
     config = (config or SolverConfig()).validate()
-    sigma = config.sigma if config.sigma is not None else 0.1 * problem.alpha
-    tau = config.tau if config.tau is not None else 1.0
+    sigma = config.penalty(problem)
     gamma = 0.5 * problem.alpha + sigma
     M, K = problem.M, problem.K
 
@@ -247,29 +246,26 @@ def solve_ihadmm(problem, config=None, warm=None, callback=None):
         p = gamma * u - sigma * z + lam
         F = np.column_stack([saddle.residual[1], -gamma * saddle.residual[0]])
         z = z_update_ihadmm(u, Mlam, problem, sigma)
-        lam = lam + tau * sigma * (u - z)
+        lam = lam + _TAU_IHADMM * sigma * (u - z)
         Mlam = M @ lam
 
         state = IterateState(u=u, z=z, lam=lam, y=y, p=p)
         res, Mw = admm_residuals_weighted(u, z, lam, Mlam, p, F, M @ u,
                                           problem)
-        if run.record(state, res, _Rh_from(u, z, Mlam, p, problem, r1=Mw),
-                      stats):
+        if run.record(state, res, _Rh_from(u, z, Mlam, Mw, problem), stats):
             break
 
     return run.report(state)
 
 
-def _Rh_from(u, z, Mlam, p, problem, r1=None):
+def _Rh_from(u, z, Mlam, r1, problem):
     """R_h = ||M lam + grad f(u)||^2 + dist^2(0, -M lam + dg(z)) + ||u - z||^2.
 
-    Takes M*lambda directly (avoids M-solves in the classical ADMM) and the
-    adjoint p of the iterate: with K y = M(u + yc) and K p = M(yd - y),
-    grad f(u) = alpha/2 M u - M p, so the first term is the eta_4
-    functional and R_h costs no solve; a caller that has it passes it as r1.
+    Takes M*lambda directly (avoids M-solves in the classical ADMM) and
+    r1 = M lam + grad f(u) = M lam + M(alpha/2 u - p), p the adjoint of the
+    iterate: the ADMMs' eta_4 functional, or M lam - q with the q of
+    kkt_residual_pdas, so R_h costs no solve and no product with M.
     """
-    if r1 is None:
-        r1 = problem.M @ (0.5 * problem.alpha * u - p) + Mlam
     d = dist_subdifferential_g(z, Mlam, problem)
     r3 = u - z
     return float(r1 @ r1 + d @ d + r3 @ r3)
@@ -307,8 +303,7 @@ def solve_classical_admm(problem, config=None, warm=None, callback=None):
     by an LU of alpha/2 M + sigma I, solves
     (alpha/2 M + sigma I + M K^{-1} M K^{-1} M) u = sigma z - lam_c + g0."""
     config = (config or SolverConfig()).validate()
-    sigma = config.sigma if config.sigma is not None else 0.1 * problem.alpha
-    tau = config.tau if config.tau is not None else 1.618
+    sigma = config.penalty(problem)
     M, n = problem.M, problem.n
 
     run = _Run("classical_admm", config, callback)
@@ -336,7 +331,7 @@ def solve_classical_admm(problem, config=None, warm=None, callback=None):
         stats = InnerSolveStats(iters, np.linalg.norm(b - sigma * u - Mg)
                                 / (np.linalg.norm(b) + g0_norm), iters, cg_ok)
         z = z_update_classical(u, lam_c, problem, sigma)
-        lam_c = lam_c + tau * sigma * (u - z)
+        lam_c = lam_c + _TAU_CLASSICAL * sigma * (u - z)
         # one M-solve serves eta4, the callback and the final state
         lam = factorM.solve(lam_c)
 
@@ -345,7 +340,7 @@ def solve_classical_admm(problem, config=None, warm=None, callback=None):
             problem)[0]
         state = IterateState(u=u, z=z, lam=lam, y=y, p=p)
         if run.record(state, res,
-                      _Rh_from(u, z, lam_c, p, problem, r1=Mg + lam_c), stats):
+                      _Rh_from(u, z, lam_c, Mg + lam_c, problem), stats):
             break
 
     return run.report(state)
@@ -400,8 +395,9 @@ def solve_apg(problem, config=None, warm=None, callback=None):
 
         lam = p - 0.5 * alpha * u
         it_state = IterateState(u=u, z=u.copy(), y=y, p=p, lam=lam)
-        res = kkt_residual_pdas(it_state, problem)
-        if run.record(it_state, res, _Rh_from(u, u, M @ lam, p, problem),
+        # q = M(p - alpha/2 u) = M lam, so grad f(u) + M lam = 0 exactly
+        res, q = kkt_residual_pdas(it_state, problem)
+        if run.record(it_state, res, _Rh_from(u, u, q, q - q, problem),
                       InnerSolveStats(doublings, 0.0, 0, True)):
             break
 
@@ -503,10 +499,11 @@ def solve_pdas(problem, config=None, warm=None, callback=None):
 
         it_state = IterateState(u=u, z=u.copy(), y=y, p=p, mu=mu,
                                 lam=p - 0.5 * alpha * u)
-        res = kkt_residual_pdas(it_state, problem)
+        res, q = kkt_residual_pdas(it_state, problem)
         Mlam = mu + 0.5 * alpha * (W * u)
         # a CG that missed its target stops the run unconverged
-        if run.record(it_state, res, _Rh_from(u, u, Mlam, p, problem), stats):
+        if run.record(it_state, res, _Rh_from(u, u, Mlam, Mlam - q, problem),
+                      stats):
             break
 
     return run.report(it_state)     # the first set is never a repeat

@@ -24,7 +24,8 @@ from sparseoc import mesh as fem
 from sparseoc.linalg import SaddleSolver, factorize
 from sparseoc.experiments import (build_example2, l2_control_error,
                                   reproduction_sigma)
-from sparseoc.solvers import SolverConfig, IterateState, _EPS0, _EPS_DECAY
+from sparseoc.solvers import (SolverConfig, IterateState, _EPS0, _EPS_DECAY,
+                              _TAU_IHADMM)
 from sparseoc.oracle import brute_force_solve
 from sparseoc.prox import (grad_f, objective_f, z_update_ihadmm,
                            z_update_classical, prox_g_euclidean)
@@ -275,7 +276,7 @@ def test_criterion_7_invariant_suites(ex1, meshes):
     # theta^k slack-monotonicity along a level-4 run
     _, prob, _ = ex1(4)
     sig = reproduction_sigma(prob.alpha)
-    tau = 1.0
+    tau = _TAU_IHADMM
     ref = so.solve_two_phase(prob, SolverConfig(tol=1e-3, sigma=sig),
                              SolverConfig(tol=1e-12, sigma=sig))
     u_s = ref.final_state.u
@@ -285,7 +286,7 @@ def test_criterion_7_invariant_suites(ex1, meshes):
     sigma_f = 0.5 * prob.alpha * M + C.T @ M @ C
     rho = 1.0 / np.linalg.eigvalsh(sig * M + sigma_f).min()
     norm_M = np.linalg.eigvalsh(M).max()
-    cfg = SolverConfig(tol=1e-9, sigma=sig, tau=tau)
+    cfg = SolverConfig(tol=1e-9, sigma=sig)
     thetas = []
 
     def track(k, s):

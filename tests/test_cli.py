@@ -1,4 +1,7 @@
 import json
+import re
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -19,6 +22,17 @@ def test_config_round_trip():
                     solver="two_phase", solvers=["ihadmm", "apg"],
                     tol=1e-7, sigma=0.2, reference_level=8)
     assert RunConfig.from_dict(cfg.to_dict()) == cfg
+
+
+def test_readme_example_config_loads():
+    # the documented schema stays in step with RunConfig's keys
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = re.search(r"^Example config:\s*```json\n(.*?)^```", readme,
+                      re.S | re.M)
+    assert block is not None
+    data = json.loads(block.group(1))
+    assert RunConfig.from_dict(data).to_dict() == {**RunConfig().to_dict(),
+                                                   **data}
 
 
 def test_config_rejects_unknown_keys(tmp_path):
@@ -51,14 +65,14 @@ def test_solve_bad_example_exit_code(tmp_path, capsys):
 
 @pytest.mark.parametrize("bad", [
     {"sigma": -1},
-    {"tau": 5},
+    {"sigma": 0},
     {"inner_backend": "cg"},
-    {"tau": 0},
+    {"tol": 0},
     {"phase1_tol": 1e-12, "phase2_tol": 1e-3, "solver": "two_phase"},
     {"max_iter": 0},
     {"solvers": ["ihadmm", "newton"]},
-    {"alpha": 0},
-    {"a": 1},
+    {"solver": "newton"},
+    {"max_iter": "10"},
     {"max_iter": 2.5},
 ])
 def test_solve_bad_solver_setting_exit_code(tmp_path, capsys, bad):
@@ -71,8 +85,8 @@ def test_solve_bad_solver_setting_exit_code(tmp_path, capsys, bad):
 
 
 @pytest.mark.parametrize("value", [True, float("nan")], ids=["true", "nan"])
-@pytest.mark.parametrize("field", ["tol", "sigma", "tau", "phase1_tol",
-                                   "phase2_tol", "alpha", "beta", "a", "b"])
+@pytest.mark.parametrize("field", ["tol", "sigma", "phase1_tol",
+                                   "phase2_tol"])
 def test_solve_bool_or_nan_setting_exit_code(tmp_path, capsys, field, value):
     # JSON true is a Python bool, which float comparisons take for 1.0
     cfg = _write_config(tmp_path / "cfg.json", **{field: value})
@@ -83,13 +97,17 @@ def test_solve_bool_or_nan_setting_exit_code(tmp_path, capsys, field, value):
     assert not (tmp_path / "o").exists()
 
 
-def test_fixed_inner_tolerance_key_exit_code(tmp_path, capsys):
-    # the inexact u-step's tolerance sequence is fixed, no longer a setting
-    cfg = _write_config(tmp_path / "cfg.json", eps0=1e-3)
+@pytest.mark.parametrize("key, value", [
+    ("eps0", 1e-3), ("tau", 1.0), ("alpha", 0.5), ("beta", 0.5),
+    ("a", -0.5), ("b", 0.5)], ids=["eps0", "tau", "alpha", "beta", "a", "b"])
+def test_fixed_inner_tolerance_key_exit_code(tmp_path, capsys, key, value):
+    # the inexact u-step's tolerance sequence, the multiplier step length
+    # and the examples' alpha, beta, a, b are fixed, no longer settings
+    cfg = _write_config(tmp_path / "cfg.json", **{key: value})
     assert main(["solve", "--config", str(cfg),
                  "--out", str(tmp_path / "o")]) == 2
     assert capsys.readouterr().err.splitlines() == [
-        "error: unknown config keys: ['eps0']"]
+        f"error: unknown config keys: [{key!r}]"]
     assert not (tmp_path / "o").exists()
 
 
@@ -216,8 +234,7 @@ def test_table_runs_and_is_deterministic(tmp_path):
                         solvers=["ihadmm", "apg"])
     out1, out2 = tmp_path / "o1", tmp_path / "o2"
     assert main(["table", "--config", str(cfg), "--out", str(out1)]) == 0
-    assert main(["table", "--config", str(cfg), "--out", str(out2),
-                 "--jobs", "2"]) == 0
+    assert main(["table", "--config", str(cfg), "--out", str(out2)]) == 0
     t1 = (out1 / "table.csv").read_text().splitlines()
     t2 = (out2 / "table.csv").read_text().splitlines()
     header = t1[0].split(",")

@@ -153,16 +153,14 @@ def test_integrate_elementwise(meshes):
 
 def test_example_params_rejects_an_unknown_example():
     assert example_params("constructed") == EXAMPLE1_PARAMS
-    assert example_params("stadler", beta=None) == EXAMPLE2_PARAMS
+    assert example_params("stadler") == EXAMPLE2_PARAMS
     with pytest.raises(ValueError, match="^unknown example 'bogus'$"):
         example_params("bogus")
-    with pytest.raises(ValueError, match="^unknown example 'bogus'$"):
-        example_params("bogus", alpha=1.0)
 
 
 def test_build_example_rejects_an_unknown_example():
     with pytest.raises(ValueError, match="^unknown example 'bogus'$"):
-        build_example("bogus", 2, EXAMPLE2_PARAMS)
+        build_example("bogus", 2)
 
 
 def test_experiment_spec_validation():
@@ -228,12 +226,3 @@ def test_sparsity_fraction_stabilizes(ex1):
     assert all(f > 0.2 for f in fracs)
     assert abs(fracs[-1] - fracs[-2]) < 0.1
 
-
-def test_run_table_parallel_matches_serial():
-    cfg = SolverConfig(tol=1e-6, sigma=0.125)
-    spec = ExperimentSpec("constructed", [3, 4], [("ihadmm", cfg)])
-    serial = run_table(spec, jobs=1)
-    parallel = run_table(spec, jobs=2)
-    for r1, r2 in zip(serial, parallel):
-        assert r1.E2 == r2.E2
-        assert r1.cells[0].iterations == r2.cells[0].iterations

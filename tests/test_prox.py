@@ -309,8 +309,8 @@ def test_kkt_residual_pdas_zero_data():
     n = prob.n
     state = IterateState(u=np.zeros(n), z=np.zeros(n), lam=np.zeros(n),
                          y=np.zeros(n), p=np.zeros(n))
-    res = kkt_residual_pdas(state, prob)
-    assert res.eta == 0.0
+    res, q = kkt_residual_pdas(state, prob)
+    assert res.eta == 0.0 and not q.any()
 
 
 def test_kkt_residual_pdas_vanishes_at_oracle_point():
@@ -322,8 +322,9 @@ def test_kkt_residual_pdas_vanishes_at_oracle_point():
         factorK = factorize(prob.K)
         y = solve_state(prob, factorK, u)
         p = solve_adjoint(prob, factorK, y)
-        res = kkt_residual_pdas(IterateState(u=u, y=y, p=p), prob)
+        res, q = kkt_residual_pdas(IterateState(u=u, y=y, p=p), prob)
         assert res.eta <= 1e-10
+        assert np.array_equal(q, prob.M @ (p - 0.5 * prob.alpha * u))
 
 
 def test_multiplier_fixed_point_consistency():
@@ -372,11 +373,14 @@ def test_Rh_zero_at_kkt_and_positive_elsewhere():
     y = np.linalg.solve(K, M @ (u + prob.yc))
     p = np.linalg.solve(K, M @ (prob.yd - y))
     Mlam = prob.M @ (p - 0.5 * prob.alpha * u)
-    assert _Rh_from(u, u.copy(), Mlam, p, prob) < 1e-18
+    # r1 = M lam + grad f(u), grad f(u) = M(alpha/2 u - p)
+    r1 = Mlam + prob.M @ (0.5 * prob.alpha * u - p)
+    assert _Rh_from(u, u.copy(), Mlam, r1, prob) < 1e-18
     # the adjoint of the perturbed control, as every solver carries it
     y1 = np.linalg.solve(K, M @ (u + 0.1 + prob.yc))
     p1 = np.linalg.solve(K, M @ (prob.yd - y1))
-    assert _Rh_from(u + 0.1, u.copy(), Mlam, p1, prob) > 1e-6
+    r1 = Mlam + prob.M @ (0.5 * prob.alpha * (u + 0.1) - p1)
+    assert _Rh_from(u + 0.1, u.copy(), Mlam, r1, prob) > 1e-6
 
 
 def test_objective_g_outside_box():

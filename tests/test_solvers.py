@@ -25,14 +25,11 @@ def test_config_validation():
     with pytest.raises(ValueError):
         SolverConfig(tol=-1.0).validate()
     with pytest.raises(ValueError):
-        SolverConfig(tau=1.7).validate()
-    with pytest.raises(ValueError):
         SolverConfig(inner_backend="cg").validate()
-    assert SolverConfig(tau=1.618).validate() is not None
 
 
 @pytest.mark.parametrize("value", [True, np.nan, np.inf])
-@pytest.mark.parametrize("field", ["tol", "sigma", "tau"])
+@pytest.mark.parametrize("field", ["tol", "sigma"])
 def test_config_validation_rejects_bool_and_nonfinite(field, value):
     with pytest.raises(ValueError, match=f"{field} must be a finite number"):
         SolverConfig(**{field: value}).validate()
@@ -387,7 +384,7 @@ def test_classical_u_step_solves_the_3n_system(ex1, level):
     # relative to the whole solution: at level 2 u decays to ~1e-8 of it,
     # below what the dense solve resolves of u alone
     _, prob, _ = ex1(level)
-    sigma, tau, n = 0.1 * prob.alpha, 1.618, prob.n
+    sigma, tau, n = 0.1 * prob.alpha, solvers._TAU_CLASSICAL, prob.n
     M, K, O = prob.M.toarray(), prob.K.toarray(), np.zeros((n, n))
     A3 = np.block([[M, O, K],
                    [O, 0.5 * prob.alpha * M + sigma * np.eye(n), -M],
@@ -403,7 +400,7 @@ def test_classical_u_step_solves_the_3n_system(ex1, level):
         z, lam_c = s.z, lam_c + tau * sigma * (s.u - s.z)
 
     rep = so.solve_classical_admm(prob, SolverConfig(
-        tol=1e-8, sigma=sigma, tau=tau, max_iter=2000), callback=record)
+        tol=1e-8, sigma=sigma, max_iter=2000), callback=record)
     assert rep.converged and len(errors) == rep.iterations
     assert max(errors) <= 1e-12
 
@@ -610,7 +607,7 @@ def test_theta_merit_slack_monotone(ex1):
     # ||theta^{k+1}|| <= ||theta^k|| + sqrt(5/2 sigma ||M||) rho eps_k
     _, prob, _ = ex1(3)
     sig = reproduction_sigma(prob.alpha)
-    tau = 1.0
+    tau = solvers._TAU_IHADMM
     ref = so.solve_two_phase(prob, SolverConfig(tol=1e-3, sigma=sig),
                              SolverConfig(tol=1e-12, sigma=sig))
     u_s = ref.final_state.u
@@ -622,7 +619,7 @@ def test_theta_merit_slack_monotone(ex1):
     rho = 1.0 / np.linalg.eigvalsh(sig * M + sigma_f).min()
     norm_M = np.linalg.eigvalsh(M).max()
 
-    cfg = SolverConfig(tol=1e-9, sigma=sig, tau=tau)
+    cfg = SolverConfig(tol=1e-9, sigma=sig)
     thetas = []
 
     def track(k, s):
@@ -1120,10 +1117,11 @@ def test_ihadmm_diagnostics_match_dense_oracle(ex1, level, backend):
 @pytest.mark.parametrize("level", [2, 3])
 def test_classical_admm_diagnostics_match_dense_oracle(ex1, level):
     _, prob, _ = ex1(level)
-    sigma, tau = 0.1 * prob.alpha, 1.618
-    record, seen = _iterate_recorder(prob, "classical", sigma, tau)
+    sigma = 0.1 * prob.alpha
+    record, seen = _iterate_recorder(prob, "classical", sigma,
+                                     solvers._TAU_CLASSICAL)
     rep = so.solve_classical_admm(prob, SolverConfig(
-        tol=1e-8, sigma=sigma, tau=tau, max_iter=2000), callback=record)
+        tol=1e-8, sigma=sigma, max_iter=2000), callback=record)
     assert rep.converged
     _assert_diagnostics_match(rep, seen)
 
