@@ -37,16 +37,19 @@ a warm start) takes max(tol, .) = tol.  Three facts follow:
 * the target never exceeds eps_k / denom, so the errors stay summable as
   the convergence theory needs; denom takes ||M K^{-1}||_2 from the mesh
   (linalg.estimate_mkinv_norm: max(W) / (8 sin^2(pi h/2))), not from K;
-* the M^{-1}-weighted residual norms exceed the Euclidean ones by at most
-  2/h (lambda_min(M) >= h^2/4), so eta_1 and eta_3 of step k are at most
-  0.5 max(tol, _FORCING eta_{k-1});
+* eta_1 and eta_3 measure the functionals F by 2 ||F||_{W^{-1}}, the
+  bound on ||F||_{M^{-1}} from W/4 <= M <= W (prox._residual_core), and
+  2 ||F||_{W^{-1}} <= 2 ||F||_2 / sqrt(min W) = (2/h) ||F||_2 on the
+  uniform mesh, where every W_i = h^2; so eta_1 and eta_3 of step k are at
+  most 0.5 max(tol, _FORCING eta_{k-1});
 * once _FORCING eta_{k-1} <= tol the target is the fixed one,
   min(eps_k / denom, 0.25 tol h / max(1, gamma)), so the accuracy the run
   ends on does not move; only the early steps solve more loosely.
 
 The M factorization and the K-solver are cached on the problem
 (problem.factorM, problem.factorK), so each is made once however many
-solvers or phases run.  K is never factored: problem.factorK solves with
+solvers or phases run.  Of the solvers only the classical ADMM solves with
+M, for lam = M^{-1} lam_c.  K is never factored: problem.factorK solves with
 it by the 2-D sine transform (linalg.SineSolver).
 
 solve_two_phase runs ihADMM to moderate accuracy and hands its thresholded
@@ -229,9 +232,9 @@ def solve_ihadmm(problem, config=None, warm=None, callback=None):
         rhs_bottom = -problem.Myc
         if inexact:
             eps_k = _EPS0 / (k + 1.0) ** _EPS_DECAY
-            # capped so the M^{-1}-weighted residual norms (amplified by at
-            # most 2/h, since lambda_min(M) >= h^2/4) keep eta1, eta3 below
-            # half of max(tol, _FORCING * the last eta)
+            # capped so that eta1 and eta3, 2 ||F||_{W^-1} <= (2/h) ||F||_2
+            # with min(W) = h^2, stay below half of max(tol, _FORCING * the
+            # last eta)
             forced = _FORCING * run.eta[-1].eta if run.eta else 0.0
             cap_k = 0.25 * max(config.tol, forced) * problem.h / max(1.0, gamma)
             # GMRES starts from the minimal-residual combination of the

@@ -11,7 +11,7 @@ from sparseoc.prox import (soft, project_box, grad_f, objective_f, objective_g,
                            prox_g_euclidean, kkt_residual_admm,
                            kkt_residual_pdas, dist_subdifferential_g,
                            multiplier_fixed_point, solve_state, solve_adjoint,
-                           f_from_state)
+                           f_from_state, _residual_core)
 from sparseoc.solvers import IterateState, _Rh_from
 
 from conftest import random_tiny_problem
@@ -270,17 +270,50 @@ def test_prox_scalar_sweep_10k():
 
 
 def test_kkt_residual_zero_state(ex1):
+    # eta1 is the dual-norm bound 2 ||M yc||_{W^-1}, normalized
     _, prob, _ = ex1(3)
-    factorM = prob.factorM
     n = prob.n
     state = IterateState(u=np.zeros(n), z=np.zeros(n), lam=np.zeros(n),
                          y=np.zeros(n), p=np.zeros(n))
     res = kkt_residual_admm(state, prob)
     r = prob.M @ prob.yc
-    expect = np.sqrt(r @ factorM.solve(r)) \
+    expect = 2.0 * np.sqrt(r @ (r / prob.W)) \
         / (1.0 + np.sqrt(prob.yc @ (prob.M @ prob.yc)))
     assert np.isclose(res.eta1, expect)
     assert res.eta2 == 0.0
+
+
+def _check_lumped_dual_bound(M, W, rng):
+    """The generalized eigenvalues of (M, diag W) lie in [1/4, 1], so
+    _residual_core's 2 ||F||_{W^-1} lies between the exact ||F||_{M^-1}
+    and twice it: checked densely on random columns F and on the columns
+    M x of the extreme generalized eigenvectors x, where the bound is tight."""
+    import scipy.linalg
+    lam, X = scipy.linalg.eigh(M, np.diag(W))
+    assert lam[0] >= 0.25 * (1 - 1e-12) and lam[-1] <= 1.0 + 1e-12
+    n = len(W)
+    F = np.column_stack([rng.standard_normal((n, 4)), M @ X[:, [0, -1]]])
+    exact = np.sqrt(np.einsum("ij,ij->j", F, np.linalg.solve(M, F)))
+    unit = SimpleNamespace(W=W, yc_norm=0.0, yd_norm=0.0)
+    bound = np.array([_residual_core(np.zeros(n), np.zeros(n), F[:, [j, j + 1]],
+                                     unit)[1:] for j in (0, 2, 4)]).ravel()
+    assert np.all(exact <= bound * (1 + 1e-12))
+    assert np.all(bound <= 2.0 * exact * (1 + 1e-12))
+
+
+@pytest.mark.parametrize("level", [2, 3, 4, 5])
+def test_lumped_dual_norm_bound_on_the_mesh(meshes, level):
+    m = meshes(level)
+    _check_lumped_dual_bound(fem.assemble_mass(m).toarray(),
+                             fem.assemble_lumped_mass(m),
+                             np.random.default_rng(level))
+
+
+def test_lumped_dual_norm_bound_on_random_problems():
+    rng = np.random.default_rng(21)
+    for _ in range(200):
+        prob = random_tiny_problem(rng)
+        _check_lumped_dual_bound(prob.M.toarray(), prob.W, rng)
 
 
 def test_kkt_residual_perturbation_growth(ex1):
