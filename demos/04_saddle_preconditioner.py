@@ -4,8 +4,12 @@ Each ADMM control step solves [[M/gamma, K], [-K, M]] [y; u] = rhs, which
 with s = sqrt(gamma) and y = s w is the complex-symmetric n x n system
 (M - i s K)(w + i u) = s rhs_top + i rhs_bottom.  The script compares the
 one-time sparse factorization of M - i s K against right preconditioned
-GMRES with P = scalar-factor x diag(G, G), G = M + s K, showing the
-grid-independent Krylov iteration counts.
+GMRES with P = scalar-factor x diag(G~, G~), G~ = M~ + s K, where M~ is
+the mass matrix without its skew Kronecker part, so that the 2-D sine
+transform solves with G~ and nothing is factored.  It shows the
+grid-independent Krylov iteration counts at gamma = 0.3 and at a gamma of
+the Stadler problem's size (7.5e-6), where G~ lies further from
+M + s K and GMRES takes more iterations.
 """
 
 import numpy as np
@@ -13,10 +17,12 @@ import numpy as np
 from sparseoc import mesh as fem
 from sparseoc.linalg import SaddleSolver
 
+GAMMAS = (0.3, 7.5e-6)
+
 
 def main():
-    gamma = 0.3
-    print(f"gamma = {gamma}; PMHSS-GMRES to relative residual 1e-10:")
+    print("PMHSS-GMRES to relative residual 1e-10, iterations and "
+          "|direct - gmres| per gamma:")
     for level in (3, 4, 5, 6):
         m = fem.build_mesh(level)
         M = fem.assemble_mass(m)
@@ -25,14 +31,16 @@ def main():
         rhs_top = rng.standard_normal(m.n_interior)
         rhs_bottom = rng.standard_normal(m.n_interior)
         norm_b = np.linalg.norm(np.concatenate([rhs_top, rhs_bottom]))
-        solver = SaddleSolver(M, K, gamma)
-        y_d, u_d, _ = solver.solve(rhs_top, rhs_bottom, backend="direct")
-        y_g, u_g, st = solver.solve(rhs_top, rhs_bottom,
-                                    backend="pmhss_gmres",
-                                    tol=1e-10 * norm_b)
-        dev = np.linalg.norm(np.concatenate([y_d - y_g, u_d - u_g]))
-        print(f"  level {level}: {st.iterations:3d} iterations, "
-              f"|direct - gmres| = {dev:.1e}")
+        cells = []
+        for gamma in GAMMAS:
+            solver = SaddleSolver(M, K, gamma)
+            y_d, u_d, _ = solver.solve(rhs_top, rhs_bottom, backend="direct")
+            y_g, u_g, st = solver.solve(rhs_top, rhs_bottom,
+                                        backend="pmhss_gmres",
+                                        tol=1e-10 * norm_b)
+            dev = np.linalg.norm(np.concatenate([y_d - y_g, u_d - u_g]))
+            cells.append(f"gamma = {gamma:g}: {st.iterations:3d}, {dev:.1e}")
+        print(f"  level {level}: " + "; ".join(cells))
 
 
 if __name__ == "__main__":

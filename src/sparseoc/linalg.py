@@ -16,12 +16,16 @@ exact up to round-off), and right-preconditioned GMRES on (y, u), one
 product with A per block operator application, with the modified HSS
 block preconditioner
 
-    P = (1/gamma) [[I, s I], [-s I, gamma I]] diag(G, G),   G = M + s K,
+    P = (1/gamma) [[I, s I], [-s I, gamma I]] diag(G, G),   G = M~ + s K,
 
-whose inverse costs one two-column G-solve plus a closed-form 2x2 block
-inversion.  G itself is factored once per (grid, gamma).  A GMRES cycle
-keeps its preconditioned directions, so it applies the preconditioner
-once per iteration, and hands back the true residual it ends on.
+whose inverse costs one G-solve for a stack of two right-hand sides plus
+a closed-form 2x2 block inversion.  M~ is the mass matrix without its
+skew Kronecker part (SineSolver), so G is solved, like K, by sine
+transforms and nothing is factored.  A GMRES cycle keeps its
+preconditioned directions, so it applies the preconditioner once per
+iteration, and hands back the true residual it ends on.  Right
+preconditioning keeps that residual the true one for any fixed P, so
+replacing M by M~ in G moves the iteration count, never the accuracy.
 
 The ihADMM u-steps solve with one matrix for right-hand sides that change
 slowly.  From the third on, GMRES starts from the minimal-residual
@@ -34,10 +38,10 @@ takes ||M K^{-1}||_2 from a closed-form mesh bound, estimate_mkinv_norm.
 
 K itself is never factored.  On the uniform mesh it is the 5-point
 stencil, which the 2-D sine transform (DST-I) diagonalizes; SineSolver
-solves with it by two transforms and a division (the fast Poisson solver
-of Buzbee, Golub & Nielson 1970), each transform made of real FFTs.
-Every matrix the package factors -- the SPD M, G, alpha T_ff and
-alpha/2 M + sigma I, and the complex-symmetric A -- equals its plain
+solves with it, and with M~ + s K, by two transforms and a division (the
+fast Poisson solver of Buzbee, Golub & Nielson 1970), each transform made
+of real FFTs.  Every matrix the package factors -- the SPD M, alpha T_ff
+and alpha/2 M + sigma I, and the complex-symmetric A -- equals its plain
 transpose and has a zero-free diagonal, so its LU takes SuperLU's
 symmetric mode; factorize rejects any other matrix.
 
@@ -49,6 +53,7 @@ import math
 import numpy as np
 import scipy.sparse as sp
 from dataclasses import dataclass
+from functools import cached_property
 from scipy.sparse.linalg import splu
 
 
@@ -94,36 +99,46 @@ def _sine_eigenvalues(h, j):
 
 
 def _sine_transform(B):
-    """S B S for the N x N DST-I matrix S_jk = sin(pi j k/(N+1)).
+    """S B S for each N x N grid B of a stack along leading axes (or for a
+    single grid), with the N x N DST-I matrix S_jk = sin(pi j k/(N+1)).
 
     Row by row, x S is minus the imaginary part of the real FFT of
     (0, x_1, ..., x_N) zero-padded to length 2(N+1); two such passes with
-    a transpose between them give S B S, and their signs cancel.  numpy's
-    FFT is loaded with numpy; scipy.fft would add ~5 MB to every process.
+    a transpose of every grid between them give S B S, and their signs
+    cancel.  Each pass is one rfft call over all rows of the stack.
+    numpy's FFT is loaded with numpy; scipy.fft would add ~5 MB to every
+    process.
     """
-    N = B.shape[0]
-    pad = np.zeros((N, 2 * N + 2))
-    pad[:, 1:N + 1] = B
-    pad[:, 1:N + 1] = np.fft.rfft(pad)[:, 1:N + 1].imag.T
-    return np.fft.rfft(pad)[:, 1:N + 1].imag.T
+    N = B.shape[-1]
+    pad = np.zeros(B.shape[:-1] + (2 * N + 2,))
+    pad[..., 1:N + 1] = B
+    pad[..., 1:N + 1] = np.fft.rfft(pad)[..., 1:N + 1].imag.swapaxes(-1, -2)
+    return np.fft.rfft(pad)[..., 1:N + 1].imag.swapaxes(-1, -2)
 
 
 class SineSolver:
-    """Solver with K, the 5-point stencil [-1; -1, 4, -1; -1] on an N x N
-    interior grid numbered row by row (the P1 stiffness matrix of the
-    uniform Friedrichs-Keller mesh, mesh.assemble_stiffness).
+    """Solver with mass M~ + stiffness K, K the 5-point stencil
+    [-1; -1, 4, -1; -1] on an N x N interior grid numbered row by row (the
+    P1 stiffness matrix of the uniform Friedrichs-Keller mesh,
+    mesh.assemble_stiffness); the defaults solve with K alone.
 
     The DST-I matrix S has S^2 = (N+1)/2 I and diagonalizes the 1-D
-    stencil [-1, 2, -1] with the eigenvalues 4 sin^2(j pi h/2),
-    h = 1/(N + 1).  So with b on the grid as B, K^{-1} b = S (S B S / D) S,
-    where D_jk = (4 sin^2(j pi h/2) + 4 sin^2(k pi h/2)) ((N+1)/2)^2: two
-    2-D sine transforms and a division, with no factor stored.  The
+    stencils [-1, 2, -1] and E + E^T = [1, 0, 1] (E the shift) with the
+    eigenvalues 4 sin^2(j pi h/2) and c_j = 2 cos(j pi h), h = 1/(N + 1).
+    The mesh's mass matrix is h^2/12 [6 I + (E+E^T) x I + I x (E+E^T)
+    + E x E + E^T x E^T], or with E x E^T + E^T x E when the diagonals
+    run the other way.  These last two terms are 1/2 (E+E^T) x (E+E^T)
+    +- 1/2 (E-E^T) x (E-E^T); dropping the skew part leaves M~, with the
+    eigenvalues h^2/12 (6 + c_j + c_k + c_j c_k/2) for either direction.
+    So with b on the grid as B, the solve is S (S B S / D) S, where D_jk
+    is the eigenvalue of mass M~ + stiffness K times ((N+1)/2)^2: two 2-D
+    sine transforms and a division, with no factor stored.  The
     constructor raises ValueError for any other K; it checks one product
     of K against the stencil applied by slicing, on integer entries, where
     both are exact.
     """
 
-    def __init__(self, K):
+    def __init__(self, K, mass=0.0, stiffness=1.0):
         n = K.shape[0]
         N = math.isqrt(n)
         if K.shape != (n, n) or N * N != n:
@@ -137,14 +152,23 @@ class SineSolver:
         Kx[:, :-1] -= X[:, 1:]
         if not np.array_equal(K @ x, Kx.ravel()):
             raise ValueError("K is not the 5-point stencil of an N x N grid")
-        lam = _sine_eigenvalues(1.0 / (N + 1), np.arange(1, N + 1))
+        h = 1.0 / (N + 1)
+        j = np.arange(1, N + 1)
+        lam = _sine_eigenvalues(h, j)
+        c = 2.0 * np.cos(np.pi * h * j)
+        mu = h * h / 12.0 * (6.0 + c[:, None] + c[None, :]
+                             + 0.5 * c[:, None] * c[None, :])
         self._N = N
-        self._denom = (lam[:, None] + lam[None, :]) * (0.5 * (N + 1)) ** 2
+        self._denom = (mass * mu + stiffness * (lam[:, None] + lam[None, :])) \
+            * (0.5 * (N + 1)) ** 2
 
     def solve(self, rhs):
-        """K^{-1} rhs for a length-n rhs."""
-        B = np.asarray(rhs).reshape(self._N, self._N)
-        return _sine_transform(_sine_transform(B) / self._denom).ravel()
+        """The solution for a length-n rhs, or for each row of an m x n
+        stack of them, in one transform pair."""
+        rhs = np.asarray(rhs)
+        B = rhs.reshape(rhs.shape[:-1] + (self._N, self._N))
+        return _sine_transform(_sine_transform(B) / self._denom) \
+            .reshape(rhs.shape)
 
 
 @dataclass
@@ -162,9 +186,11 @@ def pmhss_apply(gamma, G_solver, r):
     """Apply the inverse of the modified-HSS block preconditioner to r.
 
     P = (1/gamma) [[I, sg I], [-sg I, gamma I]] diag(G, G) with
-    sg = sqrt(gamma) and G = M + sg K; the block-scalar factor is inverted
+    sg = sqrt(gamma) and G the SPD matrix that G_solver solves with
+    (SaddleSolver's is G~ = M~ + sg K); the block-scalar factor is inverted
     in closed form ((1/gamma)[[1, sg], [-sg, gamma]] has determinant 2),
-    then G_solver solves with G for both halves in one two-column call.
+    then G_solver solves with G for both halves in one call on the 2 x n
+    stack of them.
     """
     if gamma <= 0:
         raise ValueError("gamma must be positive")
@@ -174,7 +200,7 @@ def pmhss_apply(gamma, G_solver, r):
     # inverse of the scalar factor: 0.5 * [[gamma, -sg], [sg, 1]]
     s1 = 0.5 * (gamma * r1 - sg * r2)
     s2 = 0.5 * (sg * r1 + r2)
-    return G_solver(np.column_stack([s1, s2])).ravel(order="F")
+    return G_solver(np.stack([s1, s2])).ravel()
 
 
 def gmres(A_apply, P_apply, rhs, tol, max_iter=500, restart=50, x0=None):
@@ -328,10 +354,11 @@ class SaddleSolver:
     """Reusable solver for a fixed (M, K, gamma) saddle operator.
 
     Holds A = M - i sqrt(gamma) K.  The direct backend factors A once; the
-    pmhss_gmres backend factors G = M + sqrt(gamma) K once and runs
-    right-preconditioned GMRES from the window of its earlier solves.  Both
-    report the achieved ||r1|| + ||r2|| relative to ||rhs|| in the stats
-    and leave the block residual (r1, r2) of the last solve in self.residual.
+    pmhss_gmres backend runs right-preconditioned GMRES from the window of
+    its earlier solves, preconditioned by PMHSS with G~ = M~ + sqrt(gamma) K
+    (G_solve), and factors nothing.  Both report the achieved
+    ||r1|| + ||r2|| relative to ||rhs|| in the stats and leave the block
+    residual (r1, r2) of the last solve in self.residual.
     """
 
     def __init__(self, M, K, gamma):
@@ -342,15 +369,18 @@ class SaddleSolver:
         self._s = np.sqrt(gamma)
         self._A = (M - 1j * self._s * K).tocsr()
         self._direct = None
-        self._G_fact = None
         self._window = _SolutionWindow()
         self.residual = None
 
-    def _G_solver(self):
-        if self._G_fact is None:
-            G = (self.M + self._s * self.K).tocsc()
-            self._G_fact = factorize(G)
-        return self._G_fact.solve
+    @cached_property
+    def G_solve(self):
+        """Solves with G~ = M~ + sqrt(gamma) K for a stack of right-hand
+        sides by sine transforms (SineSolver), made on the first pmhss_gmres
+        solve.  It needs K to be the mesh's 5-point stencil; a saddle
+        solver built with another K must put its own solve with an SPD G,
+        taking the same stacks, into this slot before a pmhss_gmres solve.
+        """
+        return SineSolver(self.K, mass=1.0, stiffness=self._s).solve
 
     def _apply(self, x):
         """[[M/gamma, K], [-K, M]] [y; u] as one product with A."""
@@ -384,7 +414,7 @@ class SaddleSolver:
             if norm_b == 0.0:
                 x = r = np.zeros(2 * self.n)
             else:
-                G_solve = self._G_solver()
+                G_solve = self.G_solve
                 P = lambda v: pmhss_apply(self.gamma, G_solve, v)
                 x0 = self._window.start(rhs)
                 # ||r1|| + ||r2|| <= sqrt(2) ||r||_2, so aim for tol/sqrt(2)

@@ -1,8 +1,10 @@
 import dataclasses
+import math
 import numpy as np
 import pytest
 import scipy.sparse as sp
 from hypothesis import example, given, settings, strategies as st
+from scipy.linalg import eigh
 from scipy.sparse.linalg import splu
 
 from sparseoc import mesh as fem, solvers
@@ -142,19 +144,60 @@ def test_pmhss_zero():
     assert np.array_equal(out, np.zeros(8))
 
 
+def _mass_without_skew(m):
+    """M~ dense: the mesh's mass matrix M minus its skew part
+    +-h^2/24 (E - E^T) x (E - E^T), E the N x N shift, whose sign follows
+    the direction of the mesh diagonals."""
+    M = fem.assemble_mass(m).toarray()
+    N = math.isqrt(M.shape[0])
+    F = np.eye(N, k=1) - np.eye(N, k=-1)
+    D = np.kron(F, F)
+    Mt = M - np.sign(np.sum(M * D)) * m.h ** 2 / 24.0 * D
+    # M holds exactly one such part: none is left in M~
+    assert abs(np.sum(Mt * D)) <= 1e-15 * np.sum(abs(M))
+    return Mt
+
+
+@pytest.mark.parametrize("level", range(1, 6))
+def test_G_tilde_solve_matches_dense_solve(meshes, level):
+    # the sine-transform solve with G~ = M~ + s K against a dense solve,
+    # over the range of s = sqrt(gamma) the examples reach (Stadler's is
+    # ~2.7e-3); a stack of two grids gives the two one-grid solves
+    m = meshes(level)
+    K = fem.assemble_stiffness(m)
+    Mt = _mass_without_skew(m)
+    rng = np.random.default_rng(level)
+    for s in (1e-4, 2.7e-3, 0.05, 1.0):
+        B = rng.standard_normal((2, K.shape[0]))
+        solve = SineSolver(K, mass=1.0, stiffness=s).solve
+        got = solve(B)
+        want = np.linalg.solve(Mt + s * K.toarray(), B.T).T
+        assert got.shape == want.shape
+        assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
+        assert np.array_equal(got, np.stack([solve(B[0]), solve(B[1])]))
+
+
+@pytest.mark.parametrize("level", [3, 4, 5])
+def test_mass_without_skew_is_spectrally_close(meshes, level):
+    # lambda(M~^-1 M) in [0.69, 1.31], [0.65, 1.35], [0.64, 1.36] at
+    # levels 3/4/5: G~ stays a good PMHSS factor on every grid
+    m = meshes(level)
+    lam = eigh(fem.assemble_mass(m).toarray(), _mass_without_skew(m),
+               eigvals_only=True)
+    assert 0.6 <= lam.min() and lam.max() <= 1.4
+
+
 def test_pmhss_round_trip(meshes):
     m = meshes(2)
-    M = fem.assemble_mass(m)
     K = fem.assemble_stiffness(m)
     gamma = 0.3
     sg = np.sqrt(gamma)
-    G = (M + sg * K).tocsc()
-    G_solve = factorize(G).solve
-    n = M.shape[0]
+    G = _mass_without_skew(m) + sg * K.toarray()
+    G_solve = SaddleSolver(fem.assemble_mass(m), K, gamma).G_solve
+    n = K.shape[0]
     P = (1.0 / gamma) * np.block(
         [[np.eye(n), sg * np.eye(n)], [-sg * np.eye(n), gamma * np.eye(n)]]) \
-        @ np.block([[G.toarray(), np.zeros((n, n))],
-                    [np.zeros((n, n)), G.toarray()]])
+        @ np.block([[G, np.zeros((n, n))], [np.zeros((n, n)), G]])
     rng = np.random.default_rng(11)
     r = rng.standard_normal(2 * n)
     assert np.abs(P @ pmhss_apply(gamma, G_solve, r) - r).max() < 1e-10
@@ -263,6 +306,10 @@ def test_saddle_residual_gives_state_and_adjoint_functionals(seed, backend):
     rhs_bottom = -(M @ prob.yc)
     norm_b = np.hypot(np.linalg.norm(rhs_top), np.linalg.norm(rhs_bottom))
     solver = SaddleSolver(M, K, gamma)
+    # K is no mesh stencil, so the solver gets a dense solve with the
+    # SPD M + sqrt(gamma) K as its PMHSS G-solve
+    G = (M + np.sqrt(gamma) * K).toarray()
+    solver.G_solve = lambda B: np.linalg.solve(G, B.T).T
     y, u, _ = solver.solve(rhs_top, rhs_bottom, backend=backend,
                            tol=1e-3 * norm_b)
     r1, r2 = solver.residual
@@ -311,7 +358,7 @@ def test_gmres_cycle_applies_pmhss_once_per_iteration(meshes):
     M = fem.assemble_mass(meshes(4))
     K = fem.assemble_stiffness(meshes(4))
     solver = SaddleSolver(M, K, 0.3)
-    G_solve = solver._G_solver()
+    G_solve = solver.G_solve
     calls = []
 
     def P(v):
@@ -518,7 +565,8 @@ def test_saddle_backends_match_dense_block_solve(meshes, log_gamma, level,
 
 
 def test_pmhss_gmres_iteration_count_level6(meshes):
-    # exact-G PMHSS keeps the Krylov iteration count small on fine grids
+    # PMHSS with G~ = M~ + s K keeps the Krylov iteration count small on
+    # fine grids: lambda(M~^-1 M) stays in [0.6, 1.4] as h shrinks
     m = meshes(6)
     M = fem.assemble_mass(m)
     K = fem.assemble_stiffness(m)

@@ -466,9 +466,12 @@ def test_stadler_pmhss_inner_iterations_level4(ex2):
     assert rep.converged and rep.iterations == 424
     # each u-step's GMRES after the second starts from the minimal-residual
     # combination of the last 8 solution updates, and its target follows
-    # the last eta (1823 against the fixed tol-based cap, 4738 from the
-    # previous (y, u) alone)
-    assert sum(s.iterations for s in rep.inner_stats) == 970
+    # the last eta (2247 against the fixed tol-based cap, 6863 from the
+    # previous (y, u) alone).  With the exact G = M + s K in PMHSS in place
+    # of G~ = M~ + s K the three read 970, 1827 and 4738: at this small s
+    # the dropped skew mass part weighs more against s K than on the
+    # constructed problem
+    assert sum(s.iterations for s in rep.inner_stats) == 1080
 
 
 def test_constructed_pmhss_inner_iterations_level6(ex1):
@@ -764,11 +767,12 @@ def _count_lu_ops(monkeypatch, prob):
     """Count factorizations, solves and solved columns per operator, and
     sparse matrix products by the matrix's dtype (real or complex).
 
-    The operator is K, M or other.  Wraps factorize (solvers holds its own
-    binding) and Factorization.solve the way perfbench's tracer does,
-    SineSolver.solve (a K-solve), and the @ operator of the problem's
-    sparse matrix class.  Returns the counter and a fresh copy of the
-    problem, whose cached M factorization and K-solver are not yet made.
+    The operator is K, M, G or other.  Wraps factorize (solvers holds its
+    own binding) and Factorization.solve the way perfbench's tracer does,
+    SineSolver.solve (a K-solve with the problem's factorK, a PMHSS
+    G-solve with any other), and the @ operator of the problem's sparse
+    matrix class.  Returns the counter and a fresh copy of the problem,
+    whose cached M factorization and K-solver are not yet made.
     """
     prob = dataclasses.replace(prob)
     counts = collections.Counter()
@@ -778,9 +782,9 @@ def _count_lu_ops(monkeypatch, prob):
     sparse_class = type(prob.M)
     matmul_orig = sparse_class.__matmul__
 
-    def count_solve(op, rhs):
+    def count_solve(op, cols):
         counts["solve." + op] += 1
-        counts["cols." + op] += 1 if np.ndim(rhs) == 1 else np.shape(rhs)[1]
+        counts["cols." + op] += cols
 
     def counted_matmul(A, x):
         kind = "complex" if A.dtype.kind == "c" else "real"
@@ -795,11 +799,14 @@ def _count_lu_ops(monkeypatch, prob):
         return fact
 
     def counted_solve(fact, rhs):
-        count_solve(op_of.get(fact, "other"), rhs)
+        count_solve(op_of.get(fact, "other"),
+                    1 if np.ndim(rhs) == 1 else np.shape(rhs)[1])
         return solve_orig(fact, rhs)
 
     def counted_sine_solve(solver, rhs):
-        count_solve("K", rhs)
+        # a stack of right-hand sides runs along the leading axis
+        count_solve("K" if solver is prob.__dict__.get("factorK") else "G",
+                    1 if np.ndim(rhs) == 1 else np.shape(rhs)[0])
         return sine_solve_orig(solver, rhs)
 
     for owner in (linalg, solvers):
@@ -827,8 +834,9 @@ def test_direct_ihadmm_one_lu_solve_per_iteration(ex1, monkeypatch):
 
 
 def test_pmhss_ihadmm_factors_and_solves_no_k(ex1, monkeypatch):
-    # ||M K^-1|| for the inexact target comes from the mesh in closed form;
-    # the one LU is G = M + sqrt(gamma) K, for the PMHSS preconditioner
+    # ||M K^-1|| for the inexact target comes from the mesh in closed form,
+    # and the PMHSS preconditioner solves with G~ = M~ + sqrt(gamma) K by
+    # sine transforms, so the inexact path factors nothing
     _, prob, _ = ex1(3)
     counts, prob = _count_lu_ops(monkeypatch, prob)
     rep = so.solve_ihadmm(prob, SolverConfig(
@@ -836,7 +844,11 @@ def test_pmhss_ihadmm_factors_and_solves_no_k(ex1, monkeypatch):
         inner_backend="pmhss_gmres"))
     assert rep.converged and rep.iterations > 10
     assert counts["factor.K"] == 0 and counts["solve.K"] == 0
-    assert counts["factor.other"] == 1
+    assert counts["factor.other"] == 0 and counts["solve.other"] == 0
+    # one G~-solve for a stack of two grids per PMHSS application
+    papps = sum(s.preconditioner_applications for s in rep.inner_stats)
+    assert papps > 0
+    assert counts["solve.G"] == papps and counts["cols.G"] == 2 * papps
 
 
 def test_direct_ihadmm_sparse_products_per_iteration(ex1, monkeypatch):
