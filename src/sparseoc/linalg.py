@@ -39,11 +39,12 @@ takes ||M K^{-1}||_2 from a closed-form mesh bound, estimate_mkinv_norm.
 K itself is never factored.  On the uniform mesh it is the 5-point
 stencil, which the 2-D sine transform (DST-I) diagonalizes; SineSolver
 solves with it, and with M~ + s K, by two transforms and a division (the
-fast Poisson solver of Buzbee, Golub & Nielson 1970), each transform made
-of real FFTs.  Every matrix the package factors -- the SPD M, alpha T_ff
-and alpha/2 M + sigma I, and the complex-symmetric A -- equals its plain
-transpose and has a zero-free diagonal, so its LU takes SuperLU's
-symmetric mode; factorize rejects any other matrix.
+fast Poisson solver of Buzbee, Golub & Nielson 1970), each transform two
+BLAS products with the N x N DST-I matrix.  Every matrix the package
+factors -- the SPD M, alpha T_ff and alpha/2 M + sigma I, and the
+complex-symmetric A -- equals its plain transpose and has a zero-free
+diagonal, so its LU takes SuperLU's symmetric mode; factorize rejects
+any other matrix.
 
 Matrices are CSR and immutable once assembled; every solver call owns its
 workspace, so concurrent solves on shared operators are safe.
@@ -98,22 +99,18 @@ def _sine_eigenvalues(h, j):
     return 4.0 * np.sin(0.5 * np.pi * h * j) ** 2
 
 
-def _sine_transform(B):
-    """S B S for each N x N grid B of a stack along leading axes (or for a
-    single grid), with the N x N DST-I matrix S_jk = sin(pi j k/(N+1)).
+def _sine_matrix(N):
+    """The N x N DST-I matrix S_jk = sin(pi j k/(N+1)).  The argument is
+    taken from the integer (j k) mod 2(N+1), so every entry is the sine of
+    an angle in [0, 2 pi) and the round-off does not grow with j k."""
+    j = np.arange(1, N + 1)
+    return np.sin(np.pi / (N + 1) * (np.outer(j, j) % (2 * N + 2)))
 
-    Row by row, x S is minus the imaginary part of the real FFT of
-    (0, x_1, ..., x_N) zero-padded to length 2(N+1); two such passes with
-    a transpose of every grid between them give S B S, and their signs
-    cancel.  Each pass is one rfft call over all rows of the stack.
-    numpy's FFT is loaded with numpy; scipy.fft would add ~5 MB to every
-    process.
-    """
-    N = B.shape[-1]
-    pad = np.zeros(B.shape[:-1] + (2 * N + 2,))
-    pad[..., 1:N + 1] = B
-    pad[..., 1:N + 1] = np.fft.rfft(pad)[..., 1:N + 1].imag.swapaxes(-1, -2)
-    return np.fft.rfft(pad)[..., 1:N + 1].imag.swapaxes(-1, -2)
+
+def _sine_transform(S, B):
+    """S B S for each N x N grid B of a stack along leading axes (or for a
+    single grid), with S = _sine_matrix(N): two BLAS matrix products."""
+    return S @ B @ S
 
 
 class SineSolver:
@@ -132,10 +129,10 @@ class SineSolver:
     eigenvalues h^2/12 (6 + c_j + c_k + c_j c_k/2) for either direction.
     So with b on the grid as B, the solve is S (S B S / D) S, where D_jk
     is the eigenvalue of mass M~ + stiffness K times ((N+1)/2)^2: two 2-D
-    sine transforms and a division, with no factor stored.  The
-    constructor raises ValueError for any other K; it checks one product
-    of K against the stencil applied by slicing, on integer entries, where
-    both are exact.
+    sine transforms and a division, with S and D the only arrays stored
+    (N^2 entries each, no factor).  The constructor raises ValueError for
+    any other K; it checks one product of K against the stencil applied
+    by slicing, on integer entries, where both are exact.
     """
 
     def __init__(self, K, mass=0.0, stiffness=1.0):
@@ -158,7 +155,7 @@ class SineSolver:
         c = 2.0 * np.cos(np.pi * h * j)
         mu = h * h / 12.0 * (6.0 + c[:, None] + c[None, :]
                              + 0.5 * c[:, None] * c[None, :])
-        self._N = N
+        self._S = _sine_matrix(N)
         self._denom = (mass * mu + stiffness * (lam[:, None] + lam[None, :])) \
             * (0.5 * (N + 1)) ** 2
 
@@ -166,8 +163,9 @@ class SineSolver:
         """The solution for a length-n rhs, or for each row of an m x n
         stack of them, in one transform pair."""
         rhs = np.asarray(rhs)
-        B = rhs.reshape(rhs.shape[:-1] + (self._N, self._N))
-        return _sine_transform(_sine_transform(B) / self._denom) \
+        S = self._S
+        B = rhs.reshape(rhs.shape[:-1] + S.shape)
+        return _sine_transform(S, _sine_transform(S, B) / self._denom) \
             .reshape(rhs.shape)
 
 

@@ -115,14 +115,13 @@ def assemble_stiffness(mesh):
     return K
 
 
-def assemble_mass(mesh, interior_only=True):
-    """Consistent P1 mass matrix, exact element integration."""
+def assemble_mass(mesh):
+    """Consistent P1 mass matrix on interior dofs, exact element
+    integration."""
     _, _, area = _element_geometry(mesh)
     base = np.array([[2.0, 1.0, 1.0], [1.0, 2.0, 1.0], [1.0, 1.0, 2.0]]) / 12.0
     local = area[:, None, None] * base[None, :, :]
-    M = _assemble_full(mesh, local)
-    if interior_only:
-        M = _restrict(M, mesh).tocsr()
+    M = _restrict(_assemble_full(mesh, local), mesh).tocsr()
     M.sort_indices()
     return M
 

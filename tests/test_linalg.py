@@ -10,9 +10,11 @@ from scipy.sparse.linalg import splu
 from sparseoc import mesh as fem, solvers
 from sparseoc.linalg import (factorize, FactorizationError, pmhss_apply,
                              gmres, SaddleSolver, SineSolver,
-                             estimate_mkinv_norm, _SolutionWindow, _WINDOW)
+                             estimate_mkinv_norm, _SolutionWindow, _WINDOW,
+                             _sine_matrix, _sine_transform)
 from sparseoc.solvers import SolverConfig, solve_two_phase
-from sparseoc.experiments import reproduction_sigma
+from sparseoc.experiments import (EXAMPLE1_PARAMS, EXAMPLE2_PARAMS,
+                                  reproduction_sigma)
 
 from conftest import random_tiny_problem
 
@@ -145,17 +147,22 @@ def test_pmhss_zero():
 
 
 def _mass_without_skew(m):
-    """M~ dense: the mesh's mass matrix M minus its skew part
-    +-h^2/24 (E - E^T) x (E - E^T), E the N x N shift, whose sign follows
-    the direction of the mesh diagonals."""
-    M = fem.assemble_mass(m).toarray()
-    N = math.isqrt(M.shape[0])
-    F = np.eye(N, k=1) - np.eye(N, k=-1)
-    D = np.kron(F, F)
-    Mt = M - np.sign(np.sum(M * D)) * m.h ** 2 / 24.0 * D
-    # M holds exactly one such part: none is left in M~
-    assert abs(np.sum(Mt * D)) <= 1e-15 * np.sum(abs(M))
-    return Mt
+    """M~ = h^2/12 [6 I + T x I + I x T + 1/2 T x T], T = E + E^T with E
+    the N x N shift, built by sp.kron from the stencil in the SineSolver
+    docstring; checks that the mesh's mass matrix M differs from it by
+    the skew part +-h^2/24 (E - E^T) x (E - E^T) alone, whose sign
+    follows the direction of the mesh diagonals."""
+    N = math.isqrt(m.n_interior)
+    I = sp.identity(N)
+    T = sp.diags([1.0, 1.0], [-1, 1], shape=(N, N))
+    Mt = m.h ** 2 / 12.0 * (6.0 * sp.kron(I, I) + sp.kron(T, I)
+                            + sp.kron(I, T) + 0.5 * sp.kron(T, T))
+    F = sp.diags([-1.0, 1.0], [-1, 1], shape=(N, N))
+    skew = m.h ** 2 / 24.0 * sp.kron(F, F)
+    M = fem.assemble_mass(m)
+    assert min(abs(M - Mt - skew).max(), abs(M - Mt + skew).max()) \
+        <= 1e-15 * m.h ** 2
+    return Mt.tocsr()
 
 
 @pytest.mark.parametrize("level", range(1, 6))
@@ -165,7 +172,7 @@ def test_G_tilde_solve_matches_dense_solve(meshes, level):
     # ~2.7e-3); a stack of two grids gives the two one-grid solves
     m = meshes(level)
     K = fem.assemble_stiffness(m)
-    Mt = _mass_without_skew(m)
+    Mt = _mass_without_skew(m).toarray()
     rng = np.random.default_rng(level)
     for s in (1e-4, 2.7e-3, 0.05, 1.0):
         B = rng.standard_normal((2, K.shape[0]))
@@ -182,8 +189,8 @@ def test_mass_without_skew_is_spectrally_close(meshes, level):
     # lambda(M~^-1 M) in [0.69, 1.31], [0.65, 1.35], [0.64, 1.36] at
     # levels 3/4/5: G~ stays a good PMHSS factor on every grid
     m = meshes(level)
-    lam = eigh(fem.assemble_mass(m).toarray(), _mass_without_skew(m),
-               eigvals_only=True)
+    lam = eigh(fem.assemble_mass(m).toarray(),
+               _mass_without_skew(m).toarray(), eigvals_only=True)
     assert 0.6 <= lam.min() and lam.max() <= 1.4
 
 
@@ -192,7 +199,7 @@ def test_pmhss_round_trip(meshes):
     K = fem.assemble_stiffness(m)
     gamma = 0.3
     sg = np.sqrt(gamma)
-    G = _mass_without_skew(m) + sg * K.toarray()
+    G = (_mass_without_skew(m) + sg * K).toarray()
     G_solve = SaddleSolver(fem.assemble_mass(m), K, gamma).G_solve
     n = K.shape[0]
     P = (1.0 / gamma) * np.block(
@@ -625,3 +632,47 @@ def test_sine_solver_rejects_other_matrices(meshes):
             SineSolver(A)
     with pytest.raises(ValueError, match="order N"):
         SineSolver(K[:48, :48])     # 48 is no perfect square
+
+
+@settings(max_examples=80, deadline=None, derandomize=True, database=None)
+@given(N=st.integers(1, 40), stack=st.sampled_from([(), (1,), (2,), (3, 2)]),
+       complex_=st.booleans(), seed=st.integers(0, 2 ** 32 - 1))
+@example(N=40, stack=(2,), complex_=True, seed=0)
+def test_sine_transform_is_the_dst_double_sum(N, stack, complex_, seed):
+    # S B S against the double sum over sin(pi j k/(N+1)) with the
+    # unreduced argument, on a single grid or a stack; S^2 = (N+1)/2 I
+    # makes the transform applied twice ((N+1)/2)^2 times the identity
+    rng = np.random.default_rng(seed)
+    B = rng.standard_normal(stack + (N, N))
+    if complex_:
+        B = B + 1j * rng.standard_normal(B.shape)
+    T = np.array([[math.sin(math.pi * j * k / (N + 1))
+                   for k in range(1, N + 1)] for j in range(1, N + 1)])
+    want = np.einsum("ja,...ab,bk->...jk", T, B, T)
+    S = _sine_matrix(N)
+    got = _sine_transform(S, B)
+    assert got.shape == B.shape and got.dtype == B.dtype
+    assert np.linalg.norm(got - want) <= 2e-15 * N * np.linalg.norm(want)
+    twice = _sine_transform(S, got)
+    assert np.linalg.norm(twice - (0.5 * (N + 1)) ** 2 * B) \
+        <= 2e-15 * N * np.linalg.norm(twice)
+
+
+@pytest.mark.parametrize("level", [6, 7, 8])
+def test_sine_solves_reach_round_off_at_fine_levels(meshes, level):
+    # residuals of the K-solve and of the G~-solve at the constructed and
+    # Stadler s = sqrt(gamma), gamma = alpha/2 + sigma, on the grids that
+    # no dense solve reaches
+    m = meshes(level)
+    K = fem.assemble_stiffness(m)
+    rng = np.random.default_rng(level)
+    b = rng.standard_normal(K.shape[0])
+    x = SineSolver(K).solve(b)
+    assert np.linalg.norm(K @ x - b) <= 1e-12 * np.linalg.norm(b)
+    Mt = _mass_without_skew(m)
+    for alpha in (EXAMPLE1_PARAMS.alpha, EXAMPLE2_PARAMS.alpha):
+        s = math.sqrt(0.5 * alpha + reproduction_sigma(alpha))
+        B = rng.standard_normal((2, K.shape[0]))
+        X = SineSolver(K, mass=1.0, stiffness=s).solve(B)
+        R = (Mt + s * K) @ X.T - B.T
+        assert np.linalg.norm(R) <= 1e-12 * np.linalg.norm(B)

@@ -88,10 +88,16 @@ def test_lumped_mass(meshes):
     W_all = fem.assemble_lumped_mass(m, interior_only=False)
     assert np.isclose(W_all.sum(), 1.0)             # partition of unity
     assert W.sum() < 1.0
-    # row-sum identity with the consistent mass on all nodes
-    M_all = fem.assemble_mass(m, interior_only=False)
-    rs = np.asarray(M_all.sum(axis=1)).ravel()
-    assert np.allclose(rs, W_all)
+    # row-sum identity with the consistent mass on the interior rows whose
+    # patch does not touch the boundary; the other rows lose the entries of
+    # their boundary neighbours
+    near = np.zeros(len(m.nodes), dtype=bool)
+    near[m.elements[~m.interior_mask[m.elements].all(axis=1)]] = True
+    inner = ~near[m.interior_mask]
+    assert inner.sum() == (2 ** m.level - 3) ** 2
+    rs = np.asarray(fem.assemble_mass(m).sum(axis=1)).ravel()
+    assert np.allclose(rs[inner], W[inner])
+    assert np.all(rs[~inner] < W[~inner])
 
 
 def test_entry_scaling_with_h(meshes):
