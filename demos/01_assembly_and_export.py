@@ -22,8 +22,8 @@ def main():
               f"{m.n_interior} interior dofs")
         print(f"  K diagonal: {K.diagonal()[0]:.1f} (h-independent), "
               f"M diagonal: {M.diagonal()[0]:.3e} (= h^2/2)")
-        W_all = fem.assemble_lumped_mass(m, interior_only=False)
-        print(f"  sum of all lumped weights: {W_all.sum():.15f} (area of the square)")
+        print(f"  sum of interior lumped weights: {W.sum():.15f} "
+              f"(= (1 - h)^2 = {(1 - m.h) ** 2:.15f})")
 
         rng = np.random.default_rng(0)
         z = rng.standard_normal(m.n_interior)

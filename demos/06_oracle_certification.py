@@ -50,11 +50,11 @@ def main():
             prob, so.SolverConfig(tol=1e-10, max_iter=5000)),
         "apg": so.solve_apg(prob, so.SolverConfig(tol=1e-10, max_iter=5000)),
     }
+    # PDAS warm-started from the thresholded iterate z and its adjoint p,
+    # as solve_two_phase hands it over
     ph1 = so.solve_ihadmm(prob, so.SolverConfig(tol=1e-3, sigma=sigma))
-    T = 0.5 * (prob.M + sp.diags(prob.W))
     s1 = ph1.final_state
-    warm = so.IterateState(u=s1.z.copy(),
-                           mu=prob.M @ s1.p - prob.alpha * (T @ s1.z))
+    warm = so.IterateState(u=s1.z.copy(), p=s1.p)
     runs["pdas (warm)"] = so.solve_pdas(
         prob, so.SolverConfig(tol=1e-10, max_iter=100), warm=warm)
 

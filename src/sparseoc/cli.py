@@ -226,7 +226,7 @@ def cmd_table(config_path, out_dir):
 
 def cmd_export_matrices(level, out_dir):
     """Write K, M, W of one grid level in MatrixMarket format."""
-    if not isinstance(level, int) or level < 1:
+    if not _is_level(level):
         raise ConfigError(f"level must be a positive integer, got {level}")
     out_dir.mkdir(parents=True, exist_ok=True)
     m = fem.build_mesh(level)

@@ -171,13 +171,17 @@ class SineSolver:
 
 @dataclass
 class InnerSolveStats:
-    """An inner solve's iterations, achieved relative residual, preconditioner
-    applications and whether it met its target (an LU solve always does)."""
+    """An inner solve's iterations, achieved relative residual and whether
+    it met its target (an LU solve always does)."""
 
     iterations: int
     final_relative_residual: float
-    preconditioner_applications: int
     converged: bool
+
+    @property
+    def preconditioner_applications(self):
+        """One per Krylov iteration: GMRES and CG apply it once each."""
+        return self.iterations
 
 
 def pmhss_apply(gamma, G_solver, r):
@@ -224,7 +228,7 @@ def gmres(A_apply, P_apply, rhs, tol, max_iter=500, restart=50, x0=None):
 
     norm_b = np.linalg.norm(rhs)
     if norm_b == 0.0:
-        return np.zeros(n), InnerSolveStats(0, 0.0, 0, True), np.zeros(n)
+        return np.zeros(n), InnerSolveStats(0, 0.0, True), np.zeros(n)
     target = tol * norm_b
     if x0 is None:
         x, r = np.zeros(n), rhs
@@ -283,8 +287,7 @@ def gmres(A_apply, P_apply, rhs, tol, max_iter=500, restart=50, x0=None):
         res = np.linalg.norm(r)
 
     converged = res <= target * (1.0 + 1e-12)
-    return x, InnerSolveStats(total_iters, res / norm_b, total_iters,
-                              converged), r
+    return x, InnerSolveStats(total_iters, res / norm_b, converged), r
 
 
 # solution updates a recycled PMHSS-GMRES start combines
@@ -397,7 +400,7 @@ class SaddleSolver:
         its first solve starts from zero.
         """
         norm_b = np.hypot(np.linalg.norm(rhs_top), np.linalg.norm(rhs_bottom))
-        stats_iters, papps = 0, 0
+        stats_iters = 0
         if backend == "direct":
             if self._direct is None:
                 self._direct = factorize(self._A)
@@ -419,7 +422,7 @@ class SaddleSolver:
                 rel = tol / (np.sqrt(2.0) * norm_b)
                 x, st, r = gmres(self._apply, P, rhs, rel, x0=x0)
                 self._window.record(x, rhs, r)
-                stats_iters, papps = st.iterations, st.preconditioner_applications
+                stats_iters = st.iterations
             y, u = x[:self.n], x[self.n:]
             self.residual = (r[:self.n], r[self.n:])
         else:
@@ -428,7 +431,7 @@ class SaddleSolver:
         achieved = sum(np.linalg.norm(v) for v in self.residual)
         rel_res = achieved / norm_b if norm_b > 0 else 0.0
         converged = backend == "direct" or norm_b == 0.0 or achieved <= tol
-        return y, u, InnerSolveStats(stats_iters, rel_res, papps, converged)
+        return y, u, InnerSolveStats(stats_iters, rel_res, converged)
 
 
 def estimate_mkinv_norm(W, h):

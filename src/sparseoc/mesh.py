@@ -126,14 +126,12 @@ def assemble_mass(mesh):
     return M
 
 
-def assemble_lumped_mass(mesh, interior_only=True):
-    """Lumped mass W_i = integral of phi_i = (patch area)/3, as a vector."""
+def assemble_lumped_mass(mesh):
+    """Interior lumped mass W_i = integral of phi_i = (patch area)/3."""
     _, _, area = _element_geometry(mesh)
     w = np.zeros(mesh.n_nodes)
     np.add.at(w, mesh.elements.ravel(), np.repeat(area / 3.0, 3))
-    if interior_only:
-        w = w[mesh.interior_mask]
-    return w
+    return w[mesh.interior_mask]
 
 
 def _quadrature_points(mesh, bary):

@@ -19,14 +19,14 @@ ConvergenceReport that every exit returns:
 * solve_apg          -- accelerated proximal gradient (FISTA) with doubling
                         backtracking for the curvature constant and gradient
                         based restart.
-* solve_pdas         -- primal-dual active set (semismooth Newton): classify
-                        every dof against the thresholds +-c w_i beta
-                        (fixed c = _PDAS_C = 1) and the bounds, fix the
-                        active ones, solve for the free ones, repeat until
-                        the sets freeze or one recurs.  The
-                        Newton step is the SPD reduced-Hessian system in the
-                        free controls, solved by preconditioned CG with two
-                        K-solves per iteration.
+* solve_pdas         -- primal-dual active set: semismooth Newton on eta_3's
+                        fixed point u = Pi_box((2/alpha) soft(v, beta)),
+                        v = W^{-1} M (p - alpha/2 u).  Classify every dof
+                        by the branch of that map it lies on, fix the active
+                        ones, solve for the free ones, repeat until the sets
+                        freeze or one recurs.  The Newton step is the SPD
+                        reduced-Hessian system in the free controls, solved
+                        by preconditioned CG with two K-solves per iteration.
 
 The inexact u-step k aims its ||r1|| + ||r2|| at min(eps_k / denom, cap_k)
 with cap_k = 0.25 max(tol, _FORCING eta_{k-1}) h / max(1, gamma), a
@@ -87,8 +87,6 @@ _FORCING = 0.1
 # decay above 1 keeps sum(eps_k) finite, as the convergence theory needs
 _EPS0 = 1e-2
 _EPS_DECAY = 1.2
-# PDAS's active-set parameter c > 0
-_PDAS_C = 1.0
 
 
 @dataclass
@@ -332,7 +330,7 @@ def solve_classical_admm(problem, config=None, warm=None, callback=None):
         # taken relative to ||b|| + ||g0||: ||b + g0|| cancels as u decays
         Mg = M @ (0.5 * problem.alpha * u - p)
         stats = InnerSolveStats(iters, np.linalg.norm(b - sigma * u - Mg)
-                                / (np.linalg.norm(b) + g0_norm), iters, cg_ok)
+                                / (np.linalg.norm(b) + g0_norm), cg_ok)
         z = z_update_classical(u, lam_c, problem, sigma)
         lam_c = lam_c + _TAU_CLASSICAL * sigma * (u - z)
         # one M-solve serves eta4, the callback and the final state
@@ -401,7 +399,7 @@ def solve_apg(problem, config=None, warm=None, callback=None):
         # q = M(p - alpha/2 u) = M lam, so grad f(u) + M lam = 0 exactly
         res, q = kkt_residual_pdas(it_state, problem)
         if run.record(it_state, res, _Rh_from(u, u, q, q - q, problem),
-                      InnerSolveStats(doublings, 0.0, 0, True)):
+                      InnerSolveStats(doublings, 0.0, True)):
             break
 
     return run.report(it_state)
@@ -412,18 +410,17 @@ _AT_A, _AT_B, _AT_0, _INACT_POS, _INACT_NEG = range(5)
 
 
 def _classify(u, mu, problem):
-    """Active/inactive partition of Algorithm-step-1 with deterministic ties,
-    c = _PDAS_C.
-
-    Strict inequalities as printed; boundary-equality dofs fall through to
-    the inactive set matching the sign of u + c mu.
-    """
-    t = u + _PDAS_C * mu
-    thr = _PDAS_C * problem.W * problem.beta
-    return np.where(t - problem.a < -thr, _AT_A,
-                    np.where(t - problem.b > thr, _AT_B,
-                             np.where(np.abs(t) < thr, _AT_0,
-                                      np.where(t >= 0.0, _INACT_POS, _INACT_NEG))))
+    """The branch of prox.multiplier_fixed_point each dof lies on at
+    M lam = mu + alpha/2 W u: with v = M lam / W, Pi_box((2/alpha)
+    soft(v, beta)) is a where v < alpha a/2 - beta, b where
+    v > alpha b/2 + beta, 0 where |v| < beta and inside otherwise;
+    equality dofs fall through to the inactive set with the sign of v."""
+    half_alpha, beta = 0.5 * problem.alpha, problem.beta
+    v = (mu + half_alpha * (problem.W * u)) / problem.W
+    return np.where(v < half_alpha * problem.a - beta, _AT_A,
+                    np.where(v > half_alpha * problem.b + beta, _AT_B,
+                             np.where(np.abs(v) < beta, _AT_0,
+                                      np.where(v >= 0.0, _INACT_POS, _INACT_NEG))))
 
 
 def solve_pdas(problem, config=None, warm=None, callback=None):
@@ -496,9 +493,9 @@ def solve_pdas(problem, config=None, warm=None, callback=None):
             # the step's true residual, from the y and p recovered above
             rel_res = (np.linalg.norm(stationarity[jf] - mu_fix[jf])
                        / np.linalg.norm(rhs))
-            stats = InnerSolveStats(iters, rel_res, iters, cg_ok)
+            stats = InnerSolveStats(iters, rel_res, cg_ok)
         else:
-            stats = InnerSolveStats(0, 0.0, 0, True)
+            stats = InnerSolveStats(0, 0.0, True)
 
         it_state = IterateState(u=u, z=u.copy(), y=y, p=p, mu=mu,
                                 lam=p - 0.5 * alpha * u)

@@ -314,8 +314,11 @@ def test_export_matrices_bad_level(tmp_path):
 
 
 def test_export_matrices_direct_call(tmp_path):
-    with pytest.raises(ConfigError):
-        cmd_export_matrices(0, tmp_path / "o")
+    # a bool is no level, as on every config path (True would be level 1)
+    for level in (0, True):
+        with pytest.raises(ConfigError):
+            cmd_export_matrices(level, tmp_path / "o")
+    assert not (tmp_path / "o").exists()
 
 
 def test_table_stadler_reference(tmp_path):

@@ -377,8 +377,7 @@ def test_gmres_cycle_applies_pmhss_once_per_iteration(meshes):
         calls.clear()
         x, stats, r = gmres(solver._apply, P, rhs, 1e-10, restart=restart)
         assert stats.converged and stats.iterations > (cycles - 1) * restart
-        assert len(calls) == stats.iterations \
-            == stats.preconditioner_applications
+        assert len(calls) == stats.iterations
 
 
 @settings(max_examples=60, deadline=None, derandomize=True, database=None)
@@ -509,7 +508,7 @@ def test_direct_saddle_solve_is_always_converged(meshes):
     solver = SaddleSolver(M, K, 1e-10)
     y, u, stats = solver.solve(rhs_top, rhs_bottom, tol=1e-300)
     assert stats.converged
-    assert stats.iterations == stats.preconditioner_applications == 0
+    assert stats.iterations == 0
     achieved = sum(np.linalg.norm(v) for v in solver.residual)
     norm_b = np.linalg.norm(np.concatenate([rhs_top, rhs_bottom]))
     assert stats.final_relative_residual == pytest.approx(achieved / norm_b,

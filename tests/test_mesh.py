@@ -85,8 +85,14 @@ def test_lumped_mass(meshes):
     m = meshes(4)
     W = fem.assemble_lumped_mass(m)
     assert np.allclose(W, m.h ** 2)                 # full 6-triangle patches
-    W_all = fem.assemble_lumped_mass(m, interior_only=False)
+    # the same lumping on all nodes: a third of each element area per vertex
+    p = m.nodes[m.elements]
+    e1, e2 = p[:, 1] - p[:, 0], p[:, 2] - p[:, 0]
+    area = 0.5 * np.abs(e1[:, 0] * e2[:, 1] - e1[:, 1] * e2[:, 0])
+    W_all = np.bincount(m.elements.ravel(), weights=np.repeat(area / 3.0, 3),
+                        minlength=m.n_nodes)
     assert np.isclose(W_all.sum(), 1.0)             # partition of unity
+    assert np.allclose(W_all[m.interior_mask], W)
     assert W.sum() < 1.0
     # row-sum identity with the consistent mass on the interior rows whose
     # patch does not touch the boundary; the other rows lose the entries of
