@@ -84,7 +84,10 @@ class Factorization:
             raise FactorizationError("LU factor contains non-finite pivots")
 
     def solve(self, rhs):
-        return self._lu.solve(np.asarray(rhs))  # no cast: keeps complex rhs
+        # A = A^T, so the transposed solve gives the same x; SuperLU runs
+        # it 20-44% faster for one right-hand side at levels 4-7 (~10% for
+        # two)
+        return self._lu.solve(np.asarray(rhs), "T")  # no cast: keeps complex
 
 
 def factorize(A):
@@ -180,7 +183,8 @@ class InnerSolveStats:
 
     @property
     def preconditioner_applications(self):
-        """One per Krylov iteration: GMRES and CG apply it once each."""
+        """One per Krylov iteration: GMRES and CG apply it once each.  APG
+        has no preconditioner; its stats hold backtracking doublings."""
         return self.iterations
 
 
@@ -371,6 +375,7 @@ class SaddleSolver:
         self._A = (M - 1j * self._s * K).tocsr()
         self._direct = None
         self._window = _SolutionWindow()
+        self._bottom = self._bottom_norm = None
         self.residual = None
 
     @cached_property
@@ -382,6 +387,16 @@ class SaddleSolver:
         taking the same stacks, into this slot before a pmhss_gmres solve.
         """
         return SineSolver(self.K, mass=1.0, stiffness=self._s).solve
+
+    def _norm_bottom(self, rhs_bottom):
+        """||rhs_bottom||, taken once for a read-only rhs_bottom that
+        solve after solve passes again (the ihADMM's constant -M yc)."""
+        if rhs_bottom is self._bottom:
+            return self._bottom_norm
+        norm = np.linalg.norm(rhs_bottom)
+        if not rhs_bottom.flags.writeable:
+            self._bottom, self._bottom_norm = rhs_bottom, norm
+        return norm
 
     def _apply(self, x):
         """[[M/gamma, K], [-K, M]] [y; u] as one product with A."""
@@ -399,12 +414,16 @@ class SaddleSolver:
         serves one sequence of solves whose right-hand sides change slowly;
         its first solve starts from zero.
         """
-        norm_b = np.hypot(np.linalg.norm(rhs_top), np.linalg.norm(rhs_bottom))
+        rhs_bottom = np.asarray(rhs_bottom)
+        norm_b = np.hypot(np.linalg.norm(rhs_top),
+                          self._norm_bottom(rhs_bottom))
         stats_iters = 0
         if backend == "direct":
             if self._direct is None:
                 self._direct = factorize(self._A)
-            b = self._s * rhs_top + 1j * rhs_bottom
+            b = np.empty(self.n, dtype=complex)
+            b.real = self._s * rhs_top
+            b.imag = rhs_bottom
             z = self._direct.solve(b)
             y, u = self._s * z.real, np.ascontiguousarray(z.imag)
             # b - A z = s r1 + i r2 in terms of the block residuals (r1, r2)

@@ -206,9 +206,10 @@ class DiscreteProblem:
     K, M are SPD on the interior dofs, W holds the lumped-mass weights
     (W_i = row sum of M over all mesh nodes), yd/yc are the projected
     desired-state and source coefficient vectors, and a < 0 < b are the
-    control bounds.  The data terms M yc, M yd (read-only), their M-norms,
-    the LU factorization of M and the K-solver are computed on first use
-    and cached, so every solver run on the problem shares one of each.  A
+    control bounds.  The data terms M yc, M yd, their M-norms, the weights
+    1/W, beta W and alpha/2 W (arrays read-only), the LU factorization of
+    M and the K-solver are computed on first use and cached, so every
+    solver run on the problem shares one of each.  A
     problem built by discretize holds the M factorization from the start:
     the L2 projections of yd and yc made it.  K is never factored: factorK
     is a linalg.SineSolver, which needs K to be the mesh's 5-point stencil.
@@ -250,6 +251,23 @@ class DiscreteProblem:
     @cached_property
     def factorK(self):
         return linalg.SineSolver(self.K)
+
+    # the lumped weights in the forms the proximal maps and residuals take,
+    # made once per problem instead of once per iteration
+    @cached_property
+    def W_inv(self):
+        """1 / W."""
+        return _frozen(1.0 / self.W)
+
+    @cached_property
+    def beta_W(self):
+        """beta W."""
+        return _frozen(self.beta * self.W)
+
+    @cached_property
+    def half_alpha_W(self):
+        """alpha/2 W."""
+        return _frozen(0.5 * self.alpha * self.W)
 
     @cached_property
     def yc_norm(self):

@@ -27,14 +27,23 @@ adjoint dual norms are taken as the closed-form bound 2 ||F||_{W^{-1}},
 which lies between ||F||_{M^{-1}} and twice it and needs no solve (see
 _residual_core); the dual norm of the ADMM stationarity functional
 M(alpha/2 u - p + lam) is exact, the M norm of alpha/2 u - p + lam, and
-needs none either.  The ihADMM takes the
+needs none either.  admm_residuals_weighted takes every vector with its
+product with M, so a caller may make or carry them.  The ihADMM takes the
 state and adjoint functionals from its u-step's block residual (r1, r2),
-K y - M(u + yc) = r2 and M(y - yd) + K p = -gamma r1, so a direct iteration
-makes 6 real sparse products and 1 complex one; the other solvers reuse the
-M u of their state functional for ||u||_M.  R_h keeps plain Euclidean norms;
-the solvers build it from a product the residuals already make (the ADMMs'
-eta_4 functional, the q = M(p - alpha/2 u) of kkt_residual_pdas) and
-dist_subdifferential_g, so it costs no solve.  All functions are pure.
+K y - M(u + yc) = r2 and M(y - yd) + K p = -gamma r1, and carries M z and
+M lam: from M u and M z_new, M(u - z_new) and the new M lam follow by
+linearity, and w = alpha/2 u - p + lam_new = sigma (z - z_new)
++ (tau - 1) sigma (u - z_new), with its M w, from the old and new M z.  At
+tau = 1, w is the ADMM dual residual sigma (z - z_new).  So a direct
+iteration makes 4 real sparse products (K(sigma z - lam), M u, M z_new,
+the eta_5 gap) and 1 complex one (the u-step's residual).
+kkt_residual_admm and the classical ADMM make M(u - z) and M w afresh; the
+other solvers reuse the M u of their state functional for ||u||_M.  R_h
+keeps plain Euclidean norms; the solvers build it from a vector the
+residuals already have (the ADMMs' eta_4 functional M w, the
+q = M(p - alpha/2 u) of kkt_residual_pdas) and dist_subdifferential_g, so
+it costs no solve.  The kernels read the lumped weights in the forms
+DiscreteProblem caches (1/W, beta W, alpha/2 W).  All functions are pure.
 """
 
 import numpy as np
@@ -44,7 +53,7 @@ from dataclasses import dataclass
 def soft(v, t):
     """Soft thresholding sign(v) * max(|v| - t, 0); t scalar or vector."""
     t = np.asarray(t, dtype=float)
-    if np.any(t < 0):
+    if (t < 0).any():
         raise ValueError("soft threshold must be nonnegative")
     v = np.asarray(v, dtype=float)
     return np.sign(v) * np.maximum(np.abs(v) - t, 0.0)
@@ -54,7 +63,7 @@ def project_box(v, a, b):
     """Componentwise projection onto [a, b]."""
     if a > b:
         raise ValueError(f"empty box: a={a} > b={b}")
-    return np.clip(v, a, b)
+    return np.minimum(np.maximum(v, a), b)
 
 
 def solve_state(problem, factorK, u):
@@ -100,7 +109,7 @@ def z_update_ihadmm(u, Mlam, problem, sigma):
     """
     if sigma <= 0:
         raise ValueError("sigma must be positive")
-    v = sigma * u + Mlam / problem.W
+    v = sigma * u + Mlam * problem.W_inv
     return project_box(soft(v, problem.beta) / (sigma + 0.5 * problem.alpha),
                        problem.a, problem.b)
 
@@ -165,8 +174,7 @@ def _residual_core(u, Mu, F, problem):
     # the nonnegative off-diagonal mass onto the diagonal, so W/4 <= M <= W
     # and ||F||_{M^-1} <= 2 ||F||_{W^-1} <= 2 ||F||_{M^-1}: the bound never
     # stops a run earlier than the exact dual norm would.
-    d_state, d_adjoint = 2.0 * np.sqrt(
-        np.einsum("ij,ij->j", F, F / problem.W[:, None]))
+    d_state, d_adjoint = 2.0 * np.sqrt(problem.W_inv @ (F * F))
     return (1.0 + float(np.sqrt(max(u @ Mu, 0.0))),
             float(d_state) / (1.0 + problem.yc_norm),
             float(d_adjoint) / (1.0 + problem.yd_norm))
@@ -174,35 +182,45 @@ def _residual_core(u, Mu, F, problem):
 
 def multiplier_fixed_point(lam_weighted, problem):
     """z solving  W^{-1} q in alpha/2 z + beta d|z| + N_box(z), q = M lam."""
-    v = lam_weighted / problem.W
+    v = lam_weighted * problem.W_inv
     return project_box((2.0 / problem.alpha) * soft(v, problem.beta),
                        problem.a, problem.b)
 
 
-def admm_residuals_weighted(u, z, lam, Mlam, p, F, Mu, problem):
-    """eta_1..eta_5 and M w from Mlam = M lambda, the state and adjoint
-    functionals F and Mu = M u (shared solver core).
-
-    The stationarity functional M w, w = alpha/2 u - p + lam, has the M
-    norm of w as its dual norm, which needs no solve.
+def admm_residuals_weighted(u, Mu, F, d, Md, w, Mw, z, Mlam, problem):
+    """eta_1..eta_5 of an ADMM iterate (shared solver core) from vectors
+    and their products with M, which the caller makes or carries: u and
+    Mu = M u with the state and adjoint functionals F (eta_1, eta_3),
+    d = u - z and Md = M d (eta_2), the stationarity residual
+    w = alpha/2 u - p + lam and Mw = M w (eta_4), z and Mlam = M lam
+    (eta_5).  The dual norm of the stationarity functional M w is the M
+    norm of w, so eta_4 needs no solve.
     """
     scale_u, eta1, eta3 = _residual_core(u, Mu, F, problem)
-    eta2 = _m_norm(problem, u - z) / scale_u
-    w = 0.5 * problem.alpha * u - p + lam
-    Mw = problem.M @ w
+    eta2 = float(np.sqrt(max(d @ Md, 0.0))) / scale_u
     eta4 = float(np.sqrt(max(w @ Mw, 0.0))) / scale_u
     eta5 = _m_norm(problem, z - multiplier_fixed_point(Mlam, problem)) / scale_u
     return KktResidual(eta1, eta2, eta3, eta4, eta5,
-                       max(eta1, eta2, eta3, eta4, eta5)), Mw
+                       max(eta1, eta2, eta3, eta4, eta5))
+
+
+def admm_products(u, z, lam, p, problem):
+    """d = u - z, M d, w = alpha/2 u - p + lam and M w of an ADMM iterate,
+    each product made afresh."""
+    M = problem.M
+    d = u - z
+    w = 0.5 * problem.alpha * u - p + lam
+    return d, M @ d, w, M @ w
 
 
 def kkt_residual_admm(state, problem):
     """Residuals eta_1..eta_5 of the split (u, z) optimality system at a
-    state that carries its y and p."""
-    F, Mu = state_adjoint_functionals(state.u, state.y, state.p, problem)
-    return admm_residuals_weighted(state.u, state.z, state.lam,
-                                   problem.M @ state.lam, state.p, F, Mu,
-                                   problem)[0]
+    state that carries its y and p, every product made afresh."""
+    u = state.u
+    F, Mu = state_adjoint_functionals(u, state.y, state.p, problem)
+    return admm_residuals_weighted(
+        u, Mu, F, *admm_products(u, state.z, state.lam, state.p, problem),
+        state.z, problem.M @ state.lam, problem)
 
 
 def kkt_residual_pdas(state, problem):
@@ -229,11 +247,10 @@ def dist_subdifferential_g(z, q, problem):
     interval arithmetic: d|0| = [-1, 1], normal cone (-inf, 0] at a,
     [0, inf) at b, {0} inside.
     """
-    W = problem.W
-    base = 0.5 * problem.alpha * W * z
-    bw = problem.beta * W
-    lo = base + np.where(z > 0, bw, -bw)
-    hi = base + np.where(z < 0, -bw, bw)
+    base = problem.half_alpha_W * z
+    bw, nbw = problem.beta_W, -problem.beta_W
+    lo = base + np.where(z > 0, bw, nbw)
+    hi = base + np.where(z < 0, nbw, bw)
     lo[z <= problem.a] = -np.inf           # normal cone opens downward at a
     hi[z >= problem.b] = np.inf            # and upward at b
     # lo <= hi, so at most one of the two gaps is positive

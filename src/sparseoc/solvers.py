@@ -13,7 +13,11 @@ ConvergenceReport that every exit returns:
                         eps_k = 1e-2 / (k+1)^1.2 (_EPS0, _EPS_DECAY), each
                         GMRES started from the best combination of the last
                         solution updates (linalg._SolutionWindow); eta_1
-                        and eta_3 reuse the u-step's block residual.
+                        and eta_3 reuse the u-step's block residual, and
+                        M z and M lam are carried, so a direct iteration
+                        makes 4 real sparse products and 1 complex one
+                        (see the loop; eta_4 measures the ADMM dual
+                        residual sigma (z - z_new) at tau = 1).
 * solve_classical_admm -- Euclidean-penalty ADMM; its u-step is a reduced SPD
                         system in u, solved by preconditioned CG as in PDAS.
 * solve_apg          -- accelerated proximal gradient (FISTA) with doubling
@@ -69,13 +73,13 @@ from scipy.sparse.linalg import LinearOperator, cg
 
 from .linalg import (SaddleSolver, factorize, estimate_mkinv_norm,
                      InnerSolveStats)
-from .mesh import _fmt, check_real
+from .mesh import _fmt, _frozen, check_real
 # grad_f is not called here; it stays bound because perfbench's tracer
 # wraps these module attributes by name
 from .prox import (z_update_ihadmm, z_update_classical, prox_g_euclidean,
                    grad_f, kkt_residual_pdas, admm_residuals_weighted,
-                   dist_subdifferential_g, solve_state, solve_adjoint,
-                   f_from_state, state_adjoint_functionals)
+                   admm_products, dist_subdifferential_g, solve_state,
+                   solve_adjoint, f_from_state, state_adjoint_functionals)
 
 # multiplier step lengths: 1 for the ihADMM, as in the paper, and the
 # classical ADMM's customary 1.618, just below the golden ratio
@@ -150,7 +154,12 @@ class ConvergenceReport:
         return self.eta_history[-1].eta if self.eta_history else np.inf
 
     def write_log(self, path):
-        """Per-iteration convergence log as machine-readable CSV."""
+        """Per-iteration convergence log as machine-readable CSV.
+
+        inner_iters is the Krylov iteration count of the inner solve
+        (GMRES, CG; 0 for a direct u-step), except for APG, which has no
+        inner solve: its rows hold the backtracking doublings.
+        """
         with open(path, "w") as fh:
             fh.write("iter,eta1,eta2,eta3,eta4,eta5,eta,Rh,inner_iters\n")
             rows = zip(self.eta_history, self.Rh_history, self.inner_stats)
@@ -211,6 +220,9 @@ def solve_ihadmm(problem, config=None, warm=None, callback=None):
     sigma = config.penalty(problem)
     gamma = 0.5 * problem.alpha + sigma
     M, K = problem.M, problem.K
+    # multiples of d = u - z_new: lam moves by step d, and eta4's w holds
+    # slack d (see the loop)
+    step, slack = _TAU_IHADMM * sigma, (_TAU_IHADMM - 1.0) * sigma
 
     run = _Run("ihadmm", config, callback)
     saddle = SaddleSolver(M, K, gamma)
@@ -223,11 +235,13 @@ def solve_ihadmm(problem, config=None, warm=None, callback=None):
 
     state = _check_warm(warm, problem.n)
     z, lam = state.z, state.lam
-    Mlam = M @ lam
+    # M z and M lam are carried: each iteration makes M u and M z_new, and
+    # every other product with M follows from them by linearity
+    Mz, Mlam = M @ z, M @ lam
+    rhs_bottom = _frozen(-problem.Myc)
 
     for k in range(config.max_iter):
         rhs_top = (K @ (sigma * z - lam) + problem.Myd) / gamma
-        rhs_bottom = -problem.Myc
         if inexact:
             eps_k = _EPS0 / (k + 1.0) ** _EPS_DECAY
             # capped so that eta1 and eta3, 2 ||F||_{W^-1} <= (2/h) ||F||_2
@@ -246,29 +260,36 @@ def solve_ihadmm(problem, config=None, warm=None, callback=None):
         # gives K y - M(u + yc) = r2 and M(y - yd) + K p = -gamma r1
         p = gamma * u - sigma * z + lam
         F = np.column_stack([saddle.residual[1], -gamma * saddle.residual[0]])
-        z = z_update_ihadmm(u, Mlam, problem, sigma)
-        lam = lam + _TAU_IHADMM * sigma * (u - z)
-        Mlam = M @ lam
+        Mu = M @ u
+        z_new = z_update_ihadmm(u, Mlam, problem, sigma)
+        Mz_new = M @ z_new
+        d, Md = u - z_new, Mu - Mz_new
+        # w = alpha/2 u - p + lam_new = sigma (z - z_new) + (tau - 1) sigma d
+        # with p and lam_new = lam + tau sigma d: at tau = 1 the ADMM dual
+        # residual, with no cancellation between u, p and lam
+        w = sigma * (z - z_new) + slack * d
+        Mw = sigma * (Mz - Mz_new) + slack * Md
+        lam, Mlam = lam + step * d, Mlam + step * Md
+        z, Mz = z_new, Mz_new
 
         state = IterateState(u=u, z=z, lam=lam, y=y, p=p)
-        res, Mw = admm_residuals_weighted(u, z, lam, Mlam, p, F, M @ u,
-                                          problem)
-        if run.record(state, res, _Rh_from(u, z, Mlam, Mw, problem), stats):
+        res = admm_residuals_weighted(u, Mu, F, d, Md, w, Mw, z, Mlam,
+                                      problem)
+        if run.record(state, res, _Rh_from(Mw, z, Mlam, d, problem), stats):
             break
 
     return run.report(state)
 
 
-def _Rh_from(u, z, Mlam, r1, problem):
+def _Rh_from(r1, z, Mlam, r3, problem):
     """R_h = ||M lam + grad f(u)||^2 + dist^2(0, -M lam + dg(z)) + ||u - z||^2.
 
-    Takes M*lambda directly (avoids M-solves in the classical ADMM) and
-    r1 = M lam + grad f(u) = M lam + M(alpha/2 u - p), p the adjoint of the
-    iterate: the ADMMs' eta_4 functional, or M lam - q with the q of
-    kkt_residual_pdas, so R_h costs no solve and no product with M.
+    Takes r1 = M lam + grad f(u) = M lam + M(alpha/2 u - p), p the adjoint
+    of the iterate: the ADMMs' eta_4 functional, or M lam - q with the q of
+    kkt_residual_pdas; Mlam = M lambda itself (no M-solve in the classical
+    ADMM); and r3 = u - z.  So R_h costs no solve and no product with M.
     """
     d = dist_subdifferential_g(z, Mlam, problem)
-    r3 = u - z
     return float(r1 @ r1 + d @ d + r3 @ r3)
 
 
@@ -336,12 +357,13 @@ def solve_classical_admm(problem, config=None, warm=None, callback=None):
         # one M-solve serves eta4, the callback and the final state
         lam = factorM.solve(lam_c)
 
-        res = admm_residuals_weighted(
-            u, z, lam, lam_c, p, *state_adjoint_functionals(u, y, p, problem),
-            problem)[0]
+        F, Mu = state_adjoint_functionals(u, y, p, problem)
+        d, Md, w, Mw = admm_products(u, z, lam, p, problem)
+        res = admm_residuals_weighted(u, Mu, F, d, Md, w, Mw, z, lam_c,
+                                      problem)
         state = IterateState(u=u, z=z, lam=lam, y=y, p=p)
-        if run.record(state, res,
-                      _Rh_from(u, z, lam_c, Mg + lam_c, problem), stats):
+        if run.record(state, res, _Rh_from(Mg + lam_c, z, lam_c, d, problem),
+                      stats):
             break
 
     return run.report(state)
@@ -398,7 +420,7 @@ def solve_apg(problem, config=None, warm=None, callback=None):
         it_state = IterateState(u=u, z=u.copy(), y=y, p=p, lam=lam)
         # q = M(p - alpha/2 u) = M lam, so grad f(u) + M lam = 0 exactly
         res, q = kkt_residual_pdas(it_state, problem)
-        if run.record(it_state, res, _Rh_from(u, u, q, q - q, problem),
+        if run.record(it_state, res, _Rh_from(q - q, u, q, u - u, problem),
                       InnerSolveStats(doublings, 0.0, True)):
             break
 
@@ -502,7 +524,8 @@ def solve_pdas(problem, config=None, warm=None, callback=None):
         res, q = kkt_residual_pdas(it_state, problem)
         Mlam = mu + 0.5 * alpha * (W * u)
         # a CG that missed its target stops the run unconverged
-        if run.record(it_state, res, _Rh_from(u, u, Mlam, Mlam - q, problem),
+        if run.record(it_state, res,
+                      _Rh_from(Mlam - q, u, Mlam, u - u, problem),
                       stats):
             break
 

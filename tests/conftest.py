@@ -1,3 +1,5 @@
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
@@ -93,3 +95,16 @@ def random_tiny_problem(rng, n=None, alpha=None, beta=None):
     # K is no mesh stencil, so the solvers get an LU of it as their K-solver
     problem.__dict__["factorK"] = factorize(problem.K)
     return problem
+
+
+def kernel_problem(W, alpha=1.0, beta=1.0, a=-1.0, b=1.0, **fields):
+    """The fields the proximal kernels and residuals read, without the
+    matrices and parameter checks of a DiscreteProblem (beta = 0 is
+    allowed): W, alpha, beta, the bounds, any further fields, and the
+    weights 1/W, beta W and alpha/2 W that DiscreteProblem caches, made by
+    its own code."""
+    prob = SimpleNamespace(W=np.asarray(W, dtype=float), alpha=alpha,
+                           beta=beta, a=a, b=b, **fields)
+    for name in ("W_inv", "beta_W", "half_alpha_W"):
+        setattr(prob, name, getattr(DiscreteProblem, name).func(prob))
+    return prob

@@ -198,11 +198,9 @@ def test_criterion_6_oracle_equivalence():
                                                        max_iter=5000)),
             so.solve_apg(prob, SolverConfig(tol=1e-10, max_iter=5000)),
         ]
+        # PDAS derives its multiplier from p, as in solve_two_phase
         ph1 = so.solve_ihadmm(prob, SolverConfig(tol=1e-3, sigma=sig))
-        T = 0.5 * (prob.M + sp.diags(prob.W))
-        warm = IterateState(
-            u=ph1.final_state.z.copy(),
-            mu=prob.M @ ph1.final_state.p - prob.alpha * (T @ ph1.final_state.z))
+        warm = IterateState(u=ph1.final_state.z.copy(), p=ph1.final_state.p)
         reps.append(so.solve_pdas(prob, SolverConfig(tol=1e-10, max_iter=100),
                                   warm=warm))
         for rep in reps:

@@ -288,3 +288,14 @@ def test_matrix_market_export(tmp_path, meshes):
     fem.write_matrix_market_diagonal(wpath, fem.assemble_lumped_mass(m))
     assert wpath.read_text().startswith(
         "%%MatrixMarket matrix coordinate real general")
+
+
+def test_problem_caches_the_lumped_weight_forms(ex1):
+    # 1/W, beta W and alpha/2 W, made once per problem and read-only
+    _, prob, _ = ex1(3)
+    for name, want in (("W_inv", 1.0 / prob.W),
+                       ("beta_W", prob.beta * prob.W),
+                       ("half_alpha_W", 0.5 * prob.alpha * prob.W)):
+        got = getattr(prob, name)
+        assert got is getattr(prob, name)
+        assert np.array_equal(got, want) and not got.flags.writeable

@@ -1,5 +1,3 @@
-from types import SimpleNamespace
-
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -14,7 +12,7 @@ from sparseoc.prox import (soft, project_box, grad_f, objective_f, objective_g,
                            f_from_state, _residual_core)
 from sparseoc.solvers import IterateState, _Rh_from
 
-from conftest import random_tiny_problem
+from conftest import kernel_problem, random_tiny_problem
 
 
 def test_soft_scalars():
@@ -294,7 +292,7 @@ def _check_lumped_dual_bound(M, W, rng):
     n = len(W)
     F = np.column_stack([rng.standard_normal((n, 4)), M @ X[:, [0, -1]]])
     exact = np.sqrt(np.einsum("ij,ij->j", F, np.linalg.solve(M, F)))
-    unit = SimpleNamespace(W=W, yc_norm=0.0, yd_norm=0.0)
+    unit = kernel_problem(W, yc_norm=0.0, yd_norm=0.0)
     bound = np.array([_residual_core(np.zeros(n), np.zeros(n), F[:, [j, j + 1]],
                                      unit)[1:] for j in (0, 2, 4)]).ravel()
     assert np.all(exact <= bound * (1 + 1e-12))
@@ -408,12 +406,12 @@ def test_Rh_zero_at_kkt_and_positive_elsewhere():
     Mlam = prob.M @ (p - 0.5 * prob.alpha * u)
     # r1 = M lam + grad f(u), grad f(u) = M(alpha/2 u - p)
     r1 = Mlam + prob.M @ (0.5 * prob.alpha * u - p)
-    assert _Rh_from(u, u.copy(), Mlam, r1, prob) < 1e-18
+    assert _Rh_from(r1, u, Mlam, u - u, prob) < 1e-18
     # the adjoint of the perturbed control, as every solver carries it
     y1 = np.linalg.solve(K, M @ (u + 0.1 + prob.yc))
     p1 = np.linalg.solve(K, M @ (prob.yd - y1))
     r1 = Mlam + prob.M @ (0.5 * prob.alpha * (u + 0.1) - p1)
-    assert _Rh_from(u + 0.1, u.copy(), Mlam, r1, prob) > 1e-6
+    assert _Rh_from(r1, u, Mlam, (u + 0.1) - u, prob) > 1e-6
 
 
 def test_objective_g_outside_box():
@@ -464,8 +462,8 @@ def _assert_minimizes(obj, z, lo, hi):
 
 
 def _scalar_problem(w, alpha, beta, a, b):
-    # the kernels read only W, alpha, beta and the bounds
-    return SimpleNamespace(W=np.array([w]), alpha=alpha, beta=beta, a=a, b=b)
+    # the kernels read only W, alpha, beta, the bounds and forms of W
+    return kernel_problem([w], alpha, beta, a, b)
 
 
 def _g1(t, w, alpha, beta):
