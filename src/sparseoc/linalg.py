@@ -84,10 +84,7 @@ class Factorization:
             raise FactorizationError("LU factor contains non-finite pivots")
 
     def solve(self, rhs):
-        # A = A^T, so the transposed solve gives the same x; SuperLU runs
-        # it 20-44% faster for one right-hand side at levels 4-7 (~10% for
-        # two)
-        return self._lu.solve(np.asarray(rhs), "T")  # no cast: keeps complex
+        return self._lu.solve(np.asarray(rhs))  # no cast: keeps complex rhs
 
 
 def factorize(A):
@@ -375,7 +372,6 @@ class SaddleSolver:
         self._A = (M - 1j * self._s * K).tocsr()
         self._direct = None
         self._window = _SolutionWindow()
-        self._bottom = self._bottom_norm = None
         self.residual = None
 
     @cached_property
@@ -387,16 +383,6 @@ class SaddleSolver:
         taking the same stacks, into this slot before a pmhss_gmres solve.
         """
         return SineSolver(self.K, mass=1.0, stiffness=self._s).solve
-
-    def _norm_bottom(self, rhs_bottom):
-        """||rhs_bottom||, taken once for a read-only rhs_bottom that
-        solve after solve passes again (the ihADMM's constant -M yc)."""
-        if rhs_bottom is self._bottom:
-            return self._bottom_norm
-        norm = np.linalg.norm(rhs_bottom)
-        if not rhs_bottom.flags.writeable:
-            self._bottom, self._bottom_norm = rhs_bottom, norm
-        return norm
 
     def _apply(self, x):
         """[[M/gamma, K], [-K, M]] [y; u] as one product with A."""
@@ -414,9 +400,7 @@ class SaddleSolver:
         serves one sequence of solves whose right-hand sides change slowly;
         its first solve starts from zero.
         """
-        rhs_bottom = np.asarray(rhs_bottom)
-        norm_b = np.hypot(np.linalg.norm(rhs_top),
-                          self._norm_bottom(rhs_bottom))
+        norm_b = np.hypot(np.linalg.norm(rhs_top), np.linalg.norm(rhs_bottom))
         stats_iters = 0
         if backend == "direct":
             if self._direct is None:

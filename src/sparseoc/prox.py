@@ -123,7 +123,7 @@ def z_update_classical(u, lam, problem, sigma):
     if sigma <= 0:
         raise ValueError("sigma must be positive")
     W = problem.W
-    v = W * soft((sigma * u + lam) / W, problem.beta)
+    v = W * soft((sigma * u + lam) * problem.W_inv, problem.beta)
     return project_box(v / (0.5 * problem.alpha * W + sigma),
                        problem.a, problem.b)
 

@@ -73,7 +73,7 @@ from scipy.sparse.linalg import LinearOperator, cg
 
 from .linalg import (SaddleSolver, factorize, estimate_mkinv_norm,
                      InnerSolveStats)
-from .mesh import _fmt, _frozen, check_real
+from .mesh import _fmt, check_real
 # grad_f is not called here; it stays bound because perfbench's tracer
 # wraps these module attributes by name
 from .prox import (z_update_ihadmm, z_update_classical, prox_g_euclidean,
@@ -238,7 +238,7 @@ def solve_ihadmm(problem, config=None, warm=None, callback=None):
     # M z and M lam are carried: each iteration makes M u and M z_new, and
     # every other product with M follows from them by linearity
     Mz, Mlam = M @ z, M @ lam
-    rhs_bottom = _frozen(-problem.Myc)
+    rhs_bottom = -problem.Myc
 
     for k in range(config.max_iter):
         rhs_top = (K @ (sigma * z - lam) + problem.Myd) / gamma
@@ -438,7 +438,7 @@ def _classify(u, mu, problem):
     v > alpha b/2 + beta, 0 where |v| < beta and inside otherwise;
     equality dofs fall through to the inactive set with the sign of v."""
     half_alpha, beta = 0.5 * problem.alpha, problem.beta
-    v = (mu + half_alpha * (problem.W * u)) / problem.W
+    v = (mu + half_alpha * (problem.W * u)) * problem.W_inv
     return np.where(v < half_alpha * problem.a - beta, _AT_A,
                     np.where(v > half_alpha * problem.b + beta, _AT_B,
                              np.where(np.abs(v) < beta, _AT_0,

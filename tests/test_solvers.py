@@ -527,7 +527,7 @@ def test_stadler_pmhss_inner_iterations_level4(ex2):
     # of G~ = M~ + s K the three read 970, 1827 and 4738: at this small s
     # the dropped skew mass part weighs more against s K than on the
     # constructed problem
-    assert sum(s.iterations for s in rep.inner_stats) == 1087
+    assert sum(s.iterations for s in rep.inner_stats) == 1091
 
 
 def test_constructed_pmhss_inner_iterations_level6(ex1):
@@ -945,17 +945,30 @@ def test_classical_admm_sparse_products_per_iteration(ex1, monkeypatch):
     assert steps == [(14 + 4 * s.iterations, 0) for s in rep.inner_stats[1:]]
 
 
-def _assert_carried_etas_match(res, ref, floor=0.0):
-    """eta2, eta4 and eta5 from the ihADMM's carried products against
-    kkt_residual_admm's fresh ones.  eta2 agrees to the round-off of
-    M u - M z (~1e-11 relative), eta4 to that of the reference's own
-    alpha/2 u - p + lam (~1e-9), and eta5 to that of M lam, which its fixed
-    point amplifies by 2/alpha (alpha = 1e-5 on the Stadler problem: ~1e-8);
-    floor covers an eta4 of 0 (z did not move) against round-off."""
-    for got, want, rtol in ((res.eta2, ref.eta2, 1e-10),
-                            (res.eta4, ref.eta4, 1e-8),
-                            (res.eta5, ref.eta5, 1e-6)):
-        assert abs(got - want) <= rtol * want + floor
+def _carried_eta_floors(prob, state, sigma, iterations):
+    """Round-off floors of eta2, eta4 and eta5 made from the ihADMM's
+    carried products against fresh ones, each the unit round-off of the
+    M norms of its operands over 1 + ||u||_M: eta2 takes M u - M z for
+    M(u - z); eta4's fresh alpha/2 u - p + lam cancels terms of size
+    gamma u (an eta4 of exactly 0, z not moved, reads ~1e-21 there); the
+    carried M lam takes one rounding per iteration, which eta5's fixed
+    point amplifies by 2/alpha (alpha = 1e-5 on the Stadler problem)."""
+    fn = lambda v: np.sqrt(v @ (prob.M @ v))
+    u, z, lam = state.u, state.z, state.lam
+    gamma = 0.5 * prob.alpha + sigma
+    floors = np.array([fn(u) + fn(z),
+                       gamma * fn(u) + fn(state.p) + fn(lam),
+                       (2.0 / prob.alpha) * iterations * fn(lam)])
+    return np.finfo(float).eps * floors / (1.0 + fn(u))
+
+
+def _assert_carried_etas_match(res, ref, floors):
+    """eta2, eta4 and eta5 from carried products agree with
+    kkt_residual_admm's fresh ones to 1e-10 relative beyond their
+    round-off floors (_carried_eta_floors)."""
+    got = np.array([res.eta2, res.eta4, res.eta5])
+    want = np.array([ref.eta2, ref.eta4, ref.eta5])
+    assert np.all(np.abs(got - want) <= 1e-10 * want + floors)
 
 
 @pytest.mark.parametrize("backend", ["direct", "pmhss_gmres"])
@@ -964,14 +977,16 @@ def test_ihadmm_etas_match_kkt_residual_admm(ex1, backend):
     # the other three from carried products; kkt_residual_admm rebuilds
     # them from (u, y, p) with K and from fresh products
     _, prob, _ = ex1(4)
+    sigma = reproduction_sigma(prob.alpha)
     seen = []
     rep = so.solve_ihadmm(prob, SolverConfig(
-        tol=1e-6, sigma=reproduction_sigma(prob.alpha),
-        inner_backend=backend), callback=lambda k, s: seen.append(s))
+        tol=1e-6, sigma=sigma, inner_backend=backend),
+        callback=lambda k, s: seen.append(s))
     assert rep.converged and len(seen) == rep.iterations
-    for res, state in zip(rep.eta_history, seen):
+    for k, (res, state) in enumerate(zip(rep.eta_history, seen)):
         ref = kkt_residual_admm(state, prob)
-        _assert_carried_etas_match(res, ref, floor=1e-14)
+        _assert_carried_etas_match(
+            res, ref, _carried_eta_floors(prob, state, sigma, k + 1))
         for got, want in ((res.eta1, ref.eta1), (res.eta3, ref.eta3)):
             if backend == "direct":
                 assert abs(got - want) <= 1e-12
@@ -989,11 +1004,14 @@ def test_carried_products_match_fresh_ones(ex1, ex2, monkeypatch, example,
     # products.  tau = 1.5 keeps the (tau - 1) sigma (u - z) term of w
     prob = ex2(level)[1] if example == "stadler" else ex1(level)[1]
     monkeypatch.setattr(solvers, "_TAU_IHADMM", tau)
+    sigma = reproduction_sigma(prob.alpha)
     rep = so.solve_ihadmm(prob, SolverConfig(
-        tol=1e-6, sigma=reproduction_sigma(prob.alpha), inner_backend=backend))
+        tol=1e-6, sigma=sigma, inner_backend=backend))
     assert rep.converged
-    _assert_carried_etas_match(rep.eta_history[-1],
-                               kkt_residual_admm(rep.final_state, prob))
+    state = rep.final_state
+    _assert_carried_etas_match(
+        rep.eta_history[-1], kkt_residual_admm(state, prob),
+        _carried_eta_floors(prob, state, sigma, rep.iterations))
 
 
 @pytest.mark.parametrize("with_callback", [False, True])
@@ -1123,7 +1141,7 @@ def test_build_and_solve_factor_M_once(monkeypatch, name):
     assert not any(A is prob.M for A in factored[built:])
 
 
-def _dense_diagnostics(prob, u, z, Mlam, y, p, reduced):
+def _dense_diagnostics(prob, u, z, Mlam, y, p, reduced, carried=(0.0, 0.0)):
     """eta_1..eta_5 and R_h of an iterate with dense M- and K-solves.
 
     The functionals are the solver's sparse products; only the dual norms
@@ -1131,12 +1149,11 @@ def _dense_diagnostics(prob, u, z, Mlam, y, p, reduced):
     measured by the bound 2 sqrt(F' W^{-1} F) on their M^{-1} norm, the
     stationarity functional by its exact M^{-1} norm.  The dual-norm
     residuals sit at round-off (~1e-16) on some iterations, so they get an
-    absolute floor beside the relative tolerance.  So do eta2 and eta5 of
-    the split system: the ihADMM carries M z and M lam, whose round-off
-    against the fresh products here sits near 1e-10 of eta2 at tol 1e-8,
-    and which eta5's fixed point amplifies by 2/alpha.  R_h takes the
-    exact gradient of f at u (two K-solves), not the carried adjoint;
-    reduced selects the three residuals of the z-eliminated system.
+    absolute floor beside the relative tolerance.  carried holds the
+    floors of eta2 and eta5 of the split system that the ihADMM's carried
+    products need (_carried_eta_floors).  R_h takes the exact gradient of
+    f at u (two K-solves), not the carried adjoint; reduced selects the
+    three residuals of the z-eliminated system.
     """
     M, K = prob.M, prob.K
     fn = lambda v: np.sqrt(v @ (M @ v))
@@ -1154,7 +1171,7 @@ def _dense_diagnostics(prob, u, z, Mlam, y, p, reduced):
         eta = [e_state, fn(u - z) / scale, e_adj,
                dual(0.5 * prob.alpha * (M @ u) - M @ p + Mlam) / scale,
                fn(z - multiplier_fixed_point(Mlam, prob)) / scale]
-        floors = [1e-14] * 5
+        floors = [1e-14, carried[0], 1e-14, 1e-14, carried[1]]
     y_u = np.linalg.solve(K.toarray(), M @ (u + prob.yc))
     terms = [Mlam, 0.5 * prob.alpha * (M @ u),
              M @ np.linalg.solve(K.toarray(), M @ (y_u - prob.yd))]
@@ -1173,15 +1190,19 @@ def _iterate_recorder(prob, kind, sigma=None, tau=None):
 
     The classical ADMM hands its callback lam = M^{-1} lam_c; the Euclidean
     multiplier lam_c its residuals use is rebuilt here bit for bit from its
-    update lam_c += tau sigma (u - z), and lam is checked against it.
+    update lam_c += tau sigma (u - z), and lam is checked against it.  The
+    ihADMM ("admm") carries its products, whose round-off floors take its
+    sigma.
     """
     seen = []
     lam_c = np.zeros(prob.n)
 
     def record(k, s):
         nonlocal lam_c
+        carried = (0.0, 0.0)
         if kind == "admm":
             Mlam, z = prob.M @ s.lam, s.z
+            carried = _carried_eta_floors(prob, s, sigma, k + 1)[[0, 2]]
         elif kind == "classical":
             lam_c = lam_c + tau * sigma * (s.u - s.z)
             Mlam, z = lam_c, s.z
@@ -1192,7 +1213,7 @@ def _iterate_recorder(prob, kind, sigma=None, tau=None):
         else:                                   # apg
             Mlam, z = prob.M @ s.lam, s.u
         seen.append(_dense_diagnostics(prob, s.u, z, Mlam, s.y, s.p,
-                                       reduced=kind in ("pdas", "apg")))
+                                       kind in ("pdas", "apg"), carried))
     return record, seen
 
 
@@ -1210,10 +1231,10 @@ def _assert_diagnostics_match(rep, seen):
 @pytest.mark.parametrize("backend", ["direct", "pmhss_gmres"])
 def test_ihadmm_diagnostics_match_dense_oracle(ex1, level, backend):
     _, prob, _ = ex1(level)
-    record, seen = _iterate_recorder(prob, "admm")
+    sigma = reproduction_sigma(prob.alpha)
+    record, seen = _iterate_recorder(prob, "admm", sigma)
     rep = so.solve_ihadmm(prob, SolverConfig(
-        tol=1e-8, sigma=reproduction_sigma(prob.alpha),
-        inner_backend=backend), callback=record)
+        tol=1e-8, sigma=sigma, inner_backend=backend), callback=record)
     assert rep.converged
     _assert_diagnostics_match(rep, seen)
 
@@ -1244,7 +1265,8 @@ def test_two_phase_diagnostics_match_dense_oracle(ex1, level):
     # the callback sees both phases with one running index; PDAS iterates
     # carry mu, ihADMM ones do not
     _, prob, _ = ex1(level)
-    record1, seen1 = _iterate_recorder(prob, "admm")
+    sig = reproduction_sigma(prob.alpha)
+    record1, seen1 = _iterate_recorder(prob, "admm", sig)
     record2, seen2 = _iterate_recorder(prob, "pdas")
     ks = []
 
@@ -1252,7 +1274,6 @@ def test_two_phase_diagnostics_match_dense_oracle(ex1, level):
         ks.append(k)
         (record1 if s.mu is None else record2)(k, s)
 
-    sig = reproduction_sigma(prob.alpha)
     rep = so.solve_two_phase(prob, SolverConfig(tol=1e-3, sigma=sig),
                              SolverConfig(tol=1e-10, sigma=sig),
                              callback=record)
