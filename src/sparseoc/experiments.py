@@ -27,6 +27,10 @@ from .solvers import SolverConfig, run_solver, solve_two_phase
 TWO_PI_SQ = 2.0 * np.pi ** 2
 # phase-2 tolerance of the fine-grid reference solve
 _REFERENCE_TOL = 1e-10
+# its phase-1 tolerance: PDAS converges from this early a handoff (53 + 4
+# iterations at level 8, against 224 + 2 from 1e-3) to a control that agrees
+# with the later handoff's to round-off; published counts keep 1e-3
+_REFERENCE_PHASE1_TOL = 1e-1
 
 
 @dataclass(frozen=True)
@@ -243,10 +247,13 @@ def _run_cell(name, config, problem):
 
 
 def _reference_solution(level):
+    """Mesh and control of the Stadler problem at level, solved two-phase
+    to _REFERENCE_TOL: the fine-grid reference of its error columns."""
     m_ref, p_ref = build_example2(level)
     sigma = reproduction_sigma(p_ref.alpha)
-    report = solve_two_phase(p_ref, SolverConfig(tol=1e-3, sigma=sigma),
-                             SolverConfig(tol=_REFERENCE_TOL, sigma=sigma))
+    report = solve_two_phase(
+        p_ref, SolverConfig(tol=_REFERENCE_PHASE1_TOL, sigma=sigma),
+        SolverConfig(tol=_REFERENCE_TOL, sigma=sigma))
     if not report.converged:
         raise RuntimeError("reference solve did not converge")
     return m_ref, report.final_state.u

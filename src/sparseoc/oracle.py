@@ -108,16 +108,3 @@ def certify_kkt(u, problem):
     if res.eta > 1e-9:
         raise RuntimeError(f"oracle inconsistency: KKT residual {res.eta:.3e}")
     return res
-
-
-def objective_value(problem, u):
-    """Dense evaluation of f(u) + g(u); +inf outside the box."""
-    if np.any(u < problem.a - 1e-12) or np.any(u > problem.b + 1e-12):
-        return np.inf
-    K = problem.K.toarray()
-    M = problem.M.toarray()
-    y = np.linalg.solve(K, M @ (u + problem.yc))
-    d = y - problem.yd
-    return (0.5 * d @ (M @ d) + 0.25 * problem.alpha * u @ (M @ u)
-            + 0.25 * problem.alpha * np.sum(problem.W * u * u)
-            + problem.beta * np.sum(problem.W * np.abs(u)))

@@ -42,21 +42,28 @@ other solvers reuse the M u of their state functional for ||u||_M.  R_h
 keeps plain Euclidean norms; the solvers build it from a vector the
 residuals already have (the ADMMs' eta_4 functional M w, the
 q = M(p - alpha/2 u) of kkt_residual_pdas) and dist_subdifferential_g, so
-it costs no solve.  The kernels read the lumped weights in the forms
+it costs no solve.  The ihADMM z-step and eta_5's fixed point
+(multiplier_fixed_point) take the W-scaled multiplier v = W^{-1} M lam,
+which the ihADMM builds once per multiplier update for both;
+dist_subdifferential_g takes M lam itself, whose interval arithmetic is
+exact in that form.  The kernels read the lumped weights in the forms
 DiscreteProblem caches (1/W, beta W, alpha/2 W).  All functions are pure.
 """
 
+import math
 import numpy as np
 from dataclasses import dataclass
 
 
 def soft(v, t):
-    """Soft thresholding sign(v) * max(|v| - t, 0); t scalar or vector."""
-    t = np.asarray(t, dtype=float)
-    if (t < 0).any():
+    """Soft thresholding sign(v) * max(|v| - t, 0); t scalar or vector.
+
+    Taken as v minus the projection of v onto [-t, t]: off the interval
+    that is v - t or v + t, the same single rounding as the sign form."""
+    negative = t < 0 if np.isscalar(t) else (np.asarray(t) < 0).any()
+    if negative:
         raise ValueError("soft threshold must be nonnegative")
-    v = np.asarray(v, dtype=float)
-    return np.sign(v) * np.maximum(np.abs(v) - t, 0.0)
+    return v - np.minimum(np.maximum(v, -t), t)
 
 
 def project_box(v, a, b):
@@ -101,17 +108,17 @@ def grad_f(problem, factorK, u):
     return problem.M @ (0.5 * problem.alpha * u - p)
 
 
-def z_update_ihadmm(u, Mlam, problem, sigma):
+def z_update_ihadmm(u, v, problem, sigma):
     """Closed-form z-step of the W-weighted (heterogeneous) ADMM.
 
-    Minimizes g(z) + <lam, M(u - z)> + sigma/2 ||u - z||_W^2; takes
-    Mlam = M lam, which the solver carries from its multiplier update.
+    Minimizes g(z) + <lam, M(u - z)> + sigma/2 ||u - z||_W^2; takes the
+    W-scaled multiplier v = W^{-1} M lam, which the solver builds once per
+    iteration for this step and eta_5's fixed point.
     """
     if sigma <= 0:
         raise ValueError("sigma must be positive")
-    v = sigma * u + Mlam * problem.W_inv
-    return project_box(soft(v, problem.beta) / (sigma + 0.5 * problem.alpha),
-                       problem.a, problem.b)
+    return project_box(soft(sigma * u + v, problem.beta)
+                       / (sigma + 0.5 * problem.alpha), problem.a, problem.b)
 
 
 def z_update_classical(u, lam, problem, sigma):
@@ -153,53 +160,58 @@ class KktResidual:
 
 
 def state_adjoint_functionals(u, y, p, problem):
-    """K y - M(u + yc) and M(y - yd) + K p as the columns of one array,
-    and M u."""
+    """M u, the state functional K y - M(u + yc) and the adjoint
+    functional M(y - yd) + K p: the first three vectors that
+    admm_residuals_weighted and _residual_core take after u."""
     Mu = problem.M @ u
-    return np.column_stack([problem.K @ y - Mu - problem.Myc,
-                            problem.M @ (y - problem.yd) + problem.K @ p]), Mu
+    return (Mu, problem.K @ y - Mu - problem.Myc,
+            problem.M @ (y - problem.yd) + problem.K @ p)
 
 
 def _m_norm(problem, v):
     """||v||_M, the discrete L2 norm of the function v."""
-    return float(np.sqrt(max(v @ (problem.M @ v), 0.0)))
+    return math.sqrt(max(v @ (problem.M @ v), 0.0))
 
 
-def _residual_core(u, Mu, F, problem):
+def _residual_core(u, Mu, F_state, F_adjoint, problem):
     """1 + ||u||_M from Mu = M u and the normalized dual norms of the state
-    and adjoint functionals, the columns of F, each bounded by
-    2 ||F||_{W^{-1}} without a solve."""
+    and adjoint functionals, each bounded by 2 ||F||_{W^{-1}} without a
+    solve."""
     # A P1 element mass matrix is at least a quarter of its lumped diagonal
     # (its eigenvalues are |T|/12 (4, 1, 1) against |T|/3), and lumping moves
     # the nonnegative off-diagonal mass onto the diagonal, so W/4 <= M <= W
     # and ||F||_{M^-1} <= 2 ||F||_{W^-1} <= 2 ||F||_{M^-1}: the bound never
     # stops a run earlier than the exact dual norm would.
-    d_state, d_adjoint = 2.0 * np.sqrt(problem.W_inv @ (F * F))
-    return (1.0 + float(np.sqrt(max(u @ Mu, 0.0))),
-            float(d_state) / (1.0 + problem.yc_norm),
-            float(d_adjoint) / (1.0 + problem.yd_norm))
+    W_inv = problem.W_inv
+    return (1.0 + math.sqrt(max(u @ Mu, 0.0)),
+            2.0 * math.sqrt(W_inv @ (F_state * F_state))
+            / (1.0 + problem.yc_norm),
+            2.0 * math.sqrt(W_inv @ (F_adjoint * F_adjoint))
+            / (1.0 + problem.yd_norm))
 
 
-def multiplier_fixed_point(lam_weighted, problem):
-    """z solving  W^{-1} q in alpha/2 z + beta d|z| + N_box(z), q = M lam."""
-    v = lam_weighted * problem.W_inv
+def multiplier_fixed_point(v, problem):
+    """z solving  v in alpha/2 z + beta d|z| + N_box(z)  for the W-scaled
+    multiplier v = W^{-1} q, q = M lam."""
     return project_box((2.0 / problem.alpha) * soft(v, problem.beta),
                        problem.a, problem.b)
 
 
-def admm_residuals_weighted(u, Mu, F, d, Md, w, Mw, z, Mlam, problem):
+def admm_residuals_weighted(u, Mu, F_state, F_adjoint, d, Md, w, Mw, z, v,
+                            problem):
     """eta_1..eta_5 of an ADMM iterate (shared solver core) from vectors
     and their products with M, which the caller makes or carries: u and
-    Mu = M u with the state and adjoint functionals F (eta_1, eta_3),
+    Mu = M u with the state and adjoint functionals (eta_1, eta_3),
     d = u - z and Md = M d (eta_2), the stationarity residual
-    w = alpha/2 u - p + lam and Mw = M w (eta_4), z and Mlam = M lam
-    (eta_5).  The dual norm of the stationarity functional M w is the M
-    norm of w, so eta_4 needs no solve.
+    w = alpha/2 u - p + lam and Mw = M w (eta_4), z and the W-scaled
+    multiplier v = W^{-1} M lam (eta_5).  The dual norm of the
+    stationarity functional M w is the M norm of w, so eta_4 needs no
+    solve.
     """
-    scale_u, eta1, eta3 = _residual_core(u, Mu, F, problem)
-    eta2 = float(np.sqrt(max(d @ Md, 0.0))) / scale_u
-    eta4 = float(np.sqrt(max(w @ Mw, 0.0))) / scale_u
-    eta5 = _m_norm(problem, z - multiplier_fixed_point(Mlam, problem)) / scale_u
+    scale_u, eta1, eta3 = _residual_core(u, Mu, F_state, F_adjoint, problem)
+    eta2 = math.sqrt(max(d @ Md, 0.0)) / scale_u
+    eta4 = math.sqrt(max(w @ Mw, 0.0)) / scale_u
+    eta5 = _m_norm(problem, z - multiplier_fixed_point(v, problem)) / scale_u
     return KktResidual(eta1, eta2, eta3, eta4, eta5,
                        max(eta1, eta2, eta3, eta4, eta5))
 
@@ -217,10 +229,10 @@ def kkt_residual_admm(state, problem):
     """Residuals eta_1..eta_5 of the split (u, z) optimality system at a
     state that carries its y and p, every product made afresh."""
     u = state.u
-    F, Mu = state_adjoint_functionals(u, state.y, state.p, problem)
     return admm_residuals_weighted(
-        u, Mu, F, *admm_products(u, state.z, state.lam, state.p, problem),
-        state.z, problem.M @ state.lam, problem)
+        u, *state_adjoint_functionals(u, state.y, state.p, problem),
+        *admm_products(u, state.z, state.lam, state.p, problem),
+        state.z, (problem.M @ state.lam) * problem.W_inv, problem)
 
 
 def kkt_residual_pdas(state, problem):
@@ -233,10 +245,11 @@ def kkt_residual_pdas(state, problem):
     exactly at KKT points of the lumped problem.
     """
     u, p = state.u, state.p
-    F, Mu = state_adjoint_functionals(u, state.y, p, problem)
-    scale_u, eta1, eta2 = _residual_core(u, Mu, F, problem)
+    scale_u, eta1, eta2 = _residual_core(
+        u, *state_adjoint_functionals(u, state.y, p, problem), problem)
     q = problem.M @ (p - 0.5 * problem.alpha * u)
-    eta3 = _m_norm(problem, u - multiplier_fixed_point(q, problem)) / scale_u
+    eta3 = _m_norm(problem, u - multiplier_fixed_point(q * problem.W_inv,
+                                                       problem)) / scale_u
     return KktResidual(eta1, eta2, eta3, 0.0, 0.0, max(eta1, eta2, eta3)), q
 
 
@@ -245,14 +258,16 @@ def dist_subdifferential_g(z, q, problem):
 
     dg(z)_i = W_i (alpha/2 z_i + beta d|z_i|) + N_[a,b](z_i) with exact
     interval arithmetic: d|0| = [-1, 1], normal cone (-inf, 0] at a,
-    [0, inf) at b, {0} inside.
+    [0, inf) at b, {0} inside.  e = q - W (alpha/2 z + beta sign(z)) is
+    q's offset from the interval's end at z != 0 and from its centre 0 at
+    z = 0, so the distance is |e| off zero and max(|e| - beta W, 0) at
+    zero, where the normal cone absorbs one side of e at a bound.  Each
+    gap is rounded as q's gap to an end of the interval.
     """
-    base = problem.half_alpha_W * z
-    bw, nbw = problem.beta_W, -problem.beta_W
-    lo = base + np.where(z > 0, bw, nbw)
-    hi = base + np.where(z < 0, nbw, bw)
-    lo[z <= problem.a] = -np.inf           # normal cone opens downward at a
-    hi[z >= problem.b] = np.inf            # and upward at b
-    # lo <= hi, so at most one of the two gaps is positive
-    return np.maximum(lo - q, 0.0) + np.maximum(q - hi, 0.0)
+    bw = problem.beta_W
+    e = q - (problem.half_alpha_W * z + bw * np.sign(z))
+    # the cone absorbs e < 0 at a and e > 0 at b
+    d = np.maximum(e * (z < problem.b), -e * (z > problem.a))
+    d -= bw * (z == 0.0)
+    return np.maximum(d, 0.0, out=d)
 

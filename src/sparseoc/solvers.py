@@ -17,7 +17,10 @@ ConvergenceReport that every exit returns:
                         M z and M lam are carried, so a direct iteration
                         makes 4 real sparse products and 1 complex one
                         (see the loop; eta_4 measures the ADMM dual
-                        residual sigma (z - z_new) at tau = 1).
+                        residual sigma (z - z_new) at tau = 1).  The
+                        W-scaled multiplier W^{-1} M lam is made once per
+                        multiplier update; the next z-step and eta_5's
+                        fixed point both read it.
 * solve_classical_admm -- Euclidean-penalty ADMM; its u-step is a reduced SPD
                         system in u, solved by preconditioned CG as in PDAS.
 * solve_apg          -- accelerated proximal gradient (FISTA) with doubling
@@ -238,6 +241,9 @@ def solve_ihadmm(problem, config=None, warm=None, callback=None):
     # M z and M lam are carried: each iteration makes M u and M z_new, and
     # every other product with M follows from them by linearity
     Mz, Mlam = M @ z, M @ lam
+    # the W-scaled multiplier W^{-1} M lam, made once per multiplier update:
+    # the z-step and eta5's fixed point both read it
+    v = Mlam * problem.W_inv
     rhs_bottom = -problem.Myc
 
     for k in range(config.max_iter):
@@ -259,9 +265,9 @@ def solve_ihadmm(problem, config=None, warm=None, callback=None):
         # K p = M(yd - y) with p = gamma u - sigma z + lam; the block residual
         # gives K y - M(u + yc) = r2 and M(y - yd) + K p = -gamma r1
         p = gamma * u - sigma * z + lam
-        F = np.column_stack([saddle.residual[1], -gamma * saddle.residual[0]])
+        r1, r2 = saddle.residual
         Mu = M @ u
-        z_new = z_update_ihadmm(u, Mlam, problem, sigma)
+        z_new = z_update_ihadmm(u, v, problem, sigma)
         Mz_new = M @ z_new
         d, Md = u - z_new, Mu - Mz_new
         # w = alpha/2 u - p + lam_new = sigma (z - z_new) + (tau - 1) sigma d
@@ -270,11 +276,12 @@ def solve_ihadmm(problem, config=None, warm=None, callback=None):
         w = sigma * (z - z_new) + slack * d
         Mw = sigma * (Mz - Mz_new) + slack * Md
         lam, Mlam = lam + step * d, Mlam + step * Md
+        v = Mlam * problem.W_inv
         z, Mz = z_new, Mz_new
 
         state = IterateState(u=u, z=z, lam=lam, y=y, p=p)
-        res = admm_residuals_weighted(u, Mu, F, d, Md, w, Mw, z, Mlam,
-                                      problem)
+        res = admm_residuals_weighted(u, Mu, r2, -gamma * r1, d, Md, w, Mw,
+                                      z, v, problem)
         if run.record(state, res, _Rh_from(Mw, z, Mlam, d, problem), stats):
             break
 
@@ -357,10 +364,10 @@ def solve_classical_admm(problem, config=None, warm=None, callback=None):
         # one M-solve serves eta4, the callback and the final state
         lam = factorM.solve(lam_c)
 
-        F, Mu = state_adjoint_functionals(u, y, p, problem)
+        Mu, F_state, F_adjoint = state_adjoint_functionals(u, y, p, problem)
         d, Md, w, Mw = admm_products(u, z, lam, p, problem)
-        res = admm_residuals_weighted(u, Mu, F, d, Md, w, Mw, z, lam_c,
-                                      problem)
+        res = admm_residuals_weighted(u, Mu, F_state, F_adjoint, d, Md, w, Mw,
+                                      z, lam_c * problem.W_inv, problem)
         state = IterateState(u=u, z=z, lam=lam, y=y, p=p)
         if run.record(state, res, _Rh_from(Mg + lam_c, z, lam_c, d, problem),
                       stats):

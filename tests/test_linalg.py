@@ -54,6 +54,38 @@ def test_factorize_complex_symmetric(meshes):
         factorize(M).solve(rhs)
 
 
+@pytest.mark.parametrize("cols", [None, 2])
+@pytest.mark.parametrize("kind", ["M", "A", "alpha T_ff",
+                                  "alpha/2 M + sigma I"])
+def test_factorization_solve_matches_dense_solve(ex2, kind, cols):
+    # solve() runs SuperLU's transposed solve; every matrix class factorize
+    # accepts equals its plain transpose, so it gives the x of a dense
+    # solve, and of SuperLU's plain solve, for one rhs and for two columns:
+    # the SPD M, the u-step's complex-symmetric M - i s K, a PDAS
+    # preconditioner alpha T_ff on two thirds of the dofs and the classical
+    # ADMM's alpha/2 M + sigma I
+    prob = ex2(3)[1]
+    M, alpha, n = prob.M, prob.alpha, prob.n
+    s = np.sqrt(0.5 * alpha + reproduction_sigma(alpha))
+    jf = np.flatnonzero(np.arange(n) % 3)
+    T = (0.5 * (M + sp.diags(prob.W))).tocsr()
+    A = {"M": M, "A": (M - 1j * s * prob.K).tocsr(),
+         "alpha T_ff": alpha * T[jf][:, jf],
+         "alpha/2 M + sigma I": (0.5 * alpha * M
+                                 + 0.1 * alpha * sp.identity(n)).tocsr()}[kind]
+    rng = np.random.default_rng(7)
+    shape = (A.shape[0],) if cols is None else (A.shape[0], cols)
+    rhs = rng.standard_normal(shape)
+    if A.dtype.kind == "c":
+        rhs = rhs + 1j * rng.standard_normal(shape)
+    fact = factorize(A)
+    x = fact.solve(rhs)
+    ref = np.linalg.solve(A.toarray(), rhs)
+    assert x.shape == rhs.shape and x.dtype == ref.dtype
+    assert np.abs(x - ref).max() <= 1e-12 * np.abs(ref).max()
+    assert np.abs(x - fact._lu.solve(rhs)).max() <= 1e-14 * np.abs(ref).max()
+
+
 def test_factorize_singular():
     # symmetric with a zero-free diagonal: the symmetric-mode path
     A = sp.csr_matrix(np.array([[1.0, 1.0], [1.0, 1.0]]))

@@ -124,7 +124,7 @@ def test_z_update_ihadmm_thresholds_small_inputs():
     sigma = 0.05
     u = np.ones(4)
     mlam = np.zeros(4)
-    z = z_update_ihadmm(u, mlam, prob, sigma)
+    z = z_update_ihadmm(u, mlam * prob.W_inv, prob, sigma)
     assert np.array_equal(z, np.zeros(4))       # soft(0.05, 0.5) = 0
 
 
@@ -136,7 +136,7 @@ def test_z_update_ihadmm_grid_search():
         u = rng.uniform(-2, 2, 3)
         lam = rng.standard_normal(3)
         mlam = prob.M @ lam
-        z = z_update_ihadmm(u, mlam, prob, sigma)
+        z = z_update_ihadmm(u, mlam * prob.W_inv, prob, sigma)
         for i in range(3):
             w = prob.W[i]
 
@@ -157,11 +157,11 @@ def test_z_update_ihadmm_no_l1_limit():
     sigma = 0.3
     u = rng.uniform(-2, 2, 4)
     lam = rng.standard_normal(4)
-    z = z_update_ihadmm(u, prob.M @ lam, prob, sigma)
+    z = z_update_ihadmm(u, (prob.M @ lam) * prob.W_inv, prob, sigma)
     v = sigma * u + (prob.M @ lam) / prob.W
     assert np.allclose(z, v / (sigma + 0.5 * prob.alpha), atol=1e-9)
     with pytest.raises(ValueError):
-        z_update_ihadmm(u, prob.M @ lam, prob, -1.0)
+        z_update_ihadmm(u, (prob.M @ lam) * prob.W_inv, prob, -1.0)
 
 
 def test_z_update_classical_grid_search():
@@ -248,7 +248,7 @@ def test_prox_scalar_sweep_10k():
         u = rng.uniform(-2, 2, 4)
         lam = rng.standard_normal(4)
         mlam = prob.M @ lam
-        z1 = z_update_ihadmm(u, mlam, prob, sigma)
+        z1 = z_update_ihadmm(u, mlam * prob.W_inv, prob, sigma)
         z2 = z_update_classical(u, lam, prob, sigma)
         z3 = prox_g_euclidean(u, L, prob)
         i = int(rng.integers(0, 4))
@@ -293,8 +293,9 @@ def _check_lumped_dual_bound(M, W, rng):
     F = np.column_stack([rng.standard_normal((n, 4)), M @ X[:, [0, -1]]])
     exact = np.sqrt(np.einsum("ij,ij->j", F, np.linalg.solve(M, F)))
     unit = kernel_problem(W, yc_norm=0.0, yd_norm=0.0)
-    bound = np.array([_residual_core(np.zeros(n), np.zeros(n), F[:, [j, j + 1]],
-                                     unit)[1:] for j in (0, 2, 4)]).ravel()
+    bound = np.array([_residual_core(np.zeros(n), np.zeros(n), F[:, j],
+                                     F[:, j + 1], unit)[1:]
+                      for j in (0, 2, 4)]).ravel()
     assert np.all(exact <= bound * (1 + 1e-12))
     assert np.all(bound <= 2.0 * exact * (1 + 1e-12))
 
@@ -368,7 +369,8 @@ def test_multiplier_fixed_point_consistency():
         z[rng.uniform(size=4) < 0.3] = 0.0
         s = np.sign(z) + (z == 0) * rng.uniform(-1, 1, 4)
         mlam = prob.W * (0.5 * prob.alpha * z + prob.beta * s)
-        assert np.abs(multiplier_fixed_point(mlam, prob) - z).max() < 1e-12
+        assert np.abs(multiplier_fixed_point(mlam * prob.W_inv, prob)
+                      - z).max() < 1e-12
 
 
 def test_dist_subdifferential_cases():
@@ -496,7 +498,8 @@ def test_project_box_property(v, a, width):
 @example(w=1.0, alpha=1.0, beta=1.0, a=-1.0, b=1.0, sigma=1.0, u=0.0, mlam=1.0)
 def test_z_update_ihadmm_property(w, alpha, beta, a, b, sigma, u, mlam):
     prob = _scalar_problem(w, alpha, beta, a, b)
-    z = float(z_update_ihadmm(np.array([u]), np.array([mlam]), prob, sigma)[0])
+    z = float(z_update_ihadmm(np.array([u]), np.array([mlam]) * prob.W_inv,
+                              prob, sigma)[0])
     _assert_minimizes(lambda t: _g1(t, w, alpha, beta) - mlam * t
                       + 0.5 * sigma * w * (t - u) ** 2, z, a, b)
 

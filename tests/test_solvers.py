@@ -290,7 +290,7 @@ def test_classify_is_the_branch_of_the_multiplier_fixed_point(alpha, beta, a,
     mu = W * v - 0.5 * alpha * (W * u)
     code = _classify(u, mu, prob)
     Mlam = mu + 0.5 * alpha * (W * u)
-    z = multiplier_fixed_point(Mlam, prob)
+    z = multiplier_fixed_point(Mlam * prob.W_inv, prob)
     ties = (0.5 * alpha * a - beta, 0.5 * alpha * b + beta, -beta, beta)
     clear = ~np.any([np.isclose(Mlam / W, tie, rtol=1e-9, atol=0.0)
                      for tie in ties], axis=0)
@@ -526,8 +526,10 @@ def test_stadler_pmhss_inner_iterations_level4(ex2):
     # previous (y, u) alone).  With the exact G = M + s K in PMHSS in place
     # of G~ = M~ + s K the three read 970, 1827 and 4738: at this small s
     # the dropped skew mass part weighs more against s K than on the
-    # constructed problem
-    assert sum(s.iterations for s in rep.inner_stats) == 1091
+    # constructed problem.  The total moves with round-off in the data:
+    # the M-projection of yd from SuperLU's plain solve, 5.5e-16 relative
+    # away from the transposed one's, gives 1091
+    assert sum(s.iterations for s in rep.inner_stats) == 1087
 
 
 def test_constructed_pmhss_inner_iterations_level6(ex1):
@@ -1165,12 +1167,14 @@ def _dense_diagnostics(prob, u, z, Mlam, y, p, reduced, carried=(0.0, 0.0)):
     if reduced:
         q = M @ (p - 0.5 * prob.alpha * u)
         eta = [e_state, e_adj,
-               fn(u - multiplier_fixed_point(q, prob)) / scale, 0.0, 0.0]
+               fn(u - multiplier_fixed_point(q * prob.W_inv, prob)) / scale,
+               0.0, 0.0]
         floors = [1e-14, 1e-14, 0.0, 0.0, 0.0]
     else:
         eta = [e_state, fn(u - z) / scale, e_adj,
                dual(0.5 * prob.alpha * (M @ u) - M @ p + Mlam) / scale,
-               fn(z - multiplier_fixed_point(Mlam, prob)) / scale]
+               fn(z - multiplier_fixed_point(Mlam * prob.W_inv, prob))
+               / scale]
         floors = [1e-14, carried[0], 1e-14, 1e-14, carried[1]]
     y_u = np.linalg.solve(K.toarray(), M @ (u + prob.yc))
     terms = [Mlam, 0.5 * prob.alpha * (M @ u),
@@ -1227,14 +1231,20 @@ def _assert_diagnostics_match(rep, seen):
         assert abs(rh - rh_exact) <= 1e-9 * rh_exact + rh_floor
 
 
-@pytest.mark.parametrize("level", [2, 3])
+@pytest.mark.parametrize("example, level",
+                         [("constructed", 2), ("constructed", 3),
+                          ("stadler", 3)], ids=["2", "3", "stadler-3"])
 @pytest.mark.parametrize("backend", ["direct", "pmhss_gmres"])
-def test_ihadmm_diagnostics_match_dense_oracle(ex1, level, backend):
-    _, prob, _ = ex1(level)
+def test_ihadmm_diagnostics_match_dense_oracle(ex1, ex2, example, level,
+                                               backend):
+    # the Stadler problem's alpha = 1e-5 makes eta5's fixed point amplify
+    # the round-off of the W-scaled multiplier M lam / W by 2/alpha
+    prob = ex1(level)[1] if example == "constructed" else ex2(level)[1]
     sigma = reproduction_sigma(prob.alpha)
     record, seen = _iterate_recorder(prob, "admm", sigma)
     rep = so.solve_ihadmm(prob, SolverConfig(
-        tol=1e-8, sigma=sigma, inner_backend=backend), callback=record)
+        tol=1e-8, sigma=sigma, max_iter=2000, inner_backend=backend),
+        callback=record)
     assert rep.converged
     _assert_diagnostics_match(rep, seen)
 
