@@ -11,15 +11,23 @@ the assembled operators K (stiffness of -Laplace), M (consistent mass) and
 W (lumped mass, W_i = integral of the hat function phi_i) act on the
 (2^k - 1)^2 interior degrees of freedom only.
 
-Element loops are vectorized over all triangles; the scatter into COO triplets
-is private per element, so the assembly is safe to run concurrently per
-element block and all public functions are pure.
+Element loops are vectorized over all triangles.  A mesh computes its
+element geometry (gradient coefficients and areas) once, on first use, and
+K, M, W and every quadrature read it.  K and M are scattered as COO
+triplets straight onto the interior dofs, the boundary triplets dropped;
+W and the load vectors are summed per node by np.bincount.  The assembly
+is deterministic and all public functions are pure.
+
+The L2 projections of the data, M x = (f, phi_i), factor nothing: they run
+CG preconditioned with W, whose bounds W/4 <= M <= W keep the iteration
+count level-independent (project_field).
 """
 
 import numpy as np
 import scipy.sparse as sp
 from dataclasses import dataclass
 from functools import cached_property
+from scipy.sparse.linalg import LinearOperator, cg
 
 from . import linalg
 
@@ -43,6 +51,18 @@ class Mesh:
     @property
     def n_elements(self):
         return self.elements.shape[0]
+
+    @cached_property
+    def _geometry(self):
+        """Per element the P1 gradient coefficients b, c (ne, 3), grad
+        phi_i = (b_i, c_i) / (2 area), and the signed area (ne,); made on
+        first use and shared, read-only, by the assembly and the
+        quadrature."""
+        p = self.nodes[self.elements]                   # (ne, 3, 2)
+        b = p[:, [1, 2, 0], 1] - p[:, [2, 0, 1], 1]     # y_{i+1} - y_{i+2}
+        c = p[:, [2, 0, 1], 0] - p[:, [1, 2, 0], 0]     # x_{i+2} - x_{i+1}
+        area = 0.5 * (b[:, 0] * c[:, 1] - b[:, 1] * c[:, 0])
+        return _frozen(b), _frozen(c), _frozen(area)
 
 
 def build_mesh(level):
@@ -77,68 +97,56 @@ def build_mesh(level):
                 n_interior=int(interior_mask.sum()))
 
 
-def _element_geometry(mesh):
-    """Edge vectors, signed areas and P1 gradient coefficients per element."""
-    p = mesh.nodes[mesh.elements]                   # (ne, 3, 2)
-    # b_i, c_i of grad phi_i = (b_i, c_i) / (2A)
-    b = p[:, [1, 2, 0], 1] - p[:, [2, 0, 1], 1]     # y_{i+1} - y_{i+2}
-    c = p[:, [2, 0, 1], 0] - p[:, [1, 2, 0], 0]     # x_{i+2} - x_{i+1}
-    area = 0.5 * (b[:, 0] * c[:, 1] - b[:, 1] * c[:, 0])
-    return b, c, area
-
-
-def _restrict(A, mesh):
-    """Slice a full-mesh operator down to interior dofs."""
-    idx = np.flatnonzero(mesh.interior_mask)
-    return A[idx][:, idx]
-
-
-def _assemble_full(mesh, local):
-    """Scatter per-element 3x3 blocks `local` (ne,3,3) into a CSR matrix."""
-    rows = np.repeat(mesh.elements, 3, axis=1).ravel()
-    cols = np.tile(mesh.elements, (1, 3)).ravel()
-    A = sp.coo_matrix((local.ravel(), (rows, cols)),
-                      shape=(mesh.n_nodes, mesh.n_nodes)).tocsr()
-    A.sum_duplicates()
-    return A
+def _assemble_interior(mesh, local):
+    """Scatter per-element 3x3 blocks `local` (ne,3,3) onto the interior
+    dofs as a CSR matrix; the triplets of boundary rows and columns are
+    dropped before the duplicates are summed."""
+    dofs = mesh.interior_index[mesh.elements]
+    rows = np.repeat(dofs, 3, axis=1).ravel()
+    cols = np.tile(dofs, (1, 3)).ravel()
+    keep = (rows >= 0) & (cols >= 0)
+    n = mesh.n_interior
+    return sp.coo_matrix((local.ravel()[keep], (rows[keep], cols[keep])),
+                         shape=(n, n)).tocsr()
 
 
 def assemble_stiffness(mesh):
     """Stiffness matrix of -Laplace on interior dofs (SPD)."""
-    b, c, area = _element_geometry(mesh)
+    b, c, area = mesh._geometry
     inv4A = 1.0 / (4.0 * area)
     local = (b[:, :, None] * b[:, None, :] + c[:, :, None] * c[:, None, :])
     local *= inv4A[:, None, None]
-    K = _restrict(_assemble_full(mesh, local), mesh).tocsr()
+    K = _assemble_interior(mesh, local)
     K.eliminate_zeros()
-    K.sort_indices()
     return K
 
 
 def assemble_mass(mesh):
     """Consistent P1 mass matrix on interior dofs, exact element
     integration."""
-    _, _, area = _element_geometry(mesh)
+    area = mesh._geometry[2]
     base = np.array([[2.0, 1.0, 1.0], [1.0, 2.0, 1.0], [1.0, 1.0, 2.0]]) / 12.0
-    local = area[:, None, None] * base[None, :, :]
-    M = _restrict(_assemble_full(mesh, local), mesh).tocsr()
-    M.sort_indices()
-    return M
+    return _assemble_interior(mesh, area[:, None, None] * base[None, :, :])
+
+
+def _scatter_nodes(mesh, contrib):
+    """Sum per-element vertex values `contrib` (ne*3 in the order of
+    mesh.elements) into the mesh nodes and keep the interior dofs."""
+    total = np.bincount(mesh.elements.ravel(), weights=contrib.ravel(),
+                        minlength=mesh.n_nodes)
+    return total[mesh.interior_mask]
 
 
 def assemble_lumped_mass(mesh):
     """Interior lumped mass W_i = integral of phi_i = (patch area)/3."""
-    _, _, area = _element_geometry(mesh)
-    w = np.zeros(mesh.n_nodes)
-    np.add.at(w, mesh.elements.ravel(), np.repeat(area / 3.0, 3))
-    return w[mesh.interior_mask]
+    area = mesh._geometry[2]
+    return _scatter_nodes(mesh, np.repeat(area / 3.0, 3))
 
 
 def _quadrature_points(mesh, bary):
     """Points (ne, q, 2) of a rule with barycentric coordinates bary (q, 3)
     on every element, and the element areas (ne,)."""
-    _, _, area = _element_geometry(mesh)
-    return bary @ mesh.nodes[mesh.elements], area
+    return bary @ mesh.nodes[mesh.elements], mesh._geometry[2]
 
 
 # edge-midpoint quadrature on the reference triangle: exact for quadratics
@@ -154,15 +162,32 @@ def load_vector(mesh, f):
     # phi_i at quadrature point q equals the barycentric weight
     contrib = fvals @ (_MIDPOINT_WEIGHTS[:, None] * _MIDPOINT_BARY)
     contrib *= area[:, None]
-    load = np.zeros(mesh.n_nodes)
-    np.add.at(load, mesh.elements.ravel(), contrib.ravel())
-    return load[mesh.interior_mask]
+    return _scatter_nodes(mesh, contrib)
 
 
-def project_field(mesh, f, factorM):
-    """L2-projection of f onto the zero-boundary P1 space (coefficients);
-    factorM is a factorization of the interior mass matrix."""
-    return factorM.solve(load_vector(mesh, f))
+# relative residual and iteration cap of the projections' CG.  W/4 <= M <= W
+# bounds the condition number of W^{-1} M, and of M on the uniform mesh, by
+# 4, so CG gains a factor of 3 per iteration and needs at most ~33 for the
+# target on any level (21-27 at levels 3-8)
+_PROJECTION_RTOL = 1e-15
+_PROJECTION_MAX_ITER = 50
+
+
+def project_field(mesh, f, M, W):
+    """L2-projection of f onto the zero-boundary P1 space (coefficients):
+    solves M x = (f, phi_i) by CG preconditioned with the lumped mass W,
+    spectrally equivalent to M (Wathen 1987), to a relative residual of
+    _PROJECTION_RTOL.  Raises RuntimeError if it takes more than
+    _PROJECTION_MAX_ITER iterations."""
+    n = len(W)
+    x, info = cg(M, load_vector(mesh, f), rtol=_PROJECTION_RTOL, atol=0.0,
+                 maxiter=_PROJECTION_MAX_ITER,
+                 M=LinearOperator((n, n), matvec=lambda r: r / W,
+                                  dtype=float))
+    if info != 0:
+        raise RuntimeError("L2 projection: CG missed its residual target "
+                           f"in {_PROJECTION_MAX_ITER} iterations")
+    return x
 
 
 def interior_coordinates(mesh):
@@ -209,9 +234,10 @@ class DiscreteProblem:
     control bounds.  The data terms M yc, M yd, their M-norms, the weights
     1/W, beta W and alpha/2 W (arrays read-only), the LU factorization of
     M and the K-solver are computed on first use and cached, so every
-    solver run on the problem shares one of each.  A
-    problem built by discretize holds the M factorization from the start:
-    the L2 projections of yd and yc made it.  K is never factored: factorK
+    solver run on the problem shares one of each.  Only the classical
+    ADMM solves with M (lam = M^{-1} lam_c), so only it makes factorM; a
+    problem from discretize starts without it, since the L2 projections
+    of yd and yc solve with M by CG.  K is never factored: factorK
     is a linalg.SineSolver, which needs K to be the mesh's 5-point stencil.
     A problem built with another K must put its own K-solver (for example
     linalg.factorize(K)) into the factorK slot before a solver asks for it.
@@ -305,24 +331,19 @@ def check_params(alpha, beta, a, b):
 def discretize(mesh, yd_field, yc_field, alpha, beta, a, b):
     """Assemble the DiscreteProblem for given data fields and parameters.
 
-    M is factored once: the L2 projections of the data solve with that
-    factorization, and the problem's factorM is the same object.
+    Nothing is factored: the L2 projections of the data solve with M by
+    W-preconditioned CG (project_field).
     """
     M = assemble_mass(mesh)
     K = assemble_stiffness(mesh)
     W = assemble_lumped_mass(mesh)
-    factorM = linalg.factorize(M)
-    yd = project_field(mesh, yd_field, factorM)
+    yd = project_field(mesh, yd_field, M, W)
     if yc_field is None:
         yc = np.zeros(mesh.n_interior)
     else:
-        yc = project_field(mesh, yc_field, factorM)
-    problem = DiscreteProblem(K=K, M=M, W=W, yd=yd, yc=yc,
-                              alpha=alpha, beta=beta, a=a, b=b, h=mesh.h)
-    # the slot cached_property fills: a dataclasses.replace copy starts
-    # without it, so it never solves with the LU of another M
-    problem.__dict__["factorM"] = factorM
-    return problem
+        yc = project_field(mesh, yc_field, M, W)
+    return DiscreteProblem(K=K, M=M, W=W, yd=yd, yc=yc,
+                           alpha=alpha, beta=beta, a=a, b=b, h=mesh.h)
 
 
 def _fmt(v):

@@ -56,8 +56,10 @@ a warm start) takes max(tol, .) = tol.  Three facts follow:
 The M factorization and the K-solver are cached on the problem
 (problem.factorM, problem.factorK), so each is made once however many
 solvers or phases run.  Of the solvers only the classical ADMM solves with
-M, for lam = M^{-1} lam_c.  K is never factored: problem.factorK solves with
-it by the 2-D sine transform (linalg.SineSolver).
+M, for lam = M^{-1} lam_c, so only its first run on a problem factors M
+(the build projects the data by CG and factors nothing).  K is never
+factored: problem.factorK solves with it by the 2-D sine transform
+(linalg.SineSolver).
 
 solve_two_phase runs ihADMM to moderate accuracy and hands its thresholded
 iterate z (with y, p and the stationarity-consistent multiplier

@@ -331,6 +331,16 @@ def test_table_stadler_reference(tmp_path):
     assert all(np.isfinite(row["E2"]) for row in data)
 
 
+def test_projection_miss_exit_code(tmp_path, capsys, monkeypatch):
+    from sparseoc import mesh
+    monkeypatch.setattr(mesh, "_PROJECTION_MAX_ITER", 1)
+    cfg = _write_config(tmp_path / "cfg.json")
+    assert main(["solve", "--config", str(cfg),
+                 "--out", str(tmp_path / "out")]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: L2 projection")
+
+
 def test_table_reference_failure_exit_code(tmp_path, capsys, monkeypatch):
     from dataclasses import replace
     from sparseoc import experiments

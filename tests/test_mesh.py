@@ -41,7 +41,7 @@ def test_mesh_rejects_bad_level():
 def test_element_areas_positive(meshes):
     for level in (1, 3):
         m = meshes(level)
-        _, _, area = fem._element_geometry(m)
+        area = m._geometry[2]
         assert np.allclose(area, m.h ** 2 / 2.0)
 
 
@@ -158,16 +158,20 @@ def test_stiffness_spd(meshes):
         assert lam_min > 2.0 * np.pi ** 2 * (2.0 ** -level) ** 2 * 0.5
 
 
+def _mass_pair(m):
+    return fem.assemble_mass(m), fem.assemble_lumped_mass(m)
+
+
 def test_project_zero_and_basis(meshes):
     m = meshes(3)
-    factorM = linalg.factorize(fem.assemble_mass(m))
-    assert np.allclose(fem.project_field(m, lambda x, y: 0.0 * x, factorM),
+    M, W = _mass_pair(m)
+    assert np.allclose(fem.project_field(m, lambda x, y: 0.0 * x, M, W),
                        0.0)
     # f = phi_j reproduces e_j: the midpoint rule is exact for quadratics
     j = m.n_interior // 2
     coeff = np.zeros(m.n_interior)
     coeff[j] = 1.0
-    v = fem.project_field(m, lambda x, y: eval_p1(m, coeff, x, y), factorM)
+    v = fem.project_field(m, lambda x, y: eval_p1(m, coeff, x, y), M, W)
     assert np.abs(v - coeff).max() < 1e-12
 
 
@@ -176,12 +180,33 @@ def test_projection_second_order(meshes):
     errs = []
     for level in (3, 4, 5):
         m = meshes(level)
-        v = fem.project_field(m, f, linalg.factorize(fem.assemble_mass(m)))
+        v = fem.project_field(m, f, *_mass_pair(m))
         xy = fem.interior_coordinates(m)
         errs.append(np.abs(v - f(xy[:, 0], xy[:, 1])).max())
     assert errs[0] / errs[1] > 3.0
     assert errs[1] / errs[2] > 3.0
     assert errs[2] < 2.5e-3
+
+
+def test_projection_cg_count_is_level_independent(meshes, monkeypatch):
+    # cond(W^-1 M) <= 4 bounds the count by ~33 on every level; the CG
+    # solution agrees with the LU one to round-off
+    cg_orig, counts = fem.cg, []
+
+    def cg_counting(*args, **kwargs):
+        steps = []
+        result = cg_orig(*args, callback=steps.append, **kwargs)
+        counts.append(len(steps))
+        return result
+
+    monkeypatch.setattr(fem, "cg", cg_counting)
+    for level in (2, 3, 4, 5, 6):
+        m = meshes(level)
+        M, W = _mass_pair(m)
+        v = fem.project_field(m, example2_yd, M, W)
+        assert 0 < counts[-1] <= 33 < fem._PROJECTION_MAX_ITER
+    want = linalg.factorize(M).solve(fem.load_vector(m, example2_yd))
+    assert np.linalg.norm(v - want) <= 1e-14 * np.linalg.norm(want)
 
 
 @pytest.mark.parametrize("level", [2, 3, 4])
@@ -251,6 +276,43 @@ def test_interpolation_matrix_matches_brute_force(meshes, points):
     assert P.shape == (len(xy), m.n_interior)
     assert np.all(np.isfinite(want))
     np.testing.assert_allclose(P @ u, want, rtol=0, atol=1e-14)
+
+
+@pytest.mark.parametrize("level", [3, 4, 5])
+def test_interior_scatter_matches_full_assembly(meshes, level):
+    # reference: scatter onto every mesh node with np.add.at, then keep the
+    # interior rows and columns; the sums run in the same order, so the
+    # operators and the load vector are bit-identical
+    m = meshes(level)
+    inner = np.flatnonzero(m.interior_mask)
+    rows = np.repeat(m.elements, 3, axis=1).ravel()
+    cols = np.tile(m.elements, (1, 3)).ravel()
+    b, c, area = m._geometry
+    stiff = (b[:, :, None] * b[:, None, :] + c[:, :, None] * c[:, None, :])
+    stiff *= (1.0 / (4.0 * area))[:, None, None]
+    base = np.array([[2.0, 1.0, 1.0], [1.0, 2.0, 1.0], [1.0, 1.0, 2.0]]) / 12.0
+    for local, got in ((stiff, fem.assemble_stiffness(m)),
+                       (area[:, None, None] * base, fem.assemble_mass(m))):
+        full = sp.coo_matrix((local.ravel(), (rows, cols)),
+                             shape=(m.n_nodes, m.n_nodes)).tocsr()
+        want = full[inner][:, inner].tocsr()
+        want.eliminate_zeros()
+        want.sort_indices()
+        for attr in ("data", "indices", "indptr"):
+            assert np.array_equal(getattr(got, attr), getattr(want, attr))
+
+    def nodal(contrib):
+        total = np.zeros(m.n_nodes)
+        np.add.at(total, m.elements.ravel(), contrib.ravel())
+        return total[m.interior_mask]
+
+    assert np.array_equal(fem.assemble_lumped_mass(m),
+                          nodal(np.repeat(area / 3.0, 3)))
+    pts, _ = fem._quadrature_points(m, fem._MIDPOINT_BARY)
+    contrib = example2_yd(pts[..., 0], pts[..., 1]) @ (
+        fem._MIDPOINT_WEIGHTS[:, None] * fem._MIDPOINT_BARY)
+    assert np.array_equal(fem.load_vector(m, example2_yd),
+                          nodal(contrib * area[:, None]))
 
 
 def test_assembly_deterministic(meshes):

@@ -370,8 +370,11 @@ def test_pdas_cg_iterations_do_not_grow_with_the_level(ex2, monkeypatch):
     # the reduced Hessian alpha T + M K^-1 M K^-1 M is a compact
     # perturbation of alpha T: the CG count per step stays level-independent.
     # The raw counts to _CG_RTOL = 1e-14 end on the round-off plateau, where
-    # the LU orderings move them by one; the iterations to a true residual
-    # of 1e-12 (17 at levels 4-7) are what the trend is judged on
+    # the LU orderings move them by one; the trend is judged on the
+    # iterations to a true residual of 1e-12 (17 at levels 4-7).  Those
+    # move by one with round-off in the data too: at level 4 the residual
+    # of iteration 16 is 1.35e-12 with yd projected by CG with the
+    # preconditioner r / W and 0.98e-12 with r * (1/W), which reads 16
     hits = _record_cg_iterations_to(monkeypatch, 1e-12)
     most = []
     for level in (4, 5, 6):
@@ -389,7 +392,7 @@ def test_pdas_cg_iterations_do_not_grow_with_the_level(ex2, monkeypatch):
         assert max(s.iterations for s in steps) <= 25
         assert len(hits) == len(steps) and None not in hits
         most.append(max(hits))
-    assert most == sorted(most, reverse=True)
+    assert max(most) <= 17 and max(most) - min(most) <= 1
 
 
 def test_pdas_cg_iterations_in_convergence_log(tmp_path, ex1):
@@ -526,10 +529,11 @@ def test_stadler_pmhss_inner_iterations_level4(ex2):
     # previous (y, u) alone).  With the exact G = M + s K in PMHSS in place
     # of G~ = M~ + s K the three read 970, 1827 and 4738: at this small s
     # the dropped skew mass part weighs more against s K than on the
-    # constructed problem.  The total moves with round-off in the data:
-    # the M-projection of yd from SuperLU's plain solve, 5.5e-16 relative
-    # away from the transposed one's, gives 1091
-    assert sum(s.iterations for s in rep.inner_stats) == 1087
+    # constructed problem.  The total moves with round-off in the data: yd
+    # projected by SuperLU's transposed solve (1.4e-15 relative away from
+    # the CG projection) gives 1087, by its plain solve 1091, and by CG
+    # with the preconditioner r * (1/W) in place of r / W 1086
+    assert sum(s.iterations for s in rep.inner_stats) == 1076
 
 
 def test_constructed_pmhss_inner_iterations_level6(ex1):
@@ -1118,9 +1122,12 @@ def test_two_phase_factors_neither_M_nor_K(ex1, monkeypatch):
     assert counts["solve.K"] > 0
 
 
-@pytest.mark.parametrize("name", ["ihadmm", "two_phase"])
-def test_build_and_solve_factor_M_once(monkeypatch, name):
-    # the build's M factorization serves the L2 projections and the solve
+@pytest.mark.parametrize("name", ["ihadmm", "two_phase", "pdas", "apg",
+                                  "classical_admm"])
+def test_only_the_classical_admm_factors_M(monkeypatch, name):
+    # the build projects the data by CG and factors nothing; of the solvers
+    # only the classical ADMM solves with M (lam = M^-1 lam_c), and it
+    # factors M on first use, once per problem however many runs follow
     factored = []
     factorize_orig = linalg.factorize
 
@@ -1130,17 +1137,18 @@ def test_build_and_solve_factor_M_once(monkeypatch, name):
 
     for owner in (linalg, solvers):
         monkeypatch.setattr(owner, "factorize", counted_factorize)
-    _, prob, _ = build_example1(4)
-    built = len(factored)
+    _, prob, _ = build_example1(3)
+    assert factored == []
     sig = reproduction_sigma(prob.alpha)
-    if name == "ihadmm":
-        rep = so.solve_ihadmm(prob, SolverConfig(tol=1e-6, sigma=sig))
-    else:
-        rep = so.solve_two_phase(prob, SolverConfig(tol=1e-3, sigma=sig),
-                                 SolverConfig(tol=1e-10, sigma=sig))
-    assert rep.converged
-    assert [A is prob.M for A in factored[:built]] == [True]
-    assert not any(A is prob.M for A in factored[built:])
+    for _ in range(2):
+        if name == "two_phase":
+            rep = so.solve_two_phase(prob, SolverConfig(tol=1e-3, sigma=sig),
+                                     SolverConfig(tol=1e-10, sigma=sig))
+        else:
+            rep = so.SOLVERS[name](prob, SolverConfig(tol=1e-6, sigma=sig,
+                                                      max_iter=2000))
+        assert rep.converged
+    assert sum(A is prob.M for A in factored) == (name == "classical_admm")
 
 
 def _dense_diagnostics(prob, u, z, Mlam, y, p, reduced, carried=(0.0, 0.0)):
