@@ -19,15 +19,15 @@ W and the load vectors are summed per node by np.bincount.  The assembly
 is deterministic and all public functions are pure.
 
 The L2 projections of the data, M x = (f, phi_i), factor nothing: they run
-CG preconditioned with W, whose bounds W/4 <= M <= W keep the iteration
-count level-independent (project_field).
+plain CG on M, whose condition number is at most 4 on every level
+(project_field).
 """
 
 import numpy as np
 import scipy.sparse as sp
 from dataclasses import dataclass
 from functools import cached_property
-from scipy.sparse.linalg import LinearOperator, cg
+from scipy.sparse.linalg import cg
 
 from . import linalg
 
@@ -166,24 +166,21 @@ def load_vector(mesh, f):
 
 
 # relative residual and iteration cap of the projections' CG.  W/4 <= M <= W
-# bounds the condition number of W^{-1} M, and of M on the uniform mesh, by
-# 4, so CG gains a factor of 3 per iteration and needs at most ~33 for the
-# target on any level (21-27 at levels 3-8)
+# and W = h^2 on every interior node of the uniform mesh bound the condition
+# number of M by 4 (a W preconditioner would be a scalar and change no
+# iterate), so CG gains a factor of 3 per iteration and needs at most ~33
+# for the target on any level
 _PROJECTION_RTOL = 1e-15
 _PROJECTION_MAX_ITER = 50
 
 
-def project_field(mesh, f, M, W):
+def project_field(mesh, f, M):
     """L2-projection of f onto the zero-boundary P1 space (coefficients):
-    solves M x = (f, phi_i) by CG preconditioned with the lumped mass W,
-    spectrally equivalent to M (Wathen 1987), to a relative residual of
+    solves M x = (f, phi_i) by CG to a relative residual of
     _PROJECTION_RTOL.  Raises RuntimeError if it takes more than
     _PROJECTION_MAX_ITER iterations."""
-    n = len(W)
     x, info = cg(M, load_vector(mesh, f), rtol=_PROJECTION_RTOL, atol=0.0,
-                 maxiter=_PROJECTION_MAX_ITER,
-                 M=LinearOperator((n, n), matvec=lambda r: r / W,
-                                  dtype=float))
+                 maxiter=_PROJECTION_MAX_ITER)
     if info != 0:
         raise RuntimeError("L2 projection: CG missed its residual target "
                            f"in {_PROJECTION_MAX_ITER} iterations")
@@ -332,16 +329,16 @@ def discretize(mesh, yd_field, yc_field, alpha, beta, a, b):
     """Assemble the DiscreteProblem for given data fields and parameters.
 
     Nothing is factored: the L2 projections of the data solve with M by
-    W-preconditioned CG (project_field).
+    CG (project_field).
     """
     M = assemble_mass(mesh)
     K = assemble_stiffness(mesh)
     W = assemble_lumped_mass(mesh)
-    yd = project_field(mesh, yd_field, M, W)
+    yd = project_field(mesh, yd_field, M)
     if yc_field is None:
         yc = np.zeros(mesh.n_interior)
     else:
-        yc = project_field(mesh, yc_field, M, W)
+        yc = project_field(mesh, yc_field, M)
     return DiscreteProblem(K=K, M=M, W=W, yd=yd, yc=yc,
                            alpha=alpha, beta=beta, a=a, b=b, h=mesh.h)
 

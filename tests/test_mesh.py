@@ -158,20 +158,15 @@ def test_stiffness_spd(meshes):
         assert lam_min > 2.0 * np.pi ** 2 * (2.0 ** -level) ** 2 * 0.5
 
 
-def _mass_pair(m):
-    return fem.assemble_mass(m), fem.assemble_lumped_mass(m)
-
-
 def test_project_zero_and_basis(meshes):
     m = meshes(3)
-    M, W = _mass_pair(m)
-    assert np.allclose(fem.project_field(m, lambda x, y: 0.0 * x, M, W),
-                       0.0)
+    M = fem.assemble_mass(m)
+    assert np.allclose(fem.project_field(m, lambda x, y: 0.0 * x, M), 0.0)
     # f = phi_j reproduces e_j: the midpoint rule is exact for quadratics
     j = m.n_interior // 2
     coeff = np.zeros(m.n_interior)
     coeff[j] = 1.0
-    v = fem.project_field(m, lambda x, y: eval_p1(m, coeff, x, y), M, W)
+    v = fem.project_field(m, lambda x, y: eval_p1(m, coeff, x, y), M)
     assert np.abs(v - coeff).max() < 1e-12
 
 
@@ -180,7 +175,7 @@ def test_projection_second_order(meshes):
     errs = []
     for level in (3, 4, 5):
         m = meshes(level)
-        v = fem.project_field(m, f, *_mass_pair(m))
+        v = fem.project_field(m, f, fem.assemble_mass(m))
         xy = fem.interior_coordinates(m)
         errs.append(np.abs(v - f(xy[:, 0], xy[:, 1])).max())
     assert errs[0] / errs[1] > 3.0
@@ -189,7 +184,7 @@ def test_projection_second_order(meshes):
 
 
 def test_projection_cg_count_is_level_independent(meshes, monkeypatch):
-    # cond(W^-1 M) <= 4 bounds the count by ~33 on every level; the CG
+    # cond(M) <= 4 bounds the count by ~33 on every level; the CG
     # solution agrees with the LU one to round-off
     cg_orig, counts = fem.cg, []
 
@@ -202,8 +197,8 @@ def test_projection_cg_count_is_level_independent(meshes, monkeypatch):
     monkeypatch.setattr(fem, "cg", cg_counting)
     for level in (2, 3, 4, 5, 6):
         m = meshes(level)
-        M, W = _mass_pair(m)
-        v = fem.project_field(m, example2_yd, M, W)
+        M = fem.assemble_mass(m)
+        v = fem.project_field(m, example2_yd, M)
         assert 0 < counts[-1] <= 33 < fem._PROJECTION_MAX_ITER
     want = linalg.factorize(M).solve(fem.load_vector(m, example2_yd))
     assert np.linalg.norm(v - want) <= 1e-14 * np.linalg.norm(want)
