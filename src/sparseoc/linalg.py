@@ -11,16 +11,25 @@ With s = sqrt(gamma) and y = s w it is the complex-symmetric n x n system
 
     (M - i s K)(w + i u) = s rhs_top + i rhs_bottom.
 
-Two backends solve it: a one-time sparse LU of A = M - i s K ("direct",
-exact up to round-off), and right-preconditioned GMRES on (y, u), one
-product with A per block operator application, with the modified HSS
-block preconditioner
+Two backends solve it.  The direct one is exact up to round-off.  Where
+the 2-D sine transform makes A = M - i s K nearly diagonal, it factors
+nothing: A~ = M~ - i s K (M~ is M without its skew Kronecker part,
+SineSolver) is diagonal in the sine basis, and the rest of A,
+c (E-E^T) x (E-E^T) with c = h^2/24, becomes X -> c Q X Q^T with a dense
+N x N matrix Q there.  So a Richardson iteration preconditioned by A~
+runs wholly in that basis, one pair of N x N BLAS products per step, from
+the last solution (_SineRichardson).  It takes that path only where
+I - A~^-1 A contracts by at most _SPECTRAL_MAX_RHO per step, which holds
+on fine grids and large gamma (the constructed problem from level 2, the
+Stadler problem from level 7); elsewhere it factors A once by sparse LU.
+The other backend is right-preconditioned GMRES on (y, u), one product
+with A per block operator application, with the modified HSS block
+preconditioner
 
     P = (1/gamma) [[I, s I], [-s I, gamma I]] diag(G, G),   G = M~ + s K,
 
 whose inverse costs one G-solve for a stack of two right-hand sides plus
-a closed-form 2x2 block inversion.  M~ is the mass matrix without its
-skew Kronecker part (SineSolver), so G is solved, like K, by sine
+a closed-form 2x2 block inversion.  G is solved, like K, by sine
 transforms and nothing is factored.  A GMRES cycle keeps its
 preconditioned directions, so it applies the preconditioner once per
 iteration, and hands back the true residual it ends on.  Right
@@ -120,6 +129,40 @@ def _sine_transform(S, B):
     return S @ B @ S
 
 
+def _stencil_order(K):
+    """N for a K that is the 5-point stencil [-1; -1, 4, -1; -1] on an N x N
+    interior grid numbered row by row; ValueError for any other K.  It
+    checks one product of K against the stencil applied by slicing, on
+    integer entries, where both are exact."""
+    n = K.shape[0]
+    N = math.isqrt(n)
+    if K.shape != (n, n) or N * N != n:
+        raise ValueError("K must be square of order N^2")
+    x = np.random.default_rng(0).integers(1, 2 ** 20, n).astype(float)
+    X = x.reshape(N, N)
+    Kx = 4.0 * X
+    Kx[1:] -= X[:-1]
+    Kx[:-1] -= X[1:]
+    Kx[:, 1:] -= X[:, :-1]
+    Kx[:, :-1] -= X[:, 1:]
+    if not np.array_equal(K @ x, Kx.ravel()):
+        raise ValueError("K is not the 5-point stencil of an N x N grid")
+    return N
+
+
+def _sine_spectra(N):
+    """The eigenvalues of M~ and of K on the N x N grid in the sine basis
+    (SineSolver), as two N x N arrays: h^2/12 (6 + c_j + c_k + c_j c_k/2)
+    and 4 sin^2(j pi h/2) + 4 sin^2(k pi h/2), c_j = 2 cos(j pi h)."""
+    h = 1.0 / (N + 1)
+    j = np.arange(1, N + 1)
+    lam = _sine_eigenvalues(h, j)
+    c = 2.0 * np.cos(np.pi * h * j)
+    mu = h * h / 12.0 * (6.0 + c[:, None] + c[None, :]
+                         + 0.5 * c[:, None] * c[None, :])
+    return mu, lam[:, None] + lam[None, :]
+
+
 class SineSolver:
     """Solver with mass M~ + stiffness K, K the 5-point stencil
     [-1; -1, 4, -1; -1] on an N x N interior grid numbered row by row (the
@@ -133,38 +176,19 @@ class SineSolver:
     + E x E + E^T x E^T], or with E x E^T + E^T x E when the diagonals
     run the other way.  These last two terms are 1/2 (E+E^T) x (E+E^T)
     +- 1/2 (E-E^T) x (E-E^T); dropping the skew part leaves M~, with the
-    eigenvalues h^2/12 (6 + c_j + c_k + c_j c_k/2) for either direction.
-    So with b on the grid as B, the solve is S (S B S / D) S, where D_jk
-    is the eigenvalue of mass M~ + stiffness K times ((N+1)/2)^2: two 2-D
-    sine transforms and a division, with S and D the only arrays stored
-    (N^2 entries each, no factor).  The constructor raises ValueError for
-    any other K; it checks one product of K against the stencil applied
-    by slicing, on integer entries, where both are exact.
+    eigenvalues h^2/12 (6 + c_j + c_k + c_j c_k/2) for either direction
+    (_sine_spectra).  So with b on the grid as B, the solve is
+    S (S B S / D) S, where D_jk is the eigenvalue of mass M~ + stiffness K
+    times ((N+1)/2)^2: two 2-D sine transforms and a division, with S and
+    D the only arrays stored (N^2 entries each, no factor).  The
+    constructor raises ValueError for any other K (_stencil_order).
     """
 
     def __init__(self, K, mass=0.0, stiffness=1.0):
-        n = K.shape[0]
-        N = math.isqrt(n)
-        if K.shape != (n, n) or N * N != n:
-            raise ValueError("K must be square of order N^2")
-        x = np.random.default_rng(0).integers(1, 2 ** 20, n).astype(float)
-        X = x.reshape(N, N)
-        Kx = 4.0 * X
-        Kx[1:] -= X[:-1]
-        Kx[:-1] -= X[1:]
-        Kx[:, 1:] -= X[:, :-1]
-        Kx[:, :-1] -= X[:, 1:]
-        if not np.array_equal(K @ x, Kx.ravel()):
-            raise ValueError("K is not the 5-point stencil of an N x N grid")
-        h = 1.0 / (N + 1)
-        j = np.arange(1, N + 1)
-        lam = _sine_eigenvalues(h, j)
-        c = 2.0 * np.cos(np.pi * h * j)
-        mu = h * h / 12.0 * (6.0 + c[:, None] + c[None, :]
-                             + 0.5 * c[:, None] * c[None, :])
+        N = _stencil_order(K)
+        mu, kappa = _sine_spectra(N)
         self._S = _sine_matrix(N)
-        self._denom = (mass * mu + stiffness * (lam[:, None] + lam[None, :])) \
-            * (0.5 * (N + 1)) ** 2
+        self._denom = (mass * mu + stiffness * kappa) * (0.5 * (N + 1)) ** 2
 
     def solve(self, rhs):
         """The solution for a length-n rhs, or for each row of an m x n
@@ -174,6 +198,129 @@ class SineSolver:
         B = rhs.reshape(rhs.shape[:-1] + S.shape)
         return _sine_transform(S, _sine_transform(S, B) / self._denom) \
             .reshape(rhs.shape)
+
+
+def _check_mass(M, N):
+    """Raise ValueError unless M = M~ + h^2/24 (E-E^T) x (E-E^T) on the
+    N x N grid: the mass matrix of mesh.build_mesh, whose diagonals couple
+    X[i,j] with X[i+1,j+1] (SineSolver).  Like _stencil_order it checks
+    one product, here with a positive random grid: every entry of M x and
+    of the stencil applied by slicing is a sum of positive terms, so the
+    two agree to a few units of round-off, and an entry of M off by more
+    than ~1e-12 relative fails."""
+    n = N * N
+    if M.shape != (n, n):
+        raise ValueError("M must be of order N^2")
+    h = 1.0 / (N + 1)
+    X = np.random.default_rng(0).uniform(1.0, 2.0, (N, N))
+    want = 6.0 * X
+    want[1:] += X[:-1]
+    want[:-1] += X[1:]
+    want[:, 1:] += X[:, :-1]
+    want[:, :-1] += X[:, 1:]
+    want[1:, 1:] += X[:-1, :-1]
+    want[:-1, :-1] += X[1:, 1:]
+    got = (M @ X.ravel()).reshape(N, N) * (12.0 / (h * h))
+    if not np.all(np.abs(got - want) <= 1e-13 * want):
+        raise ValueError("M is not the P1 mass matrix of an N x N grid")
+
+
+# the direct u-step iterates in the sine basis, and factors nothing, where
+# I - A~^-1 A contracts at least this fast; _RHO_STEPS power steps estimate
+# the contraction (ROADMAP item 13 gives it per level and problem)
+_SPECTRAL_MAX_RHO = 3e-3
+_RHO_STEPS = 10
+# the sine-basis Richardson stops at this residual relative to ||b||
+_SPECTRAL_RTOL = 1e-14
+
+
+class _SineRichardson:
+    """Richardson iteration for A z = r on the N x N grid, A = M - i s K
+    with K the 5-point stencil and M = M~ + c (E-E^T) x (E-E^T),
+    c = h^2/24, the mesh's mass matrix, preconditioned by A~ = M~ - i s K
+    and run in the sine basis.
+
+    With the orthonormal DST-I matrix S~ = sqrt(2/(N+1)) S, its own
+    inverse, and F(X) = S~ X S~, A~ becomes the diagonal
+    lam = mu - i s kappa (_sine_spectra), and the rest of A,
+    c (E-E^T) x (E-E^T), becomes X -> c Q X Q^T with the dense skew
+    Q = S~ (E-E^T) S~:
+
+        F(A X) = lam o F(X) + c Q F(X) Q^T.
+
+    A step z += A~^-1 r maps the transformed residual R to -c Q (R/lam) Q^T,
+    one pair of N x N products and no sparse product.  solve transforms
+    its residual once, steps until ||R|| <= target or a step fails to
+    halve ||R||, and transforms the sum of its steps back once.  A complex
+    grid is held as the real stack (Re, Im) of shape (2, N, N), so every
+    product is a real BLAS one.  It is built from N and s alone; that K
+    and M are the mesh's is for the caller to check (_stencil_order,
+    _check_mass).
+    """
+
+    def __init__(self, N, s):
+        self.c = (1.0 / (N + 1)) ** 2 / 24.0
+        mu, kappa = _sine_spectra(N)
+        self.lam = mu - 1j * s * kappa
+        S = _sine_matrix(N) * math.sqrt(2.0 / (N + 1))
+        SD = np.zeros((N, N))           # S~ (E - E^T), (E v)_i = v_{i-1}
+        SD[:, :-1] += S[:, 1:]
+        SD[:, 1:] -= S[:, :-1]
+        self.Q = SD @ S
+        self._S = S
+        self._cQt = -self.c * self.Q.T
+        # R / lam for R = (Re, Im) is R * _inv + R[::-1] * _inv_swap
+        inv = 1.0 / self.lam
+        self._inv = np.stack([inv.real, inv.real])
+        self._inv_swap = np.stack([-inv.imag, inv.imag])
+
+    def transform(self, X):
+        """F(X) for a (2, N, N) stack: F is its own inverse."""
+        return _sine_transform(self._S, X)
+
+    def _step(self, R):
+        """C = R / lam and the transformed residual -c Q C Q^T it leaves."""
+        C = R * self._inv
+        C += R[::-1] * self._inv_swap
+        N = C.shape[-1]
+        return C, ((self.Q @ C).reshape(2 * N, N) @ self._cQt) \
+            .reshape(C.shape)
+
+    def contraction(self, bound=np.inf):
+        """The spectral radius of I - A~^-1 A, estimated as the norm ratio
+        of the last of _RHO_STEPS power steps on R -> -c Q (R/lam) Q^T
+        (similar to it) from a fixed-seed start.  The ratios grow towards
+        it from below (the first is about half of it), so the estimate
+        stops at the first ratio above bound: a residual that a step
+        reduces by less than bound is already found."""
+        R = np.random.default_rng(0).standard_normal(self._inv.shape)
+        norm, rho = np.linalg.norm(R), 0.0
+        for _ in range(_RHO_STEPS):
+            R = self._step(R)[1]
+            new = np.linalg.norm(R)
+            if new == 0.0:
+                return 0.0
+            rho, norm = new / norm, new
+            if rho > bound:
+                break
+        return rho
+
+    def solve(self, r, target):
+        """dz with A dz = r up to a transformed residual ||R|| <= target
+        (||F(r)|| = ||r||), or to where a step fails to halve ||R||."""
+        N = self._S.shape[0]
+        R = self.transform(np.stack([r.real, r.imag]).reshape(2, N, N))
+        Z = np.zeros_like(R)
+        res = np.linalg.norm(R)
+        while res > target:
+            C, R = self._step(R)
+            Z += C
+            new = np.linalg.norm(R)
+            if new > 0.5 * res:
+                break
+            res = new
+        Y = self.transform(Z).reshape(2, N * N)
+        return Y[0] + 1j * Y[1]
 
 
 @dataclass
@@ -362,14 +509,22 @@ class _SolutionWindow:
 class SaddleSolver:
     """Reusable solver for a fixed (M, K, gamma) saddle operator.
 
-    Holds A = M - i sqrt(gamma) K.  The direct backend factors A once; the
+    Holds A = M - i sqrt(gamma) K.  The direct backend picks its path once,
+    on its first solve (_richardson): the sine-basis Richardson iteration
+    (_SineRichardson) when K is the 5-point stencil, M the mesh's mass
+    matrix and I - A~^-1 A contracts by at most _SPECTRAL_MAX_RHO; else
+    one sparse LU of A.  Either way a solve costs one complex product for
+    its true residual b - A z and reports no iterations.  The Richardson
+    starts each solve from the last solution z_prev, whose residual
+    b - A z_prev it takes from the kept A z_prev without a product.  The
     pmhss_gmres backend runs right-preconditioned GMRES from the window of
     its earlier solves, preconditioned by PMHSS with G~ = M~ + sqrt(gamma) K
     (G_solve), and factors nothing.  Both report the achieved
     ||r1|| + ||r2|| relative to ||rhs|| in the stats and leave the block
     residual (r1, r2) of the last solve in self.residual.  The direct
-    backend fills its complex rhs into one buffer, so a solver, like its
-    window, serves one sequence of solves at a time.
+    backend fills its complex rhs into one buffer, and both start from
+    their earlier solves, so a solver serves one sequence of solves at a
+    time.
     """
 
     def __init__(self, M, K, gamma):
@@ -381,6 +536,7 @@ class SaddleSolver:
         self._A = (M - 1j * self._s * K).tocsr()
         self._direct = None
         self._b = None          # the direct solve's complex rhs, made once
+        self._z = self._Az = 0.0    # the last sine-basis solution and A z
         self._window = _SolutionWindow()
         self.residual = None
 
@@ -394,6 +550,26 @@ class SaddleSolver:
         """
         return SineSolver(self.K, mass=1.0, stiffness=self._s).solve
 
+    @cached_property
+    def _richardson(self):
+        """The direct backend's sine-basis Richardson (_SineRichardson), or
+        None, and then the backend factors A: when I - A~^-1 A contracts by
+        more than _SPECTRAL_MAX_RHO per step, or K or M is not the mesh's.
+        The contraction is tested first, so a solver that takes the LU
+        pays for no matrix check."""
+        N = math.isqrt(self.n)
+        if N * N != self.n:
+            return None
+        richardson = _SineRichardson(N, self._s)
+        if richardson.contraction(bound=_SPECTRAL_MAX_RHO) > _SPECTRAL_MAX_RHO:
+            return None
+        try:
+            _stencil_order(self.K)
+            _check_mass(self.M, N)
+        except ValueError:
+            return None
+        return richardson
+
     def _apply(self, x):
         """[[M/gamma, K], [-K, M]] [y; u] as one product with A."""
         w = self._A @ (x[:self.n] / self._s + 1j * x[self.n:])
@@ -404,8 +580,9 @@ class SaddleSolver:
 
         tol is the absolute target on ||r1|| + ||r2|| of a pmhss_gmres
         solve, whose stats say whether it was met.  A direct solve is exact
-        up to round-off: it ignores tol and always reports converged, with
-        the relative residual it measured.  pmhss_gmres starts from the
+        up to round-off (an LU solve, or Richardson to a residual of
+        _SPECTRAL_RTOL ||b||): it ignores tol and always reports converged,
+        with the relative residual it measured.  pmhss_gmres starts from the
         solver's _SolutionWindow, which the solve then joins, so one solver
         serves one sequence of solves whose right-hand sides change slowly;
         its first solve starts from zero.
@@ -413,16 +590,29 @@ class SaddleSolver:
         norm_b = math.sqrt(rhs_top @ rhs_top + rhs_bottom @ rhs_bottom)
         stats_iters = 0
         if backend == "direct":
-            if self._direct is None:
-                self._direct = factorize(self._A)
+            if self._b is None:
                 self._b = np.empty(self.n, dtype=complex)
             b = self._b
             np.multiply(self._s, rhs_top, out=b.real)
             b.imag = rhs_bottom
-            z = self._direct.solve(b)
+            richardson = self._richardson
+            if richardson is None:
+                if self._direct is None:
+                    self._direct = factorize(self._A)
+                z = self._direct.solve(b)
+                Az = self._A @ z
+            else:
+                z = np.zeros(self.n, dtype=complex)
+                if norm_b > 0.0:
+                    # from the last solution z_prev: its residual
+                    # b - A z_prev takes the kept A z_prev, no product
+                    z = self._z + richardson.solve(
+                        b - self._Az, _SPECTRAL_RTOL * np.linalg.norm(b))
+                Az = self._A @ z
+                self._z, self._Az = z, Az
             y, u = self._s * z.real, np.ascontiguousarray(z.imag)
             # b - A z = s r1 + i r2 in terms of the block residuals (r1, r2)
-            r = b - self._A @ z
+            r = b - Az
             self.residual = (r.real / self._s, r.imag)
         elif backend == "pmhss_gmres":
             rhs = np.concatenate([rhs_top, rhs_bottom])

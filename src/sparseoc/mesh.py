@@ -13,7 +13,8 @@ W (lumped mass, W_i = integral of the hat function phi_i) act on the
 
 Element loops are vectorized over all triangles.  A mesh computes its
 element geometry (gradient coefficients and areas) once, on first use, and
-K, M, W and every quadrature read it.  K and M are scattered as COO
+K, M, W and every quadrature read it; it keeps its mass matrix M, which
+discretize and the fine-grid error norm read.  K and M are scattered as COO
 triplets straight onto the interior dofs, the boundary triplets dropped;
 W and the load vectors are summed per node by np.bincount.  The assembly
 is deterministic and all public functions are pure.
@@ -63,6 +64,14 @@ class Mesh:
         c = p[:, [2, 0, 1], 0] - p[:, [1, 2, 0], 0]     # x_{i+2} - x_{i+1}
         area = 0.5 * (b[:, 0] * c[:, 1] - b[:, 1] * c[:, 0])
         return _frozen(b), _frozen(c), _frozen(area)
+
+    @cached_property
+    def mass(self):
+        """The consistent mass matrix on the interior dofs
+        (assemble_mass), made on first use and shared, not to be changed:
+        discretize's M, and the fine-grid norm of
+        experiments.l2_control_error."""
+        return assemble_mass(self)
 
 
 def build_mesh(level):
@@ -329,9 +338,9 @@ def discretize(mesh, yd_field, yc_field, alpha, beta, a, b):
     """Assemble the DiscreteProblem for given data fields and parameters.
 
     Nothing is factored: the L2 projections of the data solve with M by
-    CG (project_field).
+    CG (project_field).  M is the mesh's own (Mesh.mass).
     """
-    M = assemble_mass(mesh)
+    M = mesh.mass
     K = assemble_stiffness(mesh)
     W = assemble_lumped_mass(mesh)
     yd = project_field(mesh, yd_field, M)

@@ -27,8 +27,9 @@ def best_p1_error(mesh, reference, ref_mesh=None):
     reference is a callable (its load vector is integrated by the degree-5
     rule that `l2_control_error` uses) or an interior coefficient vector on
     the nested finer grid ref_mesh (projected exactly through the fine mass
-    matrix).  Either way the projection minimizes the very norm in which
-    E2 is measured, so E_best <= E2 for every discrete control.
+    matrix ref_mesh.mass).  Either way the projection minimizes the very
+    norm in which E2 is measured, so E_best <= E2 for every discrete
+    control.
     """
     if callable(reference):
         pts, area = fem._quadrature_points(mesh, _QUAD_BARY)
@@ -36,12 +37,12 @@ def best_p1_error(mesh, reference, ref_mesh=None):
         contrib = area[:, None] * ((vals * _QUAD_W) @ _QUAD_BARY)
         load = np.zeros(mesh.n_nodes)
         np.add.at(load, mesh.elements.ravel(), contrib.ravel())
-        gram = fem.assemble_mass(mesh)
+        gram = mesh.mass
         rhs = load[mesh.interior_mask]
     else:
         xy = fem.interior_coordinates(ref_mesh)
         P = fem.interpolation_matrix(mesh, xy[:, 0], xy[:, 1])
-        MfP = fem.assemble_mass(ref_mesh) @ P
+        MfP = ref_mesh.mass @ P
         gram = P.T @ MfP
         rhs = MfP.T @ np.asarray(reference)
     coeffs = spsolve(sp.csc_matrix(gram), rhs)

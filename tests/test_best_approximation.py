@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from sparseoc import mesh as fem
-from sparseoc.experiments import l2_control_error
+from sparseoc.experiments import build_example2, l2_control_error
 
 from best_approximation import best_p1_error, gated_order
 from p1_helpers import eval_p1
@@ -45,6 +45,28 @@ def test_best_error_is_below_the_nodal_interpolant(ex1, meshes):
     coarse_nodal = eval_p1(fine, ref, xy[:, 0], xy[:, 1])
     assert best_p1_error(m, ref, ref_mesh=fine) < l2_control_error(
         coarse_nodal, ref, m, ref_mesh=fine)
+
+
+def test_fine_grid_errors_assemble_the_mass_once_per_mesh(monkeypatch):
+    # discretize, l2_control_error and best_p1_error all read the
+    # reference mesh's cached mass matrix, and the errors are those of a
+    # fresh assembly, bit for bit
+    calls = []
+    assemble = fem.assemble_mass
+    monkeypatch.setattr(fem, "assemble_mass",
+                        lambda m: calls.append(m) or assemble(m))
+    fine, prob = build_example2(5)
+    assert prob.M is fine.mass and calls == [fine]
+    coarse = fem.build_mesh(3)
+    u = np.random.default_rng(3).standard_normal(coarse.n_interior)
+    xy = fem.interior_coordinates(fine)
+    P = fem.interpolation_matrix(coarse, xy[:, 0], xy[:, 1])
+    diff = prob.yd - P @ u
+    M = assemble(fine)
+    assert l2_control_error(u, prob.yd, coarse, ref_mesh=fine) \
+        == float(np.sqrt(diff @ (M @ diff)))
+    best_p1_error(coarse, prob.yd, ref_mesh=fine)
+    assert calls == [fine]
 
 
 def _best(order):

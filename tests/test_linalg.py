@@ -7,11 +7,12 @@ from hypothesis import example, given, settings, strategies as st
 from scipy.linalg import eigh
 from scipy.sparse.linalg import splu
 
-from sparseoc import mesh as fem, solvers
+from sparseoc import linalg, mesh as fem, solvers
 from sparseoc.linalg import (factorize, FactorizationError, pmhss_apply,
                              gmres, SaddleSolver, SineSolver,
                              estimate_mkinv_norm, _SolutionWindow, _WINDOW,
-                             _sine_matrix, _sine_transform)
+                             _sine_matrix, _sine_transform, _SineRichardson,
+                             _check_mass)
 from sparseoc.solvers import SolverConfig, solve_two_phase
 from sparseoc.experiments import (EXAMPLE1_PARAMS, EXAMPLE2_PARAMS,
                                   reproduction_sigma)
@@ -539,6 +540,7 @@ def test_direct_saddle_solve_is_always_converged(meshes):
     rhs_bottom = rng.standard_normal(m.n_interior)
     solver = SaddleSolver(M, K, 1e-10)
     y, u, stats = solver.solve(rhs_top, rhs_bottom, tol=1e-300)
+    assert solver._richardson is None       # the LU path
     assert stats.converged
     assert stats.iterations == 0
     achieved = sum(np.linalg.norm(v) for v in solver.residual)
@@ -546,6 +548,113 @@ def test_direct_saddle_solve_is_always_converged(meshes):
     assert stats.final_relative_residual == pytest.approx(achieved / norm_b,
                                                           rel=1e-12)
     assert 1e-300 < stats.final_relative_residual < 1e-10
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(level=st.integers(2, 6), log_gamma=st.floats(-10.0, 8.0),
+       seed=st.integers(0, 2 ** 32 - 1))
+@example(level=6, log_gamma=math.log10(0.375), seed=0)
+def test_sine_basis_splits_the_saddle_operator(meshes, level, log_gamma,
+                                               seed):
+    # F(A X) = lam o F(X) + c Q F(X) Q^T for A = M - i s K against the
+    # sparse product, on a random complex grid, for any s
+    m = meshes(level)
+    M, K = fem.assemble_mass(m), fem.assemble_stiffness(m)
+    s = math.sqrt(10.0 ** log_gamma)
+    N = math.isqrt(m.n_interior)
+    _check_mass(M, N)
+    sr = _SineRichardson(N, s)
+    assert sr.c == m.h ** 2 / 24.0
+    rng = np.random.default_rng(seed)
+    X = rng.standard_normal((N, N)) + 1j * rng.standard_normal((N, N))
+    want = sr.transform(((M - 1j * s * K) @ X.ravel()).reshape(N, N))
+    FX = sr.transform(X)
+    got = sr.lam * FX + sr.c * (sr.Q @ FX @ sr.Q.T)
+    assert np.linalg.norm(got - want) <= 1e-13 * np.linalg.norm(want)
+    # F is orthonormal and its own inverse
+    assert np.linalg.norm(sr.transform(FX) - X) <= 1e-13 * np.linalg.norm(X)
+
+
+@pytest.mark.parametrize("level", [2, 3, 4])
+def test_contraction_estimate_matches_the_dense_spectral_radius(meshes,
+                                                                level):
+    # the power estimate against the eigenvalues of I - A~^-1 A, A~ the
+    # dense M~ - i s K, from Stadler's s to far above the constructed one
+    m = meshes(level)
+    M, K = fem.assemble_mass(m), fem.assemble_stiffness(m)
+    I = np.eye(M.shape[0])
+    Mt = _mass_without_skew(m).toarray()
+    for gamma in (1e-10, 0.75e-5, 1e-3, 0.375, 1e4):
+        s = math.sqrt(gamma)
+        A, At = M.toarray() - 1j * s * K.toarray(), Mt - 1j * s * K.toarray()
+        rho = np.abs(np.linalg.eigvals(I - np.linalg.solve(At, A))).max()
+        est = _SineRichardson(math.isqrt(m.n_interior), s).contraction()
+        assert 0.8 * rho <= est <= 1.25 * rho
+
+
+def _saddle_gamma(params):
+    return 0.5 * params.alpha + reproduction_sigma(params.alpha)
+
+
+def test_direct_saddle_path_selection(meshes):
+    # the sine-basis Richardson where I - A~^-1 A contracts by at most
+    # _SPECTRAL_MAX_RHO (the constructed problem at levels 3-6), the LU
+    # elsewhere: Stadler at levels 4-6 (rho 6.9e-2, 2.3e-2, 6.4e-3), the
+    # gamma of test_direct_saddle_solve_is_always_converged, a K that is no
+    # stencil, an M with one perturbed entry and an M of the other diagonals
+    for level in (3, 4, 5, 6):
+        m = meshes(level)
+        M, K = fem.assemble_mass(m), fem.assemble_stiffness(m)
+        assert SaddleSolver(M, K, _saddle_gamma(EXAMPLE1_PARAMS)) \
+            ._richardson is not None
+        if level >= 4:
+            assert SaddleSolver(M, K, _saddle_gamma(EXAMPLE2_PARAMS)) \
+                ._richardson is None
+    m = meshes(5)
+    M, K = fem.assemble_mass(m), fem.assemble_stiffness(m)
+    assert SaddleSolver(M, K, 1e-10)._richardson is None
+    perturbed = M.copy()
+    perturbed.data[17] *= 1.0 + 1e-9
+    gamma = _saddle_gamma(EXAMPLE1_PARAMS)
+    # the mass matrix of a mesh whose diagonals run the other way
+    flipped = 2.0 * _mass_without_skew(m) - M
+    for other in (perturbed, flipped):
+        assert SaddleSolver(other, K, gamma)._richardson is None
+        with pytest.raises(ValueError, match="not the P1 mass matrix"):
+            _check_mass(other, math.isqrt(m.n_interior))
+    # the oracle's random K, of the orders of 1 x 1, 2 x 2 and 3 x 3 grids
+    for n in (1, 4, 9):
+        prob = random_tiny_problem(np.random.default_rng(n), n=n)
+        assert SaddleSolver(prob.M, prob.K, gamma)._richardson is None
+
+
+@pytest.mark.parametrize("level", [3, 6])
+def test_sine_richardson_solves_match_the_lu(meshes, monkeypatch, level):
+    # a sequence of slowly changing right-hand sides, as in the ihADMM:
+    # each Richardson solve starts from the last one and ends within
+    # 1e-13 of the LU's solution, at a residual a few times its stop
+    # target 1e-14, with no iteration reported; a zero rhs gives zero
+    m = meshes(level)
+    M, K = fem.assemble_mass(m), fem.assemble_stiffness(m)
+    gamma = _saddle_gamma(EXAMPLE1_PARAMS)
+    spectral = SaddleSolver(M, K, gamma)
+    assert spectral._richardson is not None
+    monkeypatch.setattr(linalg, "_SPECTRAL_MAX_RHO", -1.0)
+    lu = SaddleSolver(M, K, gamma)
+    assert lu._richardson is None
+    rng = np.random.default_rng(level)
+    top, bottom = rng.standard_normal((2, m.n_interior))
+    for k in range(6):
+        top = top + 1e-2 * rng.standard_normal(m.n_interior)
+        y, u, stats = spectral.solve(top, bottom)
+        y_lu, u_lu, stats_lu = lu.solve(top, bottom)
+        x, x_lu = np.concatenate([y, u]), np.concatenate([y_lu, u_lu])
+        assert np.linalg.norm(x - x_lu) <= 1e-13 * np.linalg.norm(x_lu)
+        assert stats.converged and stats.iterations == 0
+        assert stats.final_relative_residual <= 5e-14
+    y, u, stats = spectral.solve(0.0 * top, 0.0 * bottom)
+    assert not np.any(y) and not np.any(u)
+    assert stats.final_relative_residual == 0.0
 
 
 def test_saddle_large_gamma_limit(meshes):

@@ -875,20 +875,25 @@ def _count_lu_ops(monkeypatch, prob):
     return counts, prob
 
 
-def test_direct_ihadmm_one_lu_solve_per_iteration(ex1, monkeypatch):
+def test_direct_ihadmm_one_lu_solve_per_iteration(ex1, ex2, monkeypatch):
     # the saddle solve only: the eta dual norms are bounded through W
     # (eta4 takes the M norm of alpha/2 u - p + lam); R_h comes from the
-    # carried adjoint, so K is neither factored nor solved
-    _, prob, _ = ex1(3)
-    counts, prob = _count_lu_ops(monkeypatch, prob)
-    rep = so.solve_ihadmm(prob, SolverConfig(
-        tol=1e-6, sigma=reproduction_sigma(prob.alpha)))
-    assert rep.converged and rep.iterations > 10
-    assert counts["factor.M"] == 0 and counts["solve.M"] == 0
-    assert counts["solve.other"] == rep.iterations
-    assert sum(v for k, v in counts.items() if k.startswith("solve.")) \
-        == rep.iterations
-    assert counts["factor.K"] == 0 and counts["solve.K"] == 0
+    # carried adjoint, so K is neither factored nor solved.  On Stadler at
+    # level 4 the u-step factors A once and solves with it once per
+    # iteration; on the constructed problem at level 3 it iterates in the
+    # sine basis (linalg._SineRichardson) and makes no LU at all
+    for prob, lu in ((ex2(4)[1], True), (ex1(3)[1], False)):
+        with monkeypatch.context() as mp:
+            counts, prob = _count_lu_ops(mp, prob)
+            rep = so.solve_ihadmm(prob, SolverConfig(
+                tol=1e-6, sigma=reproduction_sigma(prob.alpha)))
+        assert rep.converged and rep.iterations > 10
+        assert counts["factor.M"] == 0 and counts["solve.M"] == 0
+        assert counts["factor.other"] == lu
+        assert counts["solve.other"] == lu * rep.iterations
+        assert sum(v for k, v in counts.items() if k.startswith("solve.")) \
+            == lu * rep.iterations
+        assert counts["factor.K"] == 0 and counts["solve.K"] == 0
 
 
 def test_pmhss_ihadmm_factors_and_solves_no_k(ex1, monkeypatch):
@@ -909,22 +914,45 @@ def test_pmhss_ihadmm_factors_and_solves_no_k(ex1, monkeypatch):
     assert counts["solve.G"] == papps and counts["cols.G"] == 2 * papps
 
 
-def test_direct_ihadmm_sparse_products_per_iteration(ex1, monkeypatch):
+def test_direct_ihadmm_sparse_products_per_iteration(ex1, ex2, monkeypatch):
     # the u-step's right-hand side (K), its residual (the complex A), M u,
     # M z_new and the eta5 gap; M lam, M (u - z) and M w for eta4 and R_h
     # follow from the carried M z and M lam by linearity, and eta1 and
-    # eta3 come from the u-step's block residual
-    _, prob, _ = ex1(3)
-    counts, prob = _count_lu_ops(monkeypatch, prob)
-    seen = []
-    rep = so.solve_ihadmm(prob, SolverConfig(
-        tol=1e-6, sigma=reproduction_sigma(prob.alpha)),
-        callback=lambda k, s: seen.append(
-            (counts["product.real"], counts["product.complex"])))
-    assert rep.converged and rep.iterations > 10
-    # between two callbacks lies one whole iteration
-    steps = {(r1 - r0, c1 - c0) for (r0, c0), (r1, c1) in zip(seen, seen[1:])}
-    assert steps == {(4, 1)}
+    # eta3 come from the u-step's block residual.  The same on either path
+    # of the u-step: the LU (Stadler, level 4) and the sine-basis
+    # Richardson (constructed, level 4), whose steps make dense products
+    # only and whose start residual reuses the last A z
+    for prob, lu in ((ex2(4)[1], True), (ex1(4)[1], False)):
+        with monkeypatch.context() as mp:
+            counts, prob = _count_lu_ops(mp, prob)
+            seen = []
+            rep = so.solve_ihadmm(prob, SolverConfig(
+                tol=1e-6, sigma=reproduction_sigma(prob.alpha)),
+                callback=lambda k, s: seen.append(
+                    (counts["product.real"], counts["product.complex"])))
+        assert rep.converged and rep.iterations > 10
+        assert counts["factor.other"] == lu
+        # between two callbacks lies one whole iteration
+        steps = {(r1 - r0, c1 - c0)
+                 for (r0, c0), (r1, c1) in zip(seen, seen[1:])}
+        assert steps == {(4, 1)}
+
+
+def test_sine_richardson_ihadmm_run_matches_the_lu_run(ex1, monkeypatch):
+    # a whole direct ihADMM run on the constructed problem at level 5 takes
+    # the sine-basis u-step; with the LU forced it takes the same number of
+    # iterations to a final z within 1e-12
+    _, prob, _ = ex1(5)
+    config = SolverConfig(tol=1e-6, sigma=reproduction_sigma(prob.alpha))
+    gamma = 0.5 * prob.alpha + config.sigma
+    assert linalg.SaddleSolver(prob.M, prob.K, gamma)._richardson is not None
+    spectral = so.solve_ihadmm(prob, config)
+    monkeypatch.setattr(linalg, "_SPECTRAL_MAX_RHO", -1.0)
+    lu = so.solve_ihadmm(prob, config)
+    assert spectral.converged and lu.converged
+    assert spectral.iterations == lu.iterations
+    z, z_lu = spectral.final_state.z, lu.final_state.z
+    assert np.linalg.norm(z - z_lu) <= 1e-12 * np.linalg.norm(z_lu)
 
 
 def test_classical_admm_sparse_products_per_iteration(ex1, monkeypatch):
