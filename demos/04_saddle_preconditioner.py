@@ -1,20 +1,24 @@
 """The reduced saddle system and its modified-HSS block preconditioner.
 
-Each ADMM control step solves [[M/gamma, K], [-K, M]] [y; u] = rhs, which
-with s = sqrt(gamma) and y = s w is the complex-symmetric n x n system
-(M - i s K)(w + i u) = s rhs_top + i rhs_bottom.  The script compares the
-direct solve against right preconditioned GMRES with
+Each ADMM control step solves [[M/gamma, K], [-K, M]] [y; u] = rhs,
+which with s = sqrt(gamma) and y = s w is the complex-symmetric n x n
+system (M - i s K)(w + i u) = s rhs_top + i rhs_bottom.  The script
+compares the direct solve against right preconditioned GMRES with
 P = scalar-factor x diag(G~, G~), G~ = M~ + s K, where M~ is the mass
-matrix without its skew Kronecker part, so that the 2-D sine transform
-solves with G~ and nothing is factored.  The direct solve factors nothing
-either at gamma = 0.3: there M - i s K is close enough to the sine-diagonal
-M~ - i s K that a Richardson iteration preconditioned by it cuts the
-residual by a factor of 650 (level 3) to 30,000 (level 6) per step, all
-in the sine basis.  At a gamma of the Stadler problem's size (7.5e-6) the
-factor is only 6.5 to 160, and the direct solve takes one sparse LU of
-M - i s K.  The script shows the
-grid-independent Krylov iteration counts at both gammas; at the small one
-G~ lies further from M + s K and GMRES takes more iterations.
+matrix without its skew Kronecker part.  GMRES runs in the orthonormal 2-D sine
+basis: there G~ is diagonal, and the block operator is diagonal apart
+from one c Q X Q^T term per grid (a pair of dense N x N products).  So a
+GMRES iteration makes no sparse product and no transform, nothing is
+factored, and a solve transforms its rhs in and its solution out once
+and makes one sparse product for its true residual.  The direct solve
+factors nothing either at gamma = 0.3: there M - i s K is close enough
+to the sine-diagonal M~ - i s K that a Richardson iteration
+preconditioned by it cuts the residual by a factor of 650 (level 3) to
+30,000 (level 6) per step, all in the sine basis.  At a gamma of the
+Stadler problem's size (7.5e-6) the factor is only 6.5 to 160, and the
+direct solve takes one sparse LU of M - i s K.  The script shows the
+grid-independent Krylov iteration counts at both gammas; at the small
+one G~ lies further from M + s K and GMRES takes more iterations.
 """
 
 import numpy as np

@@ -11,45 +11,54 @@ With s = sqrt(gamma) and y = s w it is the complex-symmetric n x n system
 
     (M - i s K)(w + i u) = s rhs_top + i rhs_bottom.
 
-Two backends solve it.  The direct one is exact up to round-off.  Where
-the 2-D sine transform makes A = M - i s K nearly diagonal, it factors
-nothing: A~ = M~ - i s K (M~ is M without its skew Kronecker part,
-SineSolver) is diagonal in the sine basis, and the rest of A,
-c (E-E^T) x (E-E^T) with c = h^2/24, becomes X -> c Q X Q^T with a dense
-N x N matrix Q there.  So a Richardson iteration preconditioned by A~
-runs wholly in that basis, one pair of N x N BLAS products per step, from
-the last solution (_SineRichardson).  It takes that path only where
-I - A~^-1 A contracts by at most _SPECTRAL_MAX_RHO per step, which holds
-on fine grids and large gamma (the constructed problem from level 2, the
-Stadler problem from level 7); elsewhere it factors A once by sparse LU.
-The other backend is right-preconditioned GMRES on (y, u), one product
-with A per block operator application, with the modified HSS block
-preconditioner
+Both backends work in the orthonormal sine basis of the N x N grid,
+F(X) = S~ X S~ (_SineBasis, one per SaddleSolver): there M~ (M without its
+skew Kronecker part, _sine_spectra) and K are the diagonals mu and kappa,
+and the rest of M, c (E-E^T) x (E-E^T) with c = h^2/24, maps a grid X to
+c Q X Q^T with a dense N x N matrix Q.  Each needs K to be the mesh's
+5-point stencil and M its mass matrix, checked by one product each.
 
-    P = (1/gamma) [[I, s I], [-s I, gamma I]] diag(G, G),   G = M~ + s K,
+The direct backend is exact up to round-off.  A~ = M~ - i s K is diagonal
+in the sine basis, so a Richardson iteration preconditioned by it runs
+wholly there, one pair of N x N BLAS products per step, from the last
+solution.  It takes that path only where I - A~^-1 A contracts by at most
+_SPECTRAL_MAX_RHO per step, which holds on fine grids and large gamma
+(the constructed problem from level 2, the Stadler problem from level 7);
+elsewhere it factors A once by sparse LU.
 
-whose inverse costs one G-solve for a stack of two right-hand sides plus
-a closed-form 2x2 block inversion.  G is solved, like K, by sine
-transforms and nothing is factored.  A GMRES cycle keeps its
-preconditioned directions, so it applies the preconditioner once per
-iteration, and hands back the true residual it ends on.  Right
-preconditioning keeps that residual the true one for any fixed P, so
-replacing M by M~ in G moves the iteration count, never the accuracy.
+The other backend, pmhss_gmres, is right-preconditioned GMRES on the
+transformed (y, u) with the modified HSS block preconditioner
+
+    P = (1/gamma) [[I, s I], [-s I, gamma I]] diag(G, G),   G = M~ + s K.
+
+The block operator costs one pair of N x N products on the stack of the
+two grids plus diagonal terms, and P^{-1} a closed-form 2x2 block
+inversion and a division by the diagonal mu + s kappa of G.  So a GMRES
+iteration makes no sparse product and no transform, and nothing is
+factored; a solve transforms its rhs in and its solution out once, and
+makes one sparse product with A for the true residual (r1, r2) that the
+ihADMM reads.  F is orthonormal, so the transformed residual has the
+nodal norm.  A GMRES cycle keeps its preconditioned directions, so it
+applies the preconditioner once per iteration, and hands back the true
+residual it ends on.  Right preconditioning keeps that residual the true
+one for any fixed P, so replacing M by M~ in G moves the iteration count,
+never the accuracy.
 
 The ihADMM u-steps solve with one matrix for right-hand sides that change
 slowly.  From the third on, GMRES starts from the minimal-residual
 combination of the last _WINDOW solution updates (_SolutionWindow, after
 Fischer 1998): the true residuals that GMRES returns give their images
-under the block operator without a product with A.  On the constructed
-problem at level 6 a run to 1e-6 takes 95 GMRES iterations with the
-ihADMM's forced u-step targets (solvers.solve_ihadmm), whose denominator
-takes ||M K^{-1}||_2 from a closed-form mesh bound, estimate_mkinv_norm.
+under the block operator, and the start's residual, without a product.
+On the constructed problem at level 6 a run to 1e-6 takes 95 GMRES
+iterations with the ihADMM's forced u-step targets (solvers.solve_ihadmm),
+whose denominator takes ||M K^{-1}||_2 from a closed-form mesh bound,
+estimate_mkinv_norm.
 
 K itself is never factored.  On the uniform mesh it is the 5-point
 stencil, which the 2-D sine transform (DST-I) diagonalizes; SineSolver
-solves with it, and with M~ + s K, by two transforms and a division (the
-fast Poisson solver of Buzbee, Golub & Nielson 1970), each transform two
-BLAS products with the N x N DST-I matrix.  Every matrix the package
+solves with it by two transforms and a division (the fast Poisson solver
+of Buzbee, Golub & Nielson 1970), each transform two BLAS products with
+the N x N DST-I matrix.  Every matrix the package
 factors -- the SPD M, alpha T_ff and alpha/2 M + sigma I, and the
 complex-symmetric A -- equals its plain transpose and has a zero-free
 diagonal, so its LU takes SuperLU's symmetric mode; factorize rejects
@@ -57,8 +66,9 @@ any other matrix.  For the same reason every solve is SuperLU's
 transposed one: A^T x = b is A x = b when A = A^T, and SuperLU runs it
 20-30% faster on these factors.
 
-Matrices are CSR and immutable once assembled; every solver call owns its
-workspace, so concurrent solves on shared operators are safe.
+Matrices are CSR and immutable once assembled.  A SaddleSolver keeps its
+workspace and its last solves, so it serves one sequence of solves at a
+time; distinct solvers on shared operators may run concurrently.
 """
 
 import math
@@ -151,9 +161,18 @@ def _stencil_order(K):
 
 
 def _sine_spectra(N):
-    """The eigenvalues of M~ and of K on the N x N grid in the sine basis
-    (SineSolver), as two N x N arrays: h^2/12 (6 + c_j + c_k + c_j c_k/2)
-    and 4 sin^2(j pi h/2) + 4 sin^2(k pi h/2), c_j = 2 cos(j pi h)."""
+    """The eigenvalues of M~ and of K on the N x N grid in the sine basis,
+    as two N x N arrays: h^2/12 (6 + c_j + c_k + c_j c_k/2) and
+    4 sin^2(j pi h/2) + 4 sin^2(k pi h/2), c_j = 2 cos(j pi h).
+
+    The DST-I matrix S diagonalizes the 1-D stencils [-1, 2, -1] and
+    E + E^T = [1, 0, 1] (E the shift) with the eigenvalues
+    4 sin^2(j pi h/2) and c_j, h = 1/(N + 1).  The mesh's mass matrix is
+    h^2/12 [6 I + (E+E^T) x I + I x (E+E^T) + E x E + E^T x E^T], or with
+    E x E^T + E^T x E when the diagonals run the other way.  These last
+    two terms are 1/2 (E+E^T) x (E+E^T) +- 1/2 (E-E^T) x (E-E^T);
+    dropping the skew part leaves M~, whose eigenvalues are the first
+    array for either direction."""
     h = 1.0 / (N + 1)
     j = np.arange(1, N + 1)
     lam = _sine_eigenvalues(h, j)
@@ -164,31 +183,22 @@ def _sine_spectra(N):
 
 
 class SineSolver:
-    """Solver with mass M~ + stiffness K, K the 5-point stencil
-    [-1; -1, 4, -1; -1] on an N x N interior grid numbered row by row (the
-    P1 stiffness matrix of the uniform Friedrichs-Keller mesh,
-    mesh.assemble_stiffness); the defaults solve with K alone.
+    """Solver with K, the 5-point stencil [-1; -1, 4, -1; -1] on an N x N
+    interior grid numbered row by row (the P1 stiffness matrix of the
+    uniform Friedrichs-Keller mesh, mesh.assemble_stiffness).
 
-    The DST-I matrix S has S^2 = (N+1)/2 I and diagonalizes the 1-D
-    stencils [-1, 2, -1] and E + E^T = [1, 0, 1] (E the shift) with the
-    eigenvalues 4 sin^2(j pi h/2) and c_j = 2 cos(j pi h), h = 1/(N + 1).
-    The mesh's mass matrix is h^2/12 [6 I + (E+E^T) x I + I x (E+E^T)
-    + E x E + E^T x E^T], or with E x E^T + E^T x E when the diagonals
-    run the other way.  These last two terms are 1/2 (E+E^T) x (E+E^T)
-    +- 1/2 (E-E^T) x (E-E^T); dropping the skew part leaves M~, with the
-    eigenvalues h^2/12 (6 + c_j + c_k + c_j c_k/2) for either direction
+    The DST-I matrix S has S^2 = (N+1)/2 I and diagonalizes K
     (_sine_spectra).  So with b on the grid as B, the solve is
-    S (S B S / D) S, where D_jk is the eigenvalue of mass M~ + stiffness K
-    times ((N+1)/2)^2: two 2-D sine transforms and a division, with S and
-    D the only arrays stored (N^2 entries each, no factor).  The
-    constructor raises ValueError for any other K (_stencil_order).
+    S (S B S / D) S, where D_jk is the eigenvalue of K times
+    ((N+1)/2)^2: two 2-D sine transforms and a division, with S and D the
+    only arrays stored (N^2 entries each, no factor).  The constructor
+    raises ValueError for any other K (_stencil_order).
     """
 
-    def __init__(self, K, mass=0.0, stiffness=1.0):
+    def __init__(self, K):
         N = _stencil_order(K)
-        mu, kappa = _sine_spectra(N)
         self._S = _sine_matrix(N)
-        self._denom = (mass * mu + stiffness * kappa) * (0.5 * (N + 1)) ** 2
+        self._denom = _sine_spectra(N)[1] * (0.5 * (N + 1)) ** 2
 
     def solve(self, rhs):
         """The solution for a length-n rhs, or for each row of an m x n
@@ -203,7 +213,7 @@ class SineSolver:
 def _check_mass(M, N):
     """Raise ValueError unless M = M~ + h^2/24 (E-E^T) x (E-E^T) on the
     N x N grid: the mass matrix of mesh.build_mesh, whose diagonals couple
-    X[i,j] with X[i+1,j+1] (SineSolver).  Like _stencil_order it checks
+    X[i,j] with X[i+1,j+1] (_sine_spectra).  Like _stencil_order it checks
     one product, here with a positive random grid: every entry of M x and
     of the stencil applied by slicing is a sum of positive terms, so the
     two agree to a few units of round-off, and an entry of M off by more
@@ -234,31 +244,39 @@ _RHO_STEPS = 10
 _SPECTRAL_RTOL = 1e-14
 
 
-class _SineRichardson:
-    """Richardson iteration for A z = r on the N x N grid, A = M - i s K
-    with K the 5-point stencil and M = M~ + c (E-E^T) x (E-E^T),
-    c = h^2/24, the mesh's mass matrix, preconditioned by A~ = M~ - i s K
-    and run in the sine basis.
+class _SineBasis:
+    """The saddle operator of one (N, gamma) in the orthonormal sine basis,
+    where both backends of SaddleSolver run.  K is the 5-point stencil on
+    the N x N grid and M = M~ + c (E-E^T) x (E-E^T), c = h^2/24, the
+    mesh's mass matrix; s = sqrt(gamma).
 
     With the orthonormal DST-I matrix S~ = sqrt(2/(N+1)) S, its own
-    inverse, and F(X) = S~ X S~, A~ becomes the diagonal
-    lam = mu - i s kappa (_sine_spectra), and the rest of A,
-    c (E-E^T) x (E-E^T), becomes X -> c Q X Q^T with the dense skew
-    Q = S~ (E-E^T) S~:
+    inverse, and F(X) = S~ X S~, M~ and K become the diagonals mu and
+    kappa (_sine_spectra), and the rest of M, c (E-E^T) x (E-E^T),
+    becomes X -> c Q X Q^T with the dense skew Q = S~ (E-E^T) S~:
 
-        F(A X) = lam o F(X) + c Q F(X) Q^T.
+        F(M X) = mu o F(X) + c Q F(X) Q^T,    F(K X) = kappa o F(X).
 
-    A step z += A~^-1 r maps the transformed residual R to -c Q (R/lam) Q^T,
-    one pair of N x N products and no sparse product.  solve transforms
-    its residual once, steps until ||R|| <= target or a step fails to
-    halve ||R||, and transforms the sum of its steps back once.  A complex
-    grid is held as the real stack (Re, Im) of shape (2, N, N), so every
-    product is a real BLAS one.  It is built from N and s alone; that K
-    and M are the mesh's is for the caller to check (_stencil_order,
-    _check_mass).
+    A pair of grids is held as a stack of shape (2, N, N), so the skew
+    term of both is one pair of real N x N BLAS products, and neither
+    backend makes a sparse product or a transform per step:
+
+    * the direct backend's Richardson on A = M - i s K, preconditioned by
+      A~ = M~ - i s K, which is the diagonal lam = mu - i s kappa there,
+      on the stack (Re, Im) of a complex grid (solve, contraction);
+    * the pmhss_gmres backend's GMRES on the block operator
+      [[M/gamma, K], [-K, M]] on the stack (y, u) (block), preconditioned
+      by PMHSS, whose G~ = M~ + s K is the diagonal mu + s kappa there
+      (G_solve).
+
+    It is built from N and gamma alone; that K and M are the mesh's is for
+    the caller to check (_stencil_order, _check_mass).
     """
 
-    def __init__(self, N, s):
+    def __init__(self, N, gamma):
+        s = math.sqrt(gamma)
+        self.N = N
+        self.gamma = gamma
         self.c = (1.0 / (N + 1)) ** 2 / 24.0
         mu, kappa = _sine_spectra(N)
         self.lam = mu - 1j * s * kappa
@@ -273,18 +291,41 @@ class _SineRichardson:
         inv = 1.0 / self.lam
         self._inv = np.stack([inv.real, inv.real])
         self._inv_swap = np.stack([-inv.imag, inv.imag])
+        # the block operator's diagonal part on (Y, U) is
+        # X * _block + X[::-1] * _block_swap
+        self._block = np.stack([mu / gamma, mu])
+        self._block_swap = np.stack([kappa, -kappa])
+        self._G = (mu + s * kappa).ravel()
 
     def transform(self, X):
         """F(X) for a (2, N, N) stack: F is its own inverse."""
         return _sine_transform(self._S, X)
 
+    def _skew(self, X):
+        """-c Q X Q^T for each grid of a (2, N, N) stack."""
+        N = self.N
+        return ((self.Q @ X).reshape(2 * N, N) @ self._cQt).reshape(X.shape)
+
+    def block(self, x):
+        """The transformed block operator [[M/gamma, K], [-K, M]] applied
+        to the flat stack x = (Y, U) of two transformed grids."""
+        X = x.reshape(2, self.N, self.N)
+        T = self._skew(X)
+        T[0] /= self.gamma
+        out = X * self._block
+        out += X[::-1] * self._block_swap
+        out -= T
+        return out.reshape(x.shape)
+
+    def G_solve(self, B):
+        """G~^-1 for each row of a 2 x N^2 stack of transformed grids."""
+        return B / self._G
+
     def _step(self, R):
         """C = R / lam and the transformed residual -c Q C Q^T it leaves."""
         C = R * self._inv
         C += R[::-1] * self._inv_swap
-        N = C.shape[-1]
-        return C, ((self.Q @ C).reshape(2 * N, N) @ self._cQt) \
-            .reshape(C.shape)
+        return C, self._skew(C)
 
     def contraction(self, bound=np.inf):
         """The spectral radius of I - A~^-1 A, estimated as the norm ratio
@@ -307,8 +348,9 @@ class _SineRichardson:
 
     def solve(self, r, target):
         """dz with A dz = r up to a transformed residual ||R|| <= target
-        (||F(r)|| = ||r||), or to where a step fails to halve ||R||."""
-        N = self._S.shape[0]
+        (||F(r)|| = ||r||), or to where a step fails to halve ||R||: it
+        transforms r once, and the sum of its steps back once."""
+        N = self.N
         R = self.transform(np.stack([r.real, r.imag]).reshape(2, N, N))
         Z = np.zeros_like(R)
         res = np.linalg.norm(R)
@@ -344,37 +386,46 @@ def pmhss_apply(gamma, G_solver, r):
 
     P = (1/gamma) [[I, sg I], [-sg I, gamma I]] diag(G, G) with
     sg = sqrt(gamma) and G the SPD matrix that G_solver solves with
-    (SaddleSolver's is G~ = M~ + sg K); the block-scalar factor is inverted
-    in closed form ((1/gamma)[[1, sg], [-sg, gamma]] has determinant 2),
-    then G_solver solves with G for both halves in one call on the 2 x n
-    stack of them.
+    (SaddleSolver's is G~ = M~ + sg K in the sine basis, the division by
+    mu + sg kappa of _SineBasis.G_solve); the block-scalar factor is
+    inverted in closed form ((1/gamma)[[1, sg], [-sg, gamma]] has
+    determinant 2), then G_solver solves with G for both halves in one
+    call on the 2 x n stack of them.
     """
     if gamma <= 0:
         raise ValueError("gamma must be positive")
-    n = len(r) // 2
     sg = np.sqrt(gamma)
-    r1, r2 = r[:n], r[n:]
-    # inverse of the scalar factor: 0.5 * [[gamma, -sg], [sg, 1]]
-    s1 = 0.5 * (gamma * r1 - sg * r2)
-    s2 = 0.5 * (sg * r1 + r2)
-    return G_solver(np.stack([s1, s2])).ravel()
+    # inverse of the scalar factor, on the 2 x n stack of halves of r
+    inv = np.array([[0.5 * gamma, -0.5 * sg], [0.5 * sg, 0.5]])
+    return G_solver(inv @ r.reshape(2, -1)).ravel()
 
 
-def gmres(A_apply, P_apply, rhs, tol, max_iter=500, restart=50, x0=None):
+# GMRES's restart length: a cycle's basis holds _RESTART + 1 vectors
+_RESTART = 50
+
+
+def gmres(A_apply, P_apply, rhs, tol, max_iter=500, restart=_RESTART,
+          x0=None, r0=None, work=None):
     """Right-preconditioned restarted GMRES from x0 (zero by default).
 
     P_apply applies P^{-1}.  Returns (x, stats, r) with r = rhs - A x, the
     true residual of x.  Stops when ||r|| <= tol * ||rhs|| (right
     preconditioning keeps the recurrence residual equal to the true one).
     A cycle keeps the preconditioned directions z_j = P^{-1} v_j beside the
-    Krylov basis v_j, as the rows of two arrays allocated once per cycle,
-    so x = x0 + Z y needs no further preconditioner application:
-    a cycle of j iterations applies P^{-1} j times and A j + 1 times (the
-    last for the true residual it ends on, from which the next cycle
-    starts).  A nonzero start costs one more product with A; an x0 that
-    already meets the target takes 0 iterations.  Happy breakdown counts
-    as convergence; hitting max_iter is reported through the stats flag,
-    never an exception.
+    Krylov basis v_j, so x = x0 + Z y needs no further preconditioner
+    application: a cycle of j iterations applies P^{-1} j times and A
+    j + 1 times (the last for the true residual it ends on, from which the
+    next cycle starts).  A nonzero start costs one more product with A,
+    unless the caller hands in its residual r0 = rhs - A x0; an x0 whose
+    residual already meets the target takes 0 iterations and returns that
+    residual.  Happy breakdown counts as convergence; hitting max_iter is
+    reported through the stats flag, never an exception.
+
+    The basis and the directions are the rows of the pair of arrays
+    work = (V, Z), of at least restart + 1 and restart rows of len(rhs),
+    that a caller making many solves allocates once and hands to each; by
+    default each call makes its own.  The returned x and r never alias
+    them.
     """
     if tol <= 0:
         raise ValueError("tolerance must be positive")
@@ -389,7 +440,11 @@ def gmres(A_apply, P_apply, rhs, tol, max_iter=500, restart=50, x0=None):
         x, r = np.zeros(n), rhs
     else:
         x = np.array(x0, dtype=float)
-        r = rhs - A_apply(x)
+        r = rhs - A_apply(x) if r0 is None else r0
+    if work is None:
+        m = min(restart, max_iter)
+        work = np.empty((m + 1, n)), np.empty((m, n))
+    V, Z = work
 
     total_iters = 0
     res = np.linalg.norm(r)
@@ -403,23 +458,21 @@ def gmres(A_apply, P_apply, rhs, tol, max_iter=500, restart=50, x0=None):
         g = np.zeros(m + 1)
 
         beta = res
-        V = np.empty((m + 1, n))
-        Z = np.empty((m, n))
-        V[0] = r / beta
+        np.divide(r, beta, out=V[0])
         g[0] = beta
 
         j = 0
         for j in range(m):
             Z[j] = P_apply(V[j])
-            # copy: operators may return their argument (e.g. identity)
-            w = np.array(A_apply(Z[j]), dtype=float)
+            w = V[j + 1]
+            w[:] = A_apply(Z[j])
             for i in range(j + 1):          # modified Gram-Schmidt
                 H[i, j] = w @ V[i]
                 w -= H[i, j] * V[i]
             H[j + 1, j] = np.linalg.norm(w)
             happy = H[j + 1, j] < 1e-14 * beta
             if not happy:
-                V[j + 1] = w / H[j + 1, j]
+                w /= H[j + 1, j]
             for i in range(j):              # apply stored Givens rotations
                 t = cs[i] * H[i, j] + sn[i] * H[i + 1, j]
                 H[i + 1, j] = -sn[i] * H[i, j] + cs[i] * H[i + 1, j]
@@ -461,7 +514,8 @@ class _SolutionWindow:
     A d_j = (b_j - r_j) - (b_{j-1} - r_{j-1}) costs no product with A.
     start(b) returns x_{k-1} + D^T h, where h minimizes ||r0 - C^T h|| and
     r0 = b - (b_{k-1} - r_{k-1}) is the residual of the plain start x_{k-1}
-    (Fischer 1998), so its residual is never the larger one.
+    (Fischer 1998), so its residual is never the larger one; that
+    residual, r0 - C^T h, comes with it, again without a product.
 
     The small least-squares problem is solved over the whole window at
     every start, by the normal equations on the Gram matrix C C^T with
@@ -469,62 +523,80 @@ class _SolutionWindow:
     dependent (scaled condition up to ~1e9 on the Stadler problem).  The
     rows are kept as they came, never orthonormalized, because dropping
     the oldest row of an orthonormalized window changes its span.  Row
-    order does not matter, so a new update overwrites the oldest row.  The
-    window takes 2 * _WINDOW vectors of b's length.
+    order does not matter, so a new update overwrites the oldest row.
+
+    The window takes 2 * _WINDOW vectors of b's length, and each pass over
+    them is memory-bound: a record makes the new row of C C^T (one pass
+    over C), and a start reads C for C r0 and then D and C together, held
+    as the pairs DC[j] = (d_j, A d_j), for D^T h and C^T h in one pass.
     """
 
     def __init__(self):
         self.count = 0          # updates recorded so far
-        self.D = self.C = None
+        self.DC = self.G = None
         self.x = self.Ax = None
 
     def start(self, b):
-        """The start for rhs b: None before the first solve, the last
-        solution before the second, the minimal-residual one after."""
+        """The start for rhs b and its residual b - A x0: (None, None)
+        before the first solve, the last solution before the second, the
+        minimal-residual one after."""
+        if self.x is None:
+            return None, None
+        r = b - self.Ax
         if self.count == 0:
-            return self.x
+            return self.x, r
         k = min(self.count, _WINDOW)
-        C = self.C[:k]
-        G = C @ C.T
-        s = 1.0 / np.sqrt(G.diagonal())
-        G *= np.outer(s, s)
-        h = np.linalg.lstsq(G, s * (C @ (b - self.Ax)), rcond=_GRAM_RCOND)[0]
-        return self.x + (s * h) @ self.D[:k]
+        s = 1.0 / np.sqrt(self.G.diagonal()[:k])
+        G = self.G[:k, :k] * np.outer(s, s)
+        h = s * np.linalg.lstsq(G, s * (self.DC[:k, 1] @ r),
+                                rcond=_GRAM_RCOND)[0]
+        dx, dr = (h @ self.DC[:k].reshape(k, -1)).reshape(2, -1)
+        dx += self.x
+        np.subtract(r, dr, out=dr)
+        return dx, dr
 
     def record(self, x, b, r):
         """Add the solution x of rhs b with true residual r = b - A x; a
         solve that left x unchanged adds no update."""
         Ax = b - r
         if self.x is not None and np.any(x != self.x):
-            if self.D is None:
-                self.D = np.empty((_WINDOW, len(x)))
-                self.C = np.empty((_WINDOW, len(x)))
+            if self.DC is None:
+                self.DC = np.empty((_WINDOW, 2, len(x)))
+                self.G = np.empty((_WINDOW, _WINDOW))
             row = self.count % _WINDOW
-            self.D[row] = x - self.x
-            self.C[row] = Ax - self.Ax
+            d, c = self.DC[row]
+            np.subtract(x, self.x, out=d)
+            np.subtract(Ax, self.Ax, out=c)
             self.count += 1
+            k = min(self.count, _WINDOW)
+            self.G[row, :k] = self.G[:k, row] = self.DC[:k, 1] @ c
         self.x, self.Ax = x, Ax
 
 
 class SaddleSolver:
     """Reusable solver for a fixed (M, K, gamma) saddle operator.
 
-    Holds A = M - i sqrt(gamma) K.  The direct backend picks its path once,
-    on its first solve (_richardson): the sine-basis Richardson iteration
-    (_SineRichardson) when K is the 5-point stencil, M the mesh's mass
-    matrix and I - A~^-1 A contracts by at most _SPECTRAL_MAX_RHO; else
-    one sparse LU of A.  Either way a solve costs one complex product for
-    its true residual b - A z and reports no iterations.  The Richardson
-    starts each solve from the last solution z_prev, whose residual
-    b - A z_prev it takes from the kept A z_prev without a product.  The
-    pmhss_gmres backend runs right-preconditioned GMRES from the window of
-    its earlier solves, preconditioned by PMHSS with G~ = M~ + sqrt(gamma) K
-    (G_solve), and factors nothing.  Both report the achieved
-    ||r1|| + ||r2|| relative to ||rhs|| in the stats and leave the block
-    residual (r1, r2) of the last solve in self.residual.  The direct
-    backend fills its complex rhs into one buffer, and both start from
-    their earlier solves, so a solver serves one sequence of solves at a
-    time.
+    Both backends work in one sine basis of the N x N grid (_SineBasis),
+    made once per solver, and both need K to be the mesh's 5-point stencil
+    and M its mass matrix, which the solver checks once, by one product
+    each (_stencil_order, _check_mass).  The direct backend picks its path on
+    its first solve (_richardson): the sine-basis Richardson iteration
+    when K and M are the mesh's and I - A~^-1 A contracts by at most
+    _SPECTRAL_MAX_RHO (tested first, so the LU pays for no matrix check);
+    else one sparse LU of A = M - i sqrt(gamma) K.  The Richardson starts
+    each solve from the last solution z_prev, whose residual b - A z_prev
+    it takes from the kept A z_prev without a product.  The pmhss_gmres
+    backend needs the mesh's K and M (ValueError otherwise): it transforms
+    its rhs once, runs right-preconditioned GMRES on the transformed block
+    operator from the window of its earlier solves, preconditioned by
+    PMHSS with the diagonal G~ = M~ + sqrt(gamma) K, in one workspace kept
+    for all its solves, and transforms the solution back once; no GMRES
+    iteration makes a sparse product or a transform, and nothing is
+    factored.  Either backend then makes one complex product with A for
+    the true block residual (r1, r2) of the solve, leaves it in
+    self.residual and reports its ||r1|| + ||r2|| relative to ||rhs|| in
+    the stats.  Both start from their earlier solves and fill one rhs
+    buffer, so a solver serves one sequence of solves at a time.
     """
 
     def __init__(self, M, K, gamma):
@@ -533,47 +605,67 @@ class SaddleSolver:
         self.gamma = gamma
         self.n = M.shape[0]
         self._s = np.sqrt(gamma)
-        self._A = (M - 1j * self._s * K).tocsr()
         self._direct = None
-        self._b = None          # the direct solve's complex rhs, made once
+        self._b = None          # the complex rhs s rhs_top + i rhs_bottom
         self._z = self._Az = 0.0    # the last sine-basis solution and A z
         self._window = _SolutionWindow()
+        self._work = None       # the GMRES basis and directions
         self.residual = None
 
     @cached_property
-    def G_solve(self):
-        """Solves with G~ = M~ + sqrt(gamma) K for a stack of right-hand
-        sides by sine transforms (SineSolver), made on the first pmhss_gmres
-        solve.  It needs K to be the mesh's 5-point stencil; a saddle
-        solver built with another K must put its own solve with an SPD G,
-        taking the same stacks, into this slot before a pmhss_gmres solve.
-        """
-        return SineSolver(self.K, mass=1.0, stiffness=self._s).solve
+    def _A(self):
+        """A = M - i sqrt(gamma) K, made on first use."""
+        return (self.M - 1j * self._s * self.K).tocsr()
+
+    @cached_property
+    def _sine(self):
+        """The sine basis of the N x N grid (_SineBasis), or None when n is
+        no square."""
+        N = math.isqrt(self.n)
+        return _SineBasis(N, self.gamma) if N * N == self.n else None
+
+    @cached_property
+    def _mesh_error(self):
+        """None when K is the mesh's 5-point stencil and M its mass matrix,
+        else the reason they are not."""
+        if self._sine is None:
+            return "K and M must be of order N^2"
+        try:
+            _stencil_order(self.K)
+            _check_mass(self.M, self._sine.N)
+        except ValueError as exc:
+            return str(exc)
+        return None
 
     @cached_property
     def _richardson(self):
-        """The direct backend's sine-basis Richardson (_SineRichardson), or
-        None, and then the backend factors A: when I - A~^-1 A contracts by
-        more than _SPECTRAL_MAX_RHO per step, or K or M is not the mesh's.
-        The contraction is tested first, so a solver that takes the LU
-        pays for no matrix check."""
-        N = math.isqrt(self.n)
-        if N * N != self.n:
+        """The sine basis for the direct backend's Richardson, or None, and
+        then the backend factors A: when I - A~^-1 A contracts by more
+        than _SPECTRAL_MAX_RHO per step, or K or M is not the mesh's."""
+        sine = self._sine
+        if (sine is None
+                or sine.contraction(bound=_SPECTRAL_MAX_RHO) > _SPECTRAL_MAX_RHO
+                or self._mesh_error is not None):
             return None
-        richardson = _SineRichardson(N, self._s)
-        if richardson.contraction(bound=_SPECTRAL_MAX_RHO) > _SPECTRAL_MAX_RHO:
-            return None
-        try:
-            _stencil_order(self.K)
-            _check_mass(self.M, N)
-        except ValueError:
-            return None
-        return richardson
+        return sine
 
-    def _apply(self, x):
-        """[[M/gamma, K], [-K, M]] [y; u] as one product with A."""
-        w = self._A @ (x[:self.n] / self._s + 1j * x[self.n:])
-        return np.concatenate([w.real / self._s, w.imag])
+    def _pmhss_gmres(self, rhs_top, rhs_bottom, rel):
+        """(y, u, GMRES iterations) of a pmhss_gmres solve to relative
+        residual rel, in the sine basis."""
+        sine = self._sine
+        N = sine.N
+        rhs = sine.transform(np.stack([rhs_top, rhs_bottom])
+                             .reshape(2, N, N)).ravel()
+        if self._work is None:
+            self._work = (np.empty((_RESTART + 1, 2 * self.n)),
+                          np.empty((_RESTART, 2 * self.n)))
+        x0, r0 = self._window.start(rhs)
+        P = lambda v: pmhss_apply(self.gamma, sine.G_solve, v)
+        x, stats, r = gmres(sine.block, P, rhs, rel, x0=x0, r0=r0,
+                            work=self._work)
+        self._window.record(x, rhs, r)
+        y, u = sine.transform(x.reshape(2, N, N)).reshape(2, self.n)
+        return y, u, stats.iterations
 
     def solve(self, rhs_top, rhs_bottom, backend="direct", tol=1e-10):
         """Solve for (y, u); returns (y, u, InnerSolveStats).
@@ -588,13 +680,13 @@ class SaddleSolver:
         its first solve starts from zero.
         """
         norm_b = math.sqrt(rhs_top @ rhs_top + rhs_bottom @ rhs_bottom)
+        if self._b is None:
+            self._b = np.empty(self.n, dtype=complex)
+        b = self._b
+        np.multiply(self._s, rhs_top, out=b.real)
+        b.imag = rhs_bottom
         stats_iters = 0
         if backend == "direct":
-            if self._b is None:
-                self._b = np.empty(self.n, dtype=complex)
-            b = self._b
-            np.multiply(self._s, rhs_top, out=b.real)
-            b.imag = rhs_bottom
             richardson = self._richardson
             if richardson is None:
                 if self._direct is None:
@@ -611,28 +703,26 @@ class SaddleSolver:
                 Az = self._A @ z
                 self._z, self._Az = z, Az
             y, u = self._s * z.real, np.ascontiguousarray(z.imag)
-            # b - A z = s r1 + i r2 in terms of the block residuals (r1, r2)
-            r = b - Az
-            self.residual = (r.real / self._s, r.imag)
         elif backend == "pmhss_gmres":
-            rhs = np.concatenate([rhs_top, rhs_bottom])
+            if self._mesh_error is not None:
+                raise ValueError("pmhss_gmres needs the mesh's K and M: "
+                                 + self._mesh_error)
             if norm_b == 0.0:
-                x = r = np.zeros(2 * self.n)
+                y, u = np.zeros((2, self.n))
             else:
-                G_solve = self.G_solve
-                P = lambda v: pmhss_apply(self.gamma, G_solve, v)
-                x0 = self._window.start(rhs)
                 # ||r1|| + ||r2|| <= sqrt(2) ||r||_2, so aim for tol/sqrt(2)
-                rel = tol / (np.sqrt(2.0) * norm_b)
-                x, st, r = gmres(self._apply, P, rhs, rel, x0=x0)
-                self._window.record(x, rhs, r)
-                stats_iters = st.iterations
-            y, u = x[:self.n], x[self.n:]
-            self.residual = (r[:self.n], r[self.n:])
+                y, u, stats_iters = self._pmhss_gmres(
+                    rhs_top, rhs_bottom, tol / (np.sqrt(2.0) * norm_b))
+            z = np.empty(self.n, dtype=complex)
+            np.divide(y, self._s, out=z.real)
+            z.imag = u
+            Az = self._A @ z
         else:
             raise ValueError(f"unknown saddle backend {backend!r}")
 
-        r1, r2 = self.residual
+        # b - A z = s r1 + i r2 in terms of the block residuals (r1, r2)
+        r = b - Az
+        self.residual = r1, r2 = r.real / self._s, r.imag
         achieved = math.sqrt(r1 @ r1) + math.sqrt(r2 @ r2)
         rel_res = achieved / norm_b if norm_b > 0 else 0.0
         converged = backend == "direct" or norm_b == 0.0 or achieved <= tol

@@ -1,3 +1,4 @@
+import collections
 import dataclasses
 import math
 import numpy as np
@@ -11,7 +12,7 @@ from sparseoc import linalg, mesh as fem, solvers
 from sparseoc.linalg import (factorize, FactorizationError, pmhss_apply,
                              gmres, SaddleSolver, SineSolver,
                              estimate_mkinv_norm, _SolutionWindow, _WINDOW,
-                             _sine_matrix, _sine_transform, _SineRichardson,
+                             _sine_matrix, _sine_transform, _SineBasis,
                              _check_mass)
 from sparseoc.solvers import SolverConfig, solve_two_phase
 from sparseoc.experiments import (EXAMPLE1_PARAMS, EXAMPLE2_PARAMS,
@@ -181,7 +182,7 @@ def test_pmhss_zero():
 
 def _mass_without_skew(m):
     """M~ = h^2/12 [6 I + T x I + I x T + 1/2 T x T], T = E + E^T with E
-    the N x N shift, built by sp.kron from the stencil in the SineSolver
+    the N x N shift, built by sp.kron from the stencil in the _sine_spectra
     docstring; checks that the mesh's mass matrix M differs from it by
     the skew part +-h^2/24 (E - E^T) x (E - E^T) alone, whose sign
     follows the direction of the mesh diagonals."""
@@ -198,23 +199,35 @@ def _mass_without_skew(m):
     return Mt.tocsr()
 
 
+def _transform(sine, x):
+    """F applied to each half of a flat pair of grids x (or to each such
+    pair, the rows of a stack): the nodal <-> sine basis map of the
+    pmhss_gmres backend, its own inverse."""
+    N = sine.N
+    return sine.transform(x.reshape(-1, 2, N, N)).reshape(x.shape)
+
+
+def _G_tilde_solve(sine, B):
+    """G~^-1 B for a 2 x n stack B of nodal grids, by the sine-basis
+    diagonal solve of the pmhss_gmres backend."""
+    return _transform(sine, sine.G_solve(_transform(sine, B)))
+
+
 @pytest.mark.parametrize("level", range(1, 6))
 def test_G_tilde_solve_matches_dense_solve(meshes, level):
-    # the sine-transform solve with G~ = M~ + s K against a dense solve,
-    # over the range of s = sqrt(gamma) the examples reach (Stadler's is
-    # ~2.7e-3); a stack of two grids gives the two one-grid solves
+    # the diagonal solve with G~ = M~ + s K in the sine basis against a
+    # dense solve, over the range of s = sqrt(gamma) the examples reach
+    # (Stadler's is ~2.7e-3), on a stack of two grids
     m = meshes(level)
     K = fem.assemble_stiffness(m)
     Mt = _mass_without_skew(m).toarray()
     rng = np.random.default_rng(level)
     for s in (1e-4, 2.7e-3, 0.05, 1.0):
         B = rng.standard_normal((2, K.shape[0]))
-        solve = SineSolver(K, mass=1.0, stiffness=s).solve
-        got = solve(B)
+        got = _G_tilde_solve(_SineBasis(math.isqrt(K.shape[0]), s * s), B)
         want = np.linalg.solve(Mt + s * K.toarray(), B.T).T
         assert got.shape == want.shape
         assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
-        assert np.array_equal(got, np.stack([solve(B[0]), solve(B[1])]))
 
 
 @pytest.mark.parametrize("level", [3, 4, 5])
@@ -227,20 +240,65 @@ def test_mass_without_skew_is_spectrally_close(meshes, level):
     assert 0.6 <= lam.min() and lam.max() <= 1.4
 
 
+# a gamma of the Stadler problem's size and the one of criterion 8
+_PMHSS_GAMMAS = (7.5e-6, 0.3)
+
+
 def test_pmhss_round_trip(meshes):
-    m = meshes(2)
-    K = fem.assemble_stiffness(m)
-    gamma = 0.3
-    sg = np.sqrt(gamma)
-    G = (_mass_without_skew(m) + sg * K).toarray()
-    G_solve = SaddleSolver(fem.assemble_mass(m), K, gamma).G_solve
-    n = K.shape[0]
-    P = (1.0 / gamma) * np.block(
-        [[np.eye(n), sg * np.eye(n)], [-sg * np.eye(n), gamma * np.eye(n)]]) \
-        @ np.block([[G, np.zeros((n, n))], [np.zeros((n, n)), G]])
-    rng = np.random.default_rng(11)
-    r = rng.standard_normal(2 * n)
-    assert np.abs(P @ pmhss_apply(gamma, G_solve, r) - r).max() < 1e-10
+    # the diagonal PMHSS inverse of the sine basis, between the nodal maps,
+    # inverts the sparse P = (1/gamma) [[I, s I], [-s I, gamma I]]
+    # diag(G~, G~) assembled from M~ + s K, at the Stadler gamma (7.5e-6)
+    # and at 0.3, to round-off of the scale of P's terms
+    for level in range(2, 7):
+        m = meshes(level)
+        K = fem.assemble_stiffness(m)
+        n = K.shape[0]
+        for gamma in _PMHSS_GAMMAS:
+            sg = math.sqrt(gamma)
+            G = _mass_without_skew(m) + sg * K
+            P = sp.bmat([[G / gamma, sg / gamma * G], [-sg / gamma * G, G]])
+            sine = _SineBasis(math.isqrt(n), gamma)
+            r = np.random.default_rng(level).standard_normal(2 * n)
+            x = _transform(sine, pmhss_apply(gamma, sine.G_solve,
+                                             _transform(sine, r)))
+            scale = np.linalg.norm(abs(P) @ abs(x))
+            assert np.linalg.norm(P @ x - r) <= 1e-14 * scale
+
+
+@pytest.mark.parametrize("level", range(2, 7))
+@pytest.mark.parametrize("gamma", _PMHSS_GAMMAS)
+def test_sine_basis_block_operator_is_the_sparse_one(meshes, level, gamma):
+    # the pmhss_gmres backend's operator on a random pair of transformed
+    # grids equals F [[M/gamma, K], [-K, M]] F to round-off of its terms
+    m = meshes(level)
+    M, K = fem.assemble_mass(m), fem.assemble_stiffness(m)
+    sine = SaddleSolver(M, K, gamma)._sine
+    B = sp.bmat([[M / gamma, K], [-K, M]]).tocsr()
+    x = np.random.default_rng(level).standard_normal(2 * m.n_interior)
+    want = _transform(sine, B @ _transform(sine, x))
+    scale = np.linalg.norm(abs(B) @ abs(_transform(sine, x)))
+    assert np.linalg.norm(sine.block(x) - want) <= 1e-14 * scale
+
+
+def test_pmhss_gmres_needs_the_mesh_matrices(meshes):
+    # the backend checks K (the 5-point stencil) and M (the mesh's mass
+    # matrix) by one product each; a K or an M off in one entry, or a
+    # system of no square order, is refused
+    m = meshes(4)
+    M, K = fem.assemble_mass(m), fem.assemble_stiffness(m)
+    rhs = np.ones(m.n_interior)
+    bad_K, bad_M = K.copy(), M.copy()
+    bad_K.data[17] += 1e-9
+    bad_M.data[17] *= 1.0 + 1e-9
+    for A, B, match in ((M, bad_K, "not the 5-point stencil"),
+                        (bad_M, K, "not the P1 mass matrix")):
+        solver = SaddleSolver(A, B, 0.3)
+        with pytest.raises(ValueError, match=match):
+            solver.solve(rhs, rhs, backend="pmhss_gmres")
+    prob = random_tiny_problem(np.random.default_rng(0), n=5)
+    with pytest.raises(ValueError, match="order N"):
+        SaddleSolver(prob.M, prob.K, 0.3).solve(
+            np.ones(5), np.ones(5), backend="pmhss_gmres")
 
 
 def test_pmhss_rejects_bad_gamma(meshes):
@@ -331,40 +389,48 @@ def test_saddle_pmhss_recycled_start_meets_the_dense_block_target(meshes):
 
 @settings(max_examples=60, deadline=None, derandomize=True, database=None)
 @given(seed=st.integers(0, 2**32 - 1),
-       backend=st.sampled_from(["direct", "pmhss_gmres"]))
-def test_saddle_residual_gives_state_and_adjoint_functionals(seed, backend):
+       backend=st.sampled_from(["direct", "pmhss_gmres"]),
+       level=st.integers(2, 4))
+def test_saddle_residual_gives_state_and_adjoint_functionals(meshes, seed,
+                                                             backend, level):
     # an ihADMM u-step: the residual the solver keeps is the block residual
     # of (y, u), and so the state and adjoint functionals of the iterate;
-    # a loose Krylov target leaves it far above round-off
+    # a loose Krylov target leaves it far above round-off.  The direct
+    # backend runs on the oracle's random problems (its LU path), the
+    # pmhss_gmres one, which needs the mesh's K and M, on a mesh with
+    # random data
     rng = np.random.default_rng(seed)
-    prob = random_tiny_problem(rng)
-    M, K, n = prob.M, prob.K, prob.n
+    if backend == "direct":
+        prob = random_tiny_problem(rng)
+        M, K, n, alpha = prob.M, prob.K, prob.n, prob.alpha
+        yd, yc = prob.yd, prob.yc
+    else:
+        m = meshes(level)
+        M, K = fem.assemble_mass(m), fem.assemble_stiffness(m)
+        n, alpha = m.n_interior, float(rng.uniform(1e-3, 1.0))
+        yd, yc = rng.standard_normal((2, n))
     sigma = float(rng.uniform(1e-3, 1.0))
-    gamma = 0.5 * prob.alpha + sigma
+    gamma = 0.5 * alpha + sigma
     z, lam = rng.standard_normal((2, n))
-    rhs_top = (K @ (sigma * z - lam) + M @ prob.yd) / gamma
-    rhs_bottom = -(M @ prob.yc)
+    rhs_top = (K @ (sigma * z - lam) + M @ yd) / gamma
+    rhs_bottom = -(M @ yc)
     norm_b = np.hypot(np.linalg.norm(rhs_top), np.linalg.norm(rhs_bottom))
     solver = SaddleSolver(M, K, gamma)
-    # K is no mesh stencil, so the solver gets a dense solve with the
-    # SPD M + sqrt(gamma) K as its PMHSS G-solve
-    G = (M + np.sqrt(gamma) * K).toarray()
-    solver.G_solve = lambda B: np.linalg.solve(G, B.T).T
     y, u, _ = solver.solve(rhs_top, rhs_bottom, backend=backend,
                            tol=1e-3 * norm_b)
     r1, r2 = solver.residual
     p = gamma * u - sigma * z + lam
     aM, aK = abs(M), abs(K)
     # round-off scale: every term of the residuals in absolute value
-    terms = (aK @ (sigma * abs(z) + abs(lam)), aM @ abs(prob.yd),
+    terms = (aK @ (sigma * abs(z) + abs(lam)), aM @ abs(yd),
              aM @ abs(y), gamma * (aK @ abs(u)), aK @ abs(y), aM @ abs(u),
-             aM @ abs(prob.yc))
+             aM @ abs(yc))
     scale = sum(np.linalg.norm(t) for t in terms)
     for got, want in (
             (gamma * r1, gamma * (rhs_top - M @ y / gamma - K @ u)),
             (r2, rhs_bottom + K @ y - M @ u),
-            (r2, K @ y - M @ (u + prob.yc)),
-            (-gamma * r1, M @ (y - prob.yd) + K @ p)):
+            (r2, K @ y - M @ (u + yc)),
+            (-gamma * r1, M @ (y - yd) + K @ p)):
         assert np.linalg.norm(got - want) <= 1e-13 * scale
 
 
@@ -379,38 +445,122 @@ def test_gmres_nonconvergence_flag():
 
 
 def test_gmres_returns_the_true_residual():
-    # zero and nonzero starts, one cycle and several, converged or capped
+    # zero and nonzero starts, one cycle and several, converged or capped;
+    # a start residual handed in, and a workspace that two runs share
     rng = np.random.default_rng(17)
     A = rng.standard_normal((30, 30)) + 6 * np.eye(30)
     rhs = rng.standard_normal(30)
-    for x0, max_iter, restart in ((None, 500, 50), (rng.standard_normal(30),
-                                                    500, 4), (None, 7, 3)):
+    x1 = rng.standard_normal(30)
+    work = np.full((5, 30), np.nan), np.full((4, 30), np.nan)
+    for x0, r0, max_iter, restart, w in (
+            (None, None, 500, 50, None), (x1, None, 500, 4, None),
+            (None, None, 7, 3, None), (x1, rhs - A @ x1, 500, 4, None),
+            (x1, rhs - A @ x1, 500, 4, work), (None, None, 7, 3, work)):
         x, stats, r = gmres(lambda v: A @ v, lambda v: v, rhs, 1e-12,
-                            max_iter=max_iter, restart=restart, x0=x0)
+                            max_iter=max_iter, restart=restart, x0=x0, r0=r0,
+                            work=w)
         assert np.linalg.norm(r - (rhs - A @ x)) <= 1e-14 * np.linalg.norm(rhs)
         assert stats.final_relative_residual \
             == np.linalg.norm(r) / np.linalg.norm(rhs)
+        assert not any(np.shares_memory(v, w) for v in (x, r) for w in work)
 
 
 def test_gmres_cycle_applies_pmhss_once_per_iteration(meshes):
     # x = x0 + Z y from the kept directions z_j = P^-1 v_j: no application
-    # at the end of a cycle, however many cycles run
+    # at the end of a cycle, however many cycles run.  A cycle applies the
+    # operator once per iteration and once for its true residual; a start
+    # x0 costs one more product, unless its residual r0 is handed in
     M = fem.assemble_mass(meshes(4))
     K = fem.assemble_stiffness(meshes(4))
-    solver = SaddleSolver(M, K, 0.3)
-    G_solve = solver.G_solve
-    calls = []
+    sine = SaddleSolver(M, K, 0.3)._sine
+    calls = collections.Counter()
 
     def P(v):
-        calls.append(1)
-        return pmhss_apply(0.3, G_solve, v)
+        calls["P"] += 1
+        return pmhss_apply(0.3, sine.G_solve, v)
 
-    rhs = np.random.default_rng(18).standard_normal(2 * M.shape[0])
+    def A(v):
+        calls["A"] += 1
+        return sine.block(v)
+
+    rng = np.random.default_rng(18)
+    rhs, x0 = rng.standard_normal((2, 2 * M.shape[0]))
     for restart, cycles in ((50, 1), (3, 4)):
-        calls.clear()
-        x, stats, r = gmres(solver._apply, P, rhs, 1e-10, restart=restart)
-        assert stats.converged and stats.iterations > (cycles - 1) * restart
-        assert len(calls) == stats.iterations
+        for start, r0, extra in ((None, None, 0), (x0, None, 1),
+                                 (x0, rhs - sine.block(x0), 0)):
+            calls.clear()
+            x, stats, r = gmres(A, P, rhs, 1e-10, restart=restart,
+                                x0=start, r0=r0)
+            assert stats.converged
+            assert stats.iterations > (cycles - 1) * restart
+            assert calls["P"] == stats.iterations
+            run = -(-stats.iterations // restart)
+            assert run >= cycles
+            assert calls["A"] == stats.iterations + run + extra
+
+
+def test_pmhss_solves_reuse_one_workspace(meshes, monkeypatch):
+    # two solves on one SaddleSolver share its GMRES workspace: the
+    # second leaves the first's (y, u) as they were, and both match, bit
+    # for bit, a solver whose every GMRES call makes a fresh one
+    m = meshes(5)
+    M, K = fem.assemble_mass(m), fem.assemble_stiffness(m)
+    rng = np.random.default_rng(20)
+    rhs = [rng.standard_normal((2, m.n_interior)) for _ in range(2)]
+    rhs[1] = rhs[0] + 1e-2 * rhs[1]
+    shared = SaddleSolver(M, K, 0.3)
+    got = []
+    for top, bottom in rhs:
+        y, u, stats = shared.solve(top, bottom, backend="pmhss_gmres",
+                                   tol=1e-9)
+        assert stats.iterations > 0
+        got.append((y, u, y.copy(), u.copy()))
+    assert shared._work is not None
+    for y, u, y_kept, u_kept in got:
+        assert np.array_equal(y, y_kept) and np.array_equal(u, u_kept)
+    gmres_shared = linalg.gmres
+    monkeypatch.setattr(linalg, "gmres", lambda *args, work, **kwargs:
+                        gmres_shared(*args, **kwargs))
+    fresh = SaddleSolver(M, K, 0.3)
+    for (top, bottom), (y, u, _, _) in zip(rhs, got):
+        y_f, u_f, _ = fresh.solve(top, bottom, backend="pmhss_gmres",
+                                  tol=1e-9)
+        assert np.array_equal(y_f, y) and np.array_equal(u_f, u)
+
+
+def test_pmhss_u_step_makes_two_transforms_and_one_sparse_product(
+        meshes, monkeypatch):
+    # a pmhss_gmres solve transforms its rhs in and its solution out and
+    # makes one complex product with A for its true block residual; its
+    # GMRES iterations make neither, however many there are
+    m = meshes(5)
+    M, K = fem.assemble_mass(m), fem.assemble_stiffness(m)
+    solver = SaddleSolver(M, K, 0.3)
+    rng = np.random.default_rng(21)
+    top, bottom = rng.standard_normal((2, m.n_interior))
+    solver.solve(top, bottom, backend="pmhss_gmres", tol=1e-9)
+    counts = collections.Counter()
+    transform, matmul = linalg._sine_transform, type(M).__matmul__
+
+    def counted_transform(S, B):
+        counts["transform"] += 1
+        return transform(S, B)
+
+    def counted_matmul(A, x):
+        counts[A.dtype.kind] += 1
+        return matmul(A, x)
+
+    monkeypatch.setattr(linalg, "_sine_transform", counted_transform)
+    monkeypatch.setattr(type(M), "__matmul__", counted_matmul)
+    iterations = set()
+    for k in range(4):
+        counts.clear()
+        top = top + 1e-2 * rng.standard_normal(m.n_interior)
+        _, _, stats = solver.solve(top, bottom, backend="pmhss_gmres",
+                                   tol=10.0 ** (-6 - k))
+        iterations.add(stats.iterations)
+        assert counts == {"transform": 2, "c": 1}
+    assert len(iterations) > 1 and max(iterations) > 2
 
 
 @settings(max_examples=60, deadline=None, derandomize=True, database=None)
@@ -431,9 +581,9 @@ def test_solution_window_start_is_the_stacked_lstsq(n, solves, seed):
         window.record(x, b, b - A @ x)
         xs.append(x)
         b = b + 0.1 * rng.standard_normal(n)
-    x0 = window.start(b)
+    x0, r0 = window.start(b)
     if not xs:
-        assert x0 is None
+        assert x0 is None and r0 is None
         return
     D = np.diff(np.array(xs), axis=0).T[:, -_WINDOW:]
     if D.shape[1] == 0:
@@ -445,6 +595,8 @@ def test_solution_window_start_is_the_stacked_lstsq(n, solves, seed):
     scale = np.linalg.norm(b) + np.linalg.norm(A) * np.linalg.norm(xs[-1])
     assert abs(res - res_brute) <= 1e-12 * scale
     assert res <= np.linalg.norm(b - A @ xs[-1]) + 1e-12 * scale
+    # the start's residual comes with it, without a product with A
+    assert np.linalg.norm(r0 - (b - A @ x0)) <= 1e-12 * scale
 
 
 def test_recycled_saddle_start_beats_the_previous_solution(meshes):
@@ -461,8 +613,10 @@ def test_recycled_saddle_start_beats_the_previous_solution(meshes):
     x_prev, shrank = None, 0
     for k in range(12):
         rhs = base + drift / (k + 1) + 1e-3 * rng.standard_normal(2 * n)
-        x0 = solver._window.start(rhs)
+        # the window holds sine-basis vectors: its start, mapped back
+        x0 = solver._window.start(_transform(solver._sine, rhs))[0]
         if x_prev is not None:
+            x0 = _transform(solver._sine, x0)
             res0 = np.linalg.norm(rhs - A @ x0)
             res_prev = np.linalg.norm(rhs - A @ x_prev)
             assert res0 <= res_prev * (1.0 + 1e-10)
@@ -563,7 +717,7 @@ def test_sine_basis_splits_the_saddle_operator(meshes, level, log_gamma,
     s = math.sqrt(10.0 ** log_gamma)
     N = math.isqrt(m.n_interior)
     _check_mass(M, N)
-    sr = _SineRichardson(N, s)
+    sr = _SineBasis(N, 10.0 ** log_gamma)
     assert sr.c == m.h ** 2 / 24.0
     rng = np.random.default_rng(seed)
     X = rng.standard_normal((N, N)) + 1j * rng.standard_normal((N, N))
@@ -588,7 +742,7 @@ def test_contraction_estimate_matches_the_dense_spectral_radius(meshes,
         s = math.sqrt(gamma)
         A, At = M.toarray() - 1j * s * K.toarray(), Mt - 1j * s * K.toarray()
         rho = np.abs(np.linalg.eigvals(I - np.linalg.solve(At, A))).max()
-        est = _SineRichardson(math.isqrt(m.n_interior), s).contraction()
+        est = _SineBasis(math.isqrt(m.n_interior), gamma).contraction()
         assert 0.8 * rho <= est <= 1.25 * rho
 
 
@@ -811,8 +965,8 @@ def test_sine_solves_reach_round_off_at_fine_levels(meshes, level):
     assert np.linalg.norm(K @ x - b) <= 1e-12 * np.linalg.norm(b)
     Mt = _mass_without_skew(m)
     for alpha in (EXAMPLE1_PARAMS.alpha, EXAMPLE2_PARAMS.alpha):
-        s = math.sqrt(0.5 * alpha + reproduction_sigma(alpha))
+        gamma = 0.5 * alpha + reproduction_sigma(alpha)
         B = rng.standard_normal((2, K.shape[0]))
-        X = SineSolver(K, mass=1.0, stiffness=s).solve(B)
-        R = (Mt + s * K) @ X.T - B.T
+        X = _G_tilde_solve(_SineBasis(math.isqrt(K.shape[0]), gamma), B)
+        R = (Mt + math.sqrt(gamma) * K) @ X.T - B.T
         assert np.linalg.norm(R) <= 1e-12 * np.linalg.norm(B)
