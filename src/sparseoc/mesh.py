@@ -11,13 +11,21 @@ the assembled operators K (stiffness of -Laplace), M (consistent mass) and
 W (lumped mass, W_i = integral of the hat function phi_i) act on the
 (2^k - 1)^2 interior degrees of freedom only.
 
-Element loops are vectorized over all triangles.  A mesh computes its
-element geometry (gradient coefficients and areas) once, on first use, and
-K, M, W and every quadrature read it; it keeps its mass matrix M, which
-discretize and the fine-grid error norm read.  K and M are scattered as COO
-triplets straight onto the interior dofs, the boundary triplets dropped;
-W and the load vectors are summed per node by np.bincount.  The assembly
-is deterministic and all public functions are pure.
+On this mesh K, M and W are the Friedrichs-Keller stencils on the
+N x N interior grid (N = 2^k - 1): K the 5-point [-1; -1, 4, -1; -1],
+M the 7-point one that couples each dof also to its neighbours along the
+diagonals, W the constant h^2.  Their CSR arrays are written straight
+from those stencils, with no element loop.  They equal the element sums
+bit for bit: h is dyadic, so every element's area h^2/2 and gradient is
+exact and each element term is one rounding of a fixed fraction of h^2;
+an off-diagonal entry of M adds two equal terms, a diagonal one of M and
+an entry of W six, in sequence as a scatter would, and K's entries are
+integers.  The load vectors evaluate a field once at every edge midpoint
+and sum the midpoint rule per node by np.bincount over the elements.  A
+mesh computes its element areas once, on first use, for the quadratures
+that integrate over elements; it keeps its mass matrix M, which
+discretize and the fine-grid error norm read.  The assembly is
+deterministic and all public functions are pure.
 
 The L2 projections of the data, M x = (f, phi_i), factor nothing: they run
 plain CG on M, whose condition number is at most 4 on every level
@@ -55,22 +63,21 @@ class Mesh:
 
     @cached_property
     def _geometry(self):
-        """Per element the P1 gradient coefficients b, c (ne, 3), grad
-        phi_i = (b_i, c_i) / (2 area), and the signed area (ne,); made on
-        first use and shared, read-only, by the assembly and the
-        quadrature."""
+        """Signed area of every element (ne,), made on first use and
+        shared, read-only, by the element quadratures (_quadrature_points).
+        No assembly reads it: K, M and W are the mesh's stencils, whose
+        entries follow from h alone (assemble_stiffness, assemble_mass,
+        assemble_lumped_mass)."""
         p = self.nodes[self.elements]                   # (ne, 3, 2)
-        b = p[:, [1, 2, 0], 1] - p[:, [2, 0, 1], 1]     # y_{i+1} - y_{i+2}
-        c = p[:, [2, 0, 1], 0] - p[:, [1, 2, 0], 0]     # x_{i+2} - x_{i+1}
-        area = 0.5 * (b[:, 0] * c[:, 1] - b[:, 1] * c[:, 0])
-        return _frozen(b), _frozen(c), _frozen(area)
+        e1, e2 = p[:, 1] - p[:, 0], p[:, 2] - p[:, 0]
+        return _frozen(0.5 * (e1[:, 0] * e2[:, 1] - e1[:, 1] * e2[:, 0]))
 
     @cached_property
     def mass(self):
-        """The consistent mass matrix on the interior dofs
-        (assemble_mass), made on first use and shared, not to be changed:
-        discretize's M, and the fine-grid norm of
-        experiments.l2_control_error."""
+        """The consistent mass matrix on the interior dofs, the 7-point
+        stencil of assemble_mass (equal to the element sums bit for bit),
+        made on first use and shared, not to be changed: discretize's M,
+        and the fine-grid norm of experiments.l2_control_error."""
         return assemble_mass(self)
 
 
@@ -106,36 +113,64 @@ def build_mesh(level):
                 n_interior=int(interior_mask.sum()))
 
 
-def _assemble_interior(mesh, local):
-    """Scatter per-element 3x3 blocks `local` (ne,3,3) onto the interior
-    dofs as a CSR matrix; the triplets of boundary rows and columns are
-    dropped before the duplicates are summed."""
-    dofs = mesh.interior_index[mesh.elements]
-    rows = np.repeat(dofs, 3, axis=1).ravel()
-    cols = np.tile(dofs, (1, 3)).ravel()
-    keep = (rows >= 0) & (cols >= 0)
-    n = mesh.n_interior
-    return sp.coo_matrix((local.ravel()[keep], (rows[keep], cols[keep])),
-                         shape=(n, n)).tocsr()
+def _sum_equal(term, count):
+    """count copies of term added one after another, as a scatter sums a
+    matrix entry or node weight from equal element terms; rounding makes
+    this differ from count * term."""
+    total = term
+    for _ in range(count - 1):
+        total += term
+    return total
+
+
+def _stencil_matrix(mesh, stencil):
+    """CSR matrix on the interior dofs whose row of grid point (r, c) holds
+    v at column (r + dr, c + dc) for every ((dr, dc), v) of stencil that
+    lands on the N x N interior grid.  stencil lists its offsets in
+    increasing column order, so each row comes out sorted."""
+    N = 2 ** mesh.level - 1
+    offsets = np.array([o for o, _ in stencil])         # (S, 2)
+    values = np.array([v for _, v in stencil])
+    reach = np.arange(N)[:, None, None] + offsets       # (N, S, 2)
+    inside = (reach >= 0) & (reach < N)
+    keep = inside[:, None, :, 0] & inside[None, :, :, 1]     # (N, N, S)
+    cols = (np.arange(N * N).reshape(N, N, 1)
+            + offsets[:, 0] * N + offsets[:, 1])
+    indptr = np.zeros(N * N + 1, dtype=np.int64)
+    np.cumsum(keep.sum(axis=2).ravel(), out=indptr[1:])
+    return sp.csr_matrix((np.broadcast_to(values, keep.shape)[keep],
+                          cols[keep], indptr), shape=(N * N, N * N))
+
+
+def _element_area(mesh):
+    """h^2/2, the area of every element, exact since h is dyadic."""
+    return 0.5 * mesh.h * mesh.h
 
 
 def assemble_stiffness(mesh):
-    """Stiffness matrix of -Laplace on interior dofs (SPD)."""
-    b, c, area = mesh._geometry
-    inv4A = 1.0 / (4.0 * area)
-    local = (b[:, :, None] * b[:, None, :] + c[:, :, None] * c[:, None, :])
-    local *= inv4A[:, None, None]
-    K = _assemble_interior(mesh, local)
-    K.eliminate_zeros()
-    return K
+    """Stiffness matrix of -Laplace on interior dofs (SPD): the 5-point
+    stencil [-1; -1, 4, -1; -1].  The element sums give exactly these
+    integers, and the diagonal couplings, zero in every right-angled
+    element, are no entries."""
+    return _stencil_matrix(mesh, [((-1, 0), -1.0), ((0, -1), -1.0),
+                                  ((0, 0), 4.0), ((0, 1), -1.0),
+                                  ((1, 0), -1.0)])
 
 
 def assemble_mass(mesh):
     """Consistent P1 mass matrix on interior dofs, exact element
-    integration."""
-    area = mesh._geometry[2]
-    base = np.array([[2.0, 1.0, 1.0], [1.0, 2.0, 1.0], [1.0, 1.0, 2.0]]) / 12.0
-    return _assemble_interior(mesh, area[:, None, None] * base[None, :, :])
+    integration: the 7-point stencil, h^2/12 for the four grid neighbours
+    and the two along the diagonals, h^2/2 on the diagonal.  Each entry is
+    summed from its element terms (area/12 on the two elements of an
+    edge, area/6 on the six of a patch) as the element scatter sums it,
+    so it equals that scatter bit for bit."""
+    area = _element_area(mesh)
+    off = _sum_equal(area / 12.0, 2)
+    return _stencil_matrix(mesh, [((-1, -1), off), ((-1, 0), off),
+                                  ((0, -1), off),
+                                  ((0, 0), _sum_equal(area / 6.0, 6)),
+                                  ((0, 1), off), ((1, 0), off),
+                                  ((1, 1), off)])
 
 
 def _scatter_nodes(mesh, contrib):
@@ -147,15 +182,17 @@ def _scatter_nodes(mesh, contrib):
 
 
 def assemble_lumped_mass(mesh):
-    """Interior lumped mass W_i = integral of phi_i = (patch area)/3."""
-    area = mesh._geometry[2]
-    return _scatter_nodes(mesh, np.repeat(area / 3.0, 3))
+    """Interior lumped mass W_i = integral of phi_i = (patch area)/3 = h^2:
+    six terms area/3 summed in sequence, as the element scatter sums
+    them."""
+    area = _element_area(mesh)
+    return np.full(mesh.n_interior, _sum_equal(area / 3.0, 6))
 
 
 def _quadrature_points(mesh, bary):
     """Points (ne, q, 2) of a rule with barycentric coordinates bary (q, 3)
     on every element, and the element areas (ne,)."""
-    return bary @ mesh.nodes[mesh.elements], mesh._geometry[2]
+    return bary @ mesh.nodes[mesh.elements], mesh._geometry
 
 
 # edge-midpoint quadrature on the reference triangle: exact for quadratics
@@ -165,12 +202,35 @@ _MIDPOINT_WEIGHTS = np.full(3, 1.0 / 3.0)
 
 def load_vector(mesh, f):
     """Assemble (f, phi_i) on interior dofs by the 3-point edge-midpoint
-    rule."""
-    pts, area = _quadrature_points(mesh, _MIDPOINT_BARY)    # (ne, 3, 2)
-    fvals = f(pts[..., 0], pts[..., 1])                     # (ne, 3)
+    rule.  f is evaluated once at each edge midpoint, on the staggered
+    grids of the n(n+1) horizontal, n(n+1) vertical and n^2 diagonal
+    edges (n = 2^level), and each element reads the values of its three
+    edges; the midpoints are exact dyadic numbers, so an element sees the
+    very values a per-element evaluation would give it."""
+    n = 2 ** mesh.level
+    half = (np.arange(n) + 0.5) * mesh.h
+    full = np.arange(n + 1) * mesh.h
+    vals = f(np.concatenate([np.tile(half, n + 1), np.tile(full, n),
+                             np.tile(half, n)]),
+             np.concatenate([np.repeat(full, n), np.repeat(half, n + 1),
+                             np.repeat(half, n)]))
+    horizontal = vals[:n * (n + 1)].reshape(n + 1, n)
+    vertical = vals[n * (n + 1):2 * n * (n + 1)].reshape(n, n + 1)
+    diagonal = vals[2 * n * (n + 1):].reshape(n, n)
+    # per cell, in the order of _MIDPOINT_BARY: the lower triangle
+    # (bl, br, tr) reads its bottom, right and diagonal edges, the upper
+    # one (bl, tr, tl) its diagonal, top and left edges
+    fvals = np.empty((n, n, 2, 3))
+    fvals[:, :, 0, 0] = horizontal[:-1]
+    fvals[:, :, 0, 1] = vertical[:, 1:]
+    fvals[:, :, 0, 2] = diagonal
+    fvals[:, :, 1, 0] = diagonal
+    fvals[:, :, 1, 1] = horizontal[1:]
+    fvals[:, :, 1, 2] = vertical[:, :-1]
     # phi_i at quadrature point q equals the barycentric weight
-    contrib = fvals @ (_MIDPOINT_WEIGHTS[:, None] * _MIDPOINT_BARY)
-    contrib *= area[:, None]
+    contrib = fvals.reshape(-1, 3) @ (_MIDPOINT_WEIGHTS[:, None]
+                                      * _MIDPOINT_BARY)
+    contrib *= _element_area(mesh)
     return _scatter_nodes(mesh, contrib)
 
 

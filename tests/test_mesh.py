@@ -4,7 +4,8 @@ import pytest
 import scipy.sparse as sp
 
 from sparseoc import linalg, mesh as fem
-from sparseoc.experiments import build_example1, build_example2, example2_yd
+from sparseoc.experiments import (build_example1, build_example2,
+                                  example1_fields, example2_yd)
 
 from p1_helpers import eval_p1, integrate_elementwise
 
@@ -41,8 +42,7 @@ def test_mesh_rejects_bad_level():
 def test_element_areas_positive(meshes):
     for level in (1, 3):
         m = meshes(level)
-        area = m._geometry[2]
-        assert np.allclose(area, m.h ** 2 / 2.0)
+        assert np.allclose(m._geometry, m.h ** 2 / 2.0)
 
 
 def test_boundary_nodes_masked(meshes):
@@ -273,16 +273,20 @@ def test_interpolation_matrix_matches_brute_force(meshes, points):
     np.testing.assert_allclose(P @ u, want, rtol=0, atol=1e-14)
 
 
-@pytest.mark.parametrize("level", [3, 4, 5])
+@pytest.mark.parametrize("level", [2, 3, 4, 5, 6])
 def test_interior_scatter_matches_full_assembly(meshes, level):
-    # reference: scatter onto every mesh node with np.add.at, then keep the
-    # interior rows and columns; the sums run in the same order, so the
-    # operators and the load vector are bit-identical
+    # reference: element loops scattered onto every mesh node with
+    # np.add.at, then the interior rows and columns kept; the stencils sum
+    # their equal element terms in the same order, so the operators and
+    # the load vectors are bit-identical
     m = meshes(level)
     inner = np.flatnonzero(m.interior_mask)
     rows = np.repeat(m.elements, 3, axis=1).ravel()
     cols = np.tile(m.elements, (1, 3)).ravel()
-    b, c, area = m._geometry
+    p = m.nodes[m.elements]
+    b = p[:, [1, 2, 0], 1] - p[:, [2, 0, 1], 1]     # y_{i+1} - y_{i+2}
+    c = p[:, [2, 0, 1], 0] - p[:, [1, 2, 0], 0]     # x_{i+2} - x_{i+1}
+    area = 0.5 * (b[:, 0] * c[:, 1] - b[:, 1] * c[:, 0])
     stiff = (b[:, :, None] * b[:, None, :] + c[:, :, None] * c[:, None, :])
     stiff *= (1.0 / (4.0 * area))[:, None, None]
     base = np.array([[2.0, 1.0, 1.0], [1.0, 2.0, 1.0], [1.0, 1.0, 2.0]]) / 12.0
@@ -294,7 +298,8 @@ def test_interior_scatter_matches_full_assembly(meshes, level):
         want.eliminate_zeros()
         want.sort_indices()
         for attr in ("data", "indices", "indptr"):
-            assert np.array_equal(getattr(got, attr), getattr(want, attr))
+            g, w = getattr(got, attr), getattr(want, attr)
+            assert g.dtype == w.dtype and np.array_equal(g, w)
 
     def nodal(contrib):
         total = np.zeros(m.n_nodes)
@@ -303,11 +308,29 @@ def test_interior_scatter_matches_full_assembly(meshes, level):
 
     assert np.array_equal(fem.assemble_lumped_mass(m),
                           nodal(np.repeat(area / 3.0, 3)))
-    pts, _ = fem._quadrature_points(m, fem._MIDPOINT_BARY)
-    contrib = example2_yd(pts[..., 0], pts[..., 1]) @ (
-        fem._MIDPOINT_WEIGHTS[:, None] * fem._MIDPOINT_BARY)
-    assert np.array_equal(fem.load_vector(m, example2_yd),
-                          nodal(contrib * area[:, None]))
+    pts = fem._MIDPOINT_BARY @ p                    # (ne, 3, 2)
+    weights = fem._MIDPOINT_WEIGHTS[:, None] * fem._MIDPOINT_BARY
+    constructed = example1_fields()
+    # the constructed yc carries u*'s clip kink
+    for field in (example2_yd, constructed["yd"], constructed["yc"]):
+        contrib = field(pts[..., 0], pts[..., 1]) @ weights
+        assert np.array_equal(fem.load_vector(m, field),
+                              nodal(contrib * area[:, None]))
+
+
+@pytest.mark.parametrize("level", [2, 3, 4, 5, 6])
+def test_load_vector_evaluates_each_edge_midpoint_once(meshes, level):
+    # n(n+1) horizontal, n(n+1) vertical and n^2 diagonal edges, where a
+    # per-element evaluation would take 3 points on each of 2n^2 elements
+    n = 2 ** level
+    points = []
+
+    def counted(x, y):
+        points.append(np.size(x))
+        return example2_yd(x, y)
+
+    fem.load_vector(meshes(level), counted)
+    assert sum(points) == 3 * n * n + 2 * n
 
 
 def test_assembly_deterministic(meshes):
