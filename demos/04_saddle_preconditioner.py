@@ -5,12 +5,14 @@ which with s = sqrt(gamma) and y = s w is the complex-symmetric n x n
 system (M - i s K)(w + i u) = s rhs_top + i rhs_bottom.  The script
 compares the direct solve against right preconditioned GMRES with
 P = scalar-factor x diag(G~, G~), G~ = M~ + s K, where M~ is the mass
-matrix without its skew Kronecker part.  GMRES runs in the orthonormal 2-D sine
-basis: there G~ is diagonal, and the block operator is diagonal apart
-from one c Q X Q^T term per grid (a pair of dense N x N products).  So a
-GMRES iteration makes no sparse product and no transform, nothing is
-factored, and a solve transforms its rhs in and its solution out once
-and makes one sparse product for its true residual.  The direct solve
+matrix without its skew Kronecker part.  GMRES runs in the orthonormal
+2-D sine basis of the grid, one SineGrid per level that the solvers of
+both gammas share (a problem holds it as problem.sine): there G~ is
+diagonal, and the block operator is diagonal apart from one c Q X Q^T
+term per grid (a pair of dense N x N products).  So a GMRES iteration
+makes no sparse product and no transform, nothing is factored, and a
+solve transforms its rhs in and its solution out once and makes one
+sparse product for its true residual.  The direct solve
 factors nothing either at gamma = 0.3: there M - i s K is close enough
 to the sine-diagonal M~ - i s K that a Richardson iteration
 preconditioned by it cuts the residual by a factor of 650 (level 3) to
@@ -24,7 +26,7 @@ one G~ lies further from M + s K and GMRES takes more iterations.
 import numpy as np
 
 from sparseoc import mesh as fem
-from sparseoc.linalg import SaddleSolver
+from sparseoc.linalg import SaddleSolver, SineGrid
 
 GAMMAS = (0.3, 7.5e-6)
 
@@ -36,13 +38,14 @@ def main():
         m = fem.build_mesh(level)
         M = fem.assemble_mass(m)
         K = fem.assemble_stiffness(m)
+        grid = SineGrid(M, K)
         rng = np.random.default_rng(level)
         rhs_top = rng.standard_normal(m.n_interior)
         rhs_bottom = rng.standard_normal(m.n_interior)
         norm_b = np.linalg.norm(np.concatenate([rhs_top, rhs_bottom]))
         cells = []
         for gamma in GAMMAS:
-            solver = SaddleSolver(M, K, gamma)
+            solver = SaddleSolver(grid, gamma)
             y_d, u_d, _ = solver.solve(rhs_top, rhs_bottom, backend="direct")
             y_g, u_g, st = solver.solve(rhs_top, rhs_bottom,
                                         backend="pmhss_gmres",

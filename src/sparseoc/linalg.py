@@ -12,11 +12,12 @@ With s = sqrt(gamma) and y = s w it is the complex-symmetric n x n system
     (M - i s K)(w + i u) = s rhs_top + i rhs_bottom.
 
 Both backends work in the orthonormal sine basis of the N x N grid,
-F(X) = S~ X S~ (_SineBasis, one per SaddleSolver): there M~ (M without its
-skew Kronecker part, _sine_spectra) and K are the diagonals mu and kappa,
-and the rest of M, c (E-E^T) x (E-E^T) with c = h^2/24, maps a grid X to
-c Q X Q^T with a dense N x N matrix Q.  Each needs K to be the mesh's
-5-point stencil and M its mass matrix, checked by one product each.
+F(X) = S~ X S~, held with the verdicts that K is the mesh's 5-point
+stencil and M its mass matrix by the problem's one SineGrid
+(DiscreteProblem.sine).  There M~ (M without its skew Kronecker part) and
+K are the diagonals mu and kappa, and the rest of M maps a grid X to
+c Q X Q^T with a dense N x N matrix Q.  The K-solve and every SaddleSolver
+read that grid; a SaddleSolver adds only the diagonals of its own gamma.
 
 The direct backend is exact up to round-off.  A~ = M~ - i s K is diagonal
 in the sine basis, so a Richardson iteration preconditioned by it runs
@@ -54,21 +55,17 @@ iterations with the ihADMM's forced u-step targets (solvers.solve_ihadmm),
 whose denominator takes ||M K^{-1}||_2 from a closed-form mesh bound,
 estimate_mkinv_norm.
 
-K itself is never factored.  On the uniform mesh it is the 5-point
-stencil, which the 2-D sine transform (DST-I) diagonalizes; SineSolver
-solves with it by two transforms and a division (the fast Poisson solver
-of Buzbee, Golub & Nielson 1970), each transform two BLAS products with
-the N x N DST-I matrix.  Every matrix the package
-factors -- the SPD M, alpha T_ff and alpha/2 M + sigma I, and the
+K itself is never factored: SineGrid.solve solves with the 5-point
+stencil by two 2-D sine transforms and a division.  Every matrix the
+package factors -- the SPD M, alpha T_ff and alpha/2 M + sigma I, and the
 complex-symmetric A -- equals its plain transpose and has a zero-free
-diagonal, so its LU takes SuperLU's symmetric mode; factorize rejects
-any other matrix.  For the same reason every solve is SuperLU's
-transposed one: A^T x = b is A x = b when A = A^T, and SuperLU runs it
-20-30% faster on these factors.
+diagonal, as the symmetric-mode LU and transposed solves of
+Factorization need; factorize rejects any other matrix.
 
-Matrices are CSR and immutable once assembled.  A SaddleSolver keeps its
-workspace and its last solves, so it serves one sequence of solves at a
-time; distinct solvers on shared operators may run concurrently.
+Matrices are CSR and immutable once assembled, and a SineGrid's arrays
+are read-only.  A SaddleSolver keeps its workspace and its last solves, so
+it serves one sequence of solves at a time; distinct solvers on one grid
+may run concurrently.
 """
 
 import math
@@ -118,11 +115,10 @@ def factorize(A):
     return Factorization(A)
 
 
-def _sine_eigenvalues(h, j):
-    """4 sin^2(j pi h/2), the eigenvalues of the 1-D stencil [-1, 2, -1] on
-    the 1/h - 1 interior nodes of a uniform grid (j = 1, ..., 1/h - 1); the
-    5-point stencil's are their pairwise sums."""
-    return 4.0 * np.sin(0.5 * np.pi * h * j) ** 2
+def _frozen(v):
+    """v made read-only: a cached array is shared by every caller."""
+    v.flags.writeable = False
+    return v
 
 
 def _sine_matrix(N):
@@ -135,7 +131,8 @@ def _sine_matrix(N):
 
 def _sine_transform(S, B):
     """S B S for each N x N grid B of a stack along leading axes (or for a
-    single grid), with S = _sine_matrix(N): two BLAS matrix products."""
+    single grid), with S a DST-I matrix (SineGrid.S or SineGrid.S_orth):
+    two BLAS matrix products."""
     return S @ B @ S
 
 
@@ -175,39 +172,11 @@ def _sine_spectra(N):
     array for either direction."""
     h = 1.0 / (N + 1)
     j = np.arange(1, N + 1)
-    lam = _sine_eigenvalues(h, j)
+    lam = 4.0 * np.sin(0.5 * np.pi * h * j) ** 2
     c = 2.0 * np.cos(np.pi * h * j)
     mu = h * h / 12.0 * (6.0 + c[:, None] + c[None, :]
                          + 0.5 * c[:, None] * c[None, :])
     return mu, lam[:, None] + lam[None, :]
-
-
-class SineSolver:
-    """Solver with K, the 5-point stencil [-1; -1, 4, -1; -1] on an N x N
-    interior grid numbered row by row (the P1 stiffness matrix of the
-    uniform Friedrichs-Keller mesh, mesh.assemble_stiffness).
-
-    The DST-I matrix S has S^2 = (N+1)/2 I and diagonalizes K
-    (_sine_spectra).  So with b on the grid as B, the solve is
-    S (S B S / D) S, where D_jk is the eigenvalue of K times
-    ((N+1)/2)^2: two 2-D sine transforms and a division, with S and D the
-    only arrays stored (N^2 entries each, no factor).  The constructor
-    raises ValueError for any other K (_stencil_order).
-    """
-
-    def __init__(self, K):
-        N = _stencil_order(K)
-        self._S = _sine_matrix(N)
-        self._denom = _sine_spectra(N)[1] * (0.5 * (N + 1)) ** 2
-
-    def solve(self, rhs):
-        """The solution for a length-n rhs, or for each row of an m x n
-        stack of them, in one transform pair."""
-        rhs = np.asarray(rhs)
-        S = self._S
-        B = rhs.reshape(rhs.shape[:-1] + S.shape)
-        return _sine_transform(S, _sine_transform(S, B) / self._denom) \
-            .reshape(rhs.shape)
 
 
 def _check_mass(M, N):
@@ -235,6 +204,104 @@ def _check_mass(M, N):
         raise ValueError("M is not the P1 mass matrix of an N x N grid")
 
 
+def _error(check, *args):
+    """The message of the ValueError that check(*args) raises, or None."""
+    try:
+        check(*args)
+    except ValueError as exc:
+        return str(exc)
+    return None
+
+
+class SineGrid:
+    """The 2-D sine basis of one problem's N x N interior grid
+    (DiscreteProblem.sine), made part by part on first use and read-only,
+    so that the K-solve (solve, the problem's factorK) and every
+    SaddleSolver on the problem share it, also concurrently.
+
+    It serves the mesh's matrices: K the 5-point stencil [-1; -1, 4, -1; -1]
+    numbered row by row (mesh.assemble_stiffness) and
+    M = M~ + c (E-E^T) x (E-E^T), c = h^2/24, its mass matrix.  The
+    verdicts stencil_error and mesh_error are None where they are, else the
+    reason, each found once by one product (_stencil_order, _check_mass).
+    The DST-I matrix S, S^2 = (N+1)/2 I, diagonalizes K and M~ with the
+    eigenvalues kappa and mu (spectra).  With the orthonormal
+    S~ = sqrt(2/(N+1)) S (S_orth) and F(X) = S~ X S~ (transform, its own
+    inverse),
+
+        F(M X) = mu o F(X) + c Q F(X) Q^T,    F(K X) = kappa o F(X),
+
+    with the dense skew Q = S~ (E-E^T) S~.  The K-solve keeps S unscaled:
+    for b on the grid as B it is S (S B S / D) S, D = kappa ((N+1)/2)^2
+    (the fast Poisson solver of Buzbee, Golub & Nielson 1970).
+    """
+
+    def __init__(self, M, K):
+        self.M, self.K = M, K
+        self.n = K.shape[0]
+        self.N = math.isqrt(self.n)
+        self.c = (1.0 / (self.N + 1)) ** 2 / 24.0
+
+    @cached_property
+    def stencil_error(self):
+        """None when K is the grid's 5-point stencil, else why it is not."""
+        return _error(_stencil_order, self.K)
+
+    @cached_property
+    def mesh_error(self):
+        """None when K and M are the mesh's, else why they are not."""
+        if self.N * self.N != self.n:
+            return "K and M must be of order N^2"
+        return self.stencil_error or _error(_check_mass, self.M, self.N)
+
+    @cached_property
+    def S(self):
+        return _frozen(_sine_matrix(self.N))
+
+    @cached_property
+    def S_orth(self):
+        return _frozen(self.S * math.sqrt(2.0 / (self.N + 1)))
+
+    @cached_property
+    def spectra(self):
+        """(mu, kappa), the eigenvalues of M~ and K as N x N arrays."""
+        return tuple(_frozen(v) for v in _sine_spectra(self.N))
+
+    @cached_property
+    def Q(self):
+        S, N = self.S_orth, self.N
+        SD = np.zeros((N, N))           # S~ (E - E^T), (E v)_i = v_{i-1}
+        SD[:, :-1] += S[:, 1:]
+        SD[:, 1:] -= S[:, :-1]
+        return _frozen(SD @ S)
+
+    @cached_property
+    def _cQt(self):
+        return _frozen(-self.c * self.Q.T)
+
+    @cached_property
+    def _denom(self):
+        return _frozen(self.spectra[1] * (0.5 * (self.N + 1)) ** 2)
+
+    def transform(self, X):
+        """F(X) for each N x N grid of a stack: F is its own inverse."""
+        return _sine_transform(self.S_orth, X)
+
+    def skew(self, X):
+        """-c Q X Q^T for each grid of a (2, N, N) stack."""
+        N = self.N
+        return ((self.Q @ X).reshape(2 * N, N) @ self._cQt).reshape(X.shape)
+
+    def solve(self, rhs):
+        """K^-1 rhs for a length-n rhs, or for each row of an m x n stack
+        of them, in one transform pair; K must be the stencil."""
+        rhs = np.asarray(rhs)
+        S = self.S
+        B = rhs.reshape(rhs.shape[:-1] + S.shape)
+        return _sine_transform(S, _sine_transform(S, B) / self._denom) \
+            .reshape(rhs.shape)
+
+
 # the direct u-step iterates in the sine basis, and factors nothing, where
 # I - A~^-1 A contracts at least this fast; _RHO_STEPS power steps estimate
 # the contraction (ROADMAP item 13 gives it per level and problem)
@@ -242,127 +309,6 @@ _SPECTRAL_MAX_RHO = 3e-3
 _RHO_STEPS = 10
 # the sine-basis Richardson stops at this residual relative to ||b||
 _SPECTRAL_RTOL = 1e-14
-
-
-class _SineBasis:
-    """The saddle operator of one (N, gamma) in the orthonormal sine basis,
-    where both backends of SaddleSolver run.  K is the 5-point stencil on
-    the N x N grid and M = M~ + c (E-E^T) x (E-E^T), c = h^2/24, the
-    mesh's mass matrix; s = sqrt(gamma).
-
-    With the orthonormal DST-I matrix S~ = sqrt(2/(N+1)) S, its own
-    inverse, and F(X) = S~ X S~, M~ and K become the diagonals mu and
-    kappa (_sine_spectra), and the rest of M, c (E-E^T) x (E-E^T),
-    becomes X -> c Q X Q^T with the dense skew Q = S~ (E-E^T) S~:
-
-        F(M X) = mu o F(X) + c Q F(X) Q^T,    F(K X) = kappa o F(X).
-
-    A pair of grids is held as a stack of shape (2, N, N), so the skew
-    term of both is one pair of real N x N BLAS products, and neither
-    backend makes a sparse product or a transform per step:
-
-    * the direct backend's Richardson on A = M - i s K, preconditioned by
-      A~ = M~ - i s K, which is the diagonal lam = mu - i s kappa there,
-      on the stack (Re, Im) of a complex grid (solve, contraction);
-    * the pmhss_gmres backend's GMRES on the block operator
-      [[M/gamma, K], [-K, M]] on the stack (y, u) (block), preconditioned
-      by PMHSS, whose G~ = M~ + s K is the diagonal mu + s kappa there
-      (G_solve).
-
-    It is built from N and gamma alone; that K and M are the mesh's is for
-    the caller to check (_stencil_order, _check_mass).
-    """
-
-    def __init__(self, N, gamma):
-        s = math.sqrt(gamma)
-        self.N = N
-        self.gamma = gamma
-        self.c = (1.0 / (N + 1)) ** 2 / 24.0
-        mu, kappa = _sine_spectra(N)
-        self.lam = mu - 1j * s * kappa
-        S = _sine_matrix(N) * math.sqrt(2.0 / (N + 1))
-        SD = np.zeros((N, N))           # S~ (E - E^T), (E v)_i = v_{i-1}
-        SD[:, :-1] += S[:, 1:]
-        SD[:, 1:] -= S[:, :-1]
-        self.Q = SD @ S
-        self._S = S
-        self._cQt = -self.c * self.Q.T
-        # R / lam for R = (Re, Im) is R * _inv + R[::-1] * _inv_swap
-        inv = 1.0 / self.lam
-        self._inv = np.stack([inv.real, inv.real])
-        self._inv_swap = np.stack([-inv.imag, inv.imag])
-        # the block operator's diagonal part on (Y, U) is
-        # X * _block + X[::-1] * _block_swap
-        self._block = np.stack([mu / gamma, mu])
-        self._block_swap = np.stack([kappa, -kappa])
-        self._G = (mu + s * kappa).ravel()
-
-    def transform(self, X):
-        """F(X) for a (2, N, N) stack: F is its own inverse."""
-        return _sine_transform(self._S, X)
-
-    def _skew(self, X):
-        """-c Q X Q^T for each grid of a (2, N, N) stack."""
-        N = self.N
-        return ((self.Q @ X).reshape(2 * N, N) @ self._cQt).reshape(X.shape)
-
-    def block(self, x):
-        """The transformed block operator [[M/gamma, K], [-K, M]] applied
-        to the flat stack x = (Y, U) of two transformed grids."""
-        X = x.reshape(2, self.N, self.N)
-        T = self._skew(X)
-        T[0] /= self.gamma
-        out = X * self._block
-        out += X[::-1] * self._block_swap
-        out -= T
-        return out.reshape(x.shape)
-
-    def G_solve(self, B):
-        """G~^-1 for each row of a 2 x N^2 stack of transformed grids."""
-        return B / self._G
-
-    def _step(self, R):
-        """C = R / lam and the transformed residual -c Q C Q^T it leaves."""
-        C = R * self._inv
-        C += R[::-1] * self._inv_swap
-        return C, self._skew(C)
-
-    def contraction(self, bound=np.inf):
-        """The spectral radius of I - A~^-1 A, estimated as the norm ratio
-        of the last of _RHO_STEPS power steps on R -> -c Q (R/lam) Q^T
-        (similar to it) from a fixed-seed start.  The ratios grow towards
-        it from below (the first is about half of it), so the estimate
-        stops at the first ratio above bound: a residual that a step
-        reduces by less than bound is already found."""
-        R = np.random.default_rng(0).standard_normal(self._inv.shape)
-        norm, rho = np.linalg.norm(R), 0.0
-        for _ in range(_RHO_STEPS):
-            R = self._step(R)[1]
-            new = np.linalg.norm(R)
-            if new == 0.0:
-                return 0.0
-            rho, norm = new / norm, new
-            if rho > bound:
-                break
-        return rho
-
-    def solve(self, r, target):
-        """dz with A dz = r up to a transformed residual ||R|| <= target
-        (||F(r)|| = ||r||), or to where a step fails to halve ||R||: it
-        transforms r once, and the sum of its steps back once."""
-        N = self.N
-        R = self.transform(np.stack([r.real, r.imag]).reshape(2, N, N))
-        Z = np.zeros_like(R)
-        res = np.linalg.norm(R)
-        while res > target:
-            C, R = self._step(R)
-            Z += C
-            new = np.linalg.norm(R)
-            if new > 0.5 * res:
-                break
-            res = new
-        Y = self.transform(Z).reshape(2, N * N)
-        return Y[0] + 1j * Y[1]
 
 
 @dataclass
@@ -387,7 +333,7 @@ def pmhss_apply(gamma, G_solver, r):
     P = (1/gamma) [[I, sg I], [-sg I, gamma I]] diag(G, G) with
     sg = sqrt(gamma) and G the SPD matrix that G_solver solves with
     (SaddleSolver's is G~ = M~ + sg K in the sine basis, the division by
-    mu + sg kappa of _SineBasis.G_solve); the block-scalar factor is
+    mu + sg kappa of SaddleSolver.G_solve); the block-scalar factor is
     inverted in closed form ((1/gamma)[[1, sg], [-sg, gamma]] has
     determinant 2), then G_solver solves with G for both halves in one
     call on the 2 x n stack of them.
@@ -574,36 +520,32 @@ class _SolutionWindow:
 
 
 class SaddleSolver:
-    """Reusable solver for a fixed (M, K, gamma) saddle operator.
+    """Reusable solver for the saddle operator of one gamma on one SineGrid
+    (for a problem, its own DiscreteProblem.sine).
 
-    Both backends work in one sine basis of the N x N grid (_SineBasis),
-    made once per solver, and both need K to be the mesh's 5-point stencil
-    and M its mass matrix, which the solver checks once, by one product
-    each (_stencil_order, _check_mass).  The direct backend picks its path on
-    its first solve (_richardson): the sine-basis Richardson iteration
-    when K and M are the mesh's and I - A~^-1 A contracts by at most
-    _SPECTRAL_MAX_RHO (tested first, so the LU pays for no matrix check);
-    else one sparse LU of A = M - i sqrt(gamma) K.  The Richardson starts
-    each solve from the last solution z_prev, whose residual b - A z_prev
-    it takes from the kept A z_prev without a product.  The pmhss_gmres
-    backend needs the mesh's K and M (ValueError otherwise): it transforms
-    its rhs once, runs right-preconditioned GMRES on the transformed block
-    operator from the window of its earlier solves, preconditioned by
-    PMHSS with the diagonal G~ = M~ + sqrt(gamma) K, in one workspace kept
-    for all its solves, and transforms the solution back once; no GMRES
-    iteration makes a sparse product or a transform, and nothing is
-    factored.  Either backend then makes one complex product with A for
-    the true block residual (r1, r2) of the solve, leaves it in
-    self.residual and reports its ||r1|| + ||r2|| relative to ||rhs|| in
-    the stats.  Both start from their earlier solves and fill one rhs
-    buffer, so a solver serves one sequence of solves at a time.
+    Both backends run in the grid's sine basis with the diagonals of their
+    own gamma, s = sqrt(gamma), each made on first use, on (2, N, N) stacks
+    whose skew terms are one pair of real N x N BLAS products
+    (SineGrid.skew), so no step makes a sparse product or a transform.
+    The direct backend picks on its first solve (_richardson) between the
+    Richardson (_step) and one sparse LU of A: it tests the contraction
+    first, so the LU pays for no matrix check, then that K and M are the
+    mesh's (SineGrid.mesh_error).  The Richardson starts each solve from
+    the last solution z_prev, whose residual b - A z_prev it takes from
+    the kept A z_prev without a product.  The pmhss_gmres backend (block,
+    G_solve) needs the mesh's K and M (ValueError otherwise) and starts
+    from the window of its earlier solves, in one workspace kept for all
+    of them.  Either backend then makes one complex product with A for the
+    true block residual (r1, r2) of the solve, leaves it in self.residual
+    and reports its ||r1|| + ||r2|| relative to ||rhs|| in the stats.
+    Both start from their earlier solves and fill one rhs buffer, so a
+    solver serves one sequence of solves at a time.
     """
 
-    def __init__(self, M, K, gamma):
-        self.M = M
-        self.K = K
+    def __init__(self, grid, gamma):
+        self.grid = grid
         self.gamma = gamma
-        self.n = M.shape[0]
+        self.n = grid.n
         self._s = np.sqrt(gamma)
         self._direct = None
         self._b = None          # the complex rhs s rhs_top + i rhs_bottom
@@ -615,56 +557,111 @@ class SaddleSolver:
     @cached_property
     def _A(self):
         """A = M - i sqrt(gamma) K, made on first use."""
-        return (self.M - 1j * self._s * self.K).tocsr()
+        return (self.grid.M - 1j * self._s * self.grid.K).tocsr()
+
+    # R / lam for R = (Re, Im), lam = mu - i s kappa, is
+    # R * _inv[0] + R[::-1] * _inv[1]
+    @cached_property
+    def _inv(self):
+        mu, kappa = self.grid.spectra
+        inv = 1.0 / (mu - 1j * self._s * kappa)
+        return np.stack([inv.real, inv.real]), np.stack([-inv.imag, inv.imag])
+
+    # the block operator's diagonal part on (Y, U) is
+    # X * _block[0] + X[::-1] * _block[1]
+    @cached_property
+    def _block(self):
+        mu, kappa = self.grid.spectra
+        return np.stack([mu / self.gamma, mu]), np.stack([kappa, -kappa])
 
     @cached_property
-    def _sine(self):
-        """The sine basis of the N x N grid (_SineBasis), or None when n is
-        no square."""
-        N = math.isqrt(self.n)
-        return _SineBasis(N, self.gamma) if N * N == self.n else None
+    def _G(self):
+        mu, kappa = self.grid.spectra
+        return (mu + self._s * kappa).ravel()
 
-    @cached_property
-    def _mesh_error(self):
-        """None when K is the mesh's 5-point stencil and M its mass matrix,
-        else the reason they are not."""
-        if self._sine is None:
-            return "K and M must be of order N^2"
-        try:
-            _stencil_order(self.K)
-            _check_mass(self.M, self._sine.N)
-        except ValueError as exc:
-            return str(exc)
-        return None
+    def block(self, x):
+        """The transformed block operator [[M/gamma, K], [-K, M]] applied
+        to the flat stack x = (Y, U) of two transformed grids."""
+        N = self.grid.N
+        X = x.reshape(2, N, N)
+        T = self.grid.skew(X)
+        T[0] /= self.gamma
+        diag, swap = self._block
+        out = X * diag
+        out += X[::-1] * swap
+        out -= T
+        return out.reshape(x.shape)
+
+    def G_solve(self, B):
+        """G~^-1 for each row of a 2 x N^2 stack of transformed grids."""
+        return B / self._G
+
+    def _step(self, R):
+        """C = R / lam and the transformed residual -c Q C Q^T it leaves."""
+        inv, swap = self._inv
+        C = R * inv
+        C += R[::-1] * swap
+        return C, self.grid.skew(C)
+
+    def contraction(self, bound=np.inf):
+        """The spectral radius of I - A~^-1 A, estimated as the norm ratio
+        of the last of _RHO_STEPS power steps on R -> -c Q (R/lam) Q^T
+        (similar to it) from a fixed-seed start.  The ratios grow towards
+        it from below (the first is about half of it), so the estimate
+        stops at the first ratio above bound: a residual that a step
+        reduces by less than bound is already found."""
+        R = np.random.default_rng(0).standard_normal(self._inv[0].shape)
+        norm, rho = np.linalg.norm(R), 0.0
+        for _ in range(_RHO_STEPS):
+            R = self._step(R)[1]
+            new = np.linalg.norm(R)
+            if new == 0.0:
+                return 0.0
+            rho, norm = new / norm, new
+            if rho > bound:
+                break
+        return rho
 
     @cached_property
     def _richardson(self):
-        """The sine basis for the direct backend's Richardson, or None, and
-        then the backend factors A: when I - A~^-1 A contracts by more
-        than _SPECTRAL_MAX_RHO per step, or K or M is not the mesh's."""
-        sine = self._sine
-        if (sine is None
-                or sine.contraction(bound=_SPECTRAL_MAX_RHO) > _SPECTRAL_MAX_RHO
-                or self._mesh_error is not None):
-            return None
-        return sine
+        """Whether the direct backend runs the Richardson, not an LU of A."""
+        return (self.contraction(_SPECTRAL_MAX_RHO) <= _SPECTRAL_MAX_RHO
+                and self.grid.mesh_error is None)
+
+    def _richardson_solve(self, r, target):
+        """dz with A dz = r up to a transformed residual ||R|| <= target
+        (||F(r)|| = ||r||), or to where a step fails to halve ||R||: it
+        transforms r once, and the sum of its steps back once."""
+        grid = self.grid
+        R = grid.transform(np.stack([r.real, r.imag])
+                           .reshape(2, grid.N, grid.N))
+        Z = np.zeros_like(R)
+        res = np.linalg.norm(R)
+        while res > target:
+            C, R = self._step(R)
+            Z += C
+            new = np.linalg.norm(R)
+            if new > 0.5 * res:
+                break
+            res = new
+        Y = grid.transform(Z).reshape(2, self.n)
+        return Y[0] + 1j * Y[1]
 
     def _pmhss_gmres(self, rhs_top, rhs_bottom, rel):
         """(y, u, GMRES iterations) of a pmhss_gmres solve to relative
         residual rel, in the sine basis."""
-        sine = self._sine
-        N = sine.N
-        rhs = sine.transform(np.stack([rhs_top, rhs_bottom])
+        grid, N = self.grid, self.grid.N
+        rhs = grid.transform(np.stack([rhs_top, rhs_bottom])
                              .reshape(2, N, N)).ravel()
         if self._work is None:
             self._work = (np.empty((_RESTART + 1, 2 * self.n)),
                           np.empty((_RESTART, 2 * self.n)))
         x0, r0 = self._window.start(rhs)
-        P = lambda v: pmhss_apply(self.gamma, sine.G_solve, v)
-        x, stats, r = gmres(sine.block, P, rhs, rel, x0=x0, r0=r0,
+        P = lambda v: pmhss_apply(self.gamma, self.G_solve, v)
+        x, stats, r = gmres(self.block, P, rhs, rel, x0=x0, r0=r0,
                             work=self._work)
         self._window.record(x, rhs, r)
-        y, u = sine.transform(x.reshape(2, N, N)).reshape(2, self.n)
+        y, u = grid.transform(x.reshape(2, N, N)).reshape(2, self.n)
         return y, u, stats.iterations
 
     def solve(self, rhs_top, rhs_bottom, backend="direct", tol=1e-10):
@@ -687,8 +684,7 @@ class SaddleSolver:
         b.imag = rhs_bottom
         stats_iters = 0
         if backend == "direct":
-            richardson = self._richardson
-            if richardson is None:
+            if not self._richardson:
                 if self._direct is None:
                     self._direct = factorize(self._A)
                 z = self._direct.solve(b)
@@ -698,15 +694,15 @@ class SaddleSolver:
                 if norm_b > 0.0:
                     # from the last solution z_prev: its residual
                     # b - A z_prev takes the kept A z_prev, no product
-                    z = self._z + richardson.solve(
+                    z = self._z + self._richardson_solve(
                         b - self._Az, _SPECTRAL_RTOL * np.linalg.norm(b))
                 Az = self._A @ z
                 self._z, self._Az = z, Az
             y, u = self._s * z.real, np.ascontiguousarray(z.imag)
         elif backend == "pmhss_gmres":
-            if self._mesh_error is not None:
+            if self.grid.mesh_error is not None:
                 raise ValueError("pmhss_gmres needs the mesh's K and M: "
-                                 + self._mesh_error)
+                                 + self.grid.mesh_error)
             if norm_b == 0.0:
                 y, u = np.zeros((2, self.n))
             else:
@@ -729,10 +725,10 @@ class SaddleSolver:
         return y, u, InnerSolveStats(stats_iters, rel_res, converged)
 
 
-def estimate_mkinv_norm(W, h):
-    """max(W) / (8 sin^2(pi h/2)) >= ||M K^{-1}||_2 on the uniform
+def estimate_mkinv_norm(W, grid):
+    """max(W) / lambda_min(K) >= ||M K^{-1}||_2 on the uniform
     Friedrichs-Keller mesh with P1 K and M (mesh.build_mesh, discretize):
-    K is the 5-point stencil, lambda_min(K) = 8 sin^2(pi h/2) (SineSolver's
-    smallest eigenvalue), and M >= 0 has interior row sums <= W_i, so
+    lambda_min(K) = 8 sin^2(pi h/2) is the grid's kappa[0, 0]
+    (SineGrid.spectra), and M >= 0 has interior row sums <= W_i, so
     lambda_max(M) <= max W (Gershgorin)."""
-    return float(np.max(W) / (2.0 * _sine_eigenvalues(h, 1)))
+    return float(np.max(W) / grid.spectra[1][0, 0])

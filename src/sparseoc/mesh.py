@@ -39,6 +39,7 @@ from functools import cached_property
 from scipy.sparse.linalg import cg
 
 from . import linalg
+from .linalg import _frozen
 
 
 @dataclass(frozen=True)
@@ -299,13 +300,14 @@ class DiscreteProblem:
     desired-state and source coefficient vectors, and a < 0 < b are the
     control bounds.  The data terms M yc, M yd, their M-norms, the weights
     1/W, beta W and alpha/2 W (arrays read-only), the LU factorization of
-    M and the K-solver are computed on first use and cached, so every
-    solver run on the problem shares one of each.  Only the classical
+    M and the grid's sine basis are computed on first use and cached, so
+    every solver run on the problem shares one of each.  Only the classical
     ADMM solves with M (lam = M^{-1} lam_c), so only it makes factorM; a
     problem from discretize starts without it, since the L2 projections
-    of yd and yc solve with M by CG.  K is never factored: factorK
-    is a linalg.SineSolver, which needs K to be the mesh's 5-point stencil.
-    A problem built with another K must put its own K-solver (for example
+    of yd and yc solve with M by CG.  K is never factored: the sine basis
+    (sine, a linalg.SineGrid) serves every ihADMM u-step and, as factorK,
+    the K-solve, which needs K to be the mesh's 5-point stencil.  A problem
+    built with another K must put its own K-solver (for example
     linalg.factorize(K)) into the factorK slot before a solver asks for it.
     """
 
@@ -341,8 +343,14 @@ class DiscreteProblem:
         return linalg.factorize(self.M)
 
     @cached_property
+    def sine(self):
+        return linalg.SineGrid(self.M, self.K)
+
+    @cached_property
     def factorK(self):
-        return linalg.SineSolver(self.K)
+        if self.sine.stencil_error is not None:
+            raise ValueError(self.sine.stencil_error)
+        return self.sine
 
     # the lumped weights in the forms the proximal maps and residuals take,
     # made once per problem instead of once per iteration
@@ -370,12 +378,6 @@ class DiscreteProblem:
     def yd_norm(self):
         """||yd||_M."""
         return float(np.sqrt(max(self.yd @ self.Myd, 0.0)))
-
-
-def _frozen(v):
-    """v made read-only: a cached array is shared by every caller."""
-    v.flags.writeable = False
-    return v
 
 
 def check_real(name, value):

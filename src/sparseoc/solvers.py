@@ -58,8 +58,8 @@ The M factorization and the K-solver are cached on the problem
 solvers or phases run.  Of the solvers only the classical ADMM solves with
 M, for lam = M^{-1} lam_c, so only its first run on a problem factors M
 (the build projects the data by CG and factors nothing).  K is never
-factored: problem.factorK solves with it by the 2-D sine transform
-(linalg.SineSolver).
+factored: problem.factorK, the problem's one sine basis (problem.sine,
+linalg.SineGrid), solves with it by the 2-D sine transform.
 
 solve_two_phase runs ihADMM to moderate accuracy and hands its thresholded
 iterate z (with y, p and the stationarity-consistent multiplier
@@ -230,10 +230,10 @@ def solve_ihadmm(problem, config=None, warm=None, callback=None):
     step, slack = _TAU_IHADMM * sigma, (_TAU_IHADMM - 1.0) * sigma
 
     run = _Run("ihadmm", config, callback)
-    saddle = SaddleSolver(M, K, gamma)
+    saddle = SaddleSolver(problem.sine, gamma)
     inexact = config.inner_backend == "pmhss_gmres"
     if inexact:
-        mk_norm = estimate_mkinv_norm(problem.W, problem.h)
+        mk_norm = estimate_mkinv_norm(problem.W, problem.sine)
         # residual budget of the error-vector map delta = gamma M K^{-1} r1
         # + (M K^{-1})^2 r2
         denom = np.sqrt(2.0) * mk_norm * max(mk_norm, gamma)

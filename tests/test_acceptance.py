@@ -21,7 +21,7 @@ import scipy.sparse as sp
 
 import sparseoc as so
 from sparseoc import mesh as fem
-from sparseoc.linalg import SaddleSolver, factorize
+from sparseoc.linalg import SaddleSolver, SineGrid, factorize
 from sparseoc.experiments import (_reference_solution, l2_control_error,
                                   reproduction_sigma)
 from sparseoc.solvers import (SolverConfig, IterateState, _EPS0, _EPS_DECAY,
@@ -323,7 +323,7 @@ def test_criterion_8_inner_solver_contract(meshes):
         m = meshes(level)
         M = fem.assemble_mass(m)
         K = fem.assemble_stiffness(m)
-        solver = SaddleSolver(M, K, 0.3)
+        solver = SaddleSolver(SineGrid(M, K), 0.3)
         rng = np.random.default_rng(level)
         rhs_top = rng.standard_normal(m.n_interior)
         rhs_bottom = rng.standard_normal(m.n_interior)
@@ -341,7 +341,7 @@ def test_criterion_8_inner_solver_contract(meshes):
     m = meshes(6)
     M = fem.assemble_mass(m)
     K = fem.assemble_stiffness(m)
-    solver = SaddleSolver(M, K, 0.3)
+    solver = SaddleSolver(SineGrid(M, K), 0.3)
     rng = np.random.default_rng(42)
     rhs_top = rng.standard_normal(m.n_interior)
     rhs_bottom = rng.standard_normal(m.n_interior)

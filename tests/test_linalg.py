@@ -1,6 +1,8 @@
 import collections
+import concurrent.futures
 import dataclasses
 import math
+import sys
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -10,10 +12,9 @@ from scipy.sparse.linalg import splu
 
 from sparseoc import linalg, mesh as fem, solvers
 from sparseoc.linalg import (factorize, FactorizationError, pmhss_apply,
-                             gmres, SaddleSolver, SineSolver,
+                             gmres, SaddleSolver, SineGrid,
                              estimate_mkinv_norm, _SolutionWindow, _WINDOW,
-                             _sine_matrix, _sine_transform, _SineBasis,
-                             _check_mass)
+                             _sine_matrix, _sine_transform)
 from sparseoc.solvers import SolverConfig, solve_two_phase
 from sparseoc.experiments import (EXAMPLE1_PARAMS, EXAMPLE2_PARAMS,
                                   reproduction_sigma)
@@ -199,18 +200,24 @@ def _mass_without_skew(m):
     return Mt.tocsr()
 
 
-def _transform(sine, x):
+def _grid(m):
+    """The sine basis of a mesh's M and K."""
+    return SineGrid(fem.assemble_mass(m), fem.assemble_stiffness(m))
+
+
+def _transform(grid, x):
     """F applied to each half of a flat pair of grids x (or to each such
     pair, the rows of a stack): the nodal <-> sine basis map of the
     pmhss_gmres backend, its own inverse."""
-    N = sine.N
-    return sine.transform(x.reshape(-1, 2, N, N)).reshape(x.shape)
+    N = grid.N
+    return grid.transform(x.reshape(-1, 2, N, N)).reshape(x.shape)
 
 
-def _G_tilde_solve(sine, B):
+def _G_tilde_solve(solver, B):
     """G~^-1 B for a 2 x n stack B of nodal grids, by the sine-basis
-    diagonal solve of the pmhss_gmres backend."""
-    return _transform(sine, sine.G_solve(_transform(sine, B)))
+    diagonal solve of a SaddleSolver's pmhss_gmres backend."""
+    grid = solver.grid
+    return _transform(grid, solver.G_solve(_transform(grid, B)))
 
 
 @pytest.mark.parametrize("level", range(1, 6))
@@ -222,9 +229,10 @@ def test_G_tilde_solve_matches_dense_solve(meshes, level):
     K = fem.assemble_stiffness(m)
     Mt = _mass_without_skew(m).toarray()
     rng = np.random.default_rng(level)
+    grid = _grid(m)
     for s in (1e-4, 2.7e-3, 0.05, 1.0):
         B = rng.standard_normal((2, K.shape[0]))
-        got = _G_tilde_solve(_SineBasis(math.isqrt(K.shape[0]), s * s), B)
+        got = _G_tilde_solve(SaddleSolver(grid, s * s), B)
         want = np.linalg.solve(Mt + s * K.toarray(), B.T).T
         assert got.shape == want.shape
         assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
@@ -252,15 +260,15 @@ def test_pmhss_round_trip(meshes):
     for level in range(2, 7):
         m = meshes(level)
         K = fem.assemble_stiffness(m)
-        n = K.shape[0]
+        n, grid = K.shape[0], _grid(m)
         for gamma in _PMHSS_GAMMAS:
             sg = math.sqrt(gamma)
             G = _mass_without_skew(m) + sg * K
             P = sp.bmat([[G / gamma, sg / gamma * G], [-sg / gamma * G, G]])
-            sine = _SineBasis(math.isqrt(n), gamma)
+            solver = SaddleSolver(grid, gamma)
             r = np.random.default_rng(level).standard_normal(2 * n)
-            x = _transform(sine, pmhss_apply(gamma, sine.G_solve,
-                                             _transform(sine, r)))
+            x = _transform(grid, pmhss_apply(gamma, solver.G_solve,
+                                             _transform(grid, r)))
             scale = np.linalg.norm(abs(P) @ abs(x))
             assert np.linalg.norm(P @ x - r) <= 1e-14 * scale
 
@@ -272,33 +280,36 @@ def test_sine_basis_block_operator_is_the_sparse_one(meshes, level, gamma):
     # grids equals F [[M/gamma, K], [-K, M]] F to round-off of its terms
     m = meshes(level)
     M, K = fem.assemble_mass(m), fem.assemble_stiffness(m)
-    sine = SaddleSolver(M, K, gamma)._sine
+    solver = SaddleSolver(SineGrid(M, K), gamma)
+    grid = solver.grid
     B = sp.bmat([[M / gamma, K], [-K, M]]).tocsr()
     x = np.random.default_rng(level).standard_normal(2 * m.n_interior)
-    want = _transform(sine, B @ _transform(sine, x))
-    scale = np.linalg.norm(abs(B) @ abs(_transform(sine, x)))
-    assert np.linalg.norm(sine.block(x) - want) <= 1e-14 * scale
+    want = _transform(grid, B @ _transform(grid, x))
+    scale = np.linalg.norm(abs(B) @ abs(_transform(grid, x)))
+    assert np.linalg.norm(solver.block(x) - want) <= 1e-14 * scale
 
 
-def test_pmhss_gmres_needs_the_mesh_matrices(meshes):
-    # the backend checks K (the 5-point stencil) and M (the mesh's mass
-    # matrix) by one product each; a K or an M off in one entry, or a
-    # system of no square order, is refused
-    m = meshes(4)
-    M, K = fem.assemble_mass(m), fem.assemble_stiffness(m)
-    rhs = np.ones(m.n_interior)
-    bad_K, bad_M = K.copy(), M.copy()
+def test_pmhss_gmres_needs_the_mesh_matrices(ex1):
+    # the backend reads the problem's sine basis, whose verdicts check K
+    # (the 5-point stencil) and M (the mesh's mass matrix) by one product
+    # each; a K or an M off in one entry, the oracle's random K of the
+    # orders of 1 x 1, 2 x 2 and 3 x 3 grids, or a system of no square
+    # order, is refused
+    prob = ex1(4)[1]
+    rhs = np.ones(prob.n)
+    bad_K, bad_M = prob.K.copy(), prob.M.copy()
     bad_K.data[17] += 1e-9
     bad_M.data[17] *= 1.0 + 1e-9
-    for A, B, match in ((M, bad_K, "not the 5-point stencil"),
-                        (bad_M, K, "not the P1 mass matrix")):
-        solver = SaddleSolver(A, B, 0.3)
-        with pytest.raises(ValueError, match=match):
-            solver.solve(rhs, rhs, backend="pmhss_gmres")
-    prob = random_tiny_problem(np.random.default_rng(0), n=5)
-    with pytest.raises(ValueError, match="order N"):
-        SaddleSolver(prob.M, prob.K, 0.3).solve(
-            np.ones(5), np.ones(5), backend="pmhss_gmres")
+    cases = [(dataclasses.replace(prob, K=bad_K), "not the 5-point stencil"),
+             (dataclasses.replace(prob, M=bad_M), "not the P1 mass matrix")]
+    for n in (1, 4, 5, 9):
+        cases.append((random_tiny_problem(np.random.default_rng(n), n=n),
+                      "order N" if n == 5 else "not the 5-point stencil"))
+    for bad, match in cases:
+        solver = SaddleSolver(bad.sine, 0.3)
+        with pytest.raises(ValueError, match="needs the mesh's K and M: .*"
+                                             + match):
+            solver.solve(rhs[:bad.n], rhs[:bad.n], backend="pmhss_gmres")
 
 
 def test_pmhss_rejects_bad_gamma(meshes):
@@ -377,7 +388,7 @@ def test_saddle_pmhss_recycled_start_meets_the_dense_block_target(meshes):
                   [-K.toarray(), M.toarray()]])
     rng = np.random.default_rng(16)
     rhs, other = rng.standard_normal(2 * n), rng.standard_normal(2 * n)
-    solver = SaddleSolver(M, K, gamma)
+    solver = SaddleSolver(SineGrid(M, K), gamma)
     tol = 1e-8 * np.linalg.norm(rhs)
     for b, zero_iterations in ((rhs, False), (rhs, True), (other, False)):
         y, u, stats = solver.solve(b[:n], b[n:], backend="pmhss_gmres",
@@ -415,7 +426,7 @@ def test_saddle_residual_gives_state_and_adjoint_functionals(meshes, seed,
     rhs_top = (K @ (sigma * z - lam) + M @ yd) / gamma
     rhs_bottom = -(M @ yc)
     norm_b = np.hypot(np.linalg.norm(rhs_top), np.linalg.norm(rhs_bottom))
-    solver = SaddleSolver(M, K, gamma)
+    solver = SaddleSolver(SineGrid(M, K), gamma)
     y, u, _ = solver.solve(rhs_top, rhs_bottom, backend=backend,
                            tol=1e-3 * norm_b)
     r1, r2 = solver.residual
@@ -472,22 +483,22 @@ def test_gmres_cycle_applies_pmhss_once_per_iteration(meshes):
     # x0 costs one more product, unless its residual r0 is handed in
     M = fem.assemble_mass(meshes(4))
     K = fem.assemble_stiffness(meshes(4))
-    sine = SaddleSolver(M, K, 0.3)._sine
+    solver = SaddleSolver(SineGrid(M, K), 0.3)
     calls = collections.Counter()
 
     def P(v):
         calls["P"] += 1
-        return pmhss_apply(0.3, sine.G_solve, v)
+        return pmhss_apply(0.3, solver.G_solve, v)
 
     def A(v):
         calls["A"] += 1
-        return sine.block(v)
+        return solver.block(v)
 
     rng = np.random.default_rng(18)
     rhs, x0 = rng.standard_normal((2, 2 * M.shape[0]))
     for restart, cycles in ((50, 1), (3, 4)):
         for start, r0, extra in ((None, None, 0), (x0, None, 1),
-                                 (x0, rhs - sine.block(x0), 0)):
+                                 (x0, rhs - solver.block(x0), 0)):
             calls.clear()
             x, stats, r = gmres(A, P, rhs, 1e-10, restart=restart,
                                 x0=start, r0=r0)
@@ -508,7 +519,7 @@ def test_pmhss_solves_reuse_one_workspace(meshes, monkeypatch):
     rng = np.random.default_rng(20)
     rhs = [rng.standard_normal((2, m.n_interior)) for _ in range(2)]
     rhs[1] = rhs[0] + 1e-2 * rhs[1]
-    shared = SaddleSolver(M, K, 0.3)
+    shared = SaddleSolver(SineGrid(M, K), 0.3)
     got = []
     for top, bottom in rhs:
         y, u, stats = shared.solve(top, bottom, backend="pmhss_gmres",
@@ -521,11 +532,32 @@ def test_pmhss_solves_reuse_one_workspace(meshes, monkeypatch):
     gmres_shared = linalg.gmres
     monkeypatch.setattr(linalg, "gmres", lambda *args, work, **kwargs:
                         gmres_shared(*args, **kwargs))
-    fresh = SaddleSolver(M, K, 0.3)
+    fresh = SaddleSolver(SineGrid(M, K), 0.3)
     for (top, bottom), (y, u, _, _) in zip(rhs, got):
         y_f, u_f, _ = fresh.solve(top, bottom, backend="pmhss_gmres",
                                   tol=1e-9)
         assert np.array_equal(y_f, y) and np.array_equal(u_f, u)
+    # solvers of both backends on one new grid, in more threads than cores
+    # and from the grid's first use on, give the bits of solvers run one
+    # at a time, each on a grid of its own
+    def run(grid, backend):
+        solver = SaddleSolver(grid, 0.3)
+        return [solver.solve(top, bottom, backend=backend, tol=1e-9)[:2]
+                for top, bottom in rhs]
+
+    backends = ("pmhss_gmres", "direct")
+    alone = {b: run(SineGrid(M, K), b) for b in backends}
+    grid = SineGrid(M, K)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with concurrent.futures.ThreadPoolExecutor(6) as pool:
+            futures = [(b, pool.submit(run, grid, b)) for b in backends * 3]
+            runs = [(b, f.result(timeout=120)) for b, f in futures]
+    finally:
+        sys.setswitchinterval(interval)
+    for backend, solves in runs:
+        assert np.array_equal(solves, alone[backend])
 
 
 def test_pmhss_u_step_makes_two_transforms_and_one_sparse_product(
@@ -535,7 +567,7 @@ def test_pmhss_u_step_makes_two_transforms_and_one_sparse_product(
     # GMRES iterations make neither, however many there are
     m = meshes(5)
     M, K = fem.assemble_mass(m), fem.assemble_stiffness(m)
-    solver = SaddleSolver(M, K, 0.3)
+    solver = SaddleSolver(SineGrid(M, K), 0.3)
     rng = np.random.default_rng(21)
     top, bottom = rng.standard_normal((2, m.n_interior))
     solver.solve(top, bottom, backend="pmhss_gmres", tol=1e-9)
@@ -609,14 +641,14 @@ def test_recycled_saddle_start_beats_the_previous_solution(meshes):
     A = sp.bmat([[M / gamma, K], [-K, M]]).tocsr()
     rng = np.random.default_rng(19)
     base, drift = rng.standard_normal(2 * n), rng.standard_normal(2 * n)
-    solver = SaddleSolver(M, K, gamma)
+    solver = SaddleSolver(SineGrid(M, K), gamma)
     x_prev, shrank = None, 0
     for k in range(12):
         rhs = base + drift / (k + 1) + 1e-3 * rng.standard_normal(2 * n)
         # the window holds sine-basis vectors: its start, mapped back
-        x0 = solver._window.start(_transform(solver._sine, rhs))[0]
+        x0 = solver._window.start(_transform(solver.grid, rhs))[0]
         if x_prev is not None:
-            x0 = _transform(solver._sine, x0)
+            x0 = _transform(solver.grid, x0)
             res0 = np.linalg.norm(rhs - A @ x0)
             res_prev = np.linalg.norm(rhs - A @ x_prev)
             assert res0 <= res_prev * (1.0 + 1e-10)
@@ -639,7 +671,7 @@ def test_gmres_saddle_with_pmhss_vs_direct(meshes):
     rng = np.random.default_rng(12)
     rhs_top = rng.standard_normal(m.n_interior)
     rhs_bottom = rng.standard_normal(m.n_interior)
-    solver = SaddleSolver(M, K, gamma)
+    solver = SaddleSolver(SineGrid(M, K), gamma)
     y_d, u_d, _ = solver.solve(rhs_top, rhs_bottom, backend="direct")
     y_g, u_g, stats = solver.solve(rhs_top, rhs_bottom, backend="pmhss_gmres",
                                    tol=1e-10)
@@ -655,7 +687,7 @@ def test_saddle_residual_contract(meshes):
         rng = np.random.default_rng(level)
         rhs_top = rng.standard_normal(m.n_interior)
         rhs_bottom = rng.standard_normal(m.n_interior)
-        solver = SaddleSolver(M, K, 0.3)
+        solver = SaddleSolver(SineGrid(M, K), 0.3)
         tol = 1e-8
         for backend in ("direct", "pmhss_gmres"):
             y, u, stats = solver.solve(rhs_top, rhs_bottom, backend=backend,
@@ -676,7 +708,7 @@ def test_saddle_known_solution(meshes):
     u_star = rng.standard_normal(m.n_interior)
     A = sp.bmat([[M / gamma, K], [-K, M]])
     rhs = A @ np.concatenate([y_star, u_star])
-    y, u, stats = SaddleSolver(M, K, gamma).solve(
+    y, u, stats = SaddleSolver(SineGrid(M, K), gamma).solve(
         rhs[:m.n_interior], rhs[m.n_interior:], backend="direct")
     assert np.abs(y - y_star).max() < 1e-10
     assert np.abs(u - u_star).max() < 1e-10
@@ -692,9 +724,9 @@ def test_direct_saddle_solve_is_always_converged(meshes):
     rng = np.random.default_rng(0)
     rhs_top = rng.standard_normal(m.n_interior)
     rhs_bottom = rng.standard_normal(m.n_interior)
-    solver = SaddleSolver(M, K, 1e-10)
+    solver = SaddleSolver(SineGrid(M, K), 1e-10)
     y, u, stats = solver.solve(rhs_top, rhs_bottom, tol=1e-300)
-    assert solver._richardson is None       # the LU path
+    assert not solver._richardson          # the LU path
     assert stats.converged
     assert stats.iterations == 0
     achieved = sum(np.linalg.norm(v) for v in solver.residual)
@@ -716,17 +748,23 @@ def test_sine_basis_splits_the_saddle_operator(meshes, level, log_gamma,
     M, K = fem.assemble_mass(m), fem.assemble_stiffness(m)
     s = math.sqrt(10.0 ** log_gamma)
     N = math.isqrt(m.n_interior)
-    _check_mass(M, N)
-    sr = _SineBasis(N, 10.0 ** log_gamma)
-    assert sr.c == m.h ** 2 / 24.0
+    grid = SineGrid(M, K)
+    assert grid.mesh_error is None
+    mu, kappa = grid.spectra
+    lam = mu - 1j * s * kappa
+    assert grid.c == m.h ** 2 / 24.0
     rng = np.random.default_rng(seed)
     X = rng.standard_normal((N, N)) + 1j * rng.standard_normal((N, N))
-    want = sr.transform(((M - 1j * s * K) @ X.ravel()).reshape(N, N))
-    FX = sr.transform(X)
-    got = sr.lam * FX + sr.c * (sr.Q @ FX @ sr.Q.T)
+    want = grid.transform(((M - 1j * s * K) @ X.ravel()).reshape(N, N))
+    FX = grid.transform(X)
+    got = lam * FX + grid.c * (grid.Q @ FX @ grid.Q.T)
     assert np.linalg.norm(got - want) <= 1e-13 * np.linalg.norm(want)
     # F is orthonormal and its own inverse
-    assert np.linalg.norm(sr.transform(FX) - X) <= 1e-13 * np.linalg.norm(X)
+    assert np.linalg.norm(grid.transform(FX) - X) <= 1e-13 * np.linalg.norm(X)
+    # the grid's arrays are shared by every solver on it: none is writable
+    for a in (grid.S, grid.S_orth, grid.Q, *grid.spectra):
+        with pytest.raises(ValueError, match="read-only"):
+            a[0, 0] = 0.0
 
 
 @pytest.mark.parametrize("level", [2, 3, 4])
@@ -738,11 +776,12 @@ def test_contraction_estimate_matches_the_dense_spectral_radius(meshes,
     M, K = fem.assemble_mass(m), fem.assemble_stiffness(m)
     I = np.eye(M.shape[0])
     Mt = _mass_without_skew(m).toarray()
+    grid = SineGrid(M, K)
     for gamma in (1e-10, 0.75e-5, 1e-3, 0.375, 1e4):
         s = math.sqrt(gamma)
         A, At = M.toarray() - 1j * s * K.toarray(), Mt - 1j * s * K.toarray()
         rho = np.abs(np.linalg.eigvals(I - np.linalg.solve(At, A))).max()
-        est = _SineBasis(math.isqrt(m.n_interior), gamma).contraction()
+        est = SaddleSolver(grid, gamma).contraction()
         assert 0.8 * rho <= est <= 1.25 * rho
 
 
@@ -750,36 +789,49 @@ def _saddle_gamma(params):
     return 0.5 * params.alpha + reproduction_sigma(params.alpha)
 
 
-def test_direct_saddle_path_selection(meshes):
-    # the sine-basis Richardson where I - A~^-1 A contracts by at most
+def test_direct_saddle_path_selection(ex1, ex2, meshes):
+    # the problem's sine basis decides with the solver's gamma: the
+    # sine-basis Richardson where I - A~^-1 A contracts by at most
     # _SPECTRAL_MAX_RHO (the constructed problem at levels 3-6), the LU
     # elsewhere: Stadler at levels 4-6 (rho 6.9e-2, 2.3e-2, 6.4e-3), the
-    # gamma of test_direct_saddle_solve_is_always_converged, a K that is no
-    # stencil, an M with one perturbed entry and an M of the other diagonals
+    # gamma of test_direct_saddle_solve_is_always_converged, an M with one
+    # perturbed entry and an M of the other diagonals, and the oracle's
+    # random K, of the orders of 1 x 1, 2 x 2 and 3 x 3 grids and of none
     for level in (3, 4, 5, 6):
-        m = meshes(level)
-        M, K = fem.assemble_mass(m), fem.assemble_stiffness(m)
-        assert SaddleSolver(M, K, _saddle_gamma(EXAMPLE1_PARAMS)) \
-            ._richardson is not None
+        assert SaddleSolver(ex1(level)[1].sine,
+                            _saddle_gamma(EXAMPLE1_PARAMS))._richardson
         if level >= 4:
-            assert SaddleSolver(M, K, _saddle_gamma(EXAMPLE2_PARAMS)) \
-                ._richardson is None
-    m = meshes(5)
-    M, K = fem.assemble_mass(m), fem.assemble_stiffness(m)
-    assert SaddleSolver(M, K, 1e-10)._richardson is None
-    perturbed = M.copy()
+            assert not SaddleSolver(ex2(level)[1].sine,
+                                    _saddle_gamma(EXAMPLE2_PARAMS))._richardson
+    prob = ex1(5)[1]
+    assert not SaddleSolver(prob.sine, 1e-10)._richardson
+    perturbed = prob.M.copy()
     perturbed.data[17] *= 1.0 + 1e-9
     gamma = _saddle_gamma(EXAMPLE1_PARAMS)
     # the mass matrix of a mesh whose diagonals run the other way
-    flipped = 2.0 * _mass_without_skew(m) - M
+    flipped = 2.0 * _mass_without_skew(meshes(5)) - prob.M
+    b = np.random.default_rng(5).standard_normal(prob.n)
     for other in (perturbed, flipped):
-        assert SaddleSolver(other, K, gamma)._richardson is None
-        with pytest.raises(ValueError, match="not the P1 mass matrix"):
-            _check_mass(other, math.isqrt(m.n_interior))
-    # the oracle's random K, of the orders of 1 x 1, 2 x 2 and 3 x 3 grids
-    for n in (1, 4, 9):
-        prob = random_tiny_problem(np.random.default_rng(n), n=n)
-        assert SaddleSolver(prob.M, prob.K, gamma)._richardson is None
+        bad = dataclasses.replace(prob, M=other)
+        assert not SaddleSolver(bad.sine, gamma)._richardson
+        assert "not the P1 mass matrix" in bad.sine.mesh_error
+        # K is still the stencil, so the K-solve stays the sine transform
+        assert bad.factorK is bad.sine and bad.sine.stencil_error is None
+        x = bad.factorK.solve(b)
+        assert np.linalg.norm(prob.K @ x - b) <= 1e-13 * np.linalg.norm(b)
+    for n in (1, 4, 5, 9):
+        tiny = random_tiny_problem(np.random.default_rng(n), n=n)
+        solver = SaddleSolver(tiny.sine, gamma)
+        assert not solver._richardson
+        y, u, _ = solver.solve(tiny.yd, tiny.yc)
+        assert solver._direct is not None
+        A = sp.bmat([[tiny.M / gamma, tiny.K], [-tiny.K, tiny.M]]).toarray()
+        x = np.linalg.solve(A, np.concatenate([tiny.yd, tiny.yc]))
+        assert np.allclose(np.concatenate([y, u]), x, rtol=1e-10, atol=0.0)
+        # a fresh copy has no K-solver of its own, and the basis has none
+        with pytest.raises(ValueError, match="not the 5-point stencil"
+                           if n != 5 else "order N"):
+            dataclasses.replace(tiny).factorK
 
 
 @pytest.mark.parametrize("level", [3, 6])
@@ -791,11 +843,12 @@ def test_sine_richardson_solves_match_the_lu(meshes, monkeypatch, level):
     m = meshes(level)
     M, K = fem.assemble_mass(m), fem.assemble_stiffness(m)
     gamma = _saddle_gamma(EXAMPLE1_PARAMS)
-    spectral = SaddleSolver(M, K, gamma)
-    assert spectral._richardson is not None
+    grid = SineGrid(M, K)
+    spectral = SaddleSolver(grid, gamma)
+    assert spectral._richardson
     monkeypatch.setattr(linalg, "_SPECTRAL_MAX_RHO", -1.0)
-    lu = SaddleSolver(M, K, gamma)
-    assert lu._richardson is None
+    lu = SaddleSolver(grid, gamma)
+    assert not lu._richardson
     rng = np.random.default_rng(level)
     top, bottom = rng.standard_normal((2, m.n_interior))
     for k in range(6):
@@ -819,7 +872,7 @@ def test_saddle_large_gamma_limit(meshes):
     gamma = 1e8
     rng = np.random.default_rng(14)
     yc = rng.standard_normal(m.n_interior)
-    y, u, _ = SaddleSolver(M, K, gamma).solve(
+    y, u, _ = SaddleSolver(SineGrid(M, K), gamma).solve(
         np.zeros(m.n_interior), -(M @ yc), backend="direct")
     # dense-algebra oracle
     A = np.block([[M.toarray() / gamma, K.toarray()],
@@ -849,7 +902,7 @@ def test_saddle_backends_match_dense_block_solve(meshes, log_gamma, level,
     x_dense = np.linalg.solve(A, rhs)
     cond = np.linalg.cond(A)
     norm_b = np.linalg.norm(rhs)
-    solver = SaddleSolver(M, K, gamma)
+    solver = SaddleSolver(SineGrid(M, K), gamma)
     # the direct solve is held to the accuracy the Factorization docstring
     # promises
     for backend, tol in (("direct", 1e-12 * norm_b),
@@ -871,7 +924,7 @@ def test_pmhss_gmres_iteration_count_level6(meshes):
     m = meshes(6)
     M = fem.assemble_mass(m)
     K = fem.assemble_stiffness(m)
-    solver = SaddleSolver(M, K, 0.3)
+    solver = SaddleSolver(SineGrid(M, K), 0.3)
     rng = np.random.default_rng(15)
     rhs_top = rng.standard_normal(m.n_interior)
     rhs_bottom = rng.standard_normal(m.n_interior)
@@ -890,19 +943,19 @@ def test_estimate_mkinv_norm(meshes):
         m = meshes(level)
         M = fem.assemble_mass(m).toarray()
         K = fem.assemble_stiffness(m).toarray()
-        bound = estimate_mkinv_norm(fem.assemble_lumped_mass(m), m.h)
+        bound = estimate_mkinv_norm(fem.assemble_lumped_mass(m), _grid(m))
         exact = np.linalg.norm(M @ np.linalg.inv(K), 2)
         assert bound >= exact
         ratios.append(bound / exact)
     assert ratios[1] <= 1.06
     assert all(r1 < r0 for r0, r1 in zip(ratios, ratios[1:]))
-    # the eigenvalue formula it shares with SineSolver gives the values of
-    # the former max(W) / (8 sin^2(pi h/2))
+    # lambda_min(K), read from the grid's kappa, gives the values of the
+    # former max(W) / (8 sin^2(pi h/2)) exactly
     for level in range(2, 8):
         m = meshes(level)
         W = fem.assemble_lumped_mass(m)
         before = np.max(W) / (8.0 * np.sin(0.5 * np.pi * m.h) ** 2)
-        assert abs(estimate_mkinv_norm(W, m.h) - before) <= 1e-15 * before
+        assert estimate_mkinv_norm(W, _grid(m)) == before
 
 
 @pytest.mark.parametrize("level", range(1, 7))
@@ -912,20 +965,21 @@ def test_sine_solver_matches_dense_solve(meshes, level):
     rng = np.random.default_rng(level)
     b = rng.standard_normal(K.shape[0])
     want = np.linalg.solve(K.toarray(), b)
-    got = SineSolver(K).solve(b)
+    got = _grid(meshes(level)).solve(b)
     assert got.shape == want.shape
     assert np.linalg.norm(got - want) <= 1e-13 * np.linalg.norm(want)
 
 
-def test_sine_solver_rejects_other_matrices(meshes):
-    K = fem.assemble_stiffness(meshes(3))
-    perturbed = K.copy()
+def test_sine_solver_rejects_other_matrices(ex1):
+    # the problem's factorK is its sine basis only where K is the stencil
+    prob = ex1(3)[1]
+    perturbed = prob.K.copy()
     perturbed.data[17] += 1e-9
-    for A in (2 * K, perturbed):
+    for A in (2 * prob.K, perturbed):
         with pytest.raises(ValueError, match="not the 5-point stencil"):
-            SineSolver(A)
-    with pytest.raises(ValueError, match="order N"):
-        SineSolver(K[:48, :48])     # 48 is no perfect square
+            dataclasses.replace(prob, K=A).factorK
+    K = prob.K[:48, :48]            # 48 is no perfect square
+    assert "order N" in SineGrid(K, K).stencil_error
 
 
 @settings(max_examples=80, deadline=None, derandomize=True, database=None)
@@ -961,12 +1015,13 @@ def test_sine_solves_reach_round_off_at_fine_levels(meshes, level):
     K = fem.assemble_stiffness(m)
     rng = np.random.default_rng(level)
     b = rng.standard_normal(K.shape[0])
-    x = SineSolver(K).solve(b)
+    grid = _grid(m)
+    x = grid.solve(b)
     assert np.linalg.norm(K @ x - b) <= 1e-12 * np.linalg.norm(b)
     Mt = _mass_without_skew(m)
     for alpha in (EXAMPLE1_PARAMS.alpha, EXAMPLE2_PARAMS.alpha):
         gamma = 0.5 * alpha + reproduction_sigma(alpha)
         B = rng.standard_normal((2, K.shape[0]))
-        X = _G_tilde_solve(_SineBasis(math.isqrt(K.shape[0]), gamma), B)
+        X = _G_tilde_solve(SaddleSolver(grid, gamma), B)
         R = (Mt + math.sqrt(gamma) * K) @ X.T - B.T
         assert np.linalg.norm(R) <= 1e-12 * np.linalg.norm(B)

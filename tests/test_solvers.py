@@ -505,7 +505,7 @@ def test_direct_saddle_steps_flagged_converged(ex2):
     assert max(s.final_relative_residual for s in rep.inner_stats) < 1e-12
     # a GMRES solve stopped by its iteration cap short of its target is not
     gamma = 0.5 * prob.alpha + reproduction_sigma(prob.alpha)
-    saddle = so.SaddleSolver(prob.M, prob.K, gamma)
+    saddle = so.SaddleSolver(prob.sine, gamma)
     rhs = np.ones(prob.n)
     _, _, st = saddle.solve(rhs, rhs, backend="pmhss_gmres", tol=1e-30)
     assert st.iterations == 500
@@ -571,7 +571,7 @@ def test_pmhss_target_follows_the_last_eta(ex1, ex2, monkeypatch, example):
     assert rep.converged and len(targets) == rep.iterations
 
     gamma = 0.5 * prob.alpha + config.sigma
-    mk = linalg.estimate_mkinv_norm(prob.W, prob.h)
+    mk = linalg.estimate_mkinv_norm(prob.W, prob.sine)
     denom = np.sqrt(2.0) * mk * max(mk, gamma)
     cap = 0.25 * config.tol * prob.h / max(1.0, gamma)
     forced = [config.tol] + [max(config.tol, solvers._FORCING * r.eta)
@@ -831,7 +831,7 @@ def _count_lu_ops(monkeypatch, prob):
 
     The operator is K, M or other.  Wraps factorize (solvers holds its
     own binding) and Factorization.solve the way perfbench's tracer does,
-    SineSolver.solve (a K-solve) and the @ operator of the problem's
+    SineGrid.solve (a K-solve) and the @ operator of the problem's
     sparse matrix class.  Returns the counter and a fresh copy of the problem,
     whose cached M factorization and K-solver are not yet made.
     """
@@ -839,7 +839,7 @@ def _count_lu_ops(monkeypatch, prob):
     counts = collections.Counter()
     op_of = weakref.WeakKeyDictionary()
     factorize_orig, solve_orig = linalg.factorize, linalg.Factorization.solve
-    sine_solve_orig = linalg.SineSolver.solve
+    sine_solve_orig = linalg.SineGrid.solve
     sparse_class = type(prob.M)
     matmul_orig = sparse_class.__matmul__
 
@@ -864,15 +864,15 @@ def _count_lu_ops(monkeypatch, prob):
                     1 if np.ndim(rhs) == 1 else np.shape(rhs)[1])
         return solve_orig(fact, rhs)
 
-    def counted_sine_solve(solver, rhs):
+    def counted_sine_solve(grid, rhs):
         # a stack of right-hand sides runs along the leading axis
         count_solve("K", 1 if np.ndim(rhs) == 1 else np.shape(rhs)[0])
-        return sine_solve_orig(solver, rhs)
+        return sine_solve_orig(grid, rhs)
 
     for owner in (linalg, solvers):
         monkeypatch.setattr(owner, "factorize", counted_factorize)
     monkeypatch.setattr(linalg.Factorization, "solve", counted_solve)
-    monkeypatch.setattr(linalg.SineSolver, "solve", counted_sine_solve)
+    monkeypatch.setattr(linalg.SineGrid, "solve", counted_sine_solve)
     monkeypatch.setattr(sparse_class, "__matmul__", counted_matmul)
     return counts, prob
 
@@ -883,7 +883,7 @@ def test_direct_ihadmm_one_lu_solve_per_iteration(ex1, ex2, monkeypatch):
     # carried adjoint, so K is neither factored nor solved.  On Stadler at
     # level 4 the u-step factors A once and solves with it once per
     # iteration; on the constructed problem at level 3 it iterates in the
-    # sine basis (linalg._SineRichardson) and makes no LU at all
+    # sine basis (linalg.SaddleSolver._richardson) and makes no LU at all
     for prob, lu in ((ex2(4)[1], True), (ex1(3)[1], False)):
         with monkeypatch.context() as mp:
             counts, prob = _count_lu_ops(mp, prob)
@@ -954,7 +954,7 @@ def test_sine_richardson_ihadmm_run_matches_the_lu_run(ex1, monkeypatch):
     _, prob, _ = ex1(5)
     config = SolverConfig(tol=1e-6, sigma=reproduction_sigma(prob.alpha))
     gamma = 0.5 * prob.alpha + config.sigma
-    assert linalg.SaddleSolver(prob.M, prob.K, gamma)._richardson is not None
+    assert linalg.SaddleSolver(prob.sine, gamma)._richardson
     spectral = so.solve_ihadmm(prob, config)
     monkeypatch.setattr(linalg, "_SPECTRAL_MAX_RHO", -1.0)
     lu = so.solve_ihadmm(prob, config)
@@ -962,6 +962,30 @@ def test_sine_richardson_ihadmm_run_matches_the_lu_run(ex1, monkeypatch):
     assert spectral.iterations == lu.iterations
     z, z_lu = spectral.final_state.z, lu.final_state.z
     assert np.linalg.norm(z - z_lu) <= 1e-12 * np.linalg.norm(z_lu)
+
+
+def test_one_sine_basis_per_problem(ex1, monkeypatch):
+    # a two-phase solve (the ihADMM's sine-basis u-steps, then PDAS's
+    # K-solves), a pmhss_gmres and a direct ihADMM on one problem all read
+    # its one sine basis: its DST matrix and spectra are made once, and K
+    # and M are checked once
+    prob = dataclasses.replace(ex1(4)[1])
+    counts = collections.Counter()
+    for name in ("_stencil_order", "_check_mass", "_sine_matrix",
+                 "_sine_spectra"):
+        def counted(*args, _name=name, _orig=getattr(linalg, name)):
+            counts[_name] += 1
+            return _orig(*args)
+        monkeypatch.setattr(linalg, name, counted)
+    sigma = reproduction_sigma(prob.alpha)
+    reps = [so.solve_two_phase(prob, SolverConfig(tol=1e-3, sigma=sigma),
+                               SolverConfig(tol=1e-10, sigma=sigma))]
+    for backend in ("pmhss_gmres", "direct"):
+        reps.append(so.solve_ihadmm(prob, SolverConfig(
+            tol=1e-6, sigma=sigma, inner_backend=backend)))
+    assert all(rep.converged for rep in reps)
+    assert counts == {"_stencil_order": 1, "_check_mass": 1,
+                      "_sine_matrix": 1, "_sine_spectra": 1}
 
 
 def test_classical_admm_sparse_products_per_iteration(ex1, monkeypatch):
