@@ -7,11 +7,12 @@ compares the direct solve against right preconditioned GMRES with
 P = scalar-factor x diag(G~, G~), G~ = M~ + s K, where M~ is the mass
 matrix without its skew Kronecker part.  GMRES runs in the orthonormal
 2-D sine basis of the grid, one SineGrid per level that the solvers of
-both gammas share (a problem holds it as problem.sine): there G~ is
-diagonal, and the block operator is diagonal apart from one c Q X Q^T
-term per grid (a pair of dense N x N products).  So a GMRES iteration
-makes no sparse product and no transform, nothing is factored, and a
-solve transforms its rhs in and its solution out once and makes one
+both gammas share (a problem holds it as problem.sine): there G~ is the
+diagonal mu + s kappa, so P^-1 is a 2x2 block of diagonals, made once
+per solver, and the block operator is one such block apart from one
+c Q X Q^T term per grid (a pair of dense N x N products).  So a GMRES
+iteration makes no sparse product and no transform, nothing is factored,
+and a solve transforms its rhs in and its solution out once and makes one
 sparse product for its true residual.  The direct solve
 factors nothing either at gamma = 0.3: there M - i s K is close enough
 to the sine-diagonal M~ - i s K that a Richardson iteration

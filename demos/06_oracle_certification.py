@@ -24,14 +24,12 @@ def make_instance(rng, n):
     Q = rng.standard_normal((n, n))
     K = Q @ Q.T + n * np.eye(n)
     data = 20.0
-    problem = DiscreteProblem(K=sp.csr_matrix(K), M=sp.csr_matrix(M), W=W,
-                              yd=data * rng.standard_normal(n),
-                              yc=data * rng.standard_normal(n),
-                              alpha=0.05, beta=0.1, a=-1.0, b=1.0, h=1.0)
-    # a random K is no mesh stencil, which the default K-solver (the sine
-    # transform) needs: the solvers get an LU of it instead
-    problem.__dict__["factorK"] = so.factorize(problem.K)
-    return problem
+    # a random K is no mesh stencil, so the solvers get an LU of it as
+    # their K-solver (DiscreteProblem.factorK), not the sine transform
+    return DiscreteProblem(K=sp.csr_matrix(K), M=sp.csr_matrix(M), W=W,
+                           yd=data * rng.standard_normal(n),
+                           yc=data * rng.standard_normal(n),
+                           alpha=0.05, beta=0.1, a=-1.0, b=1.0, h=1.0)
 
 
 def main():

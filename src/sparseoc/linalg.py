@@ -32,14 +32,17 @@ transformed (y, u) with the modified HSS block preconditioner
 
     P = (1/gamma) [[I, s I], [-s I, gamma I]] diag(G, G),   G = M~ + s K.
 
-The block operator costs one pair of N x N products on the stack of the
-two grids plus diagonal terms, and P^{-1} a closed-form 2x2 block
-inversion and a division by the diagonal mu + s kappa of G.  So a GMRES
-iteration makes no sparse product and no transform, and nothing is
-factored; a solve transforms its rhs in and its solution out once, and
-makes one sparse product with A for the true residual (r1, r2) that the
-ihADMM reads.  F is orthonormal, so the transformed residual has the
-nodal norm.  A GMRES cycle keeps its preconditioned directions, so it
+Every diagonal map of the sine basis -- the Richardson's division by
+A~'s eigenvalues, the block operator's diagonal part and P^{-1} -- acts
+on the (2, N, N) stack of two grids as one (same, swap) pair of arrays,
+X * same + X[::-1] * swap (_apply_pair).  So the block operator costs one
+pair of N x N products on the stack plus that pair, and P^{-1} (G is the
+diagonal mu + s kappa, which commutes with the 2x2 block factor) the pair
+alone.  A GMRES iteration makes no sparse product and no transform, and
+nothing is factored; a solve transforms its rhs in and its solution out
+once, and makes one sparse product with A for the true residual (r1, r2)
+that the ihADMM reads.  F is orthonormal, so the transformed residual has
+the nodal norm.  A GMRES cycle keeps its preconditioned directions, so it
 applies the preconditioner once per iteration, and hands back the true
 residual it ends on.  Right preconditioning keeps that residual the true
 one for any fixed P, so replacing M by M~ in G moves the iteration count,
@@ -55,12 +58,14 @@ iterations with the ihADMM's forced u-step targets (solvers.solve_ihadmm),
 whose denominator takes ||M K^{-1}||_2 from a closed-form mesh bound,
 estimate_mkinv_norm.
 
-K itself is never factored: SineGrid.solve solves with the 5-point
-stencil by two 2-D sine transforms and a division.  Every matrix the
-package factors -- the SPD M, alpha T_ff and alpha/2 M + sigma I, and the
-complex-symmetric A -- equals its plain transpose and has a zero-free
-diagonal, as the symmetric-mode LU and transposed solves of
-Factorization need; factorize rejects any other matrix.
+The mesh's K is never factored: SineGrid.solve solves with the 5-point
+stencil by two transforms F and a division by kappa (a problem with any
+other K gets an LU of it as its K-solver, DiscreteProblem.factorK).
+Every matrix the package factors -- such a K, the SPD M, alpha T_ff and
+alpha/2 M + sigma I, and the complex-symmetric A -- equals its plain
+transpose and has a zero-free diagonal, as the symmetric-mode LU and
+transposed solves of Factorization need; factorize rejects any other
+matrix.
 
 Matrices are CSR and immutable once assembled, and a SineGrid's arrays
 are read-only.  A SaddleSolver keeps its workspace and its last solves, so
@@ -129,22 +134,15 @@ def _sine_matrix(N):
     return np.sin(np.pi / (N + 1) * (np.outer(j, j) % (2 * N + 2)))
 
 
-def _sine_transform(S, B):
-    """S B S for each N x N grid B of a stack along leading axes (or for a
-    single grid), with S a DST-I matrix (SineGrid.S or SineGrid.S_orth):
-    two BLAS matrix products."""
-    return S @ B @ S
-
-
-def _stencil_order(K):
-    """N for a K that is the 5-point stencil [-1; -1, 4, -1; -1] on an N x N
-    interior grid numbered row by row; ValueError for any other K.  It
-    checks one product of K against the stencil applied by slicing, on
-    integer entries, where both are exact."""
+def _stencil_error(K):
+    """None when K is the 5-point stencil [-1; -1, 4, -1; -1] on an N x N
+    interior grid numbered row by row, else why it is not.  It checks one
+    product of K against the stencil applied by slicing, on integer
+    entries, where both are exact."""
     n = K.shape[0]
     N = math.isqrt(n)
     if K.shape != (n, n) or N * N != n:
-        raise ValueError("K must be square of order N^2")
+        return "K must be square of order N^2"
     x = np.random.default_rng(0).integers(1, 2 ** 20, n).astype(float)
     X = x.reshape(N, N)
     Kx = 4.0 * X
@@ -153,8 +151,8 @@ def _stencil_order(K):
     Kx[:, 1:] -= X[:, :-1]
     Kx[:, :-1] -= X[:, 1:]
     if not np.array_equal(K @ x, Kx.ravel()):
-        raise ValueError("K is not the 5-point stencil of an N x N grid")
-    return N
+        return "K is not the 5-point stencil of an N x N grid"
+    return None
 
 
 def _sine_spectra(N):
@@ -179,17 +177,17 @@ def _sine_spectra(N):
     return mu, lam[:, None] + lam[None, :]
 
 
-def _check_mass(M, N):
-    """Raise ValueError unless M = M~ + h^2/24 (E-E^T) x (E-E^T) on the
-    N x N grid: the mass matrix of mesh.build_mesh, whose diagonals couple
-    X[i,j] with X[i+1,j+1] (_sine_spectra).  Like _stencil_order it checks
-    one product, here with a positive random grid: every entry of M x and
-    of the stencil applied by slicing is a sum of positive terms, so the
-    two agree to a few units of round-off, and an entry of M off by more
-    than ~1e-12 relative fails."""
+def _mass_error(M, N):
+    """None when M = M~ + h^2/24 (E-E^T) x (E-E^T) on the N x N grid, the
+    mass matrix of mesh.build_mesh, whose diagonals couple X[i,j] with
+    X[i+1,j+1] (_sine_spectra), else why it is not.  Like _stencil_error
+    it checks one product, here with a positive random grid: every entry
+    of M x and of the stencil applied by slicing is a sum of positive
+    terms, so the two agree to a few units of round-off, and an entry of
+    M off by more than ~1e-12 relative fails."""
     n = N * N
     if M.shape != (n, n):
-        raise ValueError("M must be of order N^2")
+        return "M must be of order N^2"
     h = 1.0 / (N + 1)
     X = np.random.default_rng(0).uniform(1.0, 2.0, (N, N))
     want = 6.0 * X
@@ -201,16 +199,19 @@ def _check_mass(M, N):
     want[:-1, :-1] += X[1:, 1:]
     got = (M @ X.ravel()).reshape(N, N) * (12.0 / (h * h))
     if not np.all(np.abs(got - want) <= 1e-13 * want):
-        raise ValueError("M is not the P1 mass matrix of an N x N grid")
-
-
-def _error(check, *args):
-    """The message of the ValueError that check(*args) raises, or None."""
-    try:
-        check(*args)
-    except ValueError as exc:
-        return str(exc)
+        return "M is not the P1 mass matrix of an N x N grid"
     return None
+
+
+def _apply_pair(pair, X):
+    """The sine-basis diagonal map pair = (same, swap) on a (2, N, N)
+    stack X: X * same + X[::-1] * swap.  With X the real and imaginary
+    parts of a complex grid it divides by a complex diagonal; with X the
+    two halves of a block vector it applies a 2x2 block of diagonals."""
+    same, swap = pair
+    out = X * same
+    out += X[::-1] * swap
+    return out
 
 
 class SineGrid:
@@ -223,17 +224,17 @@ class SineGrid:
     numbered row by row (mesh.assemble_stiffness) and
     M = M~ + c (E-E^T) x (E-E^T), c = h^2/24, its mass matrix.  The
     verdicts stencil_error and mesh_error are None where they are, else the
-    reason, each found once by one product (_stencil_order, _check_mass).
-    The DST-I matrix S, S^2 = (N+1)/2 I, diagonalizes K and M~ with the
-    eigenvalues kappa and mu (spectra).  With the orthonormal
-    S~ = sqrt(2/(N+1)) S (S_orth) and F(X) = S~ X S~ (transform, its own
+    reason, each found once by one product (_stencil_error, _mass_error).
+    The orthonormal DST-I matrix S~ = sqrt(2/(N+1)) S, S_jk =
+    sin(pi j k/(N+1)) (S_orth), diagonalizes K and M~ with the eigenvalues
+    kappa and mu (spectra).  With F(X) = S~ X S~ (transform, its own
     inverse),
 
         F(M X) = mu o F(X) + c Q F(X) Q^T,    F(K X) = kappa o F(X),
 
-    with the dense skew Q = S~ (E-E^T) S~.  The K-solve keeps S unscaled:
-    for b on the grid as B it is S (S B S / D) S, D = kappa ((N+1)/2)^2
-    (the fast Poisson solver of Buzbee, Golub & Nielson 1970).
+    with the dense skew Q = S~ (E-E^T) S~.  So the K-solve of b on the grid
+    as B is F(F(B) / kappa), the fast Poisson solver of Buzbee, Golub &
+    Nielson (1970).
     """
 
     def __init__(self, M, K):
@@ -245,22 +246,18 @@ class SineGrid:
     @cached_property
     def stencil_error(self):
         """None when K is the grid's 5-point stencil, else why it is not."""
-        return _error(_stencil_order, self.K)
+        return _stencil_error(self.K)
 
     @cached_property
     def mesh_error(self):
         """None when K and M are the mesh's, else why they are not."""
         if self.N * self.N != self.n:
             return "K and M must be of order N^2"
-        return self.stencil_error or _error(_check_mass, self.M, self.N)
-
-    @cached_property
-    def S(self):
-        return _frozen(_sine_matrix(self.N))
+        return self.stencil_error or _mass_error(self.M, self.N)
 
     @cached_property
     def S_orth(self):
-        return _frozen(self.S * math.sqrt(2.0 / (self.N + 1)))
+        return _frozen(_sine_matrix(self.N) * math.sqrt(2.0 / (self.N + 1)))
 
     @cached_property
     def spectra(self):
@@ -279,13 +276,10 @@ class SineGrid:
     def _cQt(self):
         return _frozen(-self.c * self.Q.T)
 
-    @cached_property
-    def _denom(self):
-        return _frozen(self.spectra[1] * (0.5 * (self.N + 1)) ** 2)
-
     def transform(self, X):
-        """F(X) for each N x N grid of a stack: F is its own inverse."""
-        return _sine_transform(self.S_orth, X)
+        """F(X) for each N x N grid of a stack (or for a single grid), in
+        two BLAS matrix products; F is its own inverse."""
+        return self.S_orth @ X @ self.S_orth
 
     def skew(self, X):
         """-c Q X Q^T for each grid of a (2, N, N) stack."""
@@ -296,9 +290,8 @@ class SineGrid:
         """K^-1 rhs for a length-n rhs, or for each row of an m x n stack
         of them, in one transform pair; K must be the stencil."""
         rhs = np.asarray(rhs)
-        S = self.S
-        B = rhs.reshape(rhs.shape[:-1] + S.shape)
-        return _sine_transform(S, _sine_transform(S, B) / self._denom) \
+        B = rhs.reshape(rhs.shape[:-1] + (self.N, self.N))
+        return self.transform(self.transform(B) / self.spectra[1]) \
             .reshape(rhs.shape)
 
 
@@ -327,23 +320,17 @@ class InnerSolveStats:
         return self.iterations
 
 
-def pmhss_apply(gamma, G_solver, r):
-    """Apply the inverse of the modified-HSS block preconditioner to r.
+def pmhss_apply(P, r):
+    """Apply the inverse of the modified-HSS block preconditioner to the
+    flat stack r = (Y, U) of two transformed grids.
 
-    P = (1/gamma) [[I, sg I], [-sg I, gamma I]] diag(G, G) with
-    sg = sqrt(gamma) and G the SPD matrix that G_solver solves with
-    (SaddleSolver's is G~ = M~ + sg K in the sine basis, the division by
-    mu + sg kappa of SaddleSolver.G_solve); the block-scalar factor is
-    inverted in closed form ((1/gamma)[[1, sg], [-sg, gamma]] has
-    determinant 2), then G_solver solves with G for both halves in one
-    call on the 2 x n stack of them.
+    P = (1/gamma) [[I, s I], [-s I, gamma I]] diag(G, G), s = sqrt(gamma),
+    with G the diagonal g = mu + s kappa in the sine basis.  The scalar
+    factor has determinant 2 and commutes with diag(G, G), so
+    P^{-1} = [[gamma, -s], [s, 1]] / (2 g), which the argument P holds as
+    its (same, swap) pair (SaddleSolver._pmhss, _apply_pair).
     """
-    if gamma <= 0:
-        raise ValueError("gamma must be positive")
-    sg = np.sqrt(gamma)
-    # inverse of the scalar factor, on the 2 x n stack of halves of r
-    inv = np.array([[0.5 * gamma, -0.5 * sg], [0.5 * sg, 0.5]])
-    return G_solver(inv @ r.reshape(2, -1)).ravel()
+    return _apply_pair(P, r.reshape(P[0].shape)).reshape(r.shape)
 
 
 # GMRES's restart length: a cycle's basis holds _RESTART + 1 vectors
@@ -533,16 +520,19 @@ class SaddleSolver:
     mesh's (SineGrid.mesh_error).  The Richardson starts each solve from
     the last solution z_prev, whose residual b - A z_prev it takes from
     the kept A z_prev without a product.  The pmhss_gmres backend (block,
-    G_solve) needs the mesh's K and M (ValueError otherwise) and starts
+    pmhss_apply) needs the mesh's K and M (ValueError otherwise) and starts
     from the window of its earlier solves, in one workspace kept for all
     of them.  Either backend then makes one complex product with A for the
     true block residual (r1, r2) of the solve, leaves it in self.residual
     and reports its ||r1|| + ||r2|| relative to ||rhs|| in the stats.
     Both start from their earlier solves and fill one rhs buffer, so a
-    solver serves one sequence of solves at a time.
+    solver serves one sequence of solves at a time.  gamma must be finite
+    and positive (ValueError otherwise).
     """
 
     def __init__(self, grid, gamma):
+        if not (np.isfinite(gamma) and gamma > 0):
+            raise ValueError(f"gamma must be finite and positive, got {gamma}")
         self.grid = grid
         self.gamma = gamma
         self.n = grid.n
@@ -559,25 +549,27 @@ class SaddleSolver:
         """A = M - i sqrt(gamma) K, made on first use."""
         return (self.grid.M - 1j * self._s * self.grid.K).tocsr()
 
-    # R / lam for R = (Re, Im), lam = mu - i s kappa, is
-    # R * _inv[0] + R[::-1] * _inv[1]
+    # the (same, swap) pairs of the sine-basis diagonal maps (_apply_pair)
     @cached_property
     def _inv(self):
+        """R / lam for R = (Re, Im), lam = mu - i s kappa."""
         mu, kappa = self.grid.spectra
         inv = 1.0 / (mu - 1j * self._s * kappa)
         return np.stack([inv.real, inv.real]), np.stack([-inv.imag, inv.imag])
 
-    # the block operator's diagonal part on (Y, U) is
-    # X * _block[0] + X[::-1] * _block[1]
     @cached_property
     def _block(self):
+        """The diagonal part of the block operator on (Y, U)."""
         mu, kappa = self.grid.spectra
         return np.stack([mu / self.gamma, mu]), np.stack([kappa, -kappa])
 
     @cached_property
-    def _G(self):
+    def _pmhss(self):
+        """P^{-1} on (Y, U) (pmhss_apply)."""
         mu, kappa = self.grid.spectra
-        return (mu + self._s * kappa).ravel()
+        half = 0.5 / (mu + self._s * kappa)
+        sh = self._s * half
+        return np.stack([self.gamma * half, half]), np.stack([-sh, sh])
 
     def block(self, x):
         """The transformed block operator [[M/gamma, K], [-K, M]] applied
@@ -586,21 +578,13 @@ class SaddleSolver:
         X = x.reshape(2, N, N)
         T = self.grid.skew(X)
         T[0] /= self.gamma
-        diag, swap = self._block
-        out = X * diag
-        out += X[::-1] * swap
+        out = _apply_pair(self._block, X)
         out -= T
         return out.reshape(x.shape)
 
-    def G_solve(self, B):
-        """G~^-1 for each row of a 2 x N^2 stack of transformed grids."""
-        return B / self._G
-
     def _step(self, R):
         """C = R / lam and the transformed residual -c Q C Q^T it leaves."""
-        inv, swap = self._inv
-        C = R * inv
-        C += R[::-1] * swap
+        C = _apply_pair(self._inv, R)
         return C, self.grid.skew(C)
 
     def contraction(self, bound=np.inf):
@@ -657,7 +641,7 @@ class SaddleSolver:
             self._work = (np.empty((_RESTART + 1, 2 * self.n)),
                           np.empty((_RESTART, 2 * self.n)))
         x0, r0 = self._window.start(rhs)
-        P = lambda v: pmhss_apply(self.gamma, self.G_solve, v)
+        P = lambda v: pmhss_apply(self._pmhss, v)
         x, stats, r = gmres(self.block, P, rhs, rel, x0=x0, r0=r0,
                             work=self._work)
         self._window.record(x, rhs, r)

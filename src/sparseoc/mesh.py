@@ -22,10 +22,9 @@ an off-diagonal entry of M adds two equal terms, a diagonal one of M and
 an entry of W six, in sequence as a scatter would, and K's entries are
 integers.  The load vectors evaluate a field once at every edge midpoint
 and sum the midpoint rule per node by np.bincount over the elements.  A
-mesh computes its element areas once, on first use, for the quadratures
-that integrate over elements; it keeps its mass matrix M, which
-discretize and the fine-grid error norm read.  The assembly is
-deterministic and all public functions are pure.
+mesh keeps its mass matrix M, which discretize and the fine-grid error
+norm read.  The assembly is deterministic and all public functions are
+pure.
 
 The L2 projections of the data, M x = (f, phi_i), factor nothing: they run
 plain CG on M, whose condition number is at most 4 on every level
@@ -61,17 +60,6 @@ class Mesh:
     @property
     def n_elements(self):
         return self.elements.shape[0]
-
-    @cached_property
-    def _geometry(self):
-        """Signed area of every element (ne,), made on first use and
-        shared, read-only, by the element quadratures (_quadrature_points).
-        No assembly reads it: K, M and W are the mesh's stencils, whose
-        entries follow from h alone (assemble_stiffness, assemble_mass,
-        assemble_lumped_mass)."""
-        p = self.nodes[self.elements]                   # (ne, 3, 2)
-        e1, e2 = p[:, 1] - p[:, 0], p[:, 2] - p[:, 0]
-        return _frozen(0.5 * (e1[:, 0] * e2[:, 1] - e1[:, 1] * e2[:, 0]))
 
     @cached_property
     def mass(self):
@@ -192,8 +180,9 @@ def assemble_lumped_mass(mesh):
 
 def _quadrature_points(mesh, bary):
     """Points (ne, q, 2) of a rule with barycentric coordinates bary (q, 3)
-    on every element, and the element areas (ne,)."""
-    return bary @ mesh.nodes[mesh.elements], mesh._geometry
+    on every element, and the element areas (ne,), all h^2/2."""
+    return (bary @ mesh.nodes[mesh.elements],
+            np.full(mesh.n_elements, _element_area(mesh)))
 
 
 # edge-midpoint quadrature on the reference triangle: exact for quadratics
@@ -304,11 +293,10 @@ class DiscreteProblem:
     every solver run on the problem shares one of each.  Only the classical
     ADMM solves with M (lam = M^{-1} lam_c), so only it makes factorM; a
     problem from discretize starts without it, since the L2 projections
-    of yd and yc solve with M by CG.  K is never factored: the sine basis
-    (sine, a linalg.SineGrid) serves every ihADMM u-step and, as factorK,
-    the K-solve, which needs K to be the mesh's 5-point stencil.  A problem
-    built with another K must put its own K-solver (for example
-    linalg.factorize(K)) into the factorK slot before a solver asks for it.
+    of yd and yc solve with M by CG.  The sine basis (sine, a
+    linalg.SineGrid) serves every ihADMM u-step and is the K-solver,
+    factorK, where K is the mesh's 5-point stencil; a problem built with
+    any other K gets an LU of it as factorK instead.
     """
 
     K: sp.csr_matrix
@@ -338,6 +326,7 @@ class DiscreteProblem:
         return _frozen(self.M @ self.yd)
 
     # linalg.factorize is looked up at call time, so a wrapped one sees M
+    # and a K that is no stencil
     @cached_property
     def factorM(self):
         return linalg.factorize(self.M)
@@ -348,9 +337,9 @@ class DiscreteProblem:
 
     @cached_property
     def factorK(self):
-        if self.sine.stencil_error is not None:
-            raise ValueError(self.sine.stencil_error)
-        return self.sine
+        if self.sine.stencil_error is None:
+            return self.sine
+        return linalg.factorize(self.K)
 
     # the lumped weights in the forms the proximal maps and residuals take,
     # made once per problem instead of once per iteration

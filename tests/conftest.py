@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from sparseoc import mesh as fem
-from sparseoc.linalg import factorize
 from sparseoc.experiments import build_example1, build_example2
 from sparseoc.mesh import DiscreteProblem
 from sparseoc.solvers import SolverConfig, solve_classical_admm
@@ -85,16 +84,14 @@ def random_tiny_problem(rng, n=None, alpha=None, beta=None):
     K = Q @ Q.T + n * np.eye(n)
     # data loud enough that zero, interior and bound regimes all occur
     data = rng.uniform(0.2, 2.0) / mscale
-    problem = DiscreteProblem(
+    # K is no mesh stencil, so the solvers get an LU of it as their K-solver
+    return DiscreteProblem(
         K=sp.csr_matrix(K), M=sp.csr_matrix(M), W=W,
         yd=data * rng.standard_normal(n), yc=data * rng.standard_normal(n),
         alpha=alpha if alpha is not None else float(rng.uniform(1e-3, 1.0)),
         beta=beta if beta is not None else float(rng.uniform(1e-3, 1.0)),
         a=float(-rng.uniform(0.2, 2.0)), b=float(rng.uniform(0.2, 2.0)),
         h=1.0)
-    # K is no mesh stencil, so the solvers get an LU of it as their K-solver
-    problem.__dict__["factorK"] = factorize(problem.K)
-    return problem
 
 
 def kernel_problem(W, alpha=1.0, beta=1.0, a=-1.0, b=1.0, **fields):

@@ -226,3 +226,24 @@ def test_sparsity_fraction_stabilizes(ex1):
     assert all(f > 0.2 for f in fracs)
     assert abs(fracs[-1] - fracs[-2]) < 0.1
 
+
+
+@pytest.mark.parametrize("level,phases", [(6, (53, 3)), (7, (53, 4))])
+def test_stadler_reference_handoff_counts(monkeypatch, level, phases):
+    # the fine-grid reference hands off to PDAS at phase1_tol 1e-1 and
+    # converges to 1e-10; the PDAS steps after the handoff rest on the
+    # K-solve's round-off, which grows with the level (eta_1's floor)
+    from sparseoc import experiments
+    reports = []
+    two_phase = experiments.solve_two_phase
+
+    def recorded(*args, **kwargs):
+        reports.append(two_phase(*args, **kwargs))
+        return reports[-1]
+
+    monkeypatch.setattr(experiments, "solve_two_phase", recorded)
+    m, u = experiments._reference_solution(level)
+    (rep,) = reports
+    assert m.level == level and u is rep.final_state.u
+    assert rep.converged and rep.phase_iterations == phases
+    assert rep.final_eta <= 1e-10

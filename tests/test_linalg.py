@@ -14,7 +14,7 @@ from sparseoc import linalg, mesh as fem, solvers
 from sparseoc.linalg import (factorize, FactorizationError, pmhss_apply,
                              gmres, SaddleSolver, SineGrid,
                              estimate_mkinv_norm, _SolutionWindow, _WINDOW,
-                             _sine_matrix, _sine_transform)
+                             _sine_matrix)
 from sparseoc.solvers import SolverConfig, solve_two_phase
 from sparseoc.experiments import (EXAMPLE1_PARAMS, EXAMPLE2_PARAMS,
                                   reproduction_sigma)
@@ -176,9 +176,10 @@ def test_complex_symmetric_solves_reach_the_direct_floor(meshes, log_s,
     assert np.linalg.norm(b - A @ x) <= 1e-12 * np.linalg.norm(b)
 
 
-def test_pmhss_zero():
-    out = pmhss_apply(1.0, lambda r: r / 2.0, np.zeros(8))
-    assert np.array_equal(out, np.zeros(8))
+def test_pmhss_zero(meshes):
+    solver = SaddleSolver(_grid(meshes(2)), 1.0)
+    out = pmhss_apply(solver._pmhss, np.zeros(18))
+    assert np.array_equal(out, np.zeros(18))
 
 
 def _mass_without_skew(m):
@@ -213,11 +214,12 @@ def _transform(grid, x):
     return grid.transform(x.reshape(-1, 2, N, N)).reshape(x.shape)
 
 
-def _G_tilde_solve(solver, B):
-    """G~^-1 B for a 2 x n stack B of nodal grids, by the sine-basis
-    diagonal solve of a SaddleSolver's pmhss_gmres backend."""
-    grid = solver.grid
-    return _transform(grid, solver.G_solve(_transform(grid, B)))
+def _G_tilde_solve(grid, s, B):
+    """G~^-1 B for a 2 x n stack B of nodal grids, G~ = M~ + s K: the
+    division by the diagonal mu + s kappa of the grid's spectra, which
+    the pmhss_gmres backend's P^-1 reads."""
+    mu, kappa = grid.spectra
+    return _transform(grid, _transform(grid, B) / (mu + s * kappa).ravel())
 
 
 @pytest.mark.parametrize("level", range(1, 6))
@@ -232,7 +234,7 @@ def test_G_tilde_solve_matches_dense_solve(meshes, level):
     grid = _grid(m)
     for s in (1e-4, 2.7e-3, 0.05, 1.0):
         B = rng.standard_normal((2, K.shape[0]))
-        got = _G_tilde_solve(SaddleSolver(grid, s * s), B)
+        got = _G_tilde_solve(grid, s, B)
         want = np.linalg.solve(Mt + s * K.toarray(), B.T).T
         assert got.shape == want.shape
         assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
@@ -267,7 +269,7 @@ def test_pmhss_round_trip(meshes):
             P = sp.bmat([[G / gamma, sg / gamma * G], [-sg / gamma * G, G]])
             solver = SaddleSolver(grid, gamma)
             r = np.random.default_rng(level).standard_normal(2 * n)
-            x = _transform(grid, pmhss_apply(gamma, solver.G_solve,
+            x = _transform(grid, pmhss_apply(solver._pmhss,
                                              _transform(grid, r)))
             scale = np.linalg.norm(abs(P) @ abs(x))
             assert np.linalg.norm(P @ x - r) <= 1e-14 * scale
@@ -312,10 +314,18 @@ def test_pmhss_gmres_needs_the_mesh_matrices(ex1):
             solver.solve(rhs[:bad.n], rhs[:bad.n], backend="pmhss_gmres")
 
 
-def test_pmhss_rejects_bad_gamma(meshes):
-    M = fem.assemble_mass(meshes(2))
-    with pytest.raises(ValueError):
-        pmhss_apply(-1.0, lambda r: r, np.zeros(2 * M.shape[0]))
+def test_saddle_solver_rejects_bad_gamma(meshes):
+    # gamma = alpha/2 + sigma must be finite and positive; the solver
+    # checks it once, so no backend reaches a division by s = 0 (the
+    # direct one returned converged=True at a nan residual) or an LU
+    # refusal that names the matrix
+    grid = _grid(meshes(2))
+    rhs = np.ones(grid.n)
+    for backend in ("direct", "pmhss_gmres"):
+        for gamma in (0.0, -1.0, np.nan, np.inf):
+            with pytest.raises(ValueError,
+                               match="gamma must be finite and positive"):
+                SaddleSolver(grid, gamma).solve(rhs, rhs, backend=backend)
 
 
 def test_gmres_identity():
@@ -488,7 +498,7 @@ def test_gmres_cycle_applies_pmhss_once_per_iteration(meshes):
 
     def P(v):
         calls["P"] += 1
-        return pmhss_apply(0.3, solver.G_solve, v)
+        return pmhss_apply(solver._pmhss, v)
 
     def A(v):
         calls["A"] += 1
@@ -572,17 +582,17 @@ def test_pmhss_u_step_makes_two_transforms_and_one_sparse_product(
     top, bottom = rng.standard_normal((2, m.n_interior))
     solver.solve(top, bottom, backend="pmhss_gmres", tol=1e-9)
     counts = collections.Counter()
-    transform, matmul = linalg._sine_transform, type(M).__matmul__
+    transform, matmul = SineGrid.transform, type(M).__matmul__
 
-    def counted_transform(S, B):
+    def counted_transform(grid, B):
         counts["transform"] += 1
-        return transform(S, B)
+        return transform(grid, B)
 
     def counted_matmul(A, x):
         counts[A.dtype.kind] += 1
         return matmul(A, x)
 
-    monkeypatch.setattr(linalg, "_sine_transform", counted_transform)
+    monkeypatch.setattr(SineGrid, "transform", counted_transform)
     monkeypatch.setattr(type(M), "__matmul__", counted_matmul)
     iterations = set()
     for k in range(4):
@@ -762,7 +772,7 @@ def test_sine_basis_splits_the_saddle_operator(meshes, level, log_gamma,
     # F is orthonormal and its own inverse
     assert np.linalg.norm(grid.transform(FX) - X) <= 1e-13 * np.linalg.norm(X)
     # the grid's arrays are shared by every solver on it: none is writable
-    for a in (grid.S, grid.S_orth, grid.Q, *grid.spectra):
+    for a in (grid.S_orth, grid.Q, *grid.spectra):
         with pytest.raises(ValueError, match="read-only"):
             a[0, 0] = 0.0
 
@@ -828,10 +838,11 @@ def test_direct_saddle_path_selection(ex1, ex2, meshes):
         A = sp.bmat([[tiny.M / gamma, tiny.K], [-tiny.K, tiny.M]]).toarray()
         x = np.linalg.solve(A, np.concatenate([tiny.yd, tiny.yc]))
         assert np.allclose(np.concatenate([y, u]), x, rtol=1e-10, atol=0.0)
-        # a fresh copy has no K-solver of its own, and the basis has none
-        with pytest.raises(ValueError, match="not the 5-point stencil"
-                           if n != 5 else "order N"):
-            dataclasses.replace(tiny).factorK
+        # the problem's K-solver is then an LU of K, made by itself
+        factorK = tiny.factorK
+        assert isinstance(factorK, linalg.Factorization)
+        want = np.linalg.solve(tiny.K.toarray(), tiny.yd)
+        assert np.allclose(factorK.solve(tiny.yd), want, rtol=1e-12, atol=0.0)
 
 
 @pytest.mark.parametrize("level", [3, 6])
@@ -971,13 +982,24 @@ def test_sine_solver_matches_dense_solve(meshes, level):
 
 
 def test_sine_solver_rejects_other_matrices(ex1):
-    # the problem's factorK is its sine basis only where K is the stencil
+    # the problem's factorK is its sine basis only where K is the stencil;
+    # with any other K the basis names why, and factorK is an LU of K
+    # that matches the dense solve (a K that is not symmetric has none)
     prob = ex1(3)[1]
-    perturbed = prob.K.copy()
-    perturbed.data[17] += 1e-9
+    assert prob.factorK is prob.sine
+    skewed = prob.K.copy()
+    skewed.data[17] += 1e-9
+    with pytest.raises(ValueError, match="square symmetric"):
+        dataclasses.replace(prob, K=skewed).factorK
+    perturbed = (prob.K + sp.diags(np.eye(prob.n)[17] * 1e-9)).tocsr()
+    b = np.random.default_rng(3).standard_normal(prob.n)
     for A in (2 * prob.K, perturbed):
-        with pytest.raises(ValueError, match="not the 5-point stencil"):
-            dataclasses.replace(prob, K=A).factorK
+        other = dataclasses.replace(prob, K=A)
+        assert "not the 5-point stencil" in other.sine.stencil_error
+        assert isinstance(other.factorK, linalg.Factorization)
+        want = np.linalg.solve(A.toarray(), b)
+        assert np.linalg.norm(other.factorK.solve(b) - want) \
+            <= 1e-13 * np.linalg.norm(want)
     K = prob.K[:48, :48]            # 48 is no perfect square
     assert "order N" in SineGrid(K, K).stencil_error
 
@@ -987,23 +1009,24 @@ def test_sine_solver_rejects_other_matrices(ex1):
        complex_=st.booleans(), seed=st.integers(0, 2 ** 32 - 1))
 @example(N=40, stack=(2,), complex_=True, seed=0)
 def test_sine_transform_is_the_dst_double_sum(N, stack, complex_, seed):
-    # S B S against the double sum over sin(pi j k/(N+1)) with the
-    # unreduced argument, on a single grid or a stack; S^2 = (N+1)/2 I
-    # makes the transform applied twice ((N+1)/2)^2 times the identity
+    # F(B) = S~ B S~ against 2/(N+1) times the double sum over
+    # sin(pi j k/(N+1)) with the unreduced argument, on a single grid or a
+    # stack; S~ = sqrt(2/(N+1)) S is orthonormal and symmetric, so F
+    # applied twice is the identity
     rng = np.random.default_rng(seed)
     B = rng.standard_normal(stack + (N, N))
     if complex_:
         B = B + 1j * rng.standard_normal(B.shape)
     T = np.array([[math.sin(math.pi * j * k / (N + 1))
                    for k in range(1, N + 1)] for j in range(1, N + 1)])
-    want = np.einsum("ja,...ab,bk->...jk", T, B, T)
-    S = _sine_matrix(N)
-    got = _sine_transform(S, B)
+    want = 2.0 / (N + 1) * np.einsum("ja,...ab,bk->...jk", T, B, T)
+    assert np.array_equal(_sine_matrix(N), _sine_matrix(N).T)
+    grid = SineGrid(None, sp.identity(N * N))
+    got = grid.transform(B)
     assert got.shape == B.shape and got.dtype == B.dtype
     assert np.linalg.norm(got - want) <= 2e-15 * N * np.linalg.norm(want)
-    twice = _sine_transform(S, got)
-    assert np.linalg.norm(twice - (0.5 * (N + 1)) ** 2 * B) \
-        <= 2e-15 * N * np.linalg.norm(twice)
+    twice = grid.transform(got)
+    assert np.linalg.norm(twice - B) <= 2e-15 * N * np.linalg.norm(B)
 
 
 @pytest.mark.parametrize("level", [6, 7, 8])
@@ -1022,6 +1045,6 @@ def test_sine_solves_reach_round_off_at_fine_levels(meshes, level):
     for alpha in (EXAMPLE1_PARAMS.alpha, EXAMPLE2_PARAMS.alpha):
         gamma = 0.5 * alpha + reproduction_sigma(alpha)
         B = rng.standard_normal((2, K.shape[0]))
-        X = _G_tilde_solve(SaddleSolver(grid, gamma), B)
+        X = _G_tilde_solve(grid, math.sqrt(gamma), B)
         R = (Mt + math.sqrt(gamma) * K) @ X.T - B.T
         assert np.linalg.norm(R) <= 1e-12 * np.linalg.norm(B)

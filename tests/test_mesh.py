@@ -40,9 +40,16 @@ def test_mesh_rejects_bad_level():
 
 
 def test_element_areas_positive(meshes):
-    for level in (1, 3):
+    # every element is counter-clockwise with the signed area h^2/2 that
+    # the quadratures weigh it by, exactly, since the nodes are dyadic
+    for level in (1, 3, 6):
         m = meshes(level)
-        assert np.allclose(m._geometry, m.h ** 2 / 2.0)
+        p = m.nodes[m.elements]
+        e1, e2 = p[:, 1] - p[:, 0], p[:, 2] - p[:, 0]
+        signed = 0.5 * (e1[:, 0] * e2[:, 1] - e1[:, 1] * e2[:, 0])
+        _, area = fem._quadrature_points(m, np.eye(3))
+        assert np.array_equal(signed, area)
+        assert np.all(area == m.h ** 2 / 2.0)
 
 
 def test_boundary_nodes_masked(meshes):

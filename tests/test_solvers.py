@@ -971,7 +971,7 @@ def test_one_sine_basis_per_problem(ex1, monkeypatch):
     # and M are checked once
     prob = dataclasses.replace(ex1(4)[1])
     counts = collections.Counter()
-    for name in ("_stencil_order", "_check_mass", "_sine_matrix",
+    for name in ("_stencil_error", "_mass_error", "_sine_matrix",
                  "_sine_spectra"):
         def counted(*args, _name=name, _orig=getattr(linalg, name)):
             counts[_name] += 1
@@ -984,7 +984,7 @@ def test_one_sine_basis_per_problem(ex1, monkeypatch):
         reps.append(so.solve_ihadmm(prob, SolverConfig(
             tol=1e-6, sigma=sigma, inner_backend=backend)))
     assert all(rep.converged for rep in reps)
-    assert counts == {"_stencil_order": 1, "_check_mass": 1,
+    assert counts == {"_stencil_error": 1, "_mass_error": 1,
                       "_sine_matrix": 1, "_sine_spectra": 1}
 
 
