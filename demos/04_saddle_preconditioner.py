@@ -12,8 +12,9 @@ diagonal mu + s kappa, so P^-1 is a 2x2 block of diagonals, made once
 per solver, and the block operator is one such block apart from one
 c Q X Q^T term per grid (a pair of dense N x N products).  So a GMRES
 iteration makes no sparse product and no transform, nothing is factored,
-and a solve transforms its rhs in and its solution out once and makes one
-sparse product for its true residual.  The direct solve
+and a solve transforms its rhs in once and its solution out once, together
+with the true residual GMRES ends on; it makes no sparse product at all.
+The direct solve
 factors nothing either at gamma = 0.3: there M - i s K is close enough
 to the sine-diagonal M~ - i s K that a Richardson iteration
 preconditioned by it cuts the residual by a factor of 650 (level 3) to

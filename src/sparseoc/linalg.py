@@ -39,20 +39,22 @@ X * same + X[::-1] * swap (_apply_pair).  So the block operator costs one
 pair of N x N products on the stack plus that pair, and P^{-1} (G is the
 diagonal mu + s kappa, which commutes with the 2x2 block factor) the pair
 alone.  A GMRES iteration makes no sparse product and no transform, and
-nothing is factored; a solve transforms its rhs in and its solution out
-once, and makes one sparse product with A for the true residual (r1, r2)
-that the ihADMM reads.  F is orthonormal, so the transformed residual has
-the nodal norm.  A GMRES cycle keeps its preconditioned directions, so it
-applies the preconditioner once per iteration, and hands back the true
-residual it ends on.  Right preconditioning keeps that residual the true
-one for any fixed P, so replacing M by M~ in G moves the iteration count,
-never the accuracy.
+nothing is factored.  A solve transforms its rhs in once, and its
+solution out once together with the residual GMRES measured for it: F is
+orthonormal and maps the nodal block residual to the transformed one, so
+that back-transform is the true residual (r1, r2) that the ihADMM reads,
+with no sparse product.  A GMRES cycle keeps its preconditioned
+directions, so it applies the preconditioner once per iteration, and
+hands back the true residual it ends on.  Right preconditioning keeps
+that residual the true one for any fixed P, so replacing M by M~ in G
+moves the iteration count, never the accuracy.
 
 The ihADMM u-steps solve with one matrix for right-hand sides that change
 slowly.  From the third on, GMRES starts from the minimal-residual
 combination of the last _WINDOW solution updates (_SolutionWindow, after
 Fischer 1998): the true residuals that GMRES returns give their images
 under the block operator, and the start's residual, without a product.
+GMRES measures that derived residual where it would end on it.
 On the constructed problem at level 6 a run to 1e-6 takes 95 GMRES
 iterations with the ihADMM's forced u-step targets (solvers.solve_ihadmm),
 whose denominator takes ||M K^{-1}||_2 from a closed-form mesh bound,
@@ -342,17 +344,22 @@ def gmres(A_apply, P_apply, rhs, tol, max_iter=500, restart=_RESTART,
     """Right-preconditioned restarted GMRES from x0 (zero by default).
 
     P_apply applies P^{-1}.  Returns (x, stats, r) with r = rhs - A x, the
-    true residual of x.  Stops when ||r|| <= tol * ||rhs|| (right
-    preconditioning keeps the recurrence residual equal to the true one).
+    true residual of x, always measured by a product with A.  Stops when
+    ||r|| <= tol * ||rhs||: a cycle stops on its recurrence residual (which
+    right preconditioning keeps equal to the true one in exact arithmetic)
+    and ends on the measured one, and a new cycle starts if that misses.
     A cycle keeps the preconditioned directions z_j = P^{-1} v_j beside the
     Krylov basis v_j, so x = x0 + Z y needs no further preconditioner
     application: a cycle of j iterations applies P^{-1} j times and A
     j + 1 times (the last for the true residual it ends on, from which the
     next cycle starts).  A nonzero start costs one more product with A,
-    unless the caller hands in its residual r0 = rhs - A x0; an x0 whose
-    residual already meets the target takes 0 iterations and returns that
-    residual.  Happy breakdown counts as convergence; hitting max_iter is
-    reported through the stats flag, never an exception.
+    unless the caller hands in its residual r0 = rhs - A x0 and r0 misses
+    the target.  An r0 that meets it may be derived without a product (as
+    _SolutionWindow derives it) and understate the true residual, so the
+    start's residual is then measured once: the solve takes 0 iterations
+    if that one meets the target too, and iterates otherwise.  Happy
+    breakdown counts as convergence; hitting max_iter is reported through
+    the stats flag, never an exception.
 
     The basis and the directions are the rows of the pair of arrays
     work = (V, Z), of at least restart + 1 and restart rows of len(rhs),
@@ -372,8 +379,11 @@ def gmres(A_apply, P_apply, rhs, tol, max_iter=500, restart=_RESTART,
     if x0 is None:
         x, r = np.zeros(n), rhs
     else:
-        x = np.array(x0, dtype=float)
-        r = rhs - A_apply(x) if r0 is None else r0
+        x, r = np.array(x0, dtype=float), r0
+        # a handed-in r0 only starts a cycle, which ends on a measured
+        # residual; where the solve would end on r0 itself, it is measured
+        if r is None or max_iter < 1 or np.linalg.norm(r) <= target:
+            r = rhs - A_apply(x)
     if work is None:
         m = min(restart, max_iter)
         work = np.empty((m + 1, n)), np.empty((m, n))
@@ -458,6 +468,13 @@ class _SolutionWindow:
     the oldest row of an orthonormalized window changes its span.  Row
     order does not matter, so a new update overwrites the oldest row.
 
+    A start's derived residual carries the round-off of the combination
+    and of the kept images, so it can read below a target that the true
+    one misses, and a derived residual recorded would carry its error
+    into every later image.  So record takes measured residuals only:
+    gmres returns one in every case, and measures a handed-in start
+    residual that meets the target before it accepts the start.
+
     The window takes 2 * _WINDOW vectors of b's length, and each pass over
     them is memory-bound: a record makes the new row of C C^T (one pass
     over C), and a start reads C for C r0 and then D and C together, held
@@ -519,15 +536,18 @@ class SaddleSolver:
     first, so the LU pays for no matrix check, then that K and M are the
     mesh's (SineGrid.mesh_error).  The Richardson starts each solve from
     the last solution z_prev, whose residual b - A z_prev it takes from
-    the kept A z_prev without a product.  The pmhss_gmres backend (block,
+    the kept A z_prev without a product; it then makes one complex
+    product with A (_A, of the direct backend alone, as is its rhs
+    buffer) for the true residual.  The pmhss_gmres backend (block,
     pmhss_apply) needs the mesh's K and M (ValueError otherwise) and starts
     from the window of its earlier solves, in one workspace kept for all
-    of them.  Either backend then makes one complex product with A for the
-    true block residual (r1, r2) of the solve, leaves it in self.residual
-    and reports its ||r1|| + ||r2|| relative to ||rhs|| in the stats.
-    Both start from their earlier solves and fill one rhs buffer, so a
-    solver serves one sequence of solves at a time.  gamma must be finite
-    and positive (ValueError otherwise).
+    of them; its true residual is GMRES's own, transformed back with the
+    solution, and its stats say whether GMRES met the target.  Either
+    backend leaves the block residual (r1, r2) in self.residual and
+    reports its ||r1|| + ||r2|| relative to ||rhs|| in the stats.  Both
+    start from their earlier solves, so a solver serves one sequence of
+    solves at a time.  gamma must be finite and positive (ValueError
+    otherwise).
     """
 
     def __init__(self, grid, gamma):
@@ -632,8 +652,10 @@ class SaddleSolver:
         return Y[0] + 1j * Y[1]
 
     def _pmhss_gmres(self, rhs_top, rhs_bottom, rel):
-        """(y, u, GMRES iterations) of a pmhss_gmres solve to relative
-        residual rel, in the sine basis."""
+        """(y, u, r1, r2, GMRES stats) of a pmhss_gmres solve to relative
+        residual rel, in the sine basis: F is orthonormal and maps the
+        block operator's nodal residual to the transformed one, so
+        GMRES's residual, transformed back with x, is (r1, r2)."""
         grid, N = self.grid, self.grid.N
         rhs = grid.transform(np.stack([rhs_top, rhs_bottom])
                              .reshape(2, N, N)).ravel()
@@ -645,15 +667,16 @@ class SaddleSolver:
         x, stats, r = gmres(self.block, P, rhs, rel, x0=x0, r0=r0,
                             work=self._work)
         self._window.record(x, rhs, r)
-        y, u = grid.transform(x.reshape(2, N, N)).reshape(2, self.n)
-        return y, u, stats.iterations
+        y, u, r1, r2 = grid.transform(np.stack([x, r]).reshape(4, N, N)) \
+            .reshape(4, self.n)
+        return y, u, r1, r2, stats
 
     def solve(self, rhs_top, rhs_bottom, backend="direct", tol=1e-10):
         """Solve for (y, u); returns (y, u, InnerSolveStats).
 
         tol is the absolute target on ||r1|| + ||r2|| of a pmhss_gmres
-        solve, whose stats say whether it was met.  A direct solve is exact
-        up to round-off (an LU solve, or Richardson to a residual of
+        solve, whose stats say whether GMRES met it.  A direct solve is
+        exact up to round-off (an LU solve, or Richardson to a residual of
         _SPECTRAL_RTOL ||b||): it ignores tol and always reports converged,
         with the relative residual it measured.  pmhss_gmres starts from the
         solver's _SolutionWindow, which the solve then joins, so one solver
@@ -661,13 +684,13 @@ class SaddleSolver:
         its first solve starts from zero.
         """
         norm_b = math.sqrt(rhs_top @ rhs_top + rhs_bottom @ rhs_bottom)
-        if self._b is None:
-            self._b = np.empty(self.n, dtype=complex)
-        b = self._b
-        np.multiply(self._s, rhs_top, out=b.real)
-        b.imag = rhs_bottom
-        stats_iters = 0
+        stats_iters, converged = 0, True
         if backend == "direct":
+            if self._b is None:
+                self._b = np.empty(self.n, dtype=complex)
+            b = self._b
+            np.multiply(self._s, rhs_top, out=b.real)
+            b.imag = rhs_bottom
             if not self._richardson:
                 if self._direct is None:
                     self._direct = factorize(self._A)
@@ -683,29 +706,26 @@ class SaddleSolver:
                 Az = self._A @ z
                 self._z, self._Az = z, Az
             y, u = self._s * z.real, np.ascontiguousarray(z.imag)
+            # b - A z = s r1 + i r2 in terms of the block residuals (r1, r2)
+            r = b - Az
+            r1, r2 = r.real / self._s, r.imag
         elif backend == "pmhss_gmres":
             if self.grid.mesh_error is not None:
                 raise ValueError("pmhss_gmres needs the mesh's K and M: "
                                  + self.grid.mesh_error)
             if norm_b == 0.0:
-                y, u = np.zeros((2, self.n))
+                y, u, r1, r2 = np.zeros((4, self.n))
             else:
                 # ||r1|| + ||r2|| <= sqrt(2) ||r||_2, so aim for tol/sqrt(2)
-                y, u, stats_iters = self._pmhss_gmres(
+                y, u, r1, r2, stats = self._pmhss_gmres(
                     rhs_top, rhs_bottom, tol / (np.sqrt(2.0) * norm_b))
-            z = np.empty(self.n, dtype=complex)
-            np.divide(y, self._s, out=z.real)
-            z.imag = u
-            Az = self._A @ z
+                stats_iters, converged = stats.iterations, stats.converged
         else:
             raise ValueError(f"unknown saddle backend {backend!r}")
 
-        # b - A z = s r1 + i r2 in terms of the block residuals (r1, r2)
-        r = b - Az
-        self.residual = r1, r2 = r.real / self._s, r.imag
+        self.residual = r1, r2
         achieved = math.sqrt(r1 @ r1) + math.sqrt(r2 @ r2)
         rel_res = achieved / norm_b if norm_b > 0 else 0.0
-        converged = backend == "direct" or norm_b == 0.0 or achieved <= tol
         return y, u, InnerSolveStats(stats_iters, rel_res, converged)
 
 

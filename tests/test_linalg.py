@@ -419,7 +419,9 @@ def test_saddle_residual_gives_state_and_adjoint_functionals(meshes, seed,
     # a loose Krylov target leaves it far above round-off.  The direct
     # backend runs on the oracle's random problems (its LU path), the
     # pmhss_gmres one, which needs the mesh's K and M, on a mesh with
-    # random data
+    # random data; it solves twice, the second time from the first
+    # solution, with 0 GMRES iterations, and both residuals are GMRES's
+    # own transformed back
     rng = np.random.default_rng(seed)
     if backend == "direct":
         prob = random_tiny_problem(rng)
@@ -437,22 +439,26 @@ def test_saddle_residual_gives_state_and_adjoint_functionals(meshes, seed,
     rhs_bottom = -(M @ yc)
     norm_b = np.hypot(np.linalg.norm(rhs_top), np.linalg.norm(rhs_bottom))
     solver = SaddleSolver(SineGrid(M, K), gamma)
-    y, u, _ = solver.solve(rhs_top, rhs_bottom, backend=backend,
-                           tol=1e-3 * norm_b)
-    r1, r2 = solver.residual
-    p = gamma * u - sigma * z + lam
-    aM, aK = abs(M), abs(K)
-    # round-off scale: every term of the residuals in absolute value
-    terms = (aK @ (sigma * abs(z) + abs(lam)), aM @ abs(yd),
-             aM @ abs(y), gamma * (aK @ abs(u)), aK @ abs(y), aM @ abs(u),
-             aM @ abs(yc))
-    scale = sum(np.linalg.norm(t) for t in terms)
-    for got, want in (
-            (gamma * r1, gamma * (rhs_top - M @ y / gamma - K @ u)),
-            (r2, rhs_bottom + K @ y - M @ u),
-            (r2, K @ y - M @ (u + yc)),
-            (-gamma * r1, M @ (y - yd) + K @ p)):
-        assert np.linalg.norm(got - want) <= 1e-13 * scale
+    iterations = []
+    for _ in range(1 if backend == "direct" else 2):
+        y, u, stats = solver.solve(rhs_top, rhs_bottom, backend=backend,
+                                   tol=1e-3 * norm_b)
+        iterations.append(stats.iterations)
+        r1, r2 = solver.residual
+        p = gamma * u - sigma * z + lam
+        aM, aK = abs(M), abs(K)
+        # round-off scale: every term of the residuals in absolute value
+        terms = (aK @ (sigma * abs(z) + abs(lam)), aM @ abs(yd),
+                 aM @ abs(y), gamma * (aK @ abs(u)), aK @ abs(y),
+                 aM @ abs(u), aM @ abs(yc))
+        scale = sum(np.linalg.norm(t) for t in terms)
+        for got, want in (
+                (gamma * r1, gamma * (rhs_top - M @ y / gamma - K @ u)),
+                (r2, rhs_bottom + K @ y - M @ u),
+                (r2, K @ y - M @ (u + yc)),
+                (-gamma * r1, M @ (y - yd) + K @ p)):
+            assert np.linalg.norm(got - want) <= 1e-13 * scale
+    assert iterations[1:] in ([], [0])
 
 
 def test_gmres_nonconvergence_flag():
@@ -484,6 +490,27 @@ def test_gmres_returns_the_true_residual():
         assert stats.final_relative_residual \
             == np.linalg.norm(r) / np.linalg.norm(rhs)
         assert not any(np.shares_memory(v, w) for v in (x, r) for w in work)
+
+
+def test_gmres_measures_a_start_residual_that_claims_the_target():
+    # a start whose handed-in residual understates the true one and meets
+    # the target: gmres measures rhs - A x0 and iterates to that target,
+    # and its r is always the measured residual, never the handed-in one.
+    # A start residual that meets the target in truth takes 0 iterations
+    rng = np.random.default_rng(22)
+    A = rng.standard_normal((30, 30)) + 6 * np.eye(30)
+    rhs = rng.standard_normal(30)
+    x_star = np.linalg.solve(A, rhs)
+    norm_b, tol = np.linalg.norm(rhs), 1e-10
+    for x0, iterate in ((x_star + 1e-6 * rng.standard_normal(30), True),
+                        (x_star, False)):
+        r_true = rhs - A @ x0
+        for r0 in (1e-3 * r_true, np.zeros(30)):
+            x, stats, r = gmres(lambda v: A @ v, lambda v: v, rhs, tol,
+                                x0=x0, r0=r0)
+            assert np.linalg.norm(r - (rhs - A @ x)) <= 1e-14 * norm_b
+            assert stats.converged and np.linalg.norm(r) <= tol * norm_b
+            assert (stats.iterations > 0) == iterate
 
 
 def test_gmres_cycle_applies_pmhss_once_per_iteration(meshes):
@@ -570,11 +597,12 @@ def test_pmhss_solves_reuse_one_workspace(meshes, monkeypatch):
         assert np.array_equal(solves, alone[backend])
 
 
-def test_pmhss_u_step_makes_two_transforms_and_one_sparse_product(
+def test_pmhss_u_step_makes_two_transforms_and_no_sparse_product(
         meshes, monkeypatch):
-    # a pmhss_gmres solve transforms its rhs in and its solution out and
-    # makes one complex product with A for its true block residual; its
-    # GMRES iterations make neither, however many there are
+    # a pmhss_gmres solve transforms its rhs in, and its solution out
+    # together with its residual, which gives the block residual (r1, r2);
+    # it makes no sparse product and never builds the complex A, however
+    # many GMRES iterations it takes
     m = meshes(5)
     M, K = fem.assemble_mass(m), fem.assemble_stiffness(m)
     solver = SaddleSolver(SineGrid(M, K), 0.3)
@@ -595,14 +623,16 @@ def test_pmhss_u_step_makes_two_transforms_and_one_sparse_product(
     monkeypatch.setattr(SineGrid, "transform", counted_transform)
     monkeypatch.setattr(type(M), "__matmul__", counted_matmul)
     iterations = set()
-    for k in range(4):
+    for k in range(5):
         counts.clear()
-        top = top + 1e-2 * rng.standard_normal(m.n_interior)
+        if k < 4:
+            top = top + 1e-2 * rng.standard_normal(m.n_interior)
         _, _, stats = solver.solve(top, bottom, backend="pmhss_gmres",
-                                   tol=10.0 ** (-6 - k))
+                                   tol=10.0 ** (-6 - min(k, 3)))
         iterations.add(stats.iterations)
-        assert counts == {"transform": 2, "c": 1}
-    assert len(iterations) > 1 and max(iterations) > 2
+        assert counts == {"transform": 2}
+    assert 0 in iterations and max(iterations) > 2
+    assert "_A" not in vars(solver) and solver._b is None
 
 
 @settings(max_examples=60, deadline=None, derandomize=True, database=None)

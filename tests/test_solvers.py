@@ -531,9 +531,23 @@ def test_stadler_pmhss_inner_iterations_level4(ex2):
     # the CG projection) gives 1087, and by its plain solve 1091.  It read
     # 1079 while GMRES ran on the nodal (y, u); in the sine basis, with the
     # same operator and preconditioner up to round-off and the window's
-    # Gram matrix kept row by row, it reads 1084, at the same 424
-    # iterations
-    assert sum(s.iterations for s in rep.inner_stats) == 1084
+    # Gram matrix kept row by row, 1084; and 1087 since a u-step that
+    # takes 0 GMRES iterations hands the window its measured residual in
+    # place of the derived one, at the same 424 iterations
+    assert sum(s.iterations for s in rep.inner_stats) == 1087
+
+
+def test_stadler_pmhss_default_sigma_converges(ex2):
+    # at the default sigma = 0.1 alpha most u-steps accept the window's
+    # start with 0 GMRES iterations; each must be judged by its measured
+    # residual, since the one the window derives drifts below it and a
+    # u-step that reads it as met feeds eta a residual that misses
+    _, prob = ex2(3)
+    rep = so.solve_ihadmm(prob, SolverConfig(
+        tol=1e-8, max_iter=1500, inner_backend="pmhss_gmres"))
+    assert rep.converged and rep.final_eta <= 1e-8
+    assert all(s.converged for s in rep.inner_stats)
+    assert sum(s.iterations == 0 for s in rep.inner_stats) > 0
 
 
 def test_constructed_pmhss_inner_iterations_level6(ex1):
